@@ -1,10 +1,10 @@
 """Exact toolkit for free spaces over finite pointed metric spaces.
 
-Computes transportation-cost norms by exact LP duality with certified
-witnesses, supports and positivity of finitely supported elements, the
-classical explicit Lipschitz function constructions, and constructive
-certification of the extremal structure of the unit ball and the positive
-unit ball.  All arithmetic is exact rational; every certificate re-verifies
+Computes transportation-cost norms by one exact transport LP with
+witnesses certified by weak duality, supports and positivity of finitely
+supported elements, the classical explicit Lipschitz function
+constructions, and constructive certification of the extremal structure of
+the unit ball and the positive unit ball.  All arithmetic is exact rational; every certificate re-verifies
 the identities it claims.
 """
 
@@ -47,7 +47,6 @@ from .functions import (
     molecule_norming_function,
     multiply_by_weight,
     partial_function,
-    partial_lip_constant,
     point_bump,
     radial_cutoff,
     restrict,
@@ -80,4 +79,22 @@ from .norms import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FreeElement", "Molecule", "canonicalize", "delta",
+    "intersection_property_check", "is_positive", "order_leq",
+    "subspace_membership", "support", "support_by_functionals", "zero",
+    "EXPOSED", "NOT_EXTREME", "ExposednessVerdict", "PerturbationWitness",
+    "almost_positive_witness", "attainment_partition", "classify_molecule",
+    "extended_pairing", "maximize_extended_pairing", "normers_support_check",
+    "positive_ball_extremes", "split_positive", "LipFunction",
+    "PartialFunction", "WeightFunction", "bump", "distance_to_base",
+    "lip_constant", "lip_function", "mcshane_extend",
+    "molecule_norming_function", "multiply_by_weight", "partial_function",
+    "point_bump", "radial_cutoff", "restrict", "truncate_support",
+    "weight_element", "weight_function", "weighting_bound",
+    "PointedMetricSpace", "Segment", "line_space", "space_from_points",
+    "validate_space", "DualCertificate", "FaceReport", "NormCertificate",
+    "NormersReport", "PrimalCertificate", "free_norm", "free_norm_dual",
+    "free_norm_primal", "norm_certificate", "norming_face", "normers_of",
+    "positive_norm",
+]

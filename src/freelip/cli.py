@@ -80,9 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, default=20240521, help="64-bit sampling seed")
     cmd.add_argument(
         "--max-points",
-        type=int,
-        default=None,
-        help=f"size cap for generated spaces (default: ${DEFAULT_MAX_POINTS_ENV} or 12)",
+        type=_max_points,
+        # a string default goes through `type` too, so the environment
+        # value is checked like the option
+        default=os.environ.get(DEFAULT_MAX_POINTS_ENV, "12"),
+        help=f"size cap for generated spaces, at least 2"
+        f" (default: ${DEFAULT_MAX_POINTS_ENV} or 12)",
     )
     cmd.add_argument(
         "--scale",
@@ -91,6 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiply sample counts (for quick smoke runs)",
     )
     return parser
+
+
+def _max_points(raw: str) -> int:
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if cap < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {cap}")
+    return cap
 
 
 def _pair(space, raw: str) -> tuple[int, int]:
@@ -114,10 +127,7 @@ def _labels(space, points) -> list[str]:
 
 def _dispatch(args) -> int:
     if args.command == "check-suite":
-        cap = args.max_points
-        if cap is None:
-            cap = int(os.environ.get(DEFAULT_MAX_POINTS_ENV, "12"))
-        results = run_check_suite(seed=args.seed, max_points=cap, scale=args.scale)
+        results = run_check_suite(seed=args.seed, max_points=args.max_points, scale=args.scale)
         payload = fileio.check_results_payload(results)
         _emit(args, payload, [r.line() for r in results])
         return 0 if payload["all_passed"] else 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Mapping
 
-from .errors import EmptyFamily, SpaceMismatch, UnknownLabel
+from .errors import EmptyFamily, SpaceMismatch
 from .metric import PointedMetricSpace
 from .rationals import as_fraction
 
@@ -113,12 +113,7 @@ def canonicalize(space: PointedMetricSpace, raw: Mapping) -> FreeElement:
     """
     acc: dict[int, Fraction] = {}
     for key, value in raw.items():
-        if isinstance(key, int) and not isinstance(key, bool):
-            if not (0 <= key < space.n):
-                raise UnknownLabel(key)
-            idx = key
-        else:
-            idx = space.index(key)
+        idx = space.resolve(key)
         acc[idx] = acc.get(idx, Fraction(0)) + as_fraction(value)
     items = tuple(
         sorted((p, a) for p, a in acc.items() if a != 0 and p != space.base)

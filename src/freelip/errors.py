@@ -135,7 +135,3 @@ class ParseError(FreeLipError):
         self.path = path
         where = f"{path}: " if path else ""
         super().__init__(where + message)
-
-
-class UnknownCommand(FreeLipError):
-    pass

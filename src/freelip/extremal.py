@@ -38,19 +38,17 @@ from .functions import (
     PartialFunction,
     WeightFunction,
     bump,
+    lip_constant,
     mcshane_extend,
-    partial_function,
-    partial_lip_constant,
     pointwise_product,
+    restrict,
     scale_weight,
     weight_element,
     weight_sum,
 )
 from .metric import PointedMetricSpace
-from . import lp
 from .norms import (
     FaceReport,
-    free_norm_dual,
     norm_certificate,
     norming_face,
     positive_norm,
@@ -265,7 +263,7 @@ def extended_pairing(
     lam: FreeElement, mu: FreeElement, f: PartialFunction
 ) -> Fraction:
     """Pair mu + lam against the McShane extension of a partial function."""
-    if partial_lip_constant(f) > 1:
+    if lip_constant(f) > 1:
         raise NotOneLipschitzOnDomain(
             "extended_pairing requires a 1-Lipschitz partial function"
         )
@@ -277,67 +275,21 @@ def maximize_extended_pairing(
 ) -> tuple[PartialFunction, Fraction]:
     """Maximize f -> <mu + lam, extension of f> over the 1-Lipschitz ball on S.
 
-    S is the support of mu plus the base point.  Variables are the values
-    of f on S and one extension value per support point of lam off S; the
-    latter are bounded above by every f(q) + d(q, x), which is tight at the
-    optimum because the lam coefficients are nonnegative.  The optimum is
-    asserted to equal the norm of mu + lam.
+    S is the support of mu plus the base point.  The maximum is the norm of
+    mu + lam, attained by the restriction f* of any norming function g:
+    the McShane extension of f* agrees with g on S and dominates it
+    elsewhere, and lam is positive, so the extended pairing is at least
+    <mu + lam, g>.  The attained value is checked against the norm.
     """
     if not is_positive(lam):
         raise NotPositive("the unperturbed part must be positive")
-    space = lam.space
-    base = space.base
-    S = sorted(support(mu) | {base})
-    f_points = [p for p in S if p != base]
-    t_points = sorted(support(lam) - set(S))
-    nf, nt = len(f_points), len(t_points)
-    nvars = nf + nt
-
-    if nvars == 0:
-        f_star = partial_function(space, {base: 0})
-        value = _ZERO
-        total = mu + lam  # == 0 here: mu supported on S = {base} means mu == 0
-        if free_norm_dual(total).value != value:
-            raise InternalVerificationFailure("degenerate pairing maximization is off")
-        return f_star, value
-
-    var_f = {p: i for i, p in enumerate(f_points)}
-    var_t = {x: nf + i for i, x in enumerate(t_points)}
-
-    rows = []
-    for i, x in enumerate(S):
-        for y in S[i + 1 :]:
-            row = [_ZERO] * nvars
-            if x != base:
-                row[var_f[x]] += 1
-            if y != base:
-                row[var_f[y]] -= 1
-            rows.append((row, lp.LEQ, space.d(x, y)))
-            rows.append(([-v for v in row], lp.LEQ, space.d(x, y)))
-    for x in t_points:
-        for q in S:
-            row = [_ZERO] * nvars
-            row[var_t[x]] += 1
-            if q != base:
-                row[var_f[q]] -= 1
-            rows.append((row, lp.LEQ, space.d(q, x)))
-
-    total = mu + lam
-    objective = [_ZERO] * nvars
-    for p, a in total.items:
-        if p in var_f:
-            objective[var_f[p]] = a
-    for x in t_points:
-        objective[var_t[x]] = lam.coeff(x)
-
-    sol = lp.maximize(objective, rows, free=range(nvars)).require_optimal()
-    f_star = partial_function(space, {p: sol.x[var_f[p]] for p in f_points})
-    value = sol.value
-    if free_norm_dual(total).value != value:
+    cert = norm_certificate(lam + mu)
+    f_star = restrict(cert.dual_witness, support(mu))
+    if extended_pairing(lam, mu, f_star) != cert.value:
         raise InternalVerificationFailure(
             "maximized extended pairing does not equal the norm"
         )
-    return f_star, value
+    return f_star, cert.value
 
 
 def attainment_partition(
@@ -349,7 +301,7 @@ def attainment_partition(
     min_q f(q) + d(q, x); the cells keyed by K(x) are disjoint and cover
     the space.
     """
-    if partial_lip_constant(f) > 1:
+    if lip_constant(f) > 1:
         raise NotOneLipschitzOnDomain(
             "attainment_partition requires a 1-Lipschitz partial function"
         )

@@ -23,11 +23,11 @@ from .elements import (
 from .errors import (
     DegeneratePair,
     EmptySet,
+    InternalVerificationFailure,
     NonpositiveRadius,
     NotOneLipschitzOnDomain,
     SpaceMismatch,
     SupportNotContained,
-    UnknownLabel,
 )
 from .metric import PointedMetricSpace
 from .rationals import as_fraction
@@ -98,13 +98,7 @@ def _total_values(space: PointedMetricSpace, values) -> tuple[Fraction, ...]:
     if isinstance(values, Mapping):
         out = [Fraction(0)] * space.n
         for key, v in values.items():
-            if isinstance(key, int) and not isinstance(key, bool):
-                if not (0 <= key < space.n):
-                    raise UnknownLabel(key)
-                idx = key
-            else:
-                idx = space.index(key)
-            out[idx] = as_fraction(v)
+            out[space.resolve(key)] = as_fraction(v)
         return tuple(out)
     out = [as_fraction(v) for v in values]
     if len(out) != space.n:
@@ -114,15 +108,7 @@ def _total_values(space: PointedMetricSpace, values) -> tuple[Fraction, ...]:
 
 def partial_function(space: PointedMetricSpace, values: Mapping) -> PartialFunction:
     """Build a PartialFunction; the base point joins the domain with value 0."""
-    acc: dict[int, Fraction] = {}
-    for key, v in values.items():
-        if isinstance(key, int) and not isinstance(key, bool):
-            if not (0 <= key < space.n):
-                raise UnknownLabel(key)
-            idx = key
-        else:
-            idx = space.index(key)
-        acc[idx] = as_fraction(v)
+    acc = {space.resolve(key): as_fraction(v) for key, v in values.items()}
     base = space.base
     if acc.get(base, Fraction(0)) != 0:
         raise ValueError("a partial Lip_0 function must vanish at the base point")
@@ -138,27 +124,18 @@ def restrict(f: LipFunction, S: Iterable[int]) -> PartialFunction:
 
 
 def lip_constant(f) -> Fraction:
-    """Exact Lipschitz constant: max of |f(x)-f(y)| / d(x,y) over pairs."""
+    """Exact Lipschitz constant: max of |f(x)-f(y)| / d(x,y) over pairs.
+
+    A partial function is measured over its domain, anything else over
+    the whole space.
+    """
     space = f.space
-    best = Fraction(0)
     values = f.values
-    for x in range(space.n):
-        for y in range(x + 1, space.n):
-            slope = abs(values[x] - values[y]) / space.d(x, y)
-            if slope > best:
-                best = slope
-    return best
-
-
-def partial_lip_constant(pf: PartialFunction) -> Fraction:
-    """Lipschitz constant of a partial function over its domain."""
-    space = pf.space
-    vals = pf.values
+    points = f.domain if isinstance(f, PartialFunction) else range(space.n)
     best = Fraction(0)
-    dom = pf.domain
-    for i, x in enumerate(dom):
-        for y in dom[i + 1 :]:
-            slope = abs(vals[x] - vals[y]) / space.d(x, y)
+    for i, x in enumerate(points):
+        for y in points[i + 1 :]:
+            slope = abs(values[x] - values[y]) / space.d(x, y)
             if slope > best:
                 best = slope
     return best
@@ -204,8 +181,8 @@ def radial_cutoff(space: PointedMetricSpace, r) -> WeightFunction:
         else:
             out.append(Fraction(0))
     cut = WeightFunction(space, tuple(out))
-    assert all(0 <= v <= r for v in cut.values)
-    assert lip_constant(cut) <= 1
+    if not all(0 <= v <= r for v in cut.values) or lip_constant(cut) > 1:
+        raise InternalVerificationFailure("radial cutoff left [0, r] or exceeded slope 1")
     return cut
 
 
@@ -226,11 +203,12 @@ def truncate_support(f: LipFunction, r) -> LipFunction:
         for x in range(space.n)
     )
     g = LipFunction(space, out)
-    assert lip_constant(g) <= L
-    assert all(
-        g.values[x] == f.values[x] for x in space.ball(space.base, r)
-    )
-    assert all(g.values[x] == 0 for x in range(space.n) if f.values[x] == 0)
+    if lip_constant(g) > L:
+        raise InternalVerificationFailure("truncation increased the Lipschitz constant")
+    if any(g.values[x] != f.values[x] for x in space.ball(space.base, r)):
+        raise InternalVerificationFailure("truncation changed f inside the r-ball")
+    if any(g.values[x] != 0 for x in range(space.n) if f.values[x] == 0):
+        raise InternalVerificationFailure("truncation moved a zero of f")
     return g
 
 
@@ -251,14 +229,14 @@ def molecule_norming_function(space: PointedMetricSpace, p: int, q: int) -> LipF
 
     shift = raw(space.base)
     f = LipFunction(space, tuple(raw(x) - shift for x in range(space.n)))
-    assert lip_constant(f) <= 1
-    assert Molecule(p, q).as_element(space).pair(f) == 1
+    if lip_constant(f) > 1 or Molecule(p, q).as_element(space).pair(f) != 1:
+        raise InternalVerificationFailure("molecule function failed to norm its molecule")
     return f
 
 
 def mcshane_extend(pf: PartialFunction) -> LipFunction:
     """Largest 1-Lipschitz extension: x -> min over the domain of f(q) + d(q,x)."""
-    if partial_lip_constant(pf) > 1:
+    if lip_constant(pf) > 1:
         raise NotOneLipschitzOnDomain(
             "the partial function exceeds Lipschitz constant 1 on its domain"
         )
@@ -286,9 +264,10 @@ def bump(space: PointedMetricSpace, S: Iterable[int], r) -> WeightFunction:
         for x in range(space.n)
     )
     h = WeightFunction(space, out)
-    assert all(0 <= v <= 1 for v in h.values)
-    assert all(h.values[x] == 1 for x in core)
-    assert lip_constant(h) * r <= 1
+    if not all(0 <= v <= 1 for v in h.values) or any(h.values[x] != 1 for x in core):
+        raise InternalVerificationFailure("bump left [0, 1] or is not 1 on its core")
+    if lip_constant(h) * r > 1:
+        raise InternalVerificationFailure("bump is steeper than 1/r")
     return h
 
 
@@ -322,8 +301,10 @@ def multiply_by_weight(
         for x in range(space.n)
     )
     g = LipFunction(space, out)
-    assert lip_constant(g) <= weighting_bound(h) * lip_constant(f)
-    assert all(g.values[x] == 0 for x in range(space.n) if f.values[x] == 0)
+    if lip_constant(g) > weighting_bound(h) * lip_constant(f):
+        raise InternalVerificationFailure("product exceeds the weighting bound")
+    if any(g.values[x] != 0 for x in range(space.n) if f.values[x] == 0):
+        raise InternalVerificationFailure("product moved a zero of f")
     return g
 
 
@@ -337,9 +318,10 @@ def weight_element(mu: FreeElement, h: WeightFunction) -> FreeElement:
     if not _same_space(mu.space, h.space):
         raise SpaceMismatch("element and weight must live on the same space")
     out = canonicalize(mu.space, {p: a * h.values[p] for p, a in mu.items})
-    assert support(out) <= (support(mu) & h.support)
-    if is_positive(mu) and all(v >= 0 for v in h.values):
-        assert is_positive(out)
+    if not support(out) <= (support(mu) & h.support):
+        raise InternalVerificationFailure("weighting grew the support")
+    if is_positive(mu) and all(v >= 0 for v in h.values) and not is_positive(out):
+        raise InternalVerificationFailure("nonnegative weighting broke positivity")
     return out
 
 

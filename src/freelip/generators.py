@@ -136,14 +136,6 @@ def random_lip0(
     return f
 
 
-def random_nonneg_lip0(rng: random.Random, space: PointedMetricSpace) -> LipFunction:
-    values = [
-        Fraction(0) if x == space.base else rng.choice((0, 1)) * random_rational(rng)
-        for x in range(space.n)
-    ]
-    return lip_function(space, values)
-
-
 def random_weight(
     rng: random.Random, space: PointedMetricSpace, nonneg: bool = False
 ) -> WeightFunction:

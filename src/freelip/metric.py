@@ -58,6 +58,14 @@ class PointedMetricSpace:
         except ValueError:
             raise UnknownLabel(label) from None
 
+    def resolve(self, key) -> int:
+        """Resolve a point index (an int, not a bool) or a label to an index."""
+        if isinstance(key, int) and not isinstance(key, bool):
+            if not (0 <= key < self.n):
+                raise UnknownLabel(key)
+            return key
+        return self.index(key)
+
     def ordered_pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs of distinct point indices."""
         return [(i, j) for i in range(self.n) for j in range(self.n) if i != j]

@@ -1,18 +1,19 @@
-"""Exact free-norm computation by linear-programming duality.
+"""Exact free-norm computation by one transport LP and shortest paths.
 
-The norm of an element is computed twice, by two different exact LPs:
+The norm of an element is the minimum cost of transporting its
+coefficient masses, solved once as an exact LP on the support of the
+element plus the base point and returned as a molecule decomposition.
+The norming functions are the 1-Lipschitz functions tight on the flow of
+that plan (complementary slackness); that is a system of difference
+constraints, so the largest one is a row of shortest-path distances and is
+McShane-extended to the whole space.  Restricting to the support loses
+nothing: pairings only see values on the support, a shortest route
+between support points never improves by detouring through other points
+(triangle inequality), and the extension preserves the Lipschitz constant.
 
-* dual route: maximize the pairing over the 1-Lipschitz unit ball,
-* primal route: minimum-cost transportation of the coefficient masses,
-  converted into a molecule decomposition of matching total weight.
-
-Both LPs are formulated on the support of the element plus the base point;
-the dual witness is then extended to the whole space by McShane extension.
-This loses nothing: pairings only see values on the support, a shortest
-route between support points never improves by detouring through other
-points (triangle inequality), and the extension preserves the Lipschitz
-constant.  Every certificate re-verifies its claimed identities, and the
-two routes must agree exactly (zero duality gap) or an assertion fires.
+Every certificate is checked by exact weak duality: the witness is
+1-Lipschitz, the decomposition rebuilds the element, and the pairing
+equals the decomposition weight, or InternalVerificationFailure is raised.
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ class PrimalCertificate:
 
 @dataclass(frozen=True)
 class NormCertificate:
-    """Both halves of a norm computation, certified against each other."""
+    """Both halves of a norm computation, certified against each other.
+
+    `dual_witness` is one norming function; which optimal one is returned
+    is not part of the contract.
+    """
 
     value: Fraction
     dual_witness: LipFunction
@@ -88,8 +93,8 @@ class NormersReport:
     """Affine description of the set of norming functions of an element.
 
     `fixed_values` lists the function values forced on every normer;
-    `shared_tight_pairs` lists the slope-one constraints active across the
-    entire optimal face of the dual LP over the whole space.
+    `shared_tight_pairs` lists the slope-one constraints active at every
+    normer over the whole space; `witness` is one normer.
     """
 
     value: Fraction
@@ -98,67 +103,53 @@ class NormersReport:
     shared_tight_pairs: frozenset[tuple[int, int]]
 
 
-def _nodes(mu: FreeElement, restrict: bool) -> list[int]:
-    if restrict:
-        return sorted(support(mu) | {mu.space.base})
-    return list(range(mu.space.n))
+def _tight_distances(
+    space: PointedMetricSpace,
+    nodes: Sequence[int],
+    decomposition: Sequence[tuple[Molecule, Fraction]],
+) -> dict[int, dict[int, Fraction]]:
+    """Shortest-path bounds on the normers tight on a transport flow.
 
-
-def _dual_rows(space: PointedMetricSpace, nodes: Sequence[int]):
-    """Slope constraints f(x) - f(y) <= d(x,y) over ordered node pairs."""
-    base = space.base
-    var_of = {p: i for i, p in enumerate(q for q in nodes if q != base)}
-    nvars = len(var_of)
-    rows = []
-    for x in nodes:
-        for y in nodes:
-            if x == y:
-                continue
-            coeffs = [_ZERO] * nvars
-            if x != base:
-                coeffs[var_of[x]] += 1
-            if y != base:
-                coeffs[var_of[y]] -= 1
-            rows.append((coeffs, lp.LEQ, space.d(x, y)))
-    return var_of, rows
-
-
-def free_norm_dual(mu: FreeElement, restrict: bool = True) -> DualCertificate:
-    """Norm via the dual LP: maximize <mu, f> over the 1-Lipschitz ball.
-
-    Returns the exact optimum and a norming function on the whole space.
+    The optimal dual set is {f : f(b) - f(a) <= d(a,b), and
+    f(p) - f(q) = d(p,q) on every molecule (p, q) carrying flow}, a system
+    of difference constraints: arc a -> b weighs d(a,b), and a flow
+    molecule tightens p -> q to -d(p,q).  Floyd-Warshall on that graph
+    gives D[a][b] = max of f(b) - f(a) over the set (CLRS 24.4).  A
+    negative cycle means the flow was not optimal.
     """
-    space = mu.space
-    if mu.is_zero():
-        return DualCertificate(_ZERO, lip_function(space, [0] * space.n))
-    nodes = _nodes(mu, restrict)
-    var_of, rows = _dual_rows(space, nodes)
-    objective = [_ZERO] * len(var_of)
-    for p, a in mu.items:
-        objective[var_of[p]] = a
-    sol = lp.maximize(objective, rows, free=range(len(var_of))).require_optimal()
-
-    partial = partial_function(
-        space, {p: sol.x[i] for p, i in var_of.items()}
-    )
-    witness = mcshane_extend(partial)
-    if lip_constant(witness) > 1 or mu.pair(witness) != sol.value:
-        raise InternalVerificationFailure("dual witness failed verification")
-    return DualCertificate(sol.value, witness)
+    index = {p: i for i, p in enumerate(nodes)}
+    D = [[space.d(a, b) for b in nodes] for a in nodes]
+    for mol, _ in decomposition:
+        D[index[mol.p]][index[mol.q]] = -space.d(mol.p, mol.q)
+    for k, row_k in enumerate(D):
+        for row in D:
+            through = row[k]
+            for j, via in enumerate(row_k):
+                if through + via < row[j]:
+                    row[j] = through + via
+    if any(D[i][i] < 0 for i in range(len(nodes))):
+        raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
+    return {a: dict(zip(nodes, D[i])) for i, a in enumerate(nodes)}
 
 
-def free_norm_primal(mu: FreeElement, restrict: bool = True) -> PrimalCertificate:
+def free_norm_dual(mu: FreeElement) -> DualCertificate:
+    """The dual half of :func:`norm_certificate`: value and norming function."""
+    cert = norm_certificate(mu)
+    return DualCertificate(cert.value, cert.dual_witness)
+
+
+def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
     """Norm via the primal LP: minimum-cost transport of the coefficients.
 
-    One nonnegative flow variable per ordered node pair; the net divergence
-    at every non-base node must equal its coefficient (the base point
-    absorbs the residual).  The optimal flow is returned as a molecule
-    decomposition whose weights sum to the norm.
+    One nonnegative flow variable per ordered pair of support-or-base
+    nodes; the net divergence at every non-base node must equal its
+    coefficient (the base point absorbs the residual).  The optimal flow is
+    returned as a molecule decomposition whose weights sum to the norm.
     """
     space = mu.space
     if mu.is_zero():
         return PrimalCertificate(_ZERO, ())
-    nodes = _nodes(mu, restrict)
+    nodes = sorted(support(mu) | {space.base})
     base = space.base
     arcs = [(x, y) for x in nodes for y in nodes if x != y]
     arc_of = {a: i for i, a in enumerate(arcs)}
@@ -193,25 +184,35 @@ def free_norm_primal(mu: FreeElement, restrict: bool = True) -> PrimalCertificat
 
 
 def norm_certificate(mu: FreeElement) -> NormCertificate:
-    """Run both norm routes and certify that they agree exactly."""
-    dual = free_norm_dual(mu)
+    """Solve the transport LP once and certify it by exact weak duality.
+
+    The molecule decomposition bounds the norm from above.  The largest
+    potential tight on its flow, over the support plus the base point and
+    McShane-extended to the whole space, bounds it from below; equal
+    bounds prove both optimal.
+    """
+    space = mu.space
+    if mu.is_zero():
+        return NormCertificate(_ZERO, lip_function(space, [0] * space.n), ())
     primal = free_norm_primal(mu)
-    if dual.value != primal.value:
-        raise InternalVerificationFailure(
-            f"duality gap: dual {dual.value} != primal {primal.value}"
-        )
-    return NormCertificate(dual.value, dual.witness, primal.decomposition)
+    base = space.base
+    nodes = sorted(support(mu) | {base})
+    D = _tight_distances(space, nodes, primal.decomposition)
+    witness = mcshane_extend(partial_function(space, D[base]))
+    if lip_constant(witness) > 1 or mu.pair(witness) != primal.value:
+        raise InternalVerificationFailure("dual witness failed verification")
+    return NormCertificate(primal.value, witness, primal.decomposition)
 
 
 def free_norm(mu: FreeElement) -> Fraction:
-    """Just the norm value (dual route)."""
-    return free_norm_dual(mu).value
+    """Just the norm value."""
+    return norm_certificate(mu).value
 
 
 def positive_norm(mu: FreeElement) -> Fraction:
     """Norm of a positive element: pair against the distance-to-base function.
 
-    Cross-checked against the dual LP on every call.
+    Cross-checked against the certified transport solve on every call.
     """
     if not is_positive(mu):
         raise NotPositive("positive_norm requires a positive element")
@@ -296,50 +297,27 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
 def normers_of(mu: FreeElement) -> NormersReport:
     """Affine description of every norming function of a nonzero element.
 
-    Works over the whole space: computes the norm, then pins down which
-    function values and which slope-one constraints are shared by all
-    optima of the dual LP (via one auxiliary LP per candidate).
-    For a positive element the values on the support are asserted to be
-    the distances to the base point.
+    Works over the whole space.  The normers are the 1-Lipschitz functions
+    tight on the flow of one optimal transport plan (complementary
+    slackness), so one Floyd-Warshall over all points bounds every value
+    and slope on that set: f(p) is fixed when its upper bound D[base][p]
+    meets its lower bound -D[p][base], and the slope constraint on (x, y)
+    is shared when even the smallest f(x) - f(y), namely -D[x][y], is
+    d(x, y).  For a positive element the values on the support are checked
+    to be the distances to the base point.
     """
     if mu.is_zero():
         raise ZeroElement("every function norms the zero element")
     space = mu.space
-    nodes = list(range(space.n))
-    var_of, rows = _dual_rows(space, nodes)
-    nvars = len(var_of)
-    objective = [_ZERO] * nvars
-    for p, a in mu.items:
-        objective[var_of[p]] = a
-    sol = lp.maximize(objective, rows, free=range(nvars)).require_optimal()
-    value = sol.value
-    face_rows = rows + [(objective, lp.EQ, value)]
-
-    witness = lip_function(space, {p: sol.x[i] for p, i in var_of.items()})
-
-    fixed: dict[int, Fraction] = {}
-    for p, i in var_of.items():
-        probe = [_ZERO] * nvars
-        probe[i] = Fraction(1)
-        hi = lp.maximize(probe, face_rows, free=range(nvars)).require_optimal()
-        lo = lp.minimize(probe, face_rows, free=range(nvars)).require_optimal()
-        if hi.value == lo.value:
-            fixed[p] = hi.value
-
-    shared = []
-    for x, y in space.ordered_pairs():
-        fx = witness.values[x]
-        fy = witness.values[y]
-        if fx - fy != space.d(x, y):
-            continue  # not tight at one optimum, so not tight on the face
-        probe = [_ZERO] * nvars
-        if x != space.base:
-            probe[var_of[x]] += 1
-        if y != space.base:
-            probe[var_of[y]] -= 1
-        lo = lp.minimize(probe, face_rows, free=range(nvars)).require_optimal()
-        if lo.value == space.d(x, y):
-            shared.append((x, y))
+    base = space.base
+    cert = norm_certificate(mu)
+    D = _tight_distances(space, range(space.n), cert.primal_witness)
+    fixed = {
+        p: D[base][p] for p in space.nonbase_points() if D[base][p] == -D[p][base]
+    }
+    shared = frozenset(
+        (x, y) for x, y in space.ordered_pairs() if D[x][y] == -space.d(x, y)
+    )
 
     if is_positive(mu):
         rho = distance_to_base(space)
@@ -349,8 +327,8 @@ def normers_of(mu: FreeElement) -> NormersReport:
                     "a normer of a positive element may deviate from d(., base) on the support"
                 )
     return NormersReport(
-        value=value,
-        witness=witness,
+        value=cert.value,
+        witness=cert.dual_witness,
         fixed_values=fixed,
-        shared_tight_pairs=frozenset(shared),
+        shared_tight_pairs=shared,
     )

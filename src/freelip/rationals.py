@@ -11,10 +11,14 @@ from fractions import Fraction
 
 
 def as_fraction(value) -> Fraction:
-    """Convert an int, Fraction or string to an exact Fraction."""
+    """Convert an int, Fraction or string to an exact Fraction.
+
+    Booleans are rejected although they are ints: a JSON `true` where a
+    number belongs is malformed input, not the number 1.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

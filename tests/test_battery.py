@@ -1,0 +1,58 @@
+"""The battery records every failing case, in every interpreter mode."""
+
+import os
+import random
+import subprocess
+import sys
+import textwrap
+
+from freelip import checks
+from freelip.generators import random_corpus
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_exception_in_a_case_is_a_failure_not_an_abort(monkeypatch):
+    def broken(lam, mu):
+        raise RuntimeError("expected an optimal LP solution, got infeasible")
+
+    monkeypatch.setattr(checks, "maximize_extended_pairing", broken)
+    corpus = random_corpus(3, 4, 2, 5)
+    result = checks.check_mcshane(
+        corpus, random.Random(4), extension_samples=2, concavity_samples=2, pairing_samples=3
+    )
+    assert not result.passed
+    assert result.cases == 7
+    assert len(result.failures) == 3
+    assert all("RuntimeError" in f for f in result.failures)
+
+
+def test_injected_fault_fails_under_optimize():
+    # under -O a bare assert vanishes; the battery must still see the fault
+    script = textwrap.dedent(
+        """
+        import random, sys
+        from freelip import checks
+        from freelip.generators import random_corpus
+
+        real = checks.split_positive
+
+        def faulty(mu):
+            m1, _, t = real(mu)
+            return m1, m1, t
+
+        checks.split_positive = faulty
+        corpus = random_corpus(7, 4, 3, 5)
+        result = checks.check_positive_ball(corpus, random.Random(8), splits_per_space=2)
+        print(sys.flags.optimize, result.line())
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimize, line = proc.stdout.strip().split(" ", 1)
+    assert optimize == "1"
+    assert line.startswith("FAIL"), line

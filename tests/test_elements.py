@@ -171,3 +171,14 @@ def test_positivity_cross_check_via_lp():
 def test_zero_gap_against_mass_transport(line4):
     mu = canonicalize(line4, {1: 1, 2: -1, 3: 1})
     assert free_norm_dual(mu).value == 2
+
+
+def test_package_exports_are_explicit_and_exclude_submodules():
+    import types
+
+    import freelip
+
+    assert len(set(freelip.__all__)) == len(freelip.__all__)
+    for name in freelip.__all__:
+        assert not isinstance(getattr(freelip, name), types.ModuleType), name
+    assert "lp" not in freelip.__all__

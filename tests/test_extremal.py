@@ -28,6 +28,7 @@ from freelip.extremal import (
     split_positive,
 )
 from freelip.functions import (
+    lip_constant,
     mcshane_extend,
     partial_function,
 )
@@ -202,8 +203,6 @@ def test_extended_pairing_concavity():
         S = sorted(support(mu) | {space.base})
 
         def rand_partial():
-            from freelip.functions import partial_lip_constant
-
             values = {
                 p: Fraction(0)
                 if p == space.base
@@ -211,7 +210,7 @@ def test_extended_pairing_concavity():
                 for p in S
             }
             pf = partial_function(space, values)
-            L = partial_lip_constant(pf)
+            L = lip_constant(pf)
             if L > 1:
                 pf = partial_function(space, {p: v / L for p, v in pf.values.items()})
             return pf

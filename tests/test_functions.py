@@ -9,6 +9,7 @@ from freelip.elements import Molecule, canonicalize, is_positive, support
 from freelip.errors import (
     DegeneratePair,
     EmptySet,
+    InternalVerificationFailure,
     NonpositiveRadius,
     NotOneLipschitzOnDomain,
     SupportNotContained,
@@ -22,7 +23,6 @@ from freelip.functions import (
     molecule_norming_function,
     multiply_by_weight,
     partial_function,
-    partial_lip_constant,
     radial_cutoff,
     restrict,
     truncate_support,
@@ -44,11 +44,26 @@ def test_lip_constant_examples(line3):
     assert lip_constant(lip_function(line3, [0, 0, 0])) == 0
     assert lip_constant(lip_function(line3, [0, 1, 0])) == 1
     assert lip_constant(weight_function(line3, [2, 2, 2])) == 0
+    # a partial function is measured over its domain only
+    assert lip_constant(partial_function(line3, {0: 0, 2: 1})) == Fraction(1, 2)
 
 
 def test_lip_function_requires_zero_at_base(line3):
     with pytest.raises(ValueError):
         lip_function(line3, [1, 0, 0])
+
+
+def test_constructions_certify_without_assert(line3, monkeypatch):
+    # a broken Lipschitz constant must raise in every interpreter mode
+    from freelip import functions
+
+    monkeypatch.setattr(functions, "lip_constant", lambda f: Fraction(5))
+    with pytest.raises(InternalVerificationFailure):
+        radial_cutoff(line3, 1)
+    with pytest.raises(InternalVerificationFailure):
+        bump(line3, {1}, 1)
+    with pytest.raises(InternalVerificationFailure):
+        molecule_norming_function(line3, 1, 2)
 
 
 def test_distance_to_base_values(line3, tri):
@@ -168,7 +183,7 @@ def test_mcshane_is_the_largest_extension(coords, data):
         p: 0 if p == space.base else data.draw(st.integers(-20, 20)) for p in dom
     }
     pf = partial_function(space, raw)
-    L = partial_lip_constant(pf)
+    L = lip_constant(pf)
     if L > 1:
         pf = partial_function(space, {p: Fraction(v, 1) / L for p, v in raw.items()})
     top = mcshane_extend(pf)

@@ -35,6 +35,8 @@ def test_rational_parsing():
         as_fraction("abc")
     with pytest.raises(TypeError):
         as_fraction(0.1)
+    with pytest.raises(TypeError):
+        as_fraction(True)
     assert format_fraction(Fraction(3, 4)) == "3/4"
     assert format_fraction(Fraction(6, 3)) == "2"
 
@@ -229,6 +231,20 @@ def test_cli_input_errors_exit_2(tmp_path, line3_file, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_json_booleans_as_numbers(tmp_path, line3_file, capsys):
+    true_coeff = _write(tmp_path, "mu.json", {"1": True})
+    assert main(["norm", "--space", str(line3_file), "--element", true_coeff]) == 2
+    assert "expected int, Fraction or string, got bool" in capsys.readouterr().err
+    good = _write(tmp_path, "good.json", {"1": "1"})
+    true_dist = _write(
+        tmp_path,
+        "space.json",
+        {"labels": ["0", "1"], "base": "0", "dist": [["0", True], [True, "0"]]},
+    )
+    assert main(["norm", "--space", true_dist, "--element", good]) == 2
+    assert "space.json" in capsys.readouterr().err
+
+
 def test_cli_not_positive_is_input_error(tmp_path, line3_file, capsys):
     lam = _write(tmp_path, "lam.json", {"1": "-1"})
     assert main(["witness", "--space", str(line3_file), "--lam", lam]) == 2
@@ -245,6 +261,19 @@ def test_cli_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cap", ["1", "0", "-3", "two"])
+def test_cli_check_suite_rejects_bad_size_cap(cap, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-suite", "--max-points", cap])
+    assert exc.value.code == 2
+    assert "argument --max-points" in capsys.readouterr().err
+    monkeypatch.setenv("FREELIP_MAX_POINTS", cap)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-suite"])
+    assert exc.value.code == 2
+    assert "argument --max-points" in capsys.readouterr().err
 
 
 def test_cli_check_suite_env_size_cap(capsys, monkeypatch):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from freelip.elements import Molecule, canonicalize, delta, zero
+from freelip import lp
+from freelip.elements import Molecule, canonicalize, delta, support, zero
 from freelip.errors import (
     EmptyFace,
     NotInUnitBall,
@@ -19,9 +20,13 @@ from freelip.functions import (
 )
 from freelip.generators import (
     random_element,
+    random_line_subset,
     random_positive_element,
+    random_rational,
     random_space,
+    uniform_space,
 )
+from freelip.metric import validate_space
 from freelip.norms import (
     free_norm,
     free_norm_dual,
@@ -31,6 +36,7 @@ from freelip.norms import (
     normers_of,
     positive_norm,
 )
+from oracles import dual_lp_norm, dual_rows, normers_by_probes, pairing_objective
 
 
 def networkx_transport_norm(mu) -> Fraction:
@@ -129,12 +135,16 @@ def test_zero_duality_gap_and_networkx_oracle():
 
 
 def test_restricted_and_full_formulations_agree():
+    # the dense dual LP over the whole space, and over the support plus the
+    # base point, agree with the one transport solve
     rng = random.Random(34)
     for _ in range(25):
         space = random_space(rng, rng.randint(2, 7))
         mu = random_element(rng, space, max_support=3)
-        assert free_norm_dual(mu).value == free_norm_dual(mu, restrict=False).value
-        assert free_norm_primal(mu).value == free_norm_primal(mu, restrict=False).value
+        value = norm_certificate(mu).value
+        assert dual_lp_norm(mu, range(space.n)) == value
+        assert dual_lp_norm(mu, sorted(support(mu) | {space.base})) == value
+        assert free_norm_primal(mu).value == value
 
 
 def test_norm_axioms_hold_exactly():
@@ -197,23 +207,82 @@ def test_norming_face_is_order_independent(line3):
 
 def test_norm_value_is_constraint_order_independent():
     # shuffling the dual LP rows never changes the computed value
-    from freelip import lp
-    from freelip.norms import _dual_rows
-
     rng = random.Random(51)
     for _ in range(20):
         space = random_space(rng, rng.randint(2, 6))
         mu = random_element(rng, space)
-        nodes = sorted({p for p, _ in mu.items} | {space.base})
-        var_of, rows = _dual_rows(space, nodes)
-        objective = [Fraction(0)] * len(var_of)
-        for p, a in mu.items:
-            objective[var_of[p]] = a
+        nodes = sorted(support(mu) | {space.base})
+        var_of, rows = dual_rows(space, nodes)
+        objective = pairing_objective(mu, var_of)
         reference = free_norm_dual(mu).value
         for _ in range(3):
             rng.shuffle(rows)
             sol = lp.maximize(objective, rows, free=range(len(var_of)))
             assert sol.value == reference
+
+
+def test_norm_certificate_solves_one_lp(monkeypatch):
+    calls = []
+    original = lp.maximize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "maximize", counted)
+    rng = random.Random(52)
+    for _ in range(10):
+        space = random_space(rng, rng.randint(2, 8))
+        mu = random_element(rng, space)
+        calls.clear()
+        norm_certificate(mu)
+        assert len(calls) == 1
+
+
+def _coprime_space(rng, n):
+    """Metric closure of weights whose denominators are distinct primes."""
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = Fraction(rng.randint(5, 40), rng.choice((7, 11, 13)))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                w[i][j] = min(w[i][j], w[i][k] + w[k][j])
+    return validate_space(w)
+
+
+def _coprime_element(rng, space):
+    points = rng.sample(list(space.nonbase_points()), rng.randint(1, space.n - 1))
+    return canonicalize(
+        space, {p: Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.choice((2, 3, 5))) for p in points}
+    )
+
+
+@pytest.mark.parametrize("kind", ["random", "uniform", "line", "coprime"])
+def test_normers_of_matches_probe_lps(kind):
+    rng = random.Random(53)
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        if kind == "random":
+            space = random_space(rng, n)
+        elif kind == "uniform":
+            space = uniform_space(n, random_rational(rng))
+        elif kind == "line":
+            space = random_line_subset(rng, n)
+        else:
+            space = _coprime_space(rng, n)
+        if kind == "coprime":
+            mu = _coprime_element(rng, space)
+        elif rng.random() < 0.3:
+            mu = random_positive_element(rng, space)
+        else:
+            mu = random_element(rng, space)
+        report = normers_of(mu)
+        value, fixed, shared = normers_by_probes(mu)
+        assert report.value == value
+        assert report.fixed_values == fixed
+        assert report.shared_tight_pairs == shared
 
 
 def test_normers_of_delta(line3):
@@ -246,8 +315,6 @@ def test_zero_element_certificate(line3):
 
 
 def test_one_point_space():
-    from freelip.metric import validate_space
-
     one = validate_space([[0]])
     cert = norm_certificate(zero(one))
     assert cert.value == 0
