@@ -1,6 +1,6 @@
 """Exact toolkit for free spaces over finite pointed metric spaces.
 
-Computes transportation-cost norms by one exact transport LP with
+Computes transportation-cost norms by one exact min-cost flow with
 witnesses certified by weak duality, supports and positivity of finitely
 supported elements, the classical explicit Lipschitz function
 constructions, and constructive certification of the extremal structure of

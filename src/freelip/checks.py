@@ -5,11 +5,13 @@ corpus and returns a CheckResult.  The battery doubles as the acceptance
 suite: the `check-suite` CLI command and the acceptance tests both run
 these functions, at the same default scale.
 
-Independent oracles live here too: brute-force vertex enumeration of the
-positive ball in coefficient coordinates, and brute-force extremality of
-molecules via convex-hull membership LPs.  They use nothing but the LP
-solver and raw coefficient vectors, so they stay independent of the
-segment-based classification routes they are checked against.
+Independent oracles live here too: the norm as a dense transport LP,
+brute-force vertex enumeration of the positive ball in coefficient
+coordinates, and brute-force extremality of molecules via convex-hull
+membership LPs.  They use nothing but the generic simplex, exact
+elimination and raw coefficient vectors, so they stay independent of the
+min-cost-flow solver and the segment-based classification routes they are
+checked against.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ from .generators import (
 )
 from .metric import PointedMetricSpace
 from .norms import (
+    PrimalCertificate,
     free_norm_dual,
-    free_norm_primal,
     norm_certificate,
     positive_norm,
 )
+from .rationals import row_echelon
 
 _ZERO = Fraction(0)
 _MAX_RECORDED_FAILURES = 12
@@ -94,23 +97,20 @@ class _Recorder:
         self.failures: list[str] = []
         self.t0 = time.perf_counter()
 
-    def case(self, ok: bool, message: str):
-        self.cases += 1
-        if not ok and len(self.failures) < _MAX_RECORDED_FAILURES:
-            self.failures.append(message)
-
     def run(self, message: str, thunk):
-        """Count a case that passes when the thunk returns True.
+        """Count a case that passes when the thunk, run at once, returns True.
 
-        Any exception is a failed case, not the end of the battery: a
-        certifier that raises, whatever the error, has failed its case.
+        Every certifier call of a case runs inside its thunk, so any
+        exception is a failed case, not the end of the battery: a certifier
+        that raises, whatever the error, has failed its case.
         """
         try:
             ok = thunk()
         except Exception as exc:
-            self.case(False, f"{message}: {type(exc).__name__}: {exc}")
-            return
-        self.case(ok, message)
+            ok, message = False, f"{message}: {type(exc).__name__}: {exc}"
+        self.cases += 1
+        if not ok and len(self.failures) < _MAX_RECORDED_FAILURES:
+            self.failures.append(message)
 
     def result(self) -> CheckResult:
         return CheckResult(
@@ -130,22 +130,28 @@ def default_corpus(seed: int, count: int = 50, min_n: int = 2, max_n: int = 12):
 # independent brute-force oracles
 
 
-def _solve_square(A: list[list[Fraction]], b: list[Fraction]):
-    """Exact solve of a square system; None if singular."""
-    n = len(A)
-    M = [row[:] + [rhs] for row, rhs in zip(A, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * c for a, c in zip(M[i], M[col])]
-    return [M[i][n] for i in range(n)]
+def transport_norm_bruteforce(mu: FreeElement) -> PrimalCertificate:
+    """Norm by the dense transport LP, solved with the generic simplex.
+
+    One nonnegative flow variable per ordered pair of support-or-base
+    nodes; the net divergence at every non-base node must equal its
+    coefficient (the base point absorbs the residual).  The optimal flow is
+    returned as a molecule decomposition whose weights sum to the norm.
+    """
+    space = mu.space
+    nodes = sorted(support(mu) | {space.base})
+    arcs = [(x, y) for x in nodes for y in nodes if x != y]
+    rows = []
+    for p in nodes:
+        if p == space.base:
+            continue
+        row = [Fraction(int(x == p) - int(y == p)) for x, y in arcs]
+        rows.append((row, lp.EQ, mu.coeffs.get(p, _ZERO)))
+    sol = lp.minimize([space.d(x, y) for x, y in arcs], rows).require_optimal()
+    decomposition = tuple(
+        (Molecule(x, y), flow * space.d(x, y)) for (x, y), flow in zip(arcs, sol.x) if flow
+    )
+    return PrimalCertificate(sol.value, decomposition)
 
 
 def positive_ball_vertices_bruteforce(space: PointedMetricSpace) -> set:
@@ -172,11 +178,14 @@ def positive_ball_vertices_bruteforce(space: PointedMetricSpace) -> set:
 
     vertices = set()
     for active in combinations(range(dim + 1), dim):
-        A = [normals[i] for i in active]
-        b = [rhs[i] for i in active]
-        x = _solve_square(A, b)
-        if x is None:
-            continue
+        echelon, pivots = row_echelon([normals[i] + [rhs[i]] for i in active])
+        if pivots != list(range(dim)):
+            continue  # singular active set
+        x = [_ZERO] * dim
+        for i in reversed(range(dim)):
+            row = echelon[i]
+            rest = row[dim] - sum(row[j] * x[j] for j in range(i + 1, dim))
+            x[i] = rest / Fraction(row[i])
         if all(v >= 0 for v in x) and sum(c * v for c, v in zip(budget, x)) <= 1:
             vertices.add(tuple(x))
     return vertices
@@ -216,14 +225,20 @@ def extreme_molecules_bruteforce(space: PointedMetricSpace) -> set[tuple[int, in
     return extreme
 
 
-def is_extreme_in_ball_bruteforce(element: FreeElement) -> bool:
-    """Whether a norm-one element is an extreme point of the unit ball."""
+def is_extreme_in_ball_bruteforce(
+    element: FreeElement, extreme: set[tuple[int, int]]
+) -> bool:
+    """Whether a norm-one element is an extreme point of the unit ball.
+
+    `extreme` is :func:`extreme_molecules_bruteforce` of the element's
+    space, computed once per space by the caller.
+    """
     space = element.space
     coeffs = element.coeffs
     target = tuple(coeffs.get(x, _ZERO) for x in space.nonbase_points())
     for pair, vec in _molecule_vectors(space).items():
         if vec == target:
-            return pair in extreme_molecules_bruteforce(space)
+            return pair in extreme
     return False  # extreme points of a polytope lie among its generators
 
 
@@ -236,12 +251,14 @@ def check_molecule_norms(corpus) -> CheckResult:
     for space in corpus:
         for p, q in space.ordered_pairs():
             mol = Molecule(p, q).as_element(space)
-            dual = free_norm_dual(mol)
-            primal = free_norm_primal(mol)
-            rec.case(
-                dual.value == 1 == primal.value,
-                f"|{space.labels[p]},{space.labels[q]}| dual={dual.value} primal={primal.value}",
-            )
+
+            def attempt():
+                # the certificate proves dual = primal by weak duality; the
+                # dense transport LP is an independent check of the value
+                value = norm_certificate(mol).value
+                return value == 1 == transport_norm_bruteforce(mol).value
+
+            rec.run(f"|{space.labels[p]},{space.labels[q]}|", attempt)
     return rec.result()
 
 
@@ -249,20 +266,24 @@ def check_exposedness(corpus) -> CheckResult:
     rec = _Recorder("exposedness matches the segment criterion")
     for space in corpus:
         for p, q in space.ordered_pairs():
-            verdict = classify_molecule(space, p, q)
-            trivial = space.segment(p, q).is_trivial()
-            ok = (verdict.verdict == EXPOSED) == trivial
-            if verdict.verdict == EXPOSED:
-                ok = ok and verdict.face.is_unique_normer
-                ok = ok and verdict.face.tight_molecules == (Molecule(p, q),)
-                ok = ok and verdict.counterexample_decomposition is None
-            else:
-                ok = ok and verdict.counterexample_decomposition is not None
-                u, w = verdict.counterexample_decomposition
-                ok = ok and u != w
-                ok = ok and (u + w) * Fraction(1, 2) == Molecule(p, q).as_element(space)
-                ok = ok and verdict.face.face_dimension >= 1
-            rec.case(ok, f"pair ({space.labels[p]},{space.labels[q]}) verdict {verdict.verdict}")
+
+            def attempt():
+                verdict = classify_molecule(space, p, q)
+                trivial = space.segment(p, q).is_trivial()
+                ok = (verdict.verdict == EXPOSED) == trivial
+                if verdict.verdict == EXPOSED:
+                    ok = ok and verdict.face.is_unique_normer
+                    ok = ok and verdict.face.tight_molecules == (Molecule(p, q),)
+                    ok = ok and verdict.counterexample_decomposition is None
+                else:
+                    ok = ok and verdict.counterexample_decomposition is not None
+                    u, w = verdict.counterexample_decomposition
+                    ok = ok and u != w
+                    ok = ok and (u + w) * Fraction(1, 2) == Molecule(p, q).as_element(space)
+                    ok = ok and verdict.face.face_dimension >= 1
+                return ok
+
+            rec.run(f"pair ({space.labels[p]},{space.labels[q]})", attempt)
     return rec.result()
 
 
@@ -270,9 +291,9 @@ def check_normer_support(corpus) -> CheckResult:
     rec = _Recorder("norming faces live inside the metric segment")
     for space in corpus:
         for p, q in space.ordered_pairs():
-            rec.case(
-                normers_support_check(space, p, q),
+            rec.run(
                 f"pair ({space.labels[p]},{space.labels[q]})",
+                lambda: normers_support_check(space, p, q),
             )
     return rec.result()
 
@@ -280,29 +301,29 @@ def check_normer_support(corpus) -> CheckResult:
 def check_positive_ball(corpus, rng: random.Random, splits_per_space: int = 5) -> CheckResult:
     rec = _Recorder("positive-ball extreme points and splits")
     for space in corpus:
-        claimed = positive_ball_extremes(space)
         points = space.nonbase_points()
-        claimed_vectors = {
-            tuple(e.coeffs.get(x, _ZERO) for x in points) for e in claimed
-        }
-        brute = positive_ball_vertices_bruteforce(space)
-        rec.case(
-            claimed_vectors == brute,
-            f"{space.labels}: claimed {len(claimed_vectors)} vs brute {len(brute)}",
-        )
+
+        def vertices():
+            claimed = {
+                tuple(e.coeffs.get(x, _ZERO) for x in points)
+                for e in positive_ball_extremes(space)
+            }
+            return claimed == positive_ball_vertices_bruteforce(space)
+
+        rec.run(f"vertices on {space.labels}", vertices)
         if len(points) < 2:
             continue
         for _ in range(splits_per_space):
             mu = random_positive_element(rng, space, min_support=2)
             if len(support(mu)) < 2:
                 continue
-            mu = mu / positive_norm(mu)
 
-            def attempt(mu=mu):
-                m1, m2, t = split_positive(mu)
+            def attempt():
+                unit = mu / positive_norm(mu)
+                m1, m2, t = split_positive(unit)
                 return (
                     0 < t < 1
-                    and m1 * t + m2 * (1 - t) == mu
+                    and m1 * t + m2 * (1 - t) == unit
                     and positive_norm(m1) == 1 == positive_norm(m2)
                 )
 
@@ -318,36 +339,40 @@ def check_positive_facts(corpus, rng: random.Random, samples: int, families: int
         space = rng.choice(usable)
         rho = rho_cache[id(space)]
         mu = random_positive_element(rng, space)
-        cert = free_norm_dual(mu)
-        ok = cert.value == mu.pair(rho)
-        # norming function equals d(., base) on the support
-        ok = ok and all(cert.witness.values[p] == rho.values[p] for p in support(mu))
-        # vanishing: rho - witness is a nonnegative function with zero
-        # pairing against mu, so it must vanish on the support
-        gap = [a - b for a, b in zip(rho.values, cert.witness.values)]
-        ok = ok and all(v >= 0 for v in gap)
-        pairing = sum((a * gap[p] for p, a in mu.items), _ZERO)
-        ok = ok and pairing == 0
-        ok = ok and all(gap[p] == 0 for p in support(mu))
-        rec.case(ok, f"norm formula on {space.labels}")
+
+        def attempt():
+            cert = free_norm_dual(mu)
+            ok = cert.value == mu.pair(rho)
+            # norming function equals d(., base) on the support
+            ok = ok and all(cert.witness.values[p] == rho.values[p] for p in support(mu))
+            # vanishing: rho - witness is a nonnegative function with zero
+            # pairing against mu, so it must vanish on the support
+            gap = [a - b for a, b in zip(rho.values, cert.witness.values)]
+            ok = ok and all(v >= 0 for v in gap)
+            pairing = sum((a * gap[p] for p, a in mu.items), _ZERO)
+            ok = ok and pairing == 0
+            return ok and all(gap[p] == 0 for p in support(mu))
+
+        rec.run(f"norm formula on {space.labels}", attempt)
     for _ in range(families):
         space = rng.choice(usable)
         members = [
             random_positive_element(rng, space) for _ in range(rng.randint(1, 5))
         ]
-        total = zero(space)
-        for m in members:
-            total = total + m
-        rec.case(
-            positive_norm(total) == sum((positive_norm(m) for m in members), _ZERO),
-            f"additivity on {space.labels}",
-        )
+
+        def additivity():
+            total = zero(space)
+            for m in members:
+                total = total + m
+            return positive_norm(total) == sum((positive_norm(m) for m in members), _ZERO)
+
+        rec.run(f"additivity on {space.labels}", additivity)
         # order comparison propagates to supports
         mu = random_positive_element(rng, space)
         lam = mu + random_positive_element(rng, space)
-        rec.case(
-            order_leq(mu, lam) and support(mu) <= support(lam),
+        rec.run(
             f"order/support on {space.labels}",
+            lambda: order_leq(mu, lam) and support(mu) <= support(lam),
         )
     return rec.result()
 
@@ -365,13 +390,15 @@ def check_weighting(corpus, rng: random.Random, samples: int) -> CheckResult:
         )
         h = random_weight(rng, space, nonneg=nonneg)
         f = random_lip0(rng, space)
-        weighted = weight_element(mu, h)
-        ok = weighted.pair(f) == mu.pair(multiply_by_weight(f, h))
-        ok = ok and free_norm_dual(weighted).value <= weighting_bound(h) * free_norm_dual(mu).value
-        ok = ok and support(weighted) <= (support(mu) & h.support)
-        if nonneg:
-            ok = ok and is_positive(weighted)
-        rec.case(ok, f"triple on {space.labels}")
+
+        def attempt():
+            weighted = weight_element(mu, h)
+            ok = weighted.pair(f) == mu.pair(multiply_by_weight(f, h))
+            ok = ok and free_norm_dual(weighted).value <= weighting_bound(h) * free_norm_dual(mu).value
+            ok = ok and support(weighted) <= (support(mu) & h.support)
+            return ok and (not nonneg or is_positive(weighted))
+
+        rec.run(f"triple on {space.labels}", attempt)
     return rec.result()
 
 
@@ -380,9 +407,9 @@ def check_intersection(rng: random.Random, samples: int, max_points: int = 8) ->
     for _ in range(samples):
         space = random_space(rng, rng.randint(1, max_points))
         family = [random_subset(rng, space) for _ in range(rng.randint(1, 4))]
-        rec.case(
-            intersection_property_check(space, family),
+        rec.run(
             f"family of {len(family)} subsets on {space.labels}",
+            lambda: intersection_property_check(space, family),
         )
     return rec.result()
 
@@ -418,21 +445,24 @@ def check_mcshane(
     for _ in range(extension_samples):
         space = rng.choice(usable)
         pf = _random_partial(rng, space, sorted(random_subset(rng, space) | {space.base}))
-        top = mcshane_extend(pf)
-        vals = pf.values
-        floor = [
-            max(vals[q] - space.d(q, x) for q in pf.domain) for x in range(space.n)
-        ]
-        ok = lip_constant(top) <= 1
-        ok = ok and all(top.values[p] == vals[p] for p in pf.domain)
-        ok = ok and all(a <= b for a, b in zip(floor, top.values))
         c = Fraction(rng.randint(0, 4), 4)
-        mix = [c * t + (1 - c) * fl for t, fl in zip(top.values, floor)]
-        g = lip_function(space, mix)
-        ok = ok and lip_constant(g) <= 1
-        ok = ok and all(g.values[p] == vals[p] for p in pf.domain)
-        ok = ok and all(a <= b for a, b in zip(g.values, top.values))
-        rec.case(ok, f"extension on {space.labels}")
+
+        def extension():
+            top = mcshane_extend(pf)
+            vals = pf.values
+            floor = [
+                max(vals[q] - space.d(q, x) for q in pf.domain) for x in range(space.n)
+            ]
+            ok = lip_constant(top) <= 1
+            ok = ok and all(top.values[p] == vals[p] for p in pf.domain)
+            ok = ok and all(a <= b for a, b in zip(floor, top.values))
+            mix = [c * t + (1 - c) * fl for t, fl in zip(top.values, floor)]
+            g = lip_function(space, mix)
+            ok = ok and lip_constant(g) <= 1
+            ok = ok and all(g.values[p] == vals[p] for p in pf.domain)
+            return ok and all(a <= b for a, b in zip(g.values, top.values))
+
+        rec.run(f"extension on {space.labels}", extension)
     for _ in range(concavity_samples):
         space = rng.choice(usable)
         lam = random_positive_element(rng, space)
@@ -441,20 +471,24 @@ def check_mcshane(
         f = _random_partial(rng, space, set(S) | {space.base})
         g = _random_partial(rng, space, set(S) | {space.base})
         c = Fraction(rng.randint(1, 3), 4)
-        mixed = partial_function(
-            space, {p: c * f.values[p] + (1 - c) * g.values[p] for p in f.domain}
-        )
-        lhs = extended_pairing(lam, mu, mixed)
-        rhs = c * extended_pairing(lam, mu, f) + (1 - c) * extended_pairing(lam, mu, g)
-        rec.case(lhs >= rhs, f"concavity on {space.labels}")
+
+        def concavity():
+            mixed = partial_function(
+                space, {p: c * f.values[p] + (1 - c) * g.values[p] for p in f.domain}
+            )
+            lhs = extended_pairing(lam, mu, mixed)
+            rhs = c * extended_pairing(lam, mu, f) + (1 - c) * extended_pairing(lam, mu, g)
+            return lhs >= rhs
+
+        rec.run(f"concavity on {space.labels}", concavity)
     for _ in range(pairing_samples):
         space = rng.choice(usable)
         lam = random_positive_element(rng, space)
         mu = random_element(rng, space)
 
-        def attempt(lam=lam, mu=mu):
+        def attempt():
             _, value = maximize_extended_pairing(lam, mu)
-            return value == free_norm_dual(lam + mu).value
+            return value == transport_norm_bruteforce(lam + mu).value
 
         rec.run(f"maximized pairing on {space.labels}", attempt)
     return rec.result()
@@ -468,9 +502,9 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
         brute = extreme_molecules_bruteforce(space)
         # consistency with the segment criterion on the whole space
         for p, q in space.ordered_pairs():
-            rec.case(
-                ((p, q) in brute) == space.segment(p, q).is_trivial(),
+            rec.run(
                 f"brute vs segment on ({space.labels[p]},{space.labels[q]})",
+                lambda: ((p, q) in brute) == space.segment(p, q).is_trivial(),
             )
         samples = []
         for _ in range(pairs_per_space):
@@ -483,13 +517,13 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
         for lam, mu in samples:
             total = lam + mu
 
-            def attempt(lam=lam, mu=mu, total=total):
+            def attempt():
                 witness = almost_positive_witness(lam, mu)
                 if total.is_zero():
                     return witness is None or not witness.v.is_zero()
                 norm = norm_certificate(total).value
                 unit = total / norm
-                if not is_extreme_in_ball_bruteforce(unit):
+                if not is_extreme_in_ball_bruteforce(unit, brute):
                     return True
                 # an extreme point has no witness (a verified witness
                 # certifies non-extremality) and is a molecule
@@ -507,16 +541,20 @@ def check_molecule_function(corpus, epsilons=(Fraction(0), Fraction(1, 10), Frac
     rec = _Recorder("molecule norming function: slope, pairing, segments")
     for space in corpus:
         for p, q in space.ordered_pairs():
-            f = molecule_norming_function(space, p, q)
-            ok = lip_constant(f) == 1
-            ok = ok and Molecule(p, q).as_element(space).pair(f) == 1
-            for eps in epsilons:
-                seg = space.segment(p, q, eps)
-                for u, v in space.ordered_pairs():
-                    pairing = Molecule(u, v).as_element(space).pair(f)
-                    if pairing >= 1 - eps:
-                        ok = ok and u in seg.members and v in seg.members
-            rec.case(ok, f"pair ({space.labels[p]},{space.labels[q]})")
+
+            def attempt():
+                f = molecule_norming_function(space, p, q)
+                ok = lip_constant(f) == 1
+                ok = ok and Molecule(p, q).as_element(space).pair(f) == 1
+                for eps in epsilons:
+                    seg = space.segment(p, q, eps)
+                    for u, v in space.ordered_pairs():
+                        pairing = Molecule(u, v).as_element(space).pair(f)
+                        if pairing >= 1 - eps:
+                            ok = ok and u in seg.members and v in seg.members
+                return ok
+
+            rec.run(f"pair ({space.labels[p]},{space.labels[q]})", attempt)
     return rec.result()
 
 
@@ -527,9 +565,13 @@ def check_support_routes(corpus, rng: random.Random, samples: int) -> CheckResul
         space = rng.choice(usable)
         mu = random_element(rng, space)
         nu = random_element(rng, space)
-        ok = support(mu) == support_by_functionals(mu)
-        ok = ok and support(mu + nu) <= (support(mu) | support(nu))
-        rec.case(ok, f"element on {space.labels}")
+        rec.run(
+            f"element on {space.labels}",
+            lambda: (
+                support(mu) == support_by_functionals(mu)
+                and support(mu + nu) <= (support(mu) | support(nu))
+            ),
+        )
     return rec.result()
 
 

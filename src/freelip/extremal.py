@@ -53,6 +53,7 @@ from .norms import (
     norming_face,
     positive_norm,
 )
+from .rationals import row_echelon
 
 _ZERO = Fraction(0)
 
@@ -214,9 +215,7 @@ def _is_positive_ball_vertex(element: FreeElement) -> bool:
             active.append(row)
     if budget == 1:
         active.append([space.d(p, space.base) for p in points])
-    from .norms import _rank
-
-    return _rank(active) == dim
+    return len(row_echelon(active)[1]) == dim
 
 
 def split_positive(

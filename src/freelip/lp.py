@@ -1,9 +1,12 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, kept as an oracle.
 
 A dense two-phase simplex with exact pivoting and Bland's anticycling rule.
-Degenerate optima are the normal case in this package (faces, uniqueness,
-extremality questions), so everything is Fraction arithmetic: a solution is
-either exactly optimal or the solver keeps pivoting.
+The library core solves no LP: norms come from the min-cost-flow solver in
+`norms`.  Only the brute-force oracles in `checks` and the tests use this
+module, as a generic solver that shares nothing with the routes they check.
+Degenerate optima are the normal case in the oracle problems (faces,
+extremality), so everything is Fraction arithmetic: a solution is either
+exactly optimal or the solver keeps pivoting.
 
 Problems are stated as: maximize c . x subject to rows (coeffs, rel, rhs)
 with rel one of "<=", ">=", "==".  Variables are nonnegative unless listed

@@ -1,28 +1,32 @@
-"""Exact free-norm computation by one transport LP and shortest paths.
+"""Exact free-norm computation by one min-cost flow and shortest paths.
 
 The norm of an element is the minimum cost of transporting its
-coefficient masses, solved once as an exact LP on the support of the
-element plus the base point and returned as a molecule decomposition.
-The norming functions are the 1-Lipschitz functions tight on the flow of
-that plan (complementary slackness); that is a system of difference
-constraints, so the largest one is a row of shortest-path distances and is
-McShane-extended to the whole space.  Restricting to the support loses
-nothing: pairings only see values on the support, a shortest route
-between support points never improves by detouring through other points
-(triangle inequality), and the extension preserves the Lipschitz constant.
+coefficient masses.  It is solved once, exactly, by successive shortest
+paths on the bipartite graph from the nodes of positive coefficient to
+those of negative coefficient (the base point balances the masses), and
+the optimal plan is returned as a molecule decomposition.  The norming
+functions are the 1-Lipschitz functions tight on that plan
+(complementary slackness); that is a system of difference constraints, so
+the largest one is a row of shortest-path distances and is McShane-extended
+to the whole space.  Restricting to the support loses nothing: pairings
+only see values on the support, a shortest route between support points
+never improves by detouring through other points (triangle inequality),
+and the extension preserves the Lipschitz constant.
 
 Every certificate is checked by exact weak duality: the witness is
 1-Lipschitz, the decomposition rebuilds the element, and the pairing
 equals the decomposition weight, or InternalVerificationFailure is raised.
+No LP is solved here; the dense simplex in `lp` is kept as an independent
+oracle for the battery and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from . import lp
 from .elements import FreeElement, Molecule, is_positive, support, zero
 from .errors import (
     EmptyFace,
@@ -40,6 +44,7 @@ from .functions import (
     partial_function,
 )
 from .metric import PointedMetricSpace
+from .rationals import row_echelon
 
 _ZERO = Fraction(0)
 
@@ -138,53 +143,92 @@ def free_norm_dual(mu: FreeElement) -> DualCertificate:
     return DualCertificate(cert.value, cert.dual_witness)
 
 
-def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
-    """Norm via the primal LP: minimum-cost transport of the coefficients.
+def _transport_plan(mu: FreeElement) -> list[tuple[int, int, Fraction]]:
+    """Optimal transport plan of a nonzero element as (source, sink, mass).
 
-    One nonnegative flow variable per ordered pair of support-or-base
-    nodes; the net divergence at every non-base node must equal its
-    coefficient (the base point absorbs the residual).  The optimal flow is
-    returned as a molecule decomposition whose weights sum to the norm.
+    Successive shortest paths (Ahuja-Magnanti-Orlin, *Network Flows*,
+    ch. 9) on the bipartite graph from the nodes of positive coefficient to
+    the nodes of negative coefficient; the base point carries minus the sum
+    of the coefficients.  Moving mass through a third point never beats the
+    direct arc (triangle inequality), so source -> sink arcs suffice.
+    Dijkstra runs on the reduced costs c(u,v) + pi(u) - pi(v), which the
+    potential update after each search keeps nonnegative on the residual
+    graph.  Masses and costs are scaled to integers by the lcm of their
+    denominators, so every step is exact.
+    """
+    space = mu.space
+    supply = dict(mu.coeffs)
+    supply[space.base] = -sum(supply.values(), _ZERO)
+    sources = [p for p in sorted(supply) if supply[p] > 0]
+    sinks = [p for p in sorted(supply) if supply[p] < 0]
+    mass = lcm(*(a.denominator for a in supply.values()))
+    rest = {p: abs(a.numerator) * (mass // a.denominator) for p, a in supply.items()}
+    dists = {(s, t): space.d(s, t) for s in sources for t in sinks}
+    unit = lcm(*(d.denominator for d in dists.values()))
+    cost = {arc: d.numerator * (unit // d.denominator) for arc, d in dists.items()}
+    flow = dict.fromkeys(cost, 0)
+    pi = dict.fromkeys(sources, 0)
+    pi.update({t: min(cost[s, t] for s in sources) for t in sinks})
+    is_sink = set(sinks)
+
+    while any(rest[s] for s in sources):
+        dist = {s: 0 for s in sources if rest[s]}
+        pred: dict[int, int] = {}
+        settled: dict[int, int] = {}
+        while True:
+            u = min((v for v in dist if v not in settled), key=dist.__getitem__)
+            du = settled[u] = dist[u]
+            if u in is_sink:
+                if rest[u]:
+                    break
+                # residual arcs u -> s undo flow already sent s -> u
+                steps = [(s, pi[u] - pi[s] - cost[s, u]) for s in sources if flow[s, u]]
+            else:
+                steps = [(t, pi[u] - pi[t] + cost[u, t]) for t in sinks]
+            for v, reduced in steps:
+                if v not in settled and (v not in dist or du + reduced < dist[v]):
+                    dist[v] = du + reduced
+                    pred[v] = u
+        for v in pi:
+            pi[v] += settled.get(v, du)
+
+        path = [u]
+        while path[-1] in pred:
+            path.append(pred[path[-1]])
+        back = [(path[i], path[i + 1]) for i in range(1, len(path) - 1, 2)]
+        amount = min([rest[path[-1]], rest[u]] + [flow[arc] for arc in back])
+        rest[path[-1]] -= amount
+        rest[u] -= amount
+        for i in range(0, len(path) - 1, 2):
+            flow[path[i + 1], path[i]] += amount
+        for arc in back:
+            flow[arc] -= amount
+    return [(s, t, Fraction(f, mass)) for (s, t), f in flow.items() if f]
+
+
+def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
+    """Norm as the minimum cost of transporting the coefficients.
+
+    The optimal plan of :func:`_transport_plan` is returned as a molecule
+    decomposition, checked to rebuild the element, whose weights sum to the
+    norm.
     """
     space = mu.space
     if mu.is_zero():
         return PrimalCertificate(_ZERO, ())
-    nodes = sorted(support(mu) | {space.base})
-    base = space.base
-    arcs = [(x, y) for x in nodes for y in nodes if x != y]
-    arc_of = {a: i for i, a in enumerate(arcs)}
-    cost = [space.d(x, y) for x, y in arcs]
-    coeffs = mu.coeffs
-    rows = []
-    for p in nodes:
-        if p == base:
-            continue
-        row = [_ZERO] * len(arcs)
-        for y in nodes:
-            if y == p:
-                continue
-            row[arc_of[(p, y)]] += 1
-            row[arc_of[(y, p)]] -= 1
-        rows.append((row, lp.EQ, coeffs.get(p, _ZERO)))
-    sol = lp.minimize(cost, rows).require_optimal()
-
-    decomposition = []
+    decomposition = tuple(
+        (Molecule(s, t), mass * space.d(s, t)) for s, t, mass in _transport_plan(mu)
+    )
     rebuilt = zero(space)
-    total = _ZERO
-    for (x, y), flow in zip(arcs, sol.x):
-        if flow != 0:
-            mol = Molecule(x, y)
-            weight = flow * space.d(x, y)
-            decomposition.append((mol, weight))
-            rebuilt = rebuilt + mol.as_element(space) * weight
-            total += abs(weight)
-    if rebuilt != mu or total != sol.value:
-        raise InternalVerificationFailure("primal decomposition failed verification")
-    return PrimalCertificate(sol.value, tuple(decomposition))
+    for mol, weight in decomposition:
+        rebuilt = rebuilt + mol.as_element(space) * weight
+    if rebuilt != mu:
+        raise InternalVerificationFailure("transport plan does not rebuild the element")
+    return PrimalCertificate(sum(w for _, w in decomposition), decomposition)
 
 
 def norm_certificate(mu: FreeElement) -> NormCertificate:
-    """Solve the transport LP once and certify it by exact weak duality.
+    """Solve the transport problem once and certify it by exact weak duality.
 
     The molecule decomposition bounds the norm from above.  The largest
     potential tight on its flow, over the support plus the base point and
@@ -219,35 +263,15 @@ def positive_norm(mu: FreeElement) -> Fraction:
     base = mu.space.base
     value = sum((a * mu.space.d(p, base) for p, a in mu.items), _ZERO)
     if value != free_norm_dual(mu).value:
-        raise InternalVerificationFailure("positive-element norm formula disagrees with LP")
+        raise InternalVerificationFailure(
+            "positive-element norm formula disagrees with the certified norm"
+        )
     return value
 
 
 def _molecule_vector(space: PointedMetricSpace, mol: Molecule) -> tuple[Fraction, ...]:
     coeffs = mol.as_element(space).coeffs
     return tuple(coeffs.get(p, _ZERO) for p in space.nonbase_points())
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    rows = [list(r) for r in rows]
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, m):
-            if rows[i][col] != 0:
-                f = rows[i][col] / prow[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
@@ -273,7 +297,7 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     vectors = [_molecule_vector(space, mol) for mol in tight]
     first = vectors[0]
     diffs = [[a - b for a, b in zip(v, first)] for v in vectors[1:]]
-    dimension = _rank(diffs)
+    dimension = len(row_echelon(diffs)[1])
     unique = len(tight) == 1
 
     sample = None

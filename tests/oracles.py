@@ -1,7 +1,7 @@
 """Retired LP formulations, kept as independent test oracles.
 
-The library computes norms from one transport LP and reads the norming
-functions off its flow by shortest paths.  These are the formulations it
+The library computes norms from one min-cost flow and reads the norming
+functions off that flow by shortest paths.  These are the formulations it
 used before: the dense dual LP over the 1-Lipschitz ball, and one probe LP
 per value and per slope over the optimal face of that dual LP.  They share
 nothing with the library but the generic simplex.

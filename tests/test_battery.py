@@ -27,6 +27,24 @@ def test_exception_in_a_case_is_a_failure_not_an_abort(monkeypatch):
     assert all("RuntimeError" in f for f in result.failures)
 
 
+def test_certifier_raise_fails_its_check_and_the_battery_goes_on(monkeypatch):
+    def run():
+        return checks.run_check_suite(seed=5, max_points=5, scale=0.05)
+
+    reference = run()
+
+    def broken(space, p, q):
+        raise RuntimeError("classification failed")
+
+    monkeypatch.setattr(checks, "classify_molecule", broken)
+    results = run()
+    assert [(r.name, r.cases) for r in results] == [(r.name, r.cases) for r in reference]
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["exposedness matches the segment criterion"]
+    assert failed[0].cases > 0
+    assert all("RuntimeError: classification failed" in f for f in failed[0].failures)
+
+
 def test_injected_fault_fails_under_optimize():
     # under -O a bare assert vanishes; the battery must still see the fault
     script = textwrap.dedent(

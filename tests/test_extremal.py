@@ -292,7 +292,7 @@ def test_witness_random_consistency():
         # the witness construction already verified the norm identities;
         # cross-check against brute-force extremality of the normalized element
         unit = total / norm_certificate(total).value
-        assert not is_extreme_in_ball_bruteforce(unit)
+        assert not is_extreme_in_ball_bruteforce(unit, extreme_molecules_bruteforce(space))
 
 
 def test_extreme_brute_force_matches_segments():

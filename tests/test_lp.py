@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from freelip import lp
+from freelip.rationals import row_echelon
 
 
 def F(*args):
@@ -179,3 +180,37 @@ def test_equality_instances_against_scipy():
         )
         assert ref.status == 0
         assert abs(float(sol.value) + ref.fun) <= 1e-7
+
+
+def _fraction_rank(rows):
+    """Reference rank by plain Gaussian elimination over Fractions."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_row_echelon_rank_and_shape():
+    rng = random.Random(9)
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        basis = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)] for _ in range(3)]
+        # rows mixed from three random rows, so the rank is often deficient
+        rows = [
+            [sum((rng.randint(-2, 2) * b[j] for b in basis), F(0)) for j in range(ncols)]
+            for _ in range(nrows)
+        ]
+        echelon, pivots = row_echelon(rows)
+        assert len(echelon) == len(pivots) == _fraction_rank(rows)
+        assert pivots == sorted(set(pivots))
+        for k, (row, col) in enumerate(zip(echelon, pivots)):
+            assert all(v == 0 for v in row[:col]) and row[col] != 0
+            assert all(other[col] == 0 for other in echelon[k + 1 :])
