@@ -35,12 +35,6 @@ class FreeElement:
     def coeffs(self) -> dict[int, Fraction]:
         return dict(self.items)
 
-    def coeff(self, p: int) -> Fraction:
-        for idx, value in self.items:
-            if idx == p:
-                return value
-        return Fraction(0)
-
     def is_zero(self) -> bool:
         return not self.items
 

@@ -40,6 +40,7 @@ from .functions import (
     bump,
     lip_constant,
     mcshane_extend,
+    molecule_norming_function,
     pointwise_product,
     restrict,
     scale_weight,
@@ -109,8 +110,6 @@ def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessV
     """
     if p == q:
         raise DegeneratePair(f"molecule endpoints coincide: {p}")
-    from .functions import molecule_norming_function
-
     seg = space.segment(p, q)
     mol = Molecule(p, q)
     f = molecule_norming_function(space, p, q)
@@ -165,8 +164,6 @@ def normers_support_check(space: PointedMetricSpace, p: int, q: int) -> bool:
     enough that every tight molecule has both endpoints inside the metric
     segment of (p, q).
     """
-    from .functions import molecule_norming_function
-
     seg = space.segment(p, q)
     face = norming_face(molecule_norming_function(space, p, q), nominal=Molecule(p, q))
     return all(

@@ -35,6 +35,11 @@ def machine_dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def envelope(kind: str, **fields) -> dict:
+    """A machine payload: the schema version and `kind`, then the fields."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
 def _read_json(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -64,11 +69,14 @@ def load_space(path) -> PointedMetricSpace:
     """Read and validate a space file: labels, base label, distance matrix."""
     data = _read_json(path)
     try:
-        labels = [str(x) for x in data["labels"]]
+        labels = data["labels"]
         base_label = str(data["base"])
         matrix = data["dist"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc}", path) from exc
+    if not isinstance(labels, list):
+        raise ParseError("labels must be a list", path)
+    labels = [str(x) for x in labels]
     if base_label not in labels:
         raise ParseError(f"base label {base_label!r} not among the labels", path)
     if not isinstance(matrix, list):
@@ -82,13 +90,12 @@ def load_space(path) -> PointedMetricSpace:
 
 
 def space_payload(space: PointedMetricSpace) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "space",
-        "labels": list(space.labels),
-        "base": space.labels[space.base],
-        "dist": [[format_fraction(v) for v in row] for row in space.dist],
-    }
+    return envelope(
+        "space",
+        labels=list(space.labels),
+        base=space.labels[space.base],
+        dist=[[format_fraction(v) for v in row] for row in space.dist],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -111,51 +118,46 @@ def load_element(path, space: PointedMetricSpace) -> FreeElement:
 
 def element_payload(mu: FreeElement) -> dict:
     labels = mu.space.labels
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "element",
-        "coefficients": {labels[p]: format_fraction(a) for p, a in mu.items},
-    }
+    return envelope(
+        "element", coefficients={labels[p]: format_fraction(a) for p, a in mu.items}
+    )
 
 
 # ---------------------------------------------------------------------------
 # functions
 
 
-def load_function(path, space: PointedMetricSpace):
-    """Read a function file; `kind` selects lip0, weight or partial."""
+_BUILDERS = {"lip0": lip_function, "weight": weight_function, "partial": partial_function}
+_KINDS = {LipFunction: "lip0", WeightFunction: "weight", PartialFunction: "partial"}
+
+
+def load_function(path, space: PointedMetricSpace, expected: str | None = None):
+    """Read a function file; its `kind` (default lip0) selects lip0, weight or partial.
+
+    When `expected` names a kind, a file of any other kind is rejected.
+    """
     data = _read_json(path)
     kind = data.get("kind", "lip0")
     values = data.get("values")
     if not isinstance(values, Mapping):
         raise ParseError("expected a `values` mapping", path)
     parsed = {str(label): _parse_rational(v, path) for label, v in values.items()}
+    if expected is not None and kind != expected:
+        raise ParseError(f"expected a function of kind {expected!r}, got {kind!r}", path)
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ParseError(f"unknown function kind {kind!r}", path)
     try:
-        if kind == "lip0":
-            return lip_function(space, parsed)
-        if kind == "weight":
-            return weight_function(space, parsed)
-        if kind == "partial":
-            return partial_function(space, parsed)
+        return _BUILDERS[kind](space, parsed)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
-    raise ParseError(f"unknown function kind {kind!r}", path)
 
 
 def function_payload(f) -> dict:
-    labels = f.space.labels
-    if isinstance(f, LipFunction):
-        kind = "lip0"
-        values = {labels[p]: format_fraction(v) for p, v in enumerate(f.values)}
-    elif isinstance(f, WeightFunction):
-        kind = "weight"
-        values = {labels[p]: format_fraction(v) for p, v in enumerate(f.values)}
-    elif isinstance(f, PartialFunction):
-        kind = "partial"
-        values = {labels[p]: format_fraction(v) for p, v in f.items}
-    else:
+    kind = _KINDS.get(type(f))
+    if kind is None:
         raise TypeError(f"not a function value: {type(f).__name__}")
-    return {"schema_version": SCHEMA_VERSION, "kind": kind, "values": values}
+    items = f.items if isinstance(f, PartialFunction) else enumerate(f.values)
+    return envelope(kind, values={f.space.labels[p]: format_fraction(v) for p, v in items})
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +169,15 @@ def _molecule_payload(space: PointedMetricSpace, mol: Molecule) -> list[str]:
 
 
 def certificate_payload(space: PointedMetricSpace, cert: NormCertificate) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "norm_certificate",
-        "value": format_fraction(cert.value),
-        "dual_witness": function_payload(cert.dual_witness)["values"],
-        "primal_witness": [
+    return envelope(
+        "norm_certificate",
+        value=format_fraction(cert.value),
+        dual_witness=function_payload(cert.dual_witness)["values"],
+        primal_witness=[
             _molecule_payload(space, mol) + [format_fraction(w)]
             for mol, w in cert.primal_witness
         ],
-    }
+    )
 
 
 def face_payload(space: PointedMetricSpace, face: FaceReport) -> dict:
@@ -195,14 +196,13 @@ def face_payload(space: PointedMetricSpace, face: FaceReport) -> dict:
 
 
 def verdict_payload(space: PointedMetricSpace, verdict: ExposednessVerdict) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "molecule_classification",
-        "molecule": _molecule_payload(space, verdict.molecule),
-        "verdict": verdict.verdict,
-        "segment_trivial": verdict.segment_trivial,
-        "face": face_payload(space, verdict.face),
-    }
+    out = envelope(
+        "molecule_classification",
+        molecule=_molecule_payload(space, verdict.molecule),
+        verdict=verdict.verdict,
+        segment_trivial=verdict.segment_trivial,
+        face=face_payload(space, verdict.face),
+    )
     if verdict.exposing_function is not None:
         out["exposing_function"] = function_payload(verdict.exposing_function)["values"]
     if verdict.counterexample_decomposition is not None:
@@ -216,37 +216,26 @@ def verdict_payload(space: PointedMetricSpace, verdict: ExposednessVerdict) -> d
 
 def witness_payload(space: PointedMetricSpace, witness: PerturbationWitness | None) -> dict:
     if witness is None:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "perturbation_witness",
-            "present": False,
-        }
+        return envelope("perturbation_witness", present=False)
     labels = space.labels
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "perturbation_witness",
-        "present": True,
-        "chosen_points": [labels[p] for p in witness.chosen_points],
-        "cell": sorted(labels[p] for p in witness.K),
-        "coefficients": [format_fraction(c) for c in witness.c],
-        "optimal_partial_function": function_payload(witness.f_star)["values"],
-        "weight": function_payload(witness.h)["values"],
-        "perturbation": element_payload(witness.v)["coefficients"],
-    }
+    return envelope(
+        "perturbation_witness",
+        present=True,
+        chosen_points=[labels[p] for p in witness.chosen_points],
+        cell=sorted(labels[p] for p in witness.K),
+        coefficients=[format_fraction(c) for c in witness.c],
+        optimal_partial_function=function_payload(witness.f_star)["values"],
+        weight=function_payload(witness.h)["values"],
+        perturbation=element_payload(witness.v)["coefficients"],
+    )
 
 
 def check_results_payload(results) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "check_suite_report",
-        "all_passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "cases": r.cases,
-                "failures": r.failures,
-            }
+    return envelope(
+        "check_suite_report",
+        all_passed=all(r.passed for r in results),
+        checks=[
+            {"name": r.name, "passed": r.passed, "cases": r.cases, "failures": r.failures}
             for r in results
         ],
-    }
+    )

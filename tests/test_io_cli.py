@@ -230,6 +230,29 @@ def test_cli_input_errors_exit_2(tmp_path, line3_file, capsys):
     assert main(["segment", "--space", worse, "--pair", "a,b"]) == 2
     capsys.readouterr()
 
+    def rejected(argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    space = str(line3_file)
+    mu = _write(tmp_path, "mu.json", {"1": "1"})
+    # a function file of the wrong kind, or of none (read as lip0)
+    lip0 = _write(tmp_path, "lip0.json", {"kind": "lip0", "values": {"1": "1"}})
+    weight = _write(tmp_path, "weight.json", {"kind": "weight", "values": {"1": "1"}})
+    partial = _write(tmp_path, "partial.json", {"kind": "partial", "values": {"1": "1"}})
+    no_kind = _write(tmp_path, "nokind.json", {"values": {"1": "1"}})
+    for f in (lip0, weight, no_kind):
+        rejected(["extend", "--space", space, "--function", f], "kind 'partial'")
+    for h in (lip0, partial, no_kind):
+        rejected(["weight", "--space", space, "--element", mu, "--weight", h], "kind 'weight'")
+    # labels must be a JSON list
+    for labels in (5, "abc", {"0": 1, "1": 2, "2": 3}):
+        bad_labels = _write(
+            tmp_path, "labels.json", {"labels": labels, "base": "0", "dist": [["0"]]}
+        )
+        rejected(["positive-extremes", "--space", bad_labels], "labels must be a list")
+
 
 def test_cli_rejects_json_booleans_as_numbers(tmp_path, line3_file, capsys):
     true_coeff = _write(tmp_path, "mu.json", {"1": True})

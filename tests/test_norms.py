@@ -172,6 +172,9 @@ def test_positive_norm_additivity():
         for m in members:
             total = total + m
         assert positive_norm(total) == sum(positive_norm(m) for m in members)
+        # the closed form agrees with the certified transport norm
+        for m in members + [total]:
+            assert positive_norm(m) == norm_certificate(m).value
 
 
 def test_norming_face_unique_for_separated_pair(tri):
