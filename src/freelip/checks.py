@@ -226,17 +226,21 @@ def extreme_molecules_bruteforce(space: PointedMetricSpace) -> set[tuple[int, in
 
 
 def is_extreme_in_ball_bruteforce(
-    element: FreeElement, extreme: set[tuple[int, int]]
+    element: FreeElement, extreme: set[tuple[int, int]], vectors: dict | None = None
 ) -> bool:
     """Whether a norm-one element is an extreme point of the unit ball.
 
     `extreme` is :func:`extreme_molecules_bruteforce` of the element's
-    space, computed once per space by the caller.
+    space, computed once per space by the caller.  `vectors` is
+    `_molecule_vectors` of that space, built here if not given; a caller
+    asking about many elements of one space builds it once.
     """
     space = element.space
     coeffs = element.coeffs
     target = tuple(coeffs.get(x, _ZERO) for x in space.nonbase_points())
-    for pair, vec in _molecule_vectors(space).items():
+    if vectors is None:
+        vectors = _molecule_vectors(space)
+    for pair, vec in vectors.items():
         if vec == target:
             return pair in extreme
     return False  # extreme points of a polytope lie among its generators
@@ -500,6 +504,7 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
         if space.n < 2:
             continue
         brute = extreme_molecules_bruteforce(space)
+        vectors = _molecule_vectors(space)
         # consistency with the segment criterion on the whole space
         for p, q in space.ordered_pairs():
             rec.run(
@@ -523,15 +528,14 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
                     return witness is None or not witness.v.is_zero()
                 norm = norm_certificate(total).value
                 unit = total / norm
-                if not is_extreme_in_ball_bruteforce(unit, brute):
+                if not is_extreme_in_ball_bruteforce(unit, brute, vectors):
                     return True
                 # an extreme point has no witness (a verified witness
                 # certifies non-extremality) and is a molecule
-                mols = _molecule_vectors(space)
                 target = tuple(
                     unit.coeffs.get(x, _ZERO) for x in space.nonbase_points()
                 )
-                return witness is None and any(vec == target for vec in mols.values())
+                return witness is None and any(vec == target for vec in vectors.values())
 
             rec.run(f"pair on {space.labels}", attempt)
     return rec.result()
@@ -546,10 +550,13 @@ def check_molecule_function(corpus, epsilons=(Fraction(0), Fraction(1, 10), Frac
                 f = molecule_norming_function(space, p, q)
                 ok = lip_constant(f) == 1
                 ok = ok and Molecule(p, q).as_element(space).pair(f) == 1
+                pairings = {
+                    (u, v): Molecule(u, v).as_element(space).pair(f)
+                    for u, v in space.ordered_pairs()
+                }
                 for eps in epsilons:
                     seg = space.segment(p, q, eps)
-                    for u, v in space.ordered_pairs():
-                        pairing = Molecule(u, v).as_element(space).pair(f)
+                    for (u, v), pairing in pairings.items():
                         if pairing >= 1 - eps:
                             ok = ok and u in seg.members and v in seg.members
                 return ok

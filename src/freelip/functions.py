@@ -30,7 +30,7 @@ from .errors import (
     SupportNotContained,
 )
 from .metric import PointedMetricSpace
-from .rationals import as_fraction
+from .rationals import as_fraction, scale_to_integers
 
 
 @dataclass(frozen=True)
@@ -127,18 +127,23 @@ def lip_constant(f) -> Fraction:
     """Exact Lipschitz constant: max of |f(x)-f(y)| / d(x,y) over pairs.
 
     A partial function is measured over its domain, anything else over
-    the whole space.
+    the whole space.  Values and distances are scaled to integers, slopes
+    are compared by cross-multiplying, and the one division is the last.
     """
     space = f.space
     values = f.values
     points = f.domain if isinstance(f, PartialFunction) else range(space.n)
-    best = Fraction(0)
+    vscale, ints = scale_to_integers([values[x] for x in points])
+    unit, dist = space.scaled
+    best_num, best_den = 0, 1
     for i, x in enumerate(points):
-        for y in points[i + 1 :]:
-            slope = abs(values[x] - values[y]) / space.d(x, y)
-            if slope > best:
-                best = slope
-    return best
+        vx, row = ints[i], dist[x]
+        for j in range(i + 1, len(points)):
+            num = abs(vx - ints[j])
+            den = row[points[j]]
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    return Fraction(best_num * unit, best_den * vscale)
 
 
 def sup_norm(h) -> Fraction:
@@ -240,10 +245,18 @@ def mcshane_extend(pf: PartialFunction) -> LipFunction:
         raise NotOneLipschitzOnDomain(
             "the partial function exceeds Lipschitz constant 1 on its domain"
         )
-    space = pf.space
-    vals = pf.values
+    return mcshane_formula(pf.space, pf.values)
+
+
+def mcshane_formula(space: PointedMetricSpace, values: Mapping[int, Fraction]) -> LipFunction:
+    """x -> min over q of values[q] + d(q,x), with no Lipschitz check.
+
+    `values` maps a set of points containing the base to values vanishing
+    there.  The result extends them only if they are 1-Lipschitz, so a
+    caller certifies it, as :func:`mcshane_extend` does beforehand.
+    """
     out = tuple(
-        min(vals[q] + space.d(q, x) for q in pf.domain) for x in range(space.n)
+        min(v + space.d(q, x) for q, v in values.items()) for x in range(space.n)
     )
     return LipFunction(space, out)
 

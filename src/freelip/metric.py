@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     UnknownLabel,
     ZeroDistanceDistinctPoints,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, scale_to_integers
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,17 @@ class PointedMetricSpace:
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The distances as integers: (unit, rows) with rows[i][j] = d(i,j) * unit.
+
+        `unit` is the lcm of the denominators of all distances.  Computed
+        once per space; it is not a field, so equality and hashing ignore it.
+        """
+        n = self.n
+        unit, flat = scale_to_integers([v for row in self.dist for v in row])
+        return unit, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
 
     def index(self, label) -> int:
         """Resolve a point label to its index."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .elements import FreeElement, Molecule, is_positive, support, zero
@@ -40,11 +39,10 @@ from .functions import (
     distance_to_base,
     lip_constant,
     lip_function,
-    mcshane_extend,
-    partial_function,
+    mcshane_formula,
 )
 from .metric import PointedMetricSpace
-from .rationals import row_echelon
+from .rationals import row_echelon, scale_to_integers
 
 _ZERO = Fraction(0)
 
@@ -153,19 +151,20 @@ def _transport_plan(mu: FreeElement) -> list[tuple[int, int, Fraction]]:
     direct arc (triangle inequality), so source -> sink arcs suffice.
     Dijkstra runs on the reduced costs c(u,v) + pi(u) - pi(v), which the
     potential update after each search keeps nonnegative on the residual
-    graph.  Masses and costs are scaled to integers by the lcm of their
-    denominators, so every step is exact.
+    graph.  Masses are scaled to integers by the lcm of their denominators
+    and costs are the integer distances of `space.scaled`, so every step is
+    exact; scaling every cost by one positive integer leaves the plan as it
+    is.
     """
     space = mu.space
     supply = dict(mu.coeffs)
     supply[space.base] = -sum(supply.values(), _ZERO)
     sources = [p for p in sorted(supply) if supply[p] > 0]
     sinks = [p for p in sorted(supply) if supply[p] < 0]
-    mass = lcm(*(a.denominator for a in supply.values()))
-    rest = {p: abs(a.numerator) * (mass // a.denominator) for p, a in supply.items()}
-    dists = {(s, t): space.d(s, t) for s in sources for t in sinks}
-    unit = lcm(*(d.denominator for d in dists.values()))
-    cost = {arc: d.numerator * (unit // d.denominator) for arc, d in dists.items()}
+    mass, masses = scale_to_integers(list(supply.values()))
+    rest = {p: abs(m) for p, m in zip(supply, masses)}
+    lengths = space.scaled[1]
+    cost = {(s, t): lengths[s][t] for s in sources for t in sinks}
     flow = dict.fromkeys(cost, 0)
     pi = dict.fromkeys(sources, 0)
     pi.update({t: min(cost[s, t] for s in sources) for t in sinks})
@@ -235,12 +234,14 @@ def _certified(
     `nodes` holds the support and the base point.  The witness is the base
     row of the distances, McShane-extended to the whole space; when `nodes`
     is every point the row is that extension already, since a shortest
-    path skips the points outside the support (triangle inequality).
+    path skips the points outside the support (triangle inequality).  The
+    extension is checked once, over the whole space: 1-Lipschitz there, it
+    is 1-Lipschitz on `nodes` too.
     """
     space = mu.space
     primal = free_norm_primal(mu)
     D = _tight_distances(space, nodes, primal.decomposition)
-    witness = mcshane_extend(partial_function(space, D[space.base]))
+    witness = mcshane_formula(space, D[space.base])
     if lip_constant(witness) > 1 or mu.pair(witness) != primal.value:
         raise InternalVerificationFailure("dual witness failed verification")
     return NormCertificate(primal.value, witness, primal.decomposition), D

@@ -37,6 +37,18 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators, and the values multiplied by it."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def primitive(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries (a zero row as is)."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Row echelon form by exact, fraction-free Gaussian elimination.
 
@@ -46,10 +58,7 @@ def row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], li
     nonzero rows, scaled, with zeros below each leading entry, and the
     column of each leading entry; the rank is the number of rows returned.
     """
-    pending = []
-    for r in rows:
-        den = lcm(*(v.denominator for v in r))
-        pending.append([v.numerator * (den // v.denominator) for v in r])
+    pending = [scale_to_integers(r)[1] for r in rows]
     echelon: list[list[int]] = []
     pivots: list[int] = []
     width = len(pending[0]) if pending else 0
@@ -62,9 +71,7 @@ def row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], li
         for i, r in enumerate(pending):
             f = r[col]
             if f != 0:
-                combined = [a * lead - f * b for a, b in zip(r, pivot_row)]
-                g = gcd(*combined)
-                pending[i] = [v // g for v in combined] if g > 1 else combined
+                pending[i] = primitive([a * lead - f * b for a, b in zip(r, pivot_row)])
         echelon.append(pivot_row)
         pivots.append(col)
     return echelon, pivots

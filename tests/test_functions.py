@@ -275,3 +275,54 @@ def test_weighting_preserves_positivity():
         )
         h = random_weight(rng, space, nonneg=True)
         assert is_positive(weight_element(mu, h))
+
+
+def _slope_max(space, values, points):
+    """Reference Lipschitz constant: one Fraction division per pair."""
+    return max(
+        (
+            abs(values[x] - values[y]) / space.d(x, y)
+            for i, x in enumerate(points)
+            for y in points[i + 1 :]
+        ),
+        default=Fraction(0),
+    )
+
+
+def test_lip_constant_matches_the_division_formula():
+    rng = random.Random(31)
+    coprime = validate_space(
+        [
+            [0, Fraction(1, 2), Fraction(2, 3), Fraction(3, 5)],
+            [Fraction(1, 2), 0, Fraction(5, 7), Fraction(4, 11)],
+            [Fraction(2, 3), Fraction(5, 7), 0, Fraction(6, 13)],
+            [Fraction(3, 5), Fraction(4, 11), Fraction(6, 13), 0],
+        ]
+    )
+    spaces = [random_space(rng, rng.randint(1, 8)) for _ in range(60)] + [coprime]
+    for space in spaces:
+        points = tuple(range(space.n))
+        f = random_lip0(rng, space)
+        h = random_weight(rng, space, nonneg=False)
+        # values over coprime denominators
+        g = lip_function(
+            space,
+            {
+                p: Fraction(rng.randint(-9, 9), rng.choice((7, 11, 13)))
+                for p in space.nonbase_points()
+            },
+        )
+        for total in (f, g, h):
+            assert lip_constant(total) == _slope_max(space, total.values, points)
+        domain = [p for p in points if p == space.base or rng.random() < 0.5]
+        pf = partial_function(space, {p: g.values[p] for p in domain})
+        assert lip_constant(pf) == _slope_max(space, pf.values, pf.domain)
+
+
+def test_lip_constant_of_one_point_domains():
+    single = validate_space([[0]])
+    assert lip_constant(lip_function(single, [0])) == 0
+    assert lip_constant(weight_function(single, [Fraction(5, 3)])) == 0
+    line = space_from_points([0, Fraction(1, 3), Fraction(5, 7)])
+    assert lip_constant(partial_function(line, {})) == 0
+    assert lip_constant(partial_function(line, {2: Fraction(2, 7)})) == Fraction(2, 5)

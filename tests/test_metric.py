@@ -142,3 +142,22 @@ def test_ball(line3):
 def test_line_space_rejects_nonsquare():
     with pytest.raises(ValueError):
         validate_space([[0, 1], [1, 0, 2]])
+
+
+def test_scaled_distances_are_the_distances_times_the_unit():
+    space = validate_space(
+        [
+            [0, Fraction(1, 2), Fraction(2, 3)],
+            [Fraction(1, 2), 0, Fraction(5, 7)],
+            [Fraction(2, 3), Fraction(5, 7), 0],
+        ]
+    )
+    twin = validate_space([[str(v) for v in row] for row in space.dist])
+    unit, rows = space.scaled
+    assert unit == 42
+    assert all(isinstance(v, int) for row in rows for v in row)
+    assert [[Fraction(v, unit) for v in row] for row in rows] == [list(r) for r in space.dist]
+    # cached, and not part of equality or hashing
+    assert space.scaled is space.scaled
+    assert space == twin and hash(space) == hash(twin)
+    assert space_from_points([0, 2, 5]).scaled == (1, ((0, 2, 5), (2, 0, 3), (5, 3, 0)))
