@@ -191,7 +191,8 @@ def positive_ball_vertices_bruteforce(space: PointedMetricSpace) -> set:
     return vertices
 
 
-def _molecule_vectors(space: PointedMetricSpace) -> dict[tuple[int, int], tuple]:
+def molecule_vectors(space: PointedMetricSpace) -> dict[tuple[int, int], tuple]:
+    """Coordinates of each molecule over the non-base points, by ordered pair."""
     points = space.nonbase_points()
     out = {}
     for p, q in space.ordered_pairs():
@@ -200,15 +201,14 @@ def _molecule_vectors(space: PointedMetricSpace) -> dict[tuple[int, int], tuple]
     return out
 
 
-def extreme_molecules_bruteforce(space: PointedMetricSpace) -> set[tuple[int, int]]:
+def extreme_molecules_bruteforce(vectors: dict[tuple[int, int], tuple]) -> set[tuple[int, int]]:
     """Ordered pairs whose molecule is a vertex of the unit ball polytope.
 
-    The unit ball is the convex hull of the molecule vectors, so a molecule
-    is extreme iff it is not a convex combination of the others; that is
-    one exact LP feasibility problem per molecule.
+    `vectors` is :func:`molecule_vectors` of the space.  The unit ball is
+    the convex hull of the molecule vectors, so a molecule is extreme iff
+    it is not a convex combination of the others; that is one exact LP
+    feasibility problem per molecule.
     """
-    vectors = _molecule_vectors(space)
-    points = space.nonbase_points()
     extreme = set()
     for pair, target in vectors.items():
         others = [v for key, v in vectors.items() if key != pair]
@@ -216,7 +216,7 @@ def extreme_molecules_bruteforce(space: PointedMetricSpace) -> set[tuple[int, in
             extreme.add(pair)
             continue
         rows = []
-        for i in range(len(points)):
+        for i in range(len(target)):
             rows.append(([v[i] for v in others], lp.EQ, target[i]))
         rows.append(([Fraction(1)] * len(others), lp.EQ, Fraction(1)))
         sol = lp.maximize([_ZERO] * len(others), rows)
@@ -226,20 +226,16 @@ def extreme_molecules_bruteforce(space: PointedMetricSpace) -> set[tuple[int, in
 
 
 def is_extreme_in_ball_bruteforce(
-    element: FreeElement, extreme: set[tuple[int, int]], vectors: dict | None = None
+    element: FreeElement, extreme: set[tuple[int, int]], vectors: dict[tuple[int, int], tuple]
 ) -> bool:
     """Whether a norm-one element is an extreme point of the unit ball.
 
-    `extreme` is :func:`extreme_molecules_bruteforce` of the element's
-    space, computed once per space by the caller.  `vectors` is
-    `_molecule_vectors` of that space, built here if not given; a caller
-    asking about many elements of one space builds it once.
+    `vectors` is :func:`molecule_vectors` of the element's space and
+    `extreme` is :func:`extreme_molecules_bruteforce` of those vectors,
+    both computed once per space by the caller.
     """
-    space = element.space
     coeffs = element.coeffs
-    target = tuple(coeffs.get(x, _ZERO) for x in space.nonbase_points())
-    if vectors is None:
-        vectors = _molecule_vectors(space)
+    target = tuple(coeffs.get(x, _ZERO) for x in element.space.nonbase_points())
     for pair, vec in vectors.items():
         if vec == target:
             return pair in extreme
@@ -503,8 +499,8 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
     for space in corpus:
         if space.n < 2:
             continue
-        brute = extreme_molecules_bruteforce(space)
-        vectors = _molecule_vectors(space)
+        vectors = molecule_vectors(space)
+        brute = extreme_molecules_bruteforce(vectors)
         # consistency with the segment criterion on the whole space
         for p, q in space.ordered_pairs():
             rec.run(

@@ -235,8 +235,12 @@ def _certified(
     row of the distances, McShane-extended to the whole space; when `nodes`
     is every point the row is that extension already, since a shortest
     path skips the points outside the support (triangle inequality).  The
-    extension is checked once, over the whole space: 1-Lipschitz there, it
-    is 1-Lipschitz on `nodes` too.
+    extension is a minimum of the 1-Lipschitz functions D[base][q] + d(q, .),
+    so it is 1-Lipschitz by construction, and LipFunction checks that it
+    vanishes at the base.  The pairing check certifies it: a 1-Lipschitz
+    function pairing with mu to the cost of a decomposition proves both
+    optimal (weak duality).  The Lipschitz check is a guard on the
+    construction; it cannot fail on a validated metric.
     """
     space = mu.space
     primal = free_norm_primal(mu)

@@ -6,6 +6,7 @@ import pytest
 from freelip.checks import (
     extreme_molecules_bruteforce,
     is_extreme_in_ball_bruteforce,
+    molecule_vectors,
     positive_ball_vertices_bruteforce,
 )
 from freelip.elements import Molecule, canonicalize, delta, support, zero
@@ -70,7 +71,7 @@ def test_classification_matches_brute_force():
     rng = random.Random(41)
     for _ in range(12):
         space = random_space(rng, rng.randint(2, 6))
-        brute = extreme_molecules_bruteforce(space)
+        brute = extreme_molecules_bruteforce(molecule_vectors(space))
         for p, q in space.ordered_pairs():
             verdict = classify_molecule(space, p, q)
             assert (verdict.verdict == EXPOSED) == ((p, q) in brute)
@@ -292,13 +293,16 @@ def test_witness_random_consistency():
         # the witness construction already verified the norm identities;
         # cross-check against brute-force extremality of the normalized element
         unit = total / norm_certificate(total).value
-        assert not is_extreme_in_ball_bruteforce(unit, extreme_molecules_bruteforce(space))
+        vectors = molecule_vectors(space)
+        assert not is_extreme_in_ball_bruteforce(
+            unit, extreme_molecules_bruteforce(vectors), vectors
+        )
 
 
 def test_extreme_brute_force_matches_segments():
     rng = random.Random(48)
     for _ in range(10):
         space = random_space(rng, rng.randint(2, 5))
-        brute = extreme_molecules_bruteforce(space)
+        brute = extreme_molecules_bruteforce(molecule_vectors(space))
         for p, q in space.ordered_pairs():
             assert ((p, q) in brute) == space.segment(p, q).is_trivial()
