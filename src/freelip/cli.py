@@ -14,7 +14,6 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import fileio
-from .checks import run_check_suite
 from .elements import support, zero
 from .errors import FreeLipError, InternalVerificationFailure, ParseError
 from .extremal import almost_positive_witness, classify_molecule, positive_ball_extremes
@@ -221,6 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if args.command == "check-suite":
+        # the battery and its oracles load only for the command that runs them
+        from .checks import run_check_suite
+
         results = run_check_suite(seed=args.seed, max_points=args.max_points, scale=args.scale)
         payload, lines = fileio.check_results_payload(results), [r.line() for r in results]
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .elements import (
@@ -253,10 +254,17 @@ def mcshane_formula(space: PointedMetricSpace, values: Mapping[int, Fraction]) -
 
     `values` maps a set of points containing the base to values vanishing
     there.  The result extends them only if they are 1-Lipschitz, so a
-    caller certifies it, as :func:`mcshane_extend` does beforehand.
+    caller certifies it, as :func:`mcshane_extend` does beforehand.  The
+    minimum is taken on integers, over the lcm of the value and distance
+    units, and each point's value is one division.
     """
+    unit, lengths = space.scaled
+    vscale, ints = scale_to_integers(list(values.values()))
+    common = lcm(vscale, unit)
+    value_factor, length_factor = common // vscale, common // unit
+    terms = [(q, v * value_factor) for q, v in zip(values, ints)]
     out = tuple(
-        min(v + space.d(q, x) for q, v in values.items()) for x in range(space.n)
+        Fraction(min(v + row[q] * length_factor for q, v in terms), common) for row in lengths
     )
     return LipFunction(space, out)
 

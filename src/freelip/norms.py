@@ -13,6 +13,12 @@ only see values on the support, a shortest route between support points
 never improves by detouring through other points (triangle inequality),
 and the extension preserves the Lipschitz constant.
 
+A certificate needs only that row, so it runs one Bellman-Ford from the
+base point; `normers_of`, which bounds every value and slope, runs one
+all-pairs Floyd-Warshall.  Both run on the integer distances of
+`space.scaled`, and so do the tight-pair scan and the rank of a norming
+face; Fractions appear only in the values returned.
+
 Every certificate is checked by exact weak duality: the witness is
 1-Lipschitz, the decomposition rebuilds the element, and the pairing
 equals the decomposition weight, or InternalVerificationFailure is raised.
@@ -106,33 +112,83 @@ class NormersReport:
     shared_tight_pairs: frozenset[tuple[int, int]]
 
 
-def _tight_distances(
+def _arc_lengths(
     space: PointedMetricSpace,
     nodes: Sequence[int],
     decomposition: Sequence[tuple[Molecule, Fraction]],
-) -> dict[int, dict[int, Fraction]]:
-    """Shortest-path bounds on the normers tight on a transport flow.
+) -> list[list[int]]:
+    """Integer arc lengths of the constraints on the normers tight on a flow.
 
     The optimal dual set is {f : f(b) - f(a) <= d(a,b), and
     f(p) - f(q) = d(p,q) on every molecule (p, q) carrying flow}, a system
-    of difference constraints: arc a -> b weighs d(a,b), and a flow
-    molecule tightens p -> q to -d(p,q).  Floyd-Warshall on that graph
-    gives D[a][b] = max of f(b) - f(a) over the set (CLRS 24.4).  A
-    negative cycle means the flow was not optimal.
+    of difference constraints (CLRS 24.4): arc a -> b weighs d(a,b), and a
+    flow molecule tightens p -> q to -d(p,q).  Lengths are the integer
+    distances of `space.scaled`, so a shortest path of this graph is
+    `unit` times the largest f(b) - f(a) over the set.  Matrix indices are
+    positions in `nodes`.
     """
+    rows = space.scaled[1]
     index = {p: i for i, p in enumerate(nodes)}
-    D = [[space.d(a, b) for b in nodes] for a in nodes]
+    W = [[rows[a][b] for b in nodes] for a in nodes]
     for mol, _ in decomposition:
-        D[index[mol.p]][index[mol.q]] = -space.d(mol.p, mol.q)
+        W[index[mol.p]][index[mol.q]] = -rows[mol.p][mol.q]
+    return W
+
+
+def _base_distances(
+    space: PointedMetricSpace,
+    nodes: Sequence[int],
+    decomposition: Sequence[tuple[Molecule, Fraction]],
+) -> list[int]:
+    """Shortest-path lengths from the base point over `nodes`, as integers.
+
+    Label-correcting Bellman-Ford (CLRS 24.1) on the graph of
+    :func:`_arc_lengths`: each round relaxes the arcs leaving the nodes
+    whose label dropped in the round before, and the run stops at the first
+    round that changes nothing.  A shortest path has fewer than k = len(nodes)
+    arcs, so a label still dropping in round k proves a negative cycle,
+    which means the flow was not optimal.
+    """
+    W = _arc_lengths(space, nodes, decomposition)
+    start = nodes.index(space.base)
+    # round 1 relaxes the arcs leaving the base: every other label drops
+    # from infinity to the length of its arc
+    dist = list(W[start])
+    active = [v for v in range(len(nodes)) if v != start]
+    for _ in range(len(nodes) - 1):
+        dropped = set()
+        for u in active:
+            du = dist[u]
+            for v, w in enumerate(W[u]):
+                if du + w < dist[v]:
+                    dist[v] = du + w
+                    dropped.add(v)
+        if not dropped:
+            return dist
+        active = sorted(dropped)
+    raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
+
+
+def _all_distances(
+    space: PointedMetricSpace, decomposition: Sequence[tuple[Molecule, Fraction]]
+) -> list[list[int]]:
+    """Shortest-path lengths between all points, as integers.
+
+    Floyd-Warshall on the graph of :func:`_arc_lengths` over the whole
+    space: D[a][b] is `unit` times the largest f(b) - f(a) over the normers
+    tight on the flow.  A negative diagonal entry is a negative cycle,
+    which means the flow was not optimal.
+    """
+    D = _arc_lengths(space, range(space.n), decomposition)
     for k, row_k in enumerate(D):
         for row in D:
             through = row[k]
             for j, via in enumerate(row_k):
                 if through + via < row[j]:
                     row[j] = through + via
-    if any(D[i][i] < 0 for i in range(len(nodes))):
+    if any(D[i][i] < 0 for i in range(space.n)):
         raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
-    return {a: dict(zip(nodes, D[i])) for i, a in enumerate(nodes)}
+    return D
 
 
 def free_norm_dual(mu: FreeElement) -> DualCertificate:
@@ -227,28 +283,29 @@ def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
 
 
 def _certified(
-    mu: FreeElement, nodes: Sequence[int]
-) -> tuple[NormCertificate, dict[int, dict[int, Fraction]]]:
-    """Certificate of a nonzero element and the tight distances over `nodes`.
+    mu: FreeElement, primal: PrimalCertificate, nodes: Sequence[int], row: Sequence[int]
+) -> NormCertificate:
+    """Certificate of a nonzero element from its plan and the base row over `nodes`.
 
-    `nodes` holds the support and the base point.  The witness is the base
-    row of the distances, McShane-extended to the whole space; when `nodes`
-    is every point the row is that extension already, since a shortest
-    path skips the points outside the support (triangle inequality).  The
-    extension is a minimum of the 1-Lipschitz functions D[base][q] + d(q, .),
-    so it is 1-Lipschitz by construction, and LipFunction checks that it
-    vanishes at the base.  The pairing check certifies it: a 1-Lipschitz
-    function pairing with mu to the cost of a decomposition proves both
-    optimal (weak duality).  The Lipschitz check is a guard on the
-    construction; it cannot fail on a validated metric.
+    `nodes` holds the support and the base point, and `row` the integer
+    shortest-path lengths from the base to them, `unit` times the largest
+    normer values.  The witness is that row over `unit`, McShane-extended
+    to the whole space; when `nodes` is every point the row is that
+    extension already, since a shortest path skips the points outside the
+    support (triangle inequality).  The extension is a minimum of the
+    1-Lipschitz functions row[q] / unit + d(q, .), so it is 1-Lipschitz by
+    construction, and LipFunction checks that it vanishes at the base.  The
+    pairing check certifies it: a 1-Lipschitz function pairing with mu to
+    the cost of a decomposition proves both optimal (weak duality).  The
+    Lipschitz check is a guard on the construction; it cannot fail on a
+    validated metric.
     """
     space = mu.space
-    primal = free_norm_primal(mu)
-    D = _tight_distances(space, nodes, primal.decomposition)
-    witness = mcshane_formula(space, D[space.base])
+    unit = space.scaled[0]
+    witness = mcshane_formula(space, {p: Fraction(v, unit) for p, v in zip(nodes, row)})
     if lip_constant(witness) > 1 or mu.pair(witness) != primal.value:
         raise InternalVerificationFailure("dual witness failed verification")
-    return NormCertificate(primal.value, witness, primal.decomposition), D
+    return NormCertificate(primal.value, witness, primal.decomposition)
 
 
 def norm_certificate(mu: FreeElement) -> NormCertificate:
@@ -257,12 +314,15 @@ def norm_certificate(mu: FreeElement) -> NormCertificate:
     The molecule decomposition bounds the norm from above.  The largest
     potential tight on its flow, over the support plus the base point and
     McShane-extended to the whole space, bounds it from below; equal
-    bounds prove both optimal.
+    bounds prove both optimal.  That potential is one row of shortest
+    paths, from the base point (:func:`_base_distances`).
     """
     space = mu.space
     if mu.is_zero():
         return NormCertificate(_ZERO, lip_function(space, [0] * space.n), ())
-    return _certified(mu, sorted(support(mu) | {space.base}))[0]
+    primal = free_norm_primal(mu)
+    nodes = sorted(support(mu) | {space.base})
+    return _certified(mu, primal, nodes, _base_distances(space, nodes, primal.decomposition))
 
 
 def free_norm(mu: FreeElement) -> Fraction:
@@ -287,16 +347,19 @@ def positive_norm(mu: FreeElement) -> Fraction:
     return sum((a * mu.space.d(p, base) for p, a in mu.items), _ZERO)
 
 
-def _molecule_vector(space: PointedMetricSpace, mol: Molecule) -> tuple[Fraction, ...]:
-    coeffs = mol.as_element(space).coeffs
-    return tuple(coeffs.get(p, _ZERO) for p in space.nonbase_points())
-
-
 def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     """Describe the unit-ball face {mu : <mu, f> = 1} for a 1-Lipschitz f.
 
-    The tight molecules are scanned exhaustively; the face is their convex
-    hull and its affine dimension is computed by exact rank.  `nominal`
+    The tight molecules are scanned exhaustively on integers: with
+    f = V / vscale and d = scaled / unit, f(x) - f(y) = d(x, y) reads
+    (V[x] - V[y]) * unit == scaled[x][y] * vscale.  The face is their
+    convex hull, and its affine dimension is computed by exact rank.  Every
+    molecule m(p, q) = (delta_p - delta_q) / d(p, q) lies on the hyperplane
+    <., f> = 1, so the dimension is the rank of the homogenized rows
+    [m(p, q), 1] minus one.  Multiplying such a row by the positive integer
+    d(p, q) * unit, and then the coordinate columns by 1 / unit, gives the
+    integer row [e_p - e_q, scaled[p][q]]; scaling rows and columns by
+    nonzero numbers keeps the rank, so it is taken of those rows.  `nominal`
     names the molecule a caller expects to be normed, so the sample
     distinct normer (present iff the face is not a single point) can be
     chosen different from it.
@@ -304,18 +367,27 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     space = f.space
     if lip_constant(f) > 1:
         raise NotInUnitBall("norming_face requires Lipschitz constant at most 1")
+    unit, lengths = space.scaled
+    vscale, V = scale_to_integers(f.values)
+    lifted = [v * unit for v in V]
     tight = [
         Molecule(x, y)
         for x, y in space.ordered_pairs()
-        if f.values[x] - f.values[y] == space.d(x, y)
+        if lifted[x] - lifted[y] == lengths[x][y] * vscale
     ]
     if not tight:
         raise EmptyFace("no unit-ball element attains pairing 1 with this function")
 
-    vectors = [_molecule_vector(space, mol) for mol in tight]
-    first = vectors[0]
-    diffs = [[a - b for a, b in zip(v, first)] for v in vectors[1:]]
-    dimension = len(row_echelon(diffs)[1])
+    rows = []
+    for mol in tight:
+        row = [0] * space.n
+        row[mol.p] += 1
+        row[mol.q] -= 1
+        # the base point has no coordinate (delta_base = 0), so its slot
+        # holds the homogenizing entry
+        row[space.base] = lengths[mol.p][mol.q]
+        rows.append(row)
+    dimension = len(row_echelon(rows)[1]) - 1
     unique = len(tight) == 1
 
     sample = None
@@ -341,7 +413,8 @@ def normers_of(mu: FreeElement) -> NormersReport:
 
     Works over the whole space.  The normers are the 1-Lipschitz functions
     tight on the flow of one optimal transport plan (complementary
-    slackness), so one Floyd-Warshall over all points bounds every value
+    slackness), so one integer Floyd-Warshall over all points
+    (:func:`_all_distances`, `unit` times the bounds) bounds every value
     and slope on that set: f(p) is fixed when its upper bound D[base][p]
     meets its lower bound -D[p][base], and the slope constraint on (x, y)
     is shared when even the smallest f(x) - f(y), namely -D[x][y], is
@@ -353,12 +426,17 @@ def normers_of(mu: FreeElement) -> NormersReport:
         raise ZeroElement("every function norms the zero element")
     space = mu.space
     base = space.base
-    cert, D = _certified(mu, range(space.n))
+    primal = free_norm_primal(mu)
+    D = _all_distances(space, primal.decomposition)
+    cert = _certified(mu, primal, range(space.n), D[base])
+    unit, lengths = space.scaled
     fixed = {
-        p: D[base][p] for p in space.nonbase_points() if D[base][p] == -D[p][base]
+        p: Fraction(D[base][p], unit)
+        for p in space.nonbase_points()
+        if D[base][p] == -D[p][base]
     }
     shared = frozenset(
-        (x, y) for x, y in space.ordered_pairs() if D[x][y] == -space.d(x, y)
+        (x, y) for x, y in space.ordered_pairs() if D[x][y] == -lengths[x][y]
     )
 
     if is_positive(mu):

@@ -1,4 +1,4 @@
-"""Retired LP formulations, kept as independent test oracles.
+"""Retired formulations, kept as independent test oracles.
 
 The library computes norms from one min-cost flow and reads the norming
 functions off that flow by shortest paths.  These are the formulations it
@@ -10,11 +10,20 @@ The generic simplex has a reference here too: the same two-phase
 Bland's-rule simplex on a Fraction tableau.  `lp` runs it on a
 fraction-free integer tableau, and the two must take the same pivots and
 return the same (status, value, x).
+
+So do the integer kernels of `norms`: an all-pairs Floyd-Warshall over
+Fractions for the shortest paths, and the face of a function scanned and
+ranked on Fraction molecule vectors.
 """
 
 from fractions import Fraction
 
 from freelip import lp
+from freelip.elements import Molecule
+from freelip.errors import EmptyFace, InternalVerificationFailure, NotInUnitBall
+from freelip.functions import lip_constant
+from freelip.norms import FaceReport
+from freelip.rationals import row_echelon
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -295,3 +304,69 @@ def normers_by_probes(mu):
         if lo.value == space.d(x, y):
             shared.add((x, y))
     return sol.value, fixed, frozenset(shared)
+
+
+def tight_distances(space, nodes, decomposition):
+    """D[a][b] = max of f(b) - f(a) over the normers tight on a flow, as Fractions.
+
+    Floyd-Warshall over `nodes` on the difference constraints: arc a -> b
+    weighs d(a,b), and a flow molecule tightens p -> q to -d(p,q).  A
+    negative cycle means the flow was not optimal.
+    """
+    index = {p: i for i, p in enumerate(nodes)}
+    D = [[space.d(a, b) for b in nodes] for a in nodes]
+    for mol, _ in decomposition:
+        D[index[mol.p]][index[mol.q]] = -space.d(mol.p, mol.q)
+    for k, row_k in enumerate(D):
+        for row in D:
+            through = row[k]
+            for j, via in enumerate(row_k):
+                if through + via < row[j]:
+                    row[j] = through + via
+    if any(D[i][i] < 0 for i in range(len(nodes))):
+        raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
+    return {a: dict(zip(nodes, D[i])) for i, a in enumerate(nodes)}
+
+
+def fraction_norming_face(f, nominal=None):
+    """`norms.norming_face` with the tight pairs and the rank taken on Fractions.
+
+    The affine dimension is the rank of the differences of the molecule
+    vectors from the first one.
+    """
+    space = f.space
+    if lip_constant(f) > 1:
+        raise NotInUnitBall("norming_face requires Lipschitz constant at most 1")
+    tight = [
+        Molecule(x, y)
+        for x, y in space.ordered_pairs()
+        if f.values[x] - f.values[y] == space.d(x, y)
+    ]
+    if not tight:
+        raise EmptyFace("no unit-ball element attains pairing 1 with this function")
+
+    vectors = []
+    for mol in tight:
+        coeffs = mol.as_element(space).coeffs
+        vectors.append([coeffs.get(p, _ZERO) for p in space.nonbase_points()])
+    first = vectors[0]
+    diffs = [[a - b for a, b in zip(v, first)] for v in vectors[1:]]
+    dimension = len(row_echelon(diffs)[1])
+    unique = len(tight) == 1
+
+    sample = None
+    if not unique:
+        fallback = nominal if nominal is not None else tight[0]
+        for mol in tight:
+            if (mol.p, mol.q) != (fallback.p, fallback.q):
+                sample = mol.as_element(space)
+                break
+    if unique != (dimension == 0):
+        raise InternalVerificationFailure("face dimension disagrees with uniqueness")
+    return FaceReport(
+        norming_function=f,
+        tight_molecules=tuple(tight),
+        is_unique_normer=unique,
+        face_dimension=dimension,
+        sample_distinct_normer=sample,
+    )

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from freelip import lp
+from freelip import lp, norms
 from freelip.checks import transport_norm_bruteforce
 from freelip.elements import Molecule, canonicalize, delta, support, zero
 from freelip.errors import (
     EmptyFace,
+    InternalVerificationFailure,
     NotInUnitBall,
     NotPositive,
     ZeroElement,
@@ -18,6 +19,7 @@ from freelip.functions import (
     lip_constant,
     lip_function,
     mcshane_extend,
+    mcshane_formula,
     molecule_norming_function,
     partial_function,
 )
@@ -29,9 +31,8 @@ from freelip.generators import (
     random_space,
     uniform_space,
 )
-from freelip.metric import validate_space
+from freelip.metric import space_from_points, validate_space
 from freelip.norms import (
-    _tight_distances,
     free_norm,
     free_norm_dual,
     free_norm_primal,
@@ -40,7 +41,14 @@ from freelip.norms import (
     normers_of,
     positive_norm,
 )
-from oracles import dual_lp_norm, dual_rows, normers_by_probes, pairing_objective
+from oracles import (
+    dual_lp_norm,
+    dual_rows,
+    fraction_norming_face,
+    normers_by_probes,
+    pairing_objective,
+    tight_distances,
+)
 
 
 def networkx_transport_norm(mu) -> Fraction:
@@ -198,10 +206,15 @@ def test_norming_face_of_distance_to_base(line3):
 
 
 def test_norming_face_errors(line3):
-    with pytest.raises(EmptyFace):
-        norming_face(lip_function(line3, [0, 0, 0]))
-    with pytest.raises(NotInUnitBall):
-        norming_face(lip_function(line3, [0, 5, 0]))
+    # the integer scan and its Fraction reference reject the same functions
+    for f, error in (
+        (lip_function(line3, [0, 0, 0]), EmptyFace),
+        (lip_function(line3, [0, 5, 0]), NotInUnitBall),
+        (lip_function(line3, [0, Fraction(1, 3), Fraction(1, 7)]), EmptyFace),
+    ):
+        for face in (norming_face, fraction_norming_face):
+            with pytest.raises(error):
+                face(f)
 
 
 def test_norming_face_is_order_independent(line3):
@@ -333,7 +346,7 @@ def test_flow_solver_matches_the_dense_simplex_and_networkx(kind):
         assert sum(w for _, w in cert.primal_witness) == cert.value
         # every optimal flow pins the same largest tight normer
         nodes = sorted(support(mu) | {space.base})
-        D = _tight_distances(space, nodes, oracle.decomposition)
+        D = tight_distances(space, nodes, oracle.decomposition)
         assert cert.dual_witness == mcshane_extend(partial_function(space, D[space.base]))
 
 
@@ -370,3 +383,134 @@ def test_one_point_space():
     one = validate_space([[0]])
     cert = norm_certificate(zero(one))
     assert cert.value == 0
+
+
+@pytest.mark.parametrize("kind", ["random", "line", "coprime", "ultrametric", "large"])
+def test_integer_shortest_paths_match_the_fraction_floyd_warshall(kind):
+    # the Bellman-Ford base row and the integer all-pairs matrix are `unit`
+    # times the Fraction Floyd-Warshall of the same tight constraints
+    rng = random.Random(55)
+    for _ in range(4 if kind == "large" else 15):
+        space, mu = _degenerate_case(rng, kind)
+        if mu.is_zero():
+            continue
+        unit, base = space.scaled[0], space.base
+        flow = free_norm_primal(mu).decomposition
+        nodes = sorted(support(mu) | {base})
+        row = norms._base_distances(space, nodes, flow)
+        D = tight_distances(space, nodes, flow)
+        assert all(type(v) is int for v in row)
+        assert [Fraction(v, unit) for v in row] == [D[base][p] for p in nodes]
+        full = norms._all_distances(space, flow)
+        reference = tight_distances(space, range(space.n), flow)
+        assert [[Fraction(v, unit) for v in r] for r in full] == [
+            [reference[a][b] for b in space.points()] for a in space.points()
+        ]
+
+
+def _crossed_flow():
+    """An element on the line and a flow that rebuilds it at more than its norm.
+
+    Points at 0 (base), 1, 2, 10 and 11; mu = d1 - d2 + d10 - d11 costs 2
+    by the flow 1 -> 2, 10 -> 11, and 18 by the crossed flow 1 -> 11,
+    10 -> 2, whose constraints hold the negative cycle 1 -> 11 -> 10 -> 2 -> 1.
+    """
+    space = space_from_points([0, 1, 2, 10, 11])
+    mu = canonicalize(space, {1: 1, 2: -1, 3: 1, 4: -1})
+    plan = [(1, 4, Fraction(1)), (3, 2, Fraction(1))]
+    return space, mu, plan
+
+
+def test_a_non_optimal_flow_makes_every_shortest_path_routine_raise(monkeypatch):
+    space, mu, plan = _crossed_flow()
+    flow = [(Molecule(s, t), mass * space.d(s, t)) for s, t, mass in plan]
+    with pytest.raises(InternalVerificationFailure, match="negative cycle"):
+        norms._base_distances(space, sorted(support(mu) | {space.base}), flow)
+    with pytest.raises(InternalVerificationFailure, match="negative cycle"):
+        norms._all_distances(space, flow)
+    with pytest.raises(InternalVerificationFailure, match="negative cycle"):
+        tight_distances(space, range(space.n), flow)
+    # the crossed plan rebuilds mu, so only the shortest paths can catch it
+    monkeypatch.setattr(norms, "_transport_plan", lambda _: plan)
+    assert free_norm_primal(mu).value == 18
+    for certify in (norm_certificate, normers_of):
+        with pytest.raises(InternalVerificationFailure, match="negative cycle"):
+            certify(mu)
+
+
+def test_certificates_run_one_integer_shortest_path_kernel(monkeypatch):
+    # pins the cost shape: a norm certificate runs one single-source pass
+    # and no all-pairs pass; normers_of runs the all-pairs pass once
+    calls = []
+
+    def spy(name):
+        original = getattr(norms, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(norms, name, counted)
+
+    spy("_base_distances")
+    spy("_all_distances")
+    rng = random.Random(56)
+    for _ in range(10):
+        space = random_space(rng, rng.randint(2, 8))
+        mu = random_element(rng, space)
+        if mu.is_zero():
+            continue
+        calls.clear()
+        norm_certificate(mu)
+        assert calls == ["_base_distances"]
+        calls.clear()
+        normers_of(mu)
+        assert calls == ["_all_distances"]
+
+
+def _face_corpus(rng):
+    """(function, nominal) pairs with 1-Lipschitz functions whose face is nonempty."""
+    for kind in ("random", "uniform", "line", "coprime", "ultrametric"):
+        for _ in range(8):
+            space, mu = _degenerate_case(rng, kind)
+            yield distance_to_base(space), None
+            for p, q in rng.sample(space.ordered_pairs(), min(4, space.n * (space.n - 1))):
+                yield molecule_norming_function(space, p, q), Molecule(p, q)
+            if not mu.is_zero():
+                cert = norm_certificate(mu)
+                yield cert.dual_witness, cert.primal_witness[0][0]
+
+
+def test_integer_norming_face_matches_the_fraction_reference():
+    rng = random.Random(57)
+    dimensions = set()
+    touches_base = 0
+    for f, nominal in _face_corpus(rng):
+        face = norming_face(f, nominal=nominal)
+        assert face == fraction_norming_face(f, nominal=nominal)
+        dimensions.add(face.face_dimension)
+        base = f.space.base
+        touches_base += any(base in (m.p, m.q) for m in face.tight_molecules)
+    # the corpus reaches faces of dimension 0, 1 and at least 2, and molecules
+    # with an endpoint at the base point
+    assert {0, 1} <= dimensions and max(dimensions) >= 2
+    assert touches_base > 0
+
+
+def test_integer_mcshane_formula_on_coprime_denominators():
+    # value denominators 2, 3, 5 against distance denominators 7, 11, 13;
+    # the formula has no Lipschitz check, so steep values are compared too,
+    # kept at least -d(q, base) so that the result still vanishes at the base
+    rng = random.Random(58)
+    for _ in range(30):
+        space = _coprime_space(rng, rng.randint(2, 9))
+        base = space.base
+        domain = set(rng.sample(range(space.n), rng.randint(1, space.n))) - {base}
+        values = {base: Fraction(0)}
+        for q in sorted(domain):
+            lift = Fraction(rng.randint(0, 60), rng.choice((2, 3, 5)))
+            values[q] = lift - space.d(q, base)
+        expected = tuple(
+            min(v + space.d(q, x) for q, v in values.items()) for x in space.points()
+        )
+        assert mcshane_formula(space, values).values == expected
