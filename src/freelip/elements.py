@@ -90,8 +90,18 @@ class Molecule:
     q: int
 
     def as_element(self, space: PointedMetricSpace) -> FreeElement:
-        scale = Fraction(1) / space.d(self.p, self.q)
-        return canonicalize(space, {self.p: scale, self.q: -scale})
+        """The element (delta(p) - delta(q)) / d(p, q).
+
+        Both endpoints are resolved as :func:`canonicalize` resolves keys,
+        so the same inputs are rejected (equal endpoints divide by zero);
+        the two items are then built directly, in point order, without the
+        base point.
+        """
+        p, q = space.resolve(self.p), space.resolve(self.q)
+        unit, lengths = space.scaled
+        scale = Fraction(unit, lengths[p][q])
+        items = ((p, scale), (q, -scale)) if p < q else ((q, -scale), (p, scale))
+        return FreeElement(space, tuple(item for item in items if item[0] != space.base))
 
 
 def _same_space(a: PointedMetricSpace, b: PointedMetricSpace) -> bool:

@@ -222,19 +222,20 @@ def molecule_norming_function(space: PointedMetricSpace, p: int, q: int) -> LipF
     """The canonical 1-Lipschitz function attaining 1 on the molecule (p, q).
 
     Value at x is (d(p,q)/2) * (d(x,q) - d(x,p)) / (d(x,q) + d(x,p)), shifted
-    by the constant that makes it vanish at the base point.
+    by the constant that makes it vanish at the base point.  On the integer
+    distances of `space.scaled` (d = scaled / unit) that is one Fraction per
+    point, scaled[p][q] * (scaled[x][q] - scaled[x][p]) over
+    2 * unit * (scaled[x][q] + scaled[x][p]).
     """
     if p == q:
         raise DegeneratePair(f"molecule endpoints coincide: {p}")
-    half = space.d(p, q) / 2
-
-    def raw(x: int) -> Fraction:
-        num = space.d(x, q) - space.d(x, p)
-        den = space.d(x, q) + space.d(x, p)
-        return half * num / den
-
-    shift = raw(space.base)
-    f = LipFunction(space, tuple(raw(x) - shift for x in range(space.n)))
+    unit, lengths = space.scaled
+    dpq = lengths[p][q]
+    raw = [
+        Fraction(dpq * (row[q] - row[p]), 2 * unit * (row[q] + row[p])) for row in lengths
+    ]
+    shift = raw[space.base]
+    f = LipFunction(space, tuple(v - shift for v in raw))
     if lip_constant(f) > 1 or Molecule(p, q).as_element(space).pair(f) != 1:
         raise InternalVerificationFailure("molecule function failed to norm its molecule")
     return f

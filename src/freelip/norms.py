@@ -16,12 +16,16 @@ and the extension preserves the Lipschitz constant.
 A certificate needs only that row, so it runs one Bellman-Ford from the
 base point; `normers_of`, which bounds every value and slope, runs one
 all-pairs Floyd-Warshall.  Both run on the integer distances of
-`space.scaled`, and so do the tight-pair scan and the rank of a norming
-face; Fractions appear only in the values returned.
+`space.scaled`, and so does the tight-pair scan of a norming face, whose
+dimension a union-find reads off the tight pairs; Fractions appear only in
+the values returned.
 
-Every certificate is checked by exact weak duality: the witness is
-1-Lipschitz, the decomposition rebuilds the element, and the pairing
-equals the decomposition weight, or InternalVerificationFailure is raised.
+Every certificate is checked by exact weak duality, or
+InternalVerificationFailure is raised:
+- the decomposition rebuilds the element: `free_norm_primal` checks the
+  plan's net flow at every point against the integer-scaled masses;
+- the witness is 1-Lipschitz and pairs with the element to the
+  decomposition weight: `_certified` checks both in exact arithmetic.
 No LP is solved here; the dense simplex in `lp` is kept as an independent
 oracle for the battery and the tests.
 """
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .elements import FreeElement, Molecule, is_positive, support, zero
+from .elements import FreeElement, Molecule, is_positive, support
 from .errors import (
     EmptyFace,
     InternalVerificationFailure,
@@ -48,7 +52,7 @@ from .functions import (
     mcshane_formula,
 )
 from .metric import PointedMetricSpace
-from .rationals import row_echelon, scale_to_integers
+from .rationals import scale_to_integers
 
 _ZERO = Fraction(0)
 
@@ -197,8 +201,11 @@ def free_norm_dual(mu: FreeElement) -> DualCertificate:
     return DualCertificate(cert.value, cert.dual_witness)
 
 
-def _transport_plan(mu: FreeElement) -> list[tuple[int, int, Fraction]]:
-    """Optimal transport plan of a nonzero element as (source, sink, mass).
+def _transport_plan(mu: FreeElement) -> tuple[int, list[tuple[int, int, int]]]:
+    """Optimal transport plan of a nonzero element as (mass unit, flows).
+
+    Each flow is (source, sink, integer mass), the mass in units of
+    1 / (mass unit).
 
     Successive shortest paths (Ahuja-Magnanti-Orlin, *Network Flows*,
     ch. 9) on the bipartite graph from the nodes of positive coefficient to
@@ -258,28 +265,57 @@ def _transport_plan(mu: FreeElement) -> list[tuple[int, int, Fraction]]:
             flow[path[i + 1], path[i]] += amount
         for arc in back:
             flow[arc] -= amount
-    return [(s, t, Fraction(f, mass)) for (s, t), f in flow.items() if f]
+    return mass, [(s, t, f) for (s, t), f in flow.items() if f]
+
+
+def _rebuilds(mu: FreeElement, mass: int, flows: Sequence[tuple[int, int, int]]) -> bool:
+    """Whether a plan in units of 1 / mass rebuilds mu, checked on integers.
+
+    Every flow must be positive and join two distinct points of the support
+    and the base, the nodes the solver and the certificate's shortest paths
+    run on.  At every such node, the base included, flow out minus flow in
+    must be `mass` times the coefficient there (at the base, times minus
+    their sum).  Since m(s, t) = (delta_s - delta_t) / d(s, t) and
+    delta_base = 0, that is the identity sum of w * m(s, t) = mu for the
+    weights w = flow * d(s, t) / mass.
+    """
+    base = mu.space.base
+    net = {p: 0 for p, _ in mu.items}
+    net[base] = 0
+    for s, t, f in flows:
+        if f <= 0 or s == t or s not in net or t not in net:
+            return False
+        net[s] += f
+        net[t] -= f
+    total = 0
+    for p, a in mu.items:
+        scaled, rest = divmod(a.numerator * mass, a.denominator)
+        if rest or net[p] != scaled:
+            return False
+        total += scaled
+    return net[base] == -total
 
 
 def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
     """Norm as the minimum cost of transporting the coefficients.
 
     The optimal plan of :func:`_transport_plan` is returned as a molecule
-    decomposition, checked to rebuild the element, whose weights sum to the
-    norm.
+    decomposition whose weights sum to the norm.  The plan is checked to
+    rebuild the element here, outside the solver, on its integer masses
+    (:func:`_rebuilds`).
     """
     space = mu.space
     if mu.is_zero():
         return PrimalCertificate(_ZERO, ())
-    decomposition = tuple(
-        (Molecule(s, t), mass * space.d(s, t)) for s, t, mass in _transport_plan(mu)
-    )
-    rebuilt = zero(space)
-    for mol, weight in decomposition:
-        rebuilt = rebuilt + mol.as_element(space) * weight
-    if rebuilt != mu:
+    mass, flows = _transport_plan(mu)
+    if not _rebuilds(mu, mass, flows):
         raise InternalVerificationFailure("transport plan does not rebuild the element")
-    return PrimalCertificate(sum(w for _, w in decomposition), decomposition)
+    unit, lengths = space.scaled
+    costs = [f * lengths[s][t] for s, t, f in flows]
+    decomposition = tuple(
+        (Molecule(s, t), Fraction(c, mass * unit)) for (s, t, _), c in zip(flows, costs)
+    )
+    return PrimalCertificate(Fraction(sum(costs), mass * unit), decomposition)
 
 
 def _certified(
@@ -353,16 +389,20 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     The tight molecules are scanned exhaustively on integers: with
     f = V / vscale and d = scaled / unit, f(x) - f(y) = d(x, y) reads
     (V[x] - V[y]) * unit == scaled[x][y] * vscale.  The face is their
-    convex hull, and its affine dimension is computed by exact rank.  Every
-    molecule m(p, q) = (delta_p - delta_q) / d(p, q) lies on the hyperplane
-    <., f> = 1, so the dimension is the rank of the homogenized rows
-    [m(p, q), 1] minus one.  Multiplying such a row by the positive integer
-    d(p, q) * unit, and then the coordinate columns by 1 / unit, gives the
-    integer row [e_p - e_q, scaled[p][q]]; scaling rows and columns by
-    nonzero numbers keeps the rank, so it is taken of those rows.  `nominal`
-    names the molecule a caller expects to be normed, so the sample
-    distinct normer (present iff the face is not a single point) can be
-    chosen different from it.
+    convex hull, and its affine dimension is the rank of the homogenized
+    rows [m(p, q), 1] minus one.  Every tight molecule lies on the
+    hyperplane <., f> = 1, so the homogenizing column is the sum of the
+    coordinate columns weighted by f and the rank is that of the rows
+    m(p, q); scaling each by d(p, q) gives the rows e_p - e_q, with no
+    coordinate at the base point (delta_base = 0).  Those are the incidence
+    rows of the tight graph grounded at the base: the base column is minus
+    the sum of the other columns of its component, so their rank is
+    n - (connected components), the number of edges of a spanning forest,
+    which is the number of merges a union-find makes over the tight pairs.
+    The uniqueness-vs-dimension check below ties the two counts together.
+    `nominal` names the molecule a caller expects to be normed, so the
+    sample distinct normer (present iff the face is not a single point) can
+    be chosen different from it.
     """
     space = f.space
     if lip_constant(f) > 1:
@@ -378,16 +418,21 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     if not tight:
         raise EmptyFace("no unit-ball element attains pairing 1 with this function")
 
-    rows = []
+    parent = list(range(space.n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = 0
     for mol in tight:
-        row = [0] * space.n
-        row[mol.p] += 1
-        row[mol.q] -= 1
-        # the base point has no coordinate (delta_base = 0), so its slot
-        # holds the homogenizing entry
-        row[space.base] = lengths[mol.p][mol.q]
-        rows.append(row)
-    dimension = len(row_echelon(rows)[1]) - 1
+        a, b = root(mol.p), root(mol.q)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    dimension = merges - 1
     unique = len(tight) == 1
 
     sample = None

@@ -11,15 +11,20 @@ Bland's-rule simplex on a Fraction tableau.  `lp` runs it on a
 fraction-free integer tableau, and the two must take the same pivots and
 return the same (status, value, x).
 
-So do the integer kernels of `norms`: an all-pairs Floyd-Warshall over
-Fractions for the shortest paths, and the face of a function scanned and
-ranked on Fraction molecule vectors.
+So do the integer kernels of `norms` and `functions`: an all-pairs
+Floyd-Warshall over Fractions for the shortest paths, the face of a
+function scanned and ranked on Fraction molecule vectors, the rebuild of an
+element from its decomposition by element arithmetic, and the canonical
+norming function of a molecule evaluated on Fraction distances.
+
+Extremality has a reference that never consults the molecules: a transport
+LP per coordinate.
 """
 
 from fractions import Fraction
 
 from freelip import lp
-from freelip.elements import Molecule
+from freelip.elements import Molecule, zero
 from freelip.errors import EmptyFace, InternalVerificationFailure, NotInUnitBall
 from freelip.functions import lip_constant
 from freelip.norms import FaceReport
@@ -370,3 +375,60 @@ def fraction_norming_face(f, nominal=None):
         face_dimension=dimension,
         sample_distinct_normer=sample,
     )
+
+
+def fraction_rebuild(space, decomposition):
+    """sum of weight * molecule over a decomposition, by FreeElement arithmetic."""
+    rebuilt = zero(space)
+    for mol, weight in decomposition:
+        rebuilt = rebuilt + mol.as_element(space) * weight
+    return rebuilt
+
+
+def fraction_molecule_norming_values(space, p, q):
+    """Values of `functions.molecule_norming_function` on Fraction distances."""
+    half = space.d(p, q) / 2
+
+    def raw(x):
+        return half * (space.d(x, q) - space.d(x, p)) / (space.d(x, q) + space.d(x, p))
+
+    shift = raw(space.base)
+    return tuple(raw(x) - shift for x in space.points())
+
+
+def is_extreme_by_lp(unit):
+    """Whether a norm-one element is an extreme point of the unit ball, by LP.
+
+    Never consults the molecules: `unit` is extreme iff d = 0 is the only
+    d with ||unit + d|| <= 1 and ||unit - d|| <= 1, that is iff the maximum
+    of d_i and of -d_i over that set is 0 for every coordinate i.  Each of
+    the two norm bounds is a dense transport LP: a nonnegative flow on every
+    ordered pair of points, of cost at most 1, whose net divergence at each
+    non-base point is the coefficient of unit + d (or unit - d); d is free.
+    That makes 2(n - 1) LPs.
+    """
+    space = unit.space
+    points = space.nonbase_points()
+    arcs = list(space.ordered_pairs())
+    k, m = len(arcs), len(points)
+    cost = [space.d(x, y) for x, y in arcs]
+    coeffs = unit.coeffs
+    rows = []
+    for i, p in enumerate(points):
+        divergence = [Fraction(int(x == p) - int(y == p)) for x, y in arcs]
+        shift = [_ZERO] * m
+        shift[i] = _ONE
+        target = coeffs.get(p, _ZERO)
+        # flow of unit + d: divergence(x+) - d = unit; of unit - d: divergence(x-) + d = unit
+        rows.append((divergence + [_ZERO] * k + [-v for v in shift], lp.EQ, target))
+        rows.append(([_ZERO] * k + divergence + shift, lp.EQ, target))
+    rows.append((cost + [_ZERO] * (k + m), lp.LEQ, _ONE))
+    rows.append(([_ZERO] * k + cost + [_ZERO] * m, lp.LEQ, _ONE))
+    free = range(2 * k, 2 * k + m)
+    for i in range(m):
+        for sign in (_ONE, -_ONE):
+            objective = [_ZERO] * (2 * k + m)
+            objective[2 * k + i] = sign
+            if lp.maximize(objective, rows, free=free).require_optimal().value != 0:
+                return False
+    return True

@@ -17,6 +17,7 @@ from freelip.elements import (
 from freelip.errors import EmptyFamily, SpaceMismatch, UnknownLabel
 from freelip.functions import lip_function, point_bump
 from freelip.generators import random_element, random_space, random_subset
+from freelip.metric import validate_space
 from freelip import lp
 from freelip.norms import free_norm_dual
 
@@ -76,6 +77,26 @@ def test_support_basics(line3):
 def test_support_molecule_with_base_endpoint(line3):
     # the base point never belongs to a support
     assert support(Molecule(1, 0).as_element(line3)) == {1}
+
+
+def test_molecule_element_equals_its_canonical_form(tri):
+    # the direct construction of the two items matches canonicalize, base
+    # endpoints and a base point other than index 0 included
+    rng = random.Random(13)
+    spaces = [tri] + [random_space(rng, rng.randint(2, 7)) for _ in range(20)]
+    spaces.append(validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], base=1))
+    for space in spaces:
+        for p, q in space.ordered_pairs():
+            scale = 1 / space.d(p, q)
+            assert Molecule(p, q).as_element(space) == canonicalize(space, {p: scale, q: -scale})
+
+
+def test_molecule_element_rejects_what_canonicalize_rejects(line3):
+    for p, q in ((-1, 1), (1, -1), (3, 1), ("zz", 1), (1, "zz")):
+        with pytest.raises(UnknownLabel):
+            Molecule(p, q).as_element(line3)
+    with pytest.raises(ZeroDivisionError):
+        Molecule(1, 1).as_element(line3)
 
 
 def test_support_by_functionals_matches(line3):

@@ -34,12 +34,14 @@ from freelip.functions import (
     partial_function,
 )
 from freelip.generators import (
+    random_corpus,
     random_element,
     random_positive_element,
     random_space,
 )
 from freelip.metric import line_space, validate_space
 from freelip.norms import free_norm, norm_certificate, positive_norm
+from oracles import is_extreme_by_lp
 
 
 def test_classify_separated_pair_is_exposed(tri):
@@ -306,3 +308,30 @@ def test_extreme_brute_force_matches_segments():
         brute = extreme_molecules_bruteforce(molecule_vectors(space))
         for p, q in space.ordered_pairs():
             assert ((p, q) in brute) == space.segment(p, q).is_trivial()
+
+
+def test_hull_extremality_oracle_matches_the_lp_oracle():
+    # `is_extreme_in_ball_bruteforce` says "extreme" only for an element equal
+    # to a molecule, so the battery's "an extreme point is a molecule" cannot
+    # fail on its own; the LP oracle decides extremality without the molecule
+    # list.  Elements are drawn as in `checks.check_almost_positive`.
+    rng = random.Random(71)
+    verdicts = set()
+    for space in random_corpus(72, count=16, min_n=2, max_n=5):
+        vectors = molecule_vectors(space)
+        brute = extreme_molecules_bruteforce(vectors)
+        samples = []
+        for _ in range(2):
+            samples.append((random_positive_element(rng, space), random_element(rng, space)))
+            samples.append((random_positive_element(rng, space), zero(space)))
+        for p, q in list(space.ordered_pairs())[:4]:
+            samples.append((zero(space), Molecule(p, q).as_element(space)))
+        for lam, mu in samples:
+            total = lam + mu
+            if total.is_zero():
+                continue
+            unit = total / norm_certificate(total).value
+            verdict = is_extreme_in_ball_bruteforce(unit, brute, vectors)
+            assert is_extreme_by_lp(unit) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from freelip import lp, norms
+from freelip import elements, functions, lp, norms, rationals
 from freelip.checks import transport_norm_bruteforce
-from freelip.elements import Molecule, canonicalize, delta, support, zero
+from freelip.elements import FreeElement, Molecule, canonicalize, delta, support, zero
 from freelip.errors import (
     EmptyFace,
     InternalVerificationFailure,
@@ -44,7 +44,9 @@ from freelip.norms import (
 from oracles import (
     dual_lp_norm,
     dual_rows,
+    fraction_molecule_norming_values,
     fraction_norming_face,
+    fraction_rebuild,
     normers_by_probes,
     pairing_objective,
     tight_distances,
@@ -126,13 +128,8 @@ def test_certificates_verify_their_invariants():
         cert = norm_certificate(mu)
         assert lip_constant(cert.dual_witness) <= 1
         assert mu.pair(cert.dual_witness) == cert.value
-        rebuilt = zero(space)
-        total = Fraction(0)
-        for mol, w in cert.primal_witness:
-            rebuilt = rebuilt + mol.as_element(space) * w
-            total += abs(w)
-        assert rebuilt == mu
-        assert total == cert.value
+        assert fraction_rebuild(space, cert.primal_witness) == mu
+        assert sum((abs(w) for _, w in cert.primal_witness), Fraction(0)) == cert.value
 
 
 def test_zero_duality_gap_and_networkx_oracle():
@@ -417,13 +414,14 @@ def _crossed_flow():
     """
     space = space_from_points([0, 1, 2, 10, 11])
     mu = canonicalize(space, {1: 1, 2: -1, 3: 1, 4: -1})
-    plan = [(1, 4, Fraction(1)), (3, 2, Fraction(1))]
+    # (mass unit, [(source, sink, integer mass)]), as `_transport_plan` returns it
+    plan = (1, [(1, 4, 1), (3, 2, 1)])
     return space, mu, plan
 
 
 def test_a_non_optimal_flow_makes_every_shortest_path_routine_raise(monkeypatch):
     space, mu, plan = _crossed_flow()
-    flow = [(Molecule(s, t), mass * space.d(s, t)) for s, t, mass in plan]
+    flow = [(Molecule(s, t), f * space.d(s, t)) for s, t, f in plan[1]]
     with pytest.raises(InternalVerificationFailure, match="negative cycle"):
         norms._base_distances(space, sorted(support(mu) | {space.base}), flow)
     with pytest.raises(InternalVerificationFailure, match="negative cycle"):
@@ -484,17 +482,20 @@ def _face_corpus(rng):
 def test_integer_norming_face_matches_the_fraction_reference():
     rng = random.Random(57)
     dimensions = set()
-    touches_base = 0
+    touches_base = cycles = 0
     for f, nominal in _face_corpus(rng):
         face = norming_face(f, nominal=nominal)
         assert face == fraction_norming_face(f, nominal=nominal)
         dimensions.add(face.face_dimension)
         base = f.space.base
         touches_base += any(base in (m.p, m.q) for m in face.tight_molecules)
-    # the corpus reaches faces of dimension 0, 1 and at least 2, and molecules
-    # with an endpoint at the base point
+        # a tight graph with a cycle has more edges than union-find merges
+        cycles += len(face.tight_molecules) > face.face_dimension + 1
+    # the corpus reaches faces of dimension 0, 1 and at least 2, molecules
+    # with an endpoint at the base point, and tight graphs with a cycle
     assert {0, 1} <= dimensions and max(dimensions) >= 2
     assert touches_base > 0
+    assert cycles > 0
 
 
 def test_integer_mcshane_formula_on_coprime_denominators():
@@ -514,3 +515,103 @@ def test_integer_mcshane_formula_on_coprime_denominators():
             min(v + space.d(q, x) for q, v in values.items()) for x in space.points()
         )
         assert mcshane_formula(space, values).values == expected
+
+
+def _rebuild_corpus(rng, kind):
+    for _ in range(15):
+        space, mu = _degenerate_case(rng, kind)
+        if not mu.is_zero():
+            yield space, mu
+
+
+@pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime"])
+def test_every_decomposition_rebuilds_the_element_in_fraction_arithmetic(kind):
+    # the integer divergence check in free_norm_primal against the Fraction rebuild
+    rng = random.Random(59)
+    for space, mu in _rebuild_corpus(rng, kind):
+        assert fraction_rebuild(space, free_norm_primal(mu).decomposition) == mu
+        assert fraction_rebuild(space, norm_certificate(mu).primal_witness) == mu
+        assert fraction_rebuild(space, transport_norm_bruteforce(mu).decomposition) == mu
+
+
+def _faulty_plans(mu, mass, flows):
+    """(fault, plan) pairs: plans near an optimal one that do not rebuild mu."""
+    space = mu.space
+    s, t, f = flows[0]
+    wrong = next(x for x in space.points() if x not in (s, t)) if space.n > 2 else None
+    if wrong is not None:
+        moved = [(s, t, f - 1), (s, wrong, 1)] if f > 1 else [(s, wrong, 1)]
+        yield "one unit to the wrong sink", (mass, moved + flows[1:])
+    # same divergence, but no decomposition into nonnegative weights
+    yield "a negative flow", (mass, [(t, s, -f)] + flows[1:])
+    yield "another mass unit", (2 * mass, flows)
+    yield "no flow in a coarse unit", (1, [])
+    outside = [x for x in space.nonbase_points() if x not in support(mu)]
+    if len(outside) >= 2:
+        x, y = outside[:2]
+        # balanced at the support and the base, unbalanced elsewhere
+        yield "a unit between points off the support", (mass, flows + [(x, y, 1)])
+        # balanced everywhere, but off the nodes the certificate runs on
+        yield "a cycle off the support", (mass, flows + [(x, y, 1), (y, x, 1)])
+
+
+@pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime"])
+def test_a_plan_that_does_not_rebuild_the_element_is_rejected(monkeypatch, kind):
+    rng = random.Random(60)
+    original = norms._transport_plan
+    faults = set()
+    for space, mu in _rebuild_corpus(rng, kind):
+        for fault, plan in _faulty_plans(mu, *original(mu)):
+            faults.add(fault)
+            monkeypatch.setattr(norms, "_transport_plan", lambda _, plan=plan: plan)
+            for certify in (free_norm_primal, norm_certificate, normers_of):
+                with pytest.raises(InternalVerificationFailure, match="does not rebuild"):
+                    certify(mu)
+            monkeypatch.setattr(norms, "_transport_plan", original)
+    assert len(faults) == 6
+
+
+def test_certificates_and_faces_build_no_fraction_elements(monkeypatch):
+    # pins the cost shape: a norm certificate checks its plan on integers and
+    # builds no element through canonicalize or element arithmetic, and a
+    # face takes its dimension without exact elimination
+    calls = []
+
+    def forbid(owner, name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(owner, name, called, raising=False)
+
+    for module in (elements, functions, norms):
+        forbid(module, "canonicalize")
+    forbid(FreeElement, "_binop")
+    for module in (rationals, norms):
+        forbid(module, "row_echelon")
+    rng = random.Random(61)
+    for _ in range(10):
+        space = random_space(rng, rng.randint(2, 8))
+        mu = random_element(rng, space)
+        if mu.is_zero():
+            continue
+        cert = norm_certificate(mu)
+        norming_face(cert.dual_witness, nominal=cert.primal_witness[0][0])
+        norming_face(distance_to_base(space))
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["random", "coprime", "ultrametric"])
+def test_integer_molecule_norming_function_matches_the_fraction_formula(kind):
+    rng = random.Random(62)
+    for _ in range(12):
+        n = rng.randint(2, 9)
+        if kind == "coprime":
+            space = _coprime_space(rng, n)
+        elif kind == "ultrametric":
+            space = _ultrametric_space(rng, n)
+        else:
+            space = random_space(rng, n)
+        for p, q in space.ordered_pairs():
+            values = molecule_norming_function(space, p, q).values
+            assert values == fraction_molecule_norming_values(space, p, q)
