@@ -54,7 +54,6 @@ from .norms import (
     norming_face,
     positive_norm,
 )
-from .rationals import row_echelon
 
 _ZERO = Fraction(0)
 
@@ -192,27 +191,27 @@ def positive_ball_extremes(space: PointedMetricSpace) -> list[FreeElement]:
 
 
 def _is_positive_ball_vertex(element: FreeElement) -> bool:
-    """Exact active-constraint rank test in coefficient coordinates."""
+    """Exact active-constraint rank test in coefficient coordinates.
+
+    The positive ball is {a >= 0 : <a, w> <= 1} with w_p = d(p, base), and
+    a feasible point is a vertex when its active constraints have rank dim.
+    Those are the rows e_p for the zero coefficients (the set Z), plus w
+    when the budget <a, w> is 1.  The e_p are independent, and w lies
+    outside their span: a budget of 1 needs a nonzero coefficient, so some
+    coordinate is outside Z, and w is positive there (every d(p, base) > 0,
+    which `validate_space` enforces).  So the rank is |Z| + [budget = 1],
+    with no elimination needed.
+    """
     space = element.space
-    points = space.nonbase_points()
-    dim = len(points)
-    if dim == 0:
-        return element.is_zero()
-    coeffs = element.coeffs
-    if any(a < 0 for a in coeffs.values()):
+    if any(a < 0 for _, a in element.items):
         return False
-    budget = sum(coeffs.get(p, _ZERO) * space.d(p, space.base) for p in points)
+    budget = sum(a * space.d(p, space.base) for p, a in element.items)
     if budget > 1:
         return False
-    active = []
-    for i, p in enumerate(points):
-        if coeffs.get(p, _ZERO) == 0:
-            row = [_ZERO] * dim
-            row[i] = Fraction(1)
-            active.append(row)
-    if budget == 1:
-        active.append([space.d(p, space.base) for p in points])
-    return len(row_echelon(active)[1]) == dim
+    # items hold every nonzero coefficient and never the base point
+    dim = space.n - 1
+    zeros = dim - len(element.items)
+    return zeros + (1 if budget == 1 else 0) == dim
 
 
 def split_positive(

@@ -22,6 +22,7 @@ from .functions import (
     weight_function,
 )
 from .metric import PointedMetricSpace, line_space, space_from_points, validate_space
+from .rationals import scale_to_integers
 
 
 def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 3) -> Fraction:
@@ -29,21 +30,27 @@ def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 3) -> F
 
 
 def random_space(rng: random.Random, n: int) -> PointedMetricSpace:
-    """Random n-point space: metric closure of random positive weights."""
+    """Random n-point space: metric closure of random positive weights.
+
+    The closure runs on the weights scaled to integers by the lcm of their
+    denominators and is divided back once, so it gives the Fractions that
+    the same closure over Fractions would.
+    """
     if n == 1:
         return validate_space([[0]])
-    w = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i][j] = w[j][i] = random_rational(rng, max_num=12, max_den=3)
-    # Floyd-Warshall closure keeps symmetry and positivity
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    unit, drawn = scale_to_integers(
+        [random_rational(rng, max_num=12, max_den=3) for _ in pairs]
+    )
+    w = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pairs, drawn):
+        w[i][j] = w[j][i] = v
+    # Floyd-Warshall closure keeps symmetry, positivity and the zero diagonal
     for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                through = w[i][k] + w[k][j]
-                if i != j and through < w[i][j]:
-                    w[i][j] = through
-    return validate_space(w)
+        row_k = w[k]
+        for i, row_i in enumerate(w):
+            w[i] = list(map(min, row_i, map(row_i[k].__add__, row_k)))
+    return validate_space([[Fraction(v, unit) for v in row] for row in w])
 
 
 def random_line_subset(rng: random.Random, n: int) -> PointedMetricSpace:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -57,7 +58,9 @@ class PointedMetricSpace:
         """The distances as integers: (unit, rows) with rows[i][j] = d(i,j) * unit.
 
         `unit` is the lcm of the denominators of all distances.  Computed
-        once per space; it is not a field, so equality and hashing ignore it.
+        once per space, by :func:`validate_space`, which checks the triangle
+        inequality on these rows; it is not a field, so equality and hashing
+        ignore it.
         """
         n = self.n
         unit, flat = scale_to_integers([v for row in self.dist for v in row])
@@ -147,6 +150,16 @@ def validate_space(
     distinctness, symmetry, separation (zero distance iff equal points) and
     the triangle inequality.  The first violated axiom is reported with the
     witnessing pair or triple.
+
+    The triangle inequality is checked on the integer rows of
+    `PointedMetricSpace.scaled`, which this fills: scaling by the positive
+    unit keeps every strict inequality, so the verdict is the one over the
+    Fractions.  For each ordered pair (i, j) some k has
+    d(i,k) > d(i,j) + d(j,k) exactly when max_k (d(i,k) - d(j,k)) > d(i,j),
+    one pass over the two rows; only then is the first such k sought, so
+    the triple reported is the first in (i, j, k) order, as a scan of all
+    triples would report it.  A negative entry d(i,j) makes (i, j, i) a
+    violation.
     """
     n = len(dist)
     rows = []
@@ -181,14 +194,15 @@ def validate_space(
         for j in range(i + 1, n):
             if matrix[i][j] == 0:
                 raise ZeroDistanceDistinctPoints(i, j)
-    # negative entries violate the triangle inequality at (i, j, i)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if matrix[i][k] > matrix[i][j] + matrix[j][k]:
-                    raise TriangleViolation(i, j, k)
-
-    return PointedMetricSpace(labels=labels, base=base, dist=matrix)
+    space = PointedMetricSpace(labels=labels, base=base, dist=matrix)
+    rows = space.scaled[1]
+    for i, row_i in enumerate(rows):
+        for j, row_j in enumerate(rows):
+            if max(map(sub, row_i, row_j)) > row_i[j]:
+                bound = row_i[j]
+                k = next(k for k in range(n) if row_i[k] > bound + row_j[k])
+                raise TriangleViolation(i, j, k)
+    return space
 
 
 def line_space(n: int, step=Fraction(1)) -> PointedMetricSpace:

@@ -19,6 +19,10 @@ norming function of a molecule evaluated on Fraction distances.
 
 Extremality has a reference that never consults the molecules: a transport
 LP per coordinate.
+
+Spaces have references too: the triangle inequality scanned over every
+triple in Fraction arithmetic, the random-space closure over Fractions, and
+the positive-ball vertex test by exact elimination of the active rows.
 """
 
 from fractions import Fraction
@@ -27,6 +31,7 @@ from freelip import lp
 from freelip.elements import Molecule, zero
 from freelip.errors import EmptyFace, InternalVerificationFailure, NotInUnitBall
 from freelip.functions import lip_constant
+from freelip.generators import random_rational
 from freelip.norms import FaceReport
 from freelip.rationals import row_echelon
 
@@ -432,3 +437,53 @@ def is_extreme_by_lp(unit):
             if lp.maximize(objective, rows, free=free).require_optimal().value != 0:
                 return False
     return True
+
+
+def fraction_triangle_violation(matrix):
+    """The first (i, j, k) with d(i,k) > d(i,j) + d(j,k) over Fractions, or None."""
+    n = len(matrix)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if matrix[i][k] > matrix[i][j] + matrix[j][k]:
+                    return (i, j, k)
+    return None
+
+
+def fraction_closure_matrix(rng, n):
+    """The distances of `generators.random_space(rng, n)`, closed over Fractions."""
+    w = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i][j] = w[j][i] = random_rational(rng, max_num=12, max_den=3)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                through = w[i][k] + w[k][j]
+                if i != j and through < w[i][j]:
+                    w[i][j] = through
+    return w
+
+
+def is_positive_ball_vertex_by_rank(element):
+    """`extremal._is_positive_ball_vertex` with the rank of the active rows by elimination."""
+    space = element.space
+    points = space.nonbase_points()
+    dim = len(points)
+    if dim == 0:
+        return element.is_zero()
+    coeffs = element.coeffs
+    if any(a < 0 for a in coeffs.values()):
+        return False
+    budget = sum(coeffs.get(p, _ZERO) * space.d(p, space.base) for p in points)
+    if budget > 1:
+        return False
+    active = []
+    for i, p in enumerate(points):
+        if coeffs.get(p, _ZERO) == 0:
+            row = [_ZERO] * dim
+            row[i] = _ONE
+            active.append(row)
+    if budget == 1:
+        active.append([space.d(p, space.base) for p in points])
+    return len(row_echelon(active)[1]) == dim

@@ -19,6 +19,7 @@ from freelip.errors import (
 from freelip.extremal import (
     EXPOSED,
     NOT_EXTREME,
+    _is_positive_ball_vertex,
     almost_positive_witness,
     attainment_partition,
     classify_molecule,
@@ -41,7 +42,7 @@ from freelip.generators import (
 )
 from freelip.metric import line_space, validate_space
 from freelip.norms import free_norm, norm_certificate, positive_norm
-from oracles import is_extreme_by_lp
+from oracles import is_extreme_by_lp, is_positive_ball_vertex_by_rank
 
 
 def test_classify_separated_pair_is_exposed(tri):
@@ -116,6 +117,29 @@ def test_positive_ball_matches_vertex_enumeration():
             for e in positive_ball_extremes(space)
         }
         assert claimed == positive_ball_vertices_bruteforce(space)
+
+
+def test_closed_form_vertex_test_matches_the_rank_reference():
+    rng = random.Random(43)
+    verdicts = set()
+    for space in random_corpus(44, count=24, min_n=1, max_n=8):
+        extremes = positive_ball_extremes(space)
+        candidates = list(extremes)
+        for e in extremes:
+            candidates += [e / 2, e * 2, -e]
+        for a, b in zip(extremes, extremes[1:]):
+            candidates.append(a / 2 + b / 2)
+            candidates.append(a / 3 + b * Fraction(2, 3))
+        for _ in range(3):
+            mu = random_positive_element(rng, space)
+            if not mu.is_zero():
+                candidates += [mu, mu / positive_norm(mu)]
+            candidates.append(random_element(rng, space))
+        for element in candidates:
+            verdict = _is_positive_ball_vertex(element)
+            assert verdict == is_positive_ball_vertex_by_rank(element)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_split_positive_example(line3):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from freelip.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
+from freelip.generators import random_space
 from freelip.metric import space_from_points, validate_space
+from oracles import fraction_closure_matrix, fraction_triangle_violation
 
 
 def test_line3_is_valid(line3):
@@ -161,3 +164,156 @@ def test_scaled_distances_are_the_distances_times_the_unit():
     assert space.scaled is space.scaled
     assert space == twin and hash(space) == hash(twin)
     assert space_from_points([0, 2, 5]).scaled == (1, ((0, 2, 5), (2, 0, 3), (5, 3, 0)))
+
+
+def _primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % p for p in found):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def _coprime_matrix(n, extra=None):
+    """Distances 2 + 1/p_ij with a distinct prime per pair (unit = their product).
+
+    With `extra` = (a, c, b, q), d(a,b) becomes d(a,c) + d(c,b) + 1/q.
+    """
+    primes = iter(_primes(n * (n - 1) // 2))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = 2 + Fraction(1, next(primes))
+    if extra is not None:
+        a, c, b, q = extra
+        d[a][b] = d[b][a] = d[a][c] + d[c][b] + Fraction(1, q)
+    return d
+
+
+def _late_violation(n):
+    """Distances 2 and 3 whose only violations are (n-2, n-3, n-1) and its mirror."""
+    d = [[0 if i == j else 2 for j in range(n)] for i in range(n)]
+    for j in range(n - 3):
+        for end in (n - 2, n - 1):
+            d[j][end] = d[end][j] = 3
+    d[n - 2][n - 1] = d[n - 1][n - 2] = 5
+    return d
+
+
+TRIANGLE_CASES = {
+    "negative": ([[0, -1], [-1, 0]], (0, 1, 0)),
+    # the negative entry d(1,2) fails at (1,2,1), but (0,1,2) comes first
+    "negative-far": ([[0, 1, 2], [1, 0, "-1/2"], [2, "-1/2", 0]], (0, 1, 2)),
+    "equality": ([[0, "1/3", 1], ["1/3", 0, "2/3"], [1, "2/3", 0]], None),
+    "equality-coprime": (
+        [[0, "1/2", "5/6"], ["1/2", 0, "1/3"], ["5/6", "1/3", 0]],
+        None,
+    ),
+    "coprime-violation": (
+        [
+            [0, "1/2", Fraction(5, 6) + Fraction(1, 1000003)],
+            ["1/2", 0, "1/3"],
+            [Fraction(5, 6) + Fraction(1, 1000003), "1/3", 0],
+        ],
+        (0, 1, 2),
+    ),
+    "coprime-large": (_coprime_matrix(9), None),
+    "coprime-large-violation": (_coprime_matrix(9, (3, 7, 5, 1000003)), (3, 7, 5)),
+    "last": (_late_violation(7), (5, 4, 6)),
+    "one-point": ([[0]], None),
+    "two-points": ([[0, "3/7"], ["3/7", 0]], None),
+    "two-points-negative": ([[0, "-3/7"], ["-3/7", 0]], (0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGLE_CASES))
+def test_triangle_violation_is_the_first_triple_over_fractions(name):
+    matrix, triple = TRIANGLE_CASES[name]
+    fractions = [[Fraction(v) for v in row] for row in matrix]
+    # the case reaches the triple it was built for
+    assert fraction_triangle_violation(fractions) == triple
+    if triple is None:
+        assert validate_space(matrix).dist == tuple(map(tuple, fractions))
+        return
+    with pytest.raises(TriangleViolation) as err:
+        validate_space(matrix)
+    assert (err.value.i, err.value.j, err.value.k) == triple
+
+
+RATIONAL_STRINGS = ["1", "6/5", "4/3", "3/2", "5/3", "7/4", "2", "5/2", "3", "4",
+                    "1/7", "11/13", "-1/2", "0"]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from(RATIONAL_STRINGS)
+    matrix = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = draw(entries)
+    return matrix
+
+
+def _reference_outcome(matrix):
+    """What `validate_space` must give on a symmetric matrix with a zero diagonal."""
+    n = len(matrix)
+    fractions = [[Fraction(v) for v in row] for row in matrix]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if fractions[i][j] == 0:
+                return ZeroDistanceDistinctPoints, ZeroDistanceDistinctPoints(i, j).args
+    triple = fraction_triangle_violation(fractions)
+    if triple is not None:
+        return TriangleViolation, TriangleViolation(*triple).args
+    return tuple(map(tuple, fractions))
+
+
+@given(matrix=symmetric_matrices())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_validation_matches_the_fraction_reference(matrix):
+    try:
+        outcome = validate_space(matrix).dist
+    except (ZeroDistanceDistinctPoints, TriangleViolation) as exc:
+        outcome = type(exc), exc.args
+    assert outcome == _reference_outcome(matrix)
+
+
+def test_the_triangle_scan_runs_no_fraction_arithmetic(monkeypatch):
+    # pins the cost shape: the triangle inequality is checked on the integer
+    # rows of `space.scaled`, which validation leaves cached on the space
+    good = [list(row) for row in random_space(random.Random(5), 12).dist]
+    bad = [row[:] for row in good]
+    bad[3][8] = bad[8][3] = good[3][8] + 100
+    calls = []
+
+    def forbid(name):
+        def called(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"Fraction.{name} called")
+
+        monkeypatch.setattr(Fraction, name, called)
+
+    for name in ("__add__", "__gt__", "__lt__"):
+        forbid(name)
+    space = validate_space(good)
+    with pytest.raises(TriangleViolation) as err:
+        validate_space(bad)
+    monkeypatch.undo()
+    assert calls == []
+    assert "scaled" in space.__dict__
+    assert (err.value.i, err.value.j, err.value.k) == fraction_triangle_violation(bad)
+
+
+def test_random_space_matches_the_fraction_closure():
+    # the integer closure draws the same weights and gives the same Fractions
+    for seed in range(5):
+        for n in (1, 2, 3, 5, 8, 13, 24):
+            rng, reference = random.Random(seed), random.Random(seed)
+            space = random_space(rng, n)
+            expected = fraction_closure_matrix(reference, n)
+            assert space.dist == tuple(map(tuple, expected))
+            assert all(isinstance(v, Fraction) for row in space.dist for v in row)
+            assert rng.getstate() == reference.getstate()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freelip import elements, functions, lp, norms, rationals
+from freelip import elements, extremal, functions, lp, norms, rationals
 from freelip.checks import transport_norm_bruteforce
 from freelip.elements import FreeElement, Molecule, canonicalize, delta, support, zero
 from freelip.errors import (
@@ -14,6 +14,7 @@ from freelip.errors import (
     NotPositive,
     ZeroElement,
 )
+from freelip.extremal import positive_ball_extremes
 from freelip.functions import (
     distance_to_base,
     lip_constant,
@@ -574,7 +575,8 @@ def test_a_plan_that_does_not_rebuild_the_element_is_rejected(monkeypatch, kind)
 def test_certificates_and_faces_build_no_fraction_elements(monkeypatch):
     # pins the cost shape: a norm certificate checks its plan on integers and
     # builds no element through canonicalize or element arithmetic, and a
-    # face takes its dimension without exact elimination
+    # face and a positive-ball vertex test take their rank without exact
+    # elimination
     calls = []
 
     def forbid(owner, name):
@@ -587,7 +589,7 @@ def test_certificates_and_faces_build_no_fraction_elements(monkeypatch):
     for module in (elements, functions, norms):
         forbid(module, "canonicalize")
     forbid(FreeElement, "_binop")
-    for module in (rationals, norms):
+    for module in (rationals, norms, extremal):
         forbid(module, "row_echelon")
     rng = random.Random(61)
     for _ in range(10):
@@ -598,6 +600,12 @@ def test_certificates_and_faces_build_no_fraction_elements(monkeypatch):
         cert = norm_certificate(mu)
         norming_face(cert.dual_witness, nominal=cert.primal_witness[0][0])
         norming_face(distance_to_base(space))
+    monkeypatch.undo()
+    # delta(x) goes through canonicalize; only the rank is pinned here
+    for module in (rationals, extremal):
+        forbid(module, "row_echelon")
+    for n in (2, 5, 9):
+        positive_ball_extremes(random_space(rng, n))
     assert calls == []
 
 
