@@ -74,6 +74,8 @@ from .rationals import row_echelon
 
 _ZERO = Fraction(0)
 _MAX_RECORDED_FAILURES = 12
+# segment tolerances at which molecule pairings are matched against segments
+_SEGMENT_EPSILONS = (Fraction(0), Fraction(1, 10), Fraction(1, 4))
 
 
 @dataclass
@@ -120,10 +122,6 @@ class _Recorder:
             failures=self.failures,
             seconds=time.perf_counter() - self.t0,
         )
-
-
-def default_corpus(seed: int, count: int = 50, min_n: int = 2, max_n: int = 12):
-    return random_corpus(seed, count, min_n, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +535,7 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
     return rec.result()
 
 
-def check_molecule_function(corpus, epsilons=(Fraction(0), Fraction(1, 10), Fraction(1, 4))) -> CheckResult:
+def check_molecule_function(corpus) -> CheckResult:
     rec = _Recorder("molecule norming function: slope, pairing, segments")
     for space in corpus:
         for p, q in space.ordered_pairs():
@@ -550,7 +548,7 @@ def check_molecule_function(corpus, epsilons=(Fraction(0), Fraction(1, 10), Frac
                     (u, v): Molecule(u, v).as_element(space).pair(f)
                     for u, v in space.ordered_pairs()
                 }
-                for eps in epsilons:
+                for eps in _SEGMENT_EPSILONS:
                     seg = space.segment(p, q, eps)
                     for (u, v), pairing in pairings.items():
                         if pairing >= 1 - eps:
@@ -598,7 +596,7 @@ def run_check_suite(
     def scaled(n: int) -> int:
         return max(1, int(n * scale))
 
-    corpus = default_corpus(seed, count=scaled(50), min_n=2, max_n=max_points)
+    corpus = random_corpus(seed, count=scaled(50), min_n=2, max_n=max_points)
     small = lambda cap: [s for s in corpus if s.n <= cap]
     rng = random.Random(seed + 1)
 

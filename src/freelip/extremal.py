@@ -43,9 +43,8 @@ from .functions import (
     molecule_norming_function,
     pointwise_product,
     restrict,
-    scale_weight,
     weight_element,
-    weight_sum,
+    weight_function,
 )
 from .metric import PointedMetricSpace
 from .norms import (
@@ -83,9 +82,11 @@ class ExposednessVerdict:
 class PerturbationWitness:
     """Constructive certificate that lam + mu is not an extreme point.
 
-    `v` is a nonzero weighted copy of lam with lam +- v both positive,
-    orthogonal to the extension of the optimal partial function, and
-    norm-preserving: ||lam +- v + mu|| = ||lam + mu|| exactly.
+    `h` is the weight c_i at the i-th of `chosen_points` and 0 elsewhere,
+    so it is supported on the three chosen points.  `v` is the weighted
+    copy of lam, nonzero, with lam +- v both positive, orthogonal to the
+    extension of the optimal partial function, and norm-preserving:
+    ||lam +- v + mu|| = ||lam + mu|| exactly.
     """
 
     lam: FreeElement
@@ -214,15 +215,14 @@ def _is_positive_ball_vertex(element: FreeElement) -> bool:
     return zeros + (1 if budget == 1 else 0) == dim
 
 
-def split_positive(
-    mu: FreeElement, a: int | None = None, b: int | None = None
-) -> tuple[FreeElement, FreeElement, Fraction]:
+def split_positive(mu: FreeElement) -> tuple[FreeElement, FreeElement, Fraction]:
     """Write a norm-one positive element as a nontrivial positive convex combination.
 
-    Weights mu by a plateau bump that is 1 near the support point a and 0
-    near b (radius d(a,b)/3), producing mu1 + mu2 = mu with both halves
-    positive and nonzero.  Returns (mu1/t, mu2/(1-t), t) where t = ||mu1||;
-    positive norms are additive, so t + ||mu2|| = 1 exactly.
+    With a and b the first two support points by label, weights mu by a
+    plateau bump that is 1 near a and 0 near b (radius d(a,b)/3), producing
+    mu1 + mu2 = mu with both halves positive and nonzero.  Returns
+    (mu1/t, mu2/(1-t), t) where t = ||mu1||; positive norms are additive,
+    so t + ||mu2|| = 1 exactly.
     """
     if not is_positive(mu):
         raise NotPositive("split_positive requires a positive element")
@@ -231,8 +231,7 @@ def split_positive(
         raise SingletonSupport("split_positive requires at least two support points")
     if positive_norm(mu) != 1:
         raise NotNormalized("split_positive requires a norm-one element")
-    if a is None or b is None:
-        a, b = supp[0], supp[1]
+    a, b = supp[0], supp[1]
     space = mu.space
     r = space.d(a, b) / 3
     h = bump(space, space.ball(a, r), r)
@@ -331,18 +330,20 @@ def almost_positive_witness(
     function on S = supp(mu) + base; partition the space by attainment of
     its McShane extension; select the smallest cell meeting supp(lam) in at
     least three points (absent selection means no witness, which is the
-    needed outcome when lam + mu is extreme); place singleton bumps at the
-    first three such points, solve the 2x3 homogeneous system making the
-    weighted element both mass- and pairing-orthogonal, and verify every
-    claimed identity through the norm engine.
+    needed outcome when lam + mu is extreme); put point weights c_1, c_2,
+    c_3 on the first three such points, solving the 2x3 homogeneous system
+    that makes the weighted element both mass- and pairing-orthogonal, and
+    verify every claimed identity through the norm engine.
+
+    The paper perturbs by bumps of small radius inside the attainment cell;
+    on a finite space every point is isolated, so a bump small enough to
+    stay inside the cell is the point mass itself.
     """
     if not is_positive(lam):
         raise NotPositive("the unperturbed part must be positive")
     space = lam.space
-    base = space.base
 
-    f_star, _ = maximize_extended_pairing(lam, mu)
-    S = set(f_star.domain)
+    f_star, norm = maximize_extended_pairing(lam, mu)
     extension = mcshane_extend(f_star)
     cells = attainment_partition(space, f_star)
 
@@ -356,53 +357,26 @@ def almost_positive_witness(
         return None
     candidates.sort(key=lambda item: (item[0], item[1]))
     _, _, K, hits = candidates[0]
-    p1, p2, p3 = hits[:3]
+    points = tuple(hits[:3])
 
-    fvals = f_star.values
-    outside = sorted(S - set(K))
-    if outside:
-        eps = min(
-            (fvals[qp] + space.d(pi, qp)) - (fvals[q] + space.d(pi, q))
-            for q in K
-            for qp in outside
-            for pi in (p1, p2, p3)
-        ) / 4
-    else:
-        eps = min(
-            space.d(x, y) for x in range(space.n) for y in range(x + 1, space.n)
-        ) / 2
-    if eps <= 0:
-        raise InternalVerificationFailure("attainment margin must be positive")
-
-    # shrink the bump radius until the three balls are singletons
-    gaps = [
-        space.distance_to_set(pi, [x for x in range(space.n) if x != pi])
-        for pi in (p1, p2, p3)
-    ]
-    r = min([eps] + gaps) / 2
-    bumps = [bump(space, [pi], r) for pi in (p1, p2, p3)]
-    for pi, hi in zip((p1, p2, p3), bumps):
-        if hi.support != {pi}:
-            raise InternalVerificationFailure("bump radius failed to isolate its point")
-
-    u = tuple(lam.pair(hi) for hi in bumps)
-    w = tuple(lam.pair(pointwise_product(hi, extension)) for hi in bumps)
-    if any(v <= 0 for v in u):
-        raise InternalVerificationFailure("bump masses must be strictly positive")
+    # lam is positive, so each mass a_i is a strictly positive coefficient
+    a = lam.coeffs
+    u = tuple(a[p] for p in points)
+    w = tuple(a[p] * extension(p) for p in points)
     c_raw = _kernel_vector(u, w)
     scale = max(abs(v) for v in c_raw)
     c = tuple(v / scale for v in c_raw)
 
-    h = weight_sum(*(scale_weight(hi, ci) for hi, ci in zip(bumps, c)))
+    h = weight_function(space, dict(zip(points, c)))
     v = weight_element(lam, h)
 
-    _verify_witness(lam, mu, extension, h, v)
+    _verify_witness(lam, mu, norm, extension, h, v)
     return PerturbationWitness(
         lam=lam,
         mu=mu,
         f_star=f_star,
         K=frozenset(K),
-        chosen_points=(p1, p2, p3),
+        chosen_points=points,
         c=c,
         h=h,
         v=v,
@@ -412,10 +386,12 @@ def almost_positive_witness(
 def _verify_witness(
     lam: FreeElement,
     mu: FreeElement,
+    norm: Fraction,
     extension: LipFunction,
     h: WeightFunction,
     v: FreeElement,
 ) -> None:
+    """Check every identity of a witness; `norm` is the certified ||lam + mu||."""
     if v.is_zero():
         raise InternalVerificationFailure("witness perturbation is zero")
     if not (is_positive(lam + v) and is_positive(lam - v)):
@@ -426,10 +402,9 @@ def _verify_witness(
         raise InternalVerificationFailure("weight carries nonzero mass against lam")
     if lam.pair(pointwise_product(h, extension)) != 0:
         raise InternalVerificationFailure("weighted extension pairing is nonzero")
-    reference = norm_certificate(lam + mu).value
     plus = norm_certificate(lam + mu + v).value
     minus = norm_certificate(lam + mu - v).value
-    if not (reference == plus == minus):
+    if not (norm == plus == minus):
         raise InternalVerificationFailure(
-            f"perturbation changed the norm: {reference} vs {plus}/{minus}"
+            f"perturbation changed the norm: {norm} vs {plus}/{minus}"
         )

@@ -355,19 +355,3 @@ def pointwise_product(h: WeightFunction, f) -> WeightFunction:
         h.space, tuple(a * b for a, b in zip(h.values, f.values))
     )
 
-
-def weight_sum(*terms: WeightFunction) -> WeightFunction:
-    """Pointwise sum of weight functions over a common space."""
-    space = terms[0].space
-    if not all(_same_space(space, t.space) for t in terms):
-        raise SpaceMismatch("all summands must live on the same space")
-    out = [Fraction(0)] * space.n
-    for t in terms:
-        for x, v in enumerate(t.values):
-            out[x] += v
-    return WeightFunction(space, tuple(out))
-
-
-def scale_weight(h: WeightFunction, c) -> WeightFunction:
-    c = as_fraction(c)
-    return WeightFunction(h.space, tuple(c * v for v in h.values))

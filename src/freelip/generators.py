@@ -87,11 +87,9 @@ def random_corpus(
     return spaces
 
 
-def random_subset(
-    rng: random.Random, space: PointedMetricSpace, allow_empty: bool = True
-) -> frozenset[int]:
+def random_subset(rng: random.Random, space: PointedMetricSpace) -> frozenset[int]:
     points = list(space.points())
-    k = rng.randint(0 if allow_empty else 1, len(points))
+    k = rng.randint(0, len(points))
     return frozenset(rng.sample(points, k))
 
 

@@ -23,14 +23,31 @@ LP per coordinate.
 Spaces have references too: the triangle inequality scanned over every
 triple in Fraction arithmetic, the random-space closure over Fractions, and
 the positive-ball vertex test by exact elimination of the active rows.
+
+The almost-positive witness has its general form as a reference: plateau
+bumps of a radius kept inside the attainment cell by a margin, as in the
+paper, where the library puts point weights.
 """
 
 from fractions import Fraction
 
 from freelip import lp
-from freelip.elements import Molecule, zero
+from freelip.elements import Molecule, support, zero
 from freelip.errors import EmptyFace, InternalVerificationFailure, NotInUnitBall
-from freelip.functions import lip_constant
+from freelip.extremal import (
+    PerturbationWitness,
+    _kernel_vector,
+    attainment_partition,
+    maximize_extended_pairing,
+)
+from freelip.functions import (
+    WeightFunction,
+    bump,
+    lip_constant,
+    mcshane_extend,
+    pointwise_product,
+    weight_element,
+)
 from freelip.generators import random_rational
 from freelip.norms import FaceReport
 from freelip.rationals import row_echelon
@@ -487,3 +504,80 @@ def is_positive_ball_vertex_by_rank(element):
     if budget == 1:
         active.append([space.d(p, space.base) for p in points])
     return len(row_echelon(active)[1]) == dim
+
+
+def bump_witness(lam, mu):
+    """`extremal.almost_positive_witness` built with bumps, without its norm checks.
+
+    The same cell and points are chosen.  Each point p_i gets the plateau
+    bump of radius r, where r is half the smallest of the attainment margin
+    eps and the distances from each p_i to the rest of the space; the
+    margin is the least gap, over the three points, between the McShane
+    value attained through K and through any other domain point.  The
+    masses and pairings are read off the bumps, and h is the c-combination
+    of the bumps.
+    """
+    space = lam.space
+    f_star, _ = maximize_extended_pairing(lam, mu)
+    extension = mcshane_extend(f_star)
+    cells = attainment_partition(space, f_star)
+    lam_support = support(lam)
+    candidates = []
+    for K, cell in cells.items():
+        hits = sorted(cell & lam_support, key=lambda i: space.labels[i])
+        if len(hits) >= 3:
+            candidates.append((len(K), sorted(space.labels[q] for q in K), K, hits))
+    if not candidates:
+        return None
+    candidates.sort(key=lambda item: (item[0], item[1]))
+    _, _, K, hits = candidates[0]
+    points = tuple(hits[:3])
+
+    fvals = f_star.values
+    outside = sorted(set(f_star.domain) - set(K))
+    if outside:
+        eps = min(
+            (fvals[qp] + space.d(pi, qp)) - (fvals[q] + space.d(pi, q))
+            for q in K
+            for qp in outside
+            for pi in points
+        ) / 4
+    else:
+        eps = min(
+            space.d(x, y) for x in range(space.n) for y in range(x + 1, space.n)
+        ) / 2
+    if eps <= 0:
+        raise InternalVerificationFailure("attainment margin must be positive")
+    gaps = [
+        space.distance_to_set(pi, [x for x in range(space.n) if x != pi])
+        for pi in points
+    ]
+    r = min([eps] + gaps) / 2
+    bumps = [bump(space, [pi], r) for pi in points]
+    if any(hi.support != {pi} for pi, hi in zip(points, bumps)):
+        raise InternalVerificationFailure("bump radius failed to isolate its point")
+
+    u = tuple(lam.pair(hi) for hi in bumps)
+    w = tuple(lam.pair(pointwise_product(hi, extension)) for hi in bumps)
+    if any(v <= 0 for v in u):
+        raise InternalVerificationFailure("bump masses must be strictly positive")
+    c_raw = _kernel_vector(u, w)
+    scale = max(abs(v) for v in c_raw)
+    c = tuple(v / scale for v in c_raw)
+    h = WeightFunction(
+        space,
+        tuple(
+            sum((ci * hi.values[x] for ci, hi in zip(c, bumps)), _ZERO)
+            for x in space.points()
+        ),
+    )
+    return PerturbationWitness(
+        lam=lam,
+        mu=mu,
+        f_star=f_star,
+        K=frozenset(K),
+        chosen_points=points,
+        c=c,
+        h=h,
+        v=weight_element(lam, h),
+    )

@@ -1,8 +1,10 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from freelip import extremal, functions
 from freelip.checks import (
     extreme_molecules_bruteforce,
     is_extreme_in_ball_bruteforce,
@@ -38,11 +40,13 @@ from freelip.generators import (
     random_corpus,
     random_element,
     random_positive_element,
+    random_rational,
     random_space,
+    uniform_space,
 )
-from freelip.metric import line_space, validate_space
+from freelip.metric import PointedMetricSpace, line_space, validate_space
 from freelip.norms import free_norm, norm_certificate, positive_norm
-from oracles import is_extreme_by_lp, is_positive_ball_vertex_by_rank
+from oracles import bump_witness, is_extreme_by_lp, is_positive_ball_vertex_by_rank
 
 
 def test_classify_separated_pair_is_exposed(tri):
@@ -323,6 +327,66 @@ def test_witness_random_consistency():
         assert not is_extreme_in_ball_bruteforce(
             unit, extreme_molecules_bruteforce(vectors), vectors
         )
+
+
+def _witness_draws(seed, count):
+    # random, line and uniform spaces of n <= 9; mu zero on even draws
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 9)
+        kind = i % 6 // 2
+        if kind == 0:
+            space = random_space(rng, n)
+        elif kind == 1:
+            space = line_space(n, step=random_rational(rng))
+        else:
+            space = uniform_space(n, random_rational(rng))
+        lam = random_positive_element(rng, space)
+        mu = zero(space) if i % 2 == 0 else random_element(rng, space)
+        yield lam, mu
+
+
+def test_point_weight_witness_equals_the_bump_reference():
+    outcomes = {"witness": 0, "none": 0, "parallel": 0, "signed mu": 0}
+    for lam, mu in _witness_draws(81, 450):
+        witness, reference = almost_positive_witness(lam, mu), bump_witness(lam, mu)
+        if witness is None:
+            assert reference is None
+            outcomes["none"] += 1
+            continue
+        for field in fields(witness):
+            assert getattr(witness, field.name) == getattr(reference, field.name), field.name
+        assert witness.h.support <= set(witness.chosen_points)
+        outcomes["witness"] += 1
+        outcomes["parallel"] += 0 in witness.c
+        outcomes["signed mu"] += not mu.is_zero()
+    assert all(outcomes.values()), outcomes
+
+
+def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch):
+    # maximize_extended_pairing certifies ||lam + mu|| once; the witness
+    # reuses that value and certifies only ||lam + mu +- v||
+    calls = []
+    real = extremal.norm_certificate
+
+    def counted(mu):
+        calls.append(mu)
+        return real(mu)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bump was built")
+
+    monkeypatch.setattr(extremal, "norm_certificate", counted)
+    for owner in (functions, extremal):
+        monkeypatch.setattr(owner, "bump", forbidden)
+    monkeypatch.setattr(PointedMetricSpace, "distance_to_set", forbidden)
+    found = 0
+    for lam, mu in _witness_draws(82, 60):
+        calls.clear()
+        if almost_positive_witness(lam, mu) is not None:
+            assert len(calls) == 3
+            found += 1
+    assert found > 0
 
 
 def test_extreme_brute_force_matches_segments():
