@@ -65,8 +65,7 @@ from .generators import (
 )
 from .metric import PointedMetricSpace
 from .norms import (
-    PrimalCertificate,
-    free_norm_dual,
+    free_norm,
     norm_certificate,
     positive_norm,
 )
@@ -128,13 +127,13 @@ class _Recorder:
 # independent brute-force oracles
 
 
-def transport_norm_bruteforce(mu: FreeElement) -> PrimalCertificate:
+def transport_norm_bruteforce(mu: FreeElement) -> tuple[Fraction, tuple]:
     """Norm by the dense transport LP, solved with the generic simplex.
 
     One nonnegative flow variable per ordered pair of support-or-base
     nodes; the net divergence at every non-base node must equal its
-    coefficient (the base point absorbs the residual).  The optimal flow is
-    returned as a molecule decomposition whose weights sum to the norm.
+    coefficient (the base point absorbs the residual).  Returns the norm and
+    the optimal flow as a molecule decomposition whose weights sum to it.
     """
     space = mu.space
     nodes = sorted(support(mu) | {space.base})
@@ -149,7 +148,7 @@ def transport_norm_bruteforce(mu: FreeElement) -> PrimalCertificate:
     decomposition = tuple(
         (Molecule(x, y), flow * space.d(x, y)) for (x, y), flow in zip(arcs, sol.x) if flow
     )
-    return PrimalCertificate(sol.value, decomposition)
+    return sol.value, decomposition
 
 
 def positive_ball_vertices_bruteforce(space: PointedMetricSpace) -> set:
@@ -254,7 +253,7 @@ def check_molecule_norms(corpus) -> CheckResult:
                 # the certificate proves dual = primal by weak duality; the
                 # dense transport LP is an independent check of the value
                 value = norm_certificate(mol).value
-                return value == 1 == transport_norm_bruteforce(mol).value
+                return value == 1 == transport_norm_bruteforce(mol)[0]
 
             rec.run(f"|{space.labels[p]},{space.labels[q]}|", attempt)
     return rec.result()
@@ -339,13 +338,13 @@ def check_positive_facts(corpus, rng: random.Random, samples: int, families: int
         mu = random_positive_element(rng, space)
 
         def attempt():
-            cert = free_norm_dual(mu)
+            cert = norm_certificate(mu)
             ok = cert.value == mu.pair(rho)
             # norming function equals d(., base) on the support
-            ok = ok and all(cert.witness.values[p] == rho.values[p] for p in support(mu))
+            ok = ok and all(cert.dual_witness.values[p] == rho.values[p] for p in support(mu))
             # vanishing: rho - witness is a nonnegative function with zero
             # pairing against mu, so it must vanish on the support
-            gap = [a - b for a, b in zip(rho.values, cert.witness.values)]
+            gap = [a - b for a, b in zip(rho.values, cert.dual_witness.values)]
             ok = ok and all(v >= 0 for v in gap)
             pairing = sum((a * gap[p] for p, a in mu.items), _ZERO)
             ok = ok and pairing == 0
@@ -392,7 +391,7 @@ def check_weighting(corpus, rng: random.Random, samples: int) -> CheckResult:
         def attempt():
             weighted = weight_element(mu, h)
             ok = weighted.pair(f) == mu.pair(multiply_by_weight(f, h))
-            ok = ok and free_norm_dual(weighted).value <= weighting_bound(h) * free_norm_dual(mu).value
+            ok = ok and free_norm(weighted) <= weighting_bound(h) * free_norm(mu)
             ok = ok and support(weighted) <= (support(mu) & h.support)
             return ok and (not nonneg or is_positive(weighted))
 
@@ -485,8 +484,8 @@ def check_mcshane(
         mu = random_element(rng, space)
 
         def attempt():
-            _, value = maximize_extended_pairing(lam, mu)
-            return value == transport_norm_bruteforce(lam + mu).value
+            _, _, value = maximize_extended_pairing(lam, mu)
+            return value == transport_norm_bruteforce(lam + mu)[0]
 
         rec.run(f"maximized pairing on {space.labels}", attempt)
     return rec.result()

@@ -29,7 +29,6 @@ from .errors import (
     DegeneratePair,
     InternalVerificationFailure,
     NotNormalized,
-    NotOneLipschitzOnDomain,
     NotPositive,
     SingletonSupport,
 )
@@ -38,7 +37,6 @@ from .functions import (
     PartialFunction,
     WeightFunction,
     bump,
-    lip_constant,
     mcshane_extend,
     molecule_norming_function,
     pointwise_product,
@@ -257,33 +255,32 @@ def extended_pairing(
     lam: FreeElement, mu: FreeElement, f: PartialFunction
 ) -> Fraction:
     """Pair mu + lam against the McShane extension of a partial function."""
-    if lip_constant(f) > 1:
-        raise NotOneLipschitzOnDomain(
-            "extended_pairing requires a 1-Lipschitz partial function"
-        )
     return (mu + lam).pair(mcshane_extend(f))
 
 
 def maximize_extended_pairing(
     lam: FreeElement, mu: FreeElement
-) -> tuple[PartialFunction, Fraction]:
+) -> tuple[PartialFunction, LipFunction, Fraction]:
     """Maximize f -> <mu + lam, extension of f> over the 1-Lipschitz ball on S.
 
     S is the support of mu plus the base point.  The maximum is the norm of
     mu + lam, attained by the restriction f* of any norming function g:
     the McShane extension of f* agrees with g on S and dominates it
     elsewhere, and lam is positive, so the extended pairing is at least
-    <mu + lam, g>.  The attained value is checked against the norm.
+    <mu + lam, g>.  Returns (f*, its McShane extension, the norm); the
+    extended pairing is checked against the norm.
     """
     if not is_positive(lam):
         raise NotPositive("the unperturbed part must be positive")
-    cert = norm_certificate(lam + mu)
+    total = lam + mu
+    cert = norm_certificate(total)
     f_star = restrict(cert.dual_witness, support(mu))
-    if extended_pairing(lam, mu, f_star) != cert.value:
+    extension = mcshane_extend(f_star)
+    if total.pair(extension) != cert.value:
         raise InternalVerificationFailure(
             "maximized extended pairing does not equal the norm"
         )
-    return f_star, cert.value
+    return f_star, extension, cert.value
 
 
 def attainment_partition(
@@ -293,17 +290,21 @@ def attainment_partition(
 
     Each x is assigned the set K(x) of domain points achieving
     min_q f(q) + d(q, x); the cells keyed by K(x) are disjoint and cover
-    the space.
+    the space.  The McShane extension raises NotOneLipschitzOnDomain
+    unless f is 1-Lipschitz.
     """
-    if lip_constant(f) > 1:
-        raise NotOneLipschitzOnDomain(
-            "attainment_partition requires a 1-Lipschitz partial function"
-        )
+    return _attainment_cells(f, mcshane_extend(f))
+
+
+def _attainment_cells(
+    f: PartialFunction, extension: LipFunction
+) -> dict[frozenset[int], frozenset[int]]:
+    """Cells of :func:`attainment_partition`, given the McShane extension of f."""
+    space = f.space
     vals = f.values
     cells: dict[frozenset[int], set[int]] = {}
     for x in range(space.n):
-        best = min(vals[q] + space.d(q, x) for q in f.domain)
-        K = frozenset(q for q in f.domain if vals[q] + space.d(q, x) == best)
+        K = frozenset(q for q in f.domain if vals[q] + space.d(q, x) == extension(x))
         cells.setdefault(K, set()).add(x)
     return {K: frozenset(xs) for K, xs in cells.items()}
 
@@ -339,13 +340,9 @@ def almost_positive_witness(
     on a finite space every point is isolated, so a bump small enough to
     stay inside the cell is the point mass itself.
     """
-    if not is_positive(lam):
-        raise NotPositive("the unperturbed part must be positive")
     space = lam.space
-
-    f_star, norm = maximize_extended_pairing(lam, mu)
-    extension = mcshane_extend(f_star)
-    cells = attainment_partition(space, f_star)
+    f_star, extension, norm = maximize_extended_pairing(lam, mu)
+    cells = _attainment_cells(f_star, extension)
 
     lam_support = support(lam)
     candidates = []
@@ -396,8 +393,6 @@ def _verify_witness(
         raise InternalVerificationFailure("witness perturbation is zero")
     if not (is_positive(lam + v) and is_positive(lam - v)):
         raise InternalVerificationFailure("witness breaks positivity of lam +- v")
-    if v.pair(extension) != 0:
-        raise InternalVerificationFailure("witness is not orthogonal to the extension")
     if lam.pair(h) != 0:
         raise InternalVerificationFailure("weight carries nonzero mass against lam")
     if lam.pair(pointwise_product(h, extension)) != 0:

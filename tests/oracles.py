@@ -26,7 +26,9 @@ the positive-ball vertex test by exact elimination of the active rows.
 
 The almost-positive witness has its general form as a reference: plateau
 bumps of a radius kept inside the attainment cell by a margin, as in the
-paper, where the library puts point weights.
+paper, where the library puts point weights.  Its attainment cells have a
+reference that takes the McShane minimum over Fractions, where the library
+reads it off the integer McShane kernel.
 """
 
 from fractions import Fraction
@@ -44,7 +46,6 @@ from freelip.functions import (
     WeightFunction,
     bump,
     lip_constant,
-    mcshane_extend,
     pointwise_product,
     weight_element,
 )
@@ -506,6 +507,17 @@ def is_positive_ball_vertex_by_rank(element):
     return len(row_echelon(active)[1]) == dim
 
 
+def fraction_attainment_partition(space, f):
+    """`extremal.attainment_partition` with the McShane minimum taken over Fractions."""
+    vals = f.values
+    cells = {}
+    for x in range(space.n):
+        best = min(vals[q] + space.d(q, x) for q in f.domain)
+        K = frozenset(q for q in f.domain if vals[q] + space.d(q, x) == best)
+        cells.setdefault(K, set()).add(x)
+    return {K: frozenset(xs) for K, xs in cells.items()}
+
+
 def bump_witness(lam, mu):
     """`extremal.almost_positive_witness` built with bumps, without its norm checks.
 
@@ -518,8 +530,7 @@ def bump_witness(lam, mu):
     of the bumps.
     """
     space = lam.space
-    f_star, _ = maximize_extended_pairing(lam, mu)
-    extension = mcshane_extend(f_star)
+    f_star, extension, _ = maximize_extended_pairing(lam, mu)
     cells = attainment_partition(space, f_star)
     lam_support = support(lam)
     candidates = []

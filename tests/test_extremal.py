@@ -14,7 +14,9 @@ from freelip.checks import (
 from freelip.elements import Molecule, canonicalize, delta, support, zero
 from freelip.errors import (
     DegeneratePair,
+    InternalVerificationFailure,
     NotNormalized,
+    NotOneLipschitzOnDomain,
     NotPositive,
     SingletonSupport,
 )
@@ -46,7 +48,12 @@ from freelip.generators import (
 )
 from freelip.metric import PointedMetricSpace, line_space, validate_space
 from freelip.norms import free_norm, norm_certificate, positive_norm
-from oracles import bump_witness, is_extreme_by_lp, is_positive_ball_vertex_by_rank
+from oracles import (
+    bump_witness,
+    fraction_attainment_partition,
+    is_extreme_by_lp,
+    is_positive_ball_vertex_by_rank,
+)
 
 
 def test_classify_separated_pair_is_exposed(tri):
@@ -201,16 +208,16 @@ def test_extended_pairing_examples(line3):
 def test_maximize_extended_pairing_examples(line3):
     # no perturbation: the value is the norm of the positive part
     lam = canonicalize(line3, {1: 1})
-    _, value = maximize_extended_pairing(lam, zero(line3))
+    _, _, value = maximize_extended_pairing(lam, zero(line3))
     assert value == 1
     # no positive part: the value is the norm of the perturbation
     mu = Molecule(1, 2).as_element(line3) * line3.d(1, 2)
-    f_star, value = maximize_extended_pairing(zero(line3), mu)
+    f_star, _, value = maximize_extended_pairing(zero(line3), mu)
     assert value == free_norm(mu)
     # cancellation: mu + lam = delta(2)
     lam2 = canonicalize(line3, {1: 1})
     mu2 = canonicalize(line3, {1: -1, 2: 1})
-    _, value2 = maximize_extended_pairing(lam2, mu2)
+    _, _, value2 = maximize_extended_pairing(lam2, mu2)
     assert value2 == 2
 
 
@@ -220,7 +227,7 @@ def test_maximize_extended_pairing_random():
         space = random_space(rng, rng.randint(2, 7))
         lam = random_positive_element(rng, space)
         mu = random_element(rng, space)
-        f_star, value = maximize_extended_pairing(lam, mu)
+        f_star, _, value = maximize_extended_pairing(lam, mu)
         assert value == free_norm(lam + mu)
         assert extended_pairing(lam, mu, f_star) == value
 
@@ -273,7 +280,7 @@ def test_attainment_partition_covers_and_is_disjoint():
         space = random_space(rng, rng.randint(2, 7))
         mu = random_element(rng, space)
         lam = random_positive_element(rng, space)
-        f_star, _ = maximize_extended_pairing(lam, mu)
+        f_star, _, _ = maximize_extended_pairing(lam, mu)
         cells = attainment_partition(space, f_star)
         seen = set()
         for K, cell in cells.items():
@@ -283,6 +290,30 @@ def test_attainment_partition_covers_and_is_disjoint():
             for x in cell & set(f_star.domain):
                 assert x in K
         assert seen == set(space.points())
+
+
+def test_attainment_cells_equal_the_fraction_minimum():
+    # the cells compare against the integer McShane kernel's extension; the
+    # reference takes the minimum over Fractions
+    nontrivial = 0
+    for lam, mu in _witness_draws(83, 120):
+        space = lam.space
+        f_star, _, _ = maximize_extended_pairing(lam, mu)
+        cells = attainment_partition(space, f_star)
+        assert cells == fraction_attainment_partition(space, f_star)
+        nontrivial += len(cells) > 1
+    assert nontrivial > 0
+
+
+def test_pairing_and_partition_reject_a_two_lipschitz_partial_function(line3):
+    # |f(1) - f(0)| = 2 d(0, 1): the McShane extension refuses it
+    pf = partial_function(line3, {0: 0, 1: 2 * line3.d(0, 1)})
+    assert lip_constant(pf) == 2
+    lam = canonicalize(line3, {2: 1})
+    with pytest.raises(NotOneLipschitzOnDomain):
+        extended_pairing(lam, zero(line3), pf)
+    with pytest.raises(NotOneLipschitzOnDomain):
+        attainment_partition(line3, pf)
 
 
 def test_witness_on_line4_uniform_masses(line4):
@@ -376,17 +407,47 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
     def forbidden(*args, **kwargs):
         raise AssertionError("a bump was built")
 
+    # f* is McShane-extended once, and its Lipschitz constant taken once
+    extended, measured = [], []
+    real_extend, real_lip = extremal.mcshane_extend, functions.lip_constant
+
+    def counted_extend(pf):
+        extended.append(pf)
+        return real_extend(pf)
+
+    def counted_lip(f):
+        measured.append(f)
+        return real_lip(f)
+
     monkeypatch.setattr(extremal, "norm_certificate", counted)
+    monkeypatch.setattr(extremal, "mcshane_extend", counted_extend)
     for owner in (functions, extremal):
+        monkeypatch.setattr(owner, "lip_constant", counted_lip, raising=False)
         monkeypatch.setattr(owner, "bump", forbidden)
     monkeypatch.setattr(PointedMetricSpace, "distance_to_set", forbidden)
     found = 0
     for lam, mu in _witness_draws(82, 60):
         calls.clear()
-        if almost_positive_witness(lam, mu) is not None:
+        extended.clear()
+        measured.clear()
+        witness = almost_positive_witness(lam, mu)
+        if witness is not None:
             assert len(calls) == 3
+            assert extended == [witness.f_star]
+            assert sum(f is witness.f_star for f in measured) == 1
             found += 1
     assert found > 0
+
+
+def test_witness_with_a_pairing_blind_kernel_vector_fails_verification(monkeypatch, line4):
+    # (u2, -u1, 0) balances the mass of the weighted copy of lam but not
+    # its pairing with the extension, which the orthogonality check catches
+    # before the +-v norm certificates run
+    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (u[1], -u[0], Fraction(0)))
+    third = Fraction(1, 6)
+    lam = canonicalize(line4, {1: third, 2: third, 3: third})
+    with pytest.raises(InternalVerificationFailure, match="weighted extension pairing is nonzero"):
+        almost_positive_witness(lam, zero(line4))
 
 
 def test_extreme_brute_force_matches_segments():

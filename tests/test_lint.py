@@ -1,8 +1,10 @@
-"""Leftovers after a deletion: unused imports and unreferenced private functions.
+"""Leftovers after a deletion, and certifications that ``python -O`` would drop.
 
 Each module of the package except ``__init__`` (which imports to re-export)
 is parsed with ``ast``.  A name a module imports must be used somewhere in
 it, and a private module-level function must be referenced somewhere in it.
+No module, ``__init__`` included, may hold an ``assert`` statement: a check
+must raise under every interpreter mode.
 """
 
 import ast
@@ -67,3 +69,10 @@ def test_every_private_function_is_referenced(path):
         and not node.name.startswith("__")
     ]
     assert sorted(set(private) - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_assert_statement(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
