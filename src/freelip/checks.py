@@ -69,7 +69,7 @@ from .norms import (
     norm_certificate,
     positive_norm,
 )
-from .rationals import row_echelon
+from .rationals import row_echelon, scale_to_integers
 
 _ZERO = Fraction(0)
 _MAX_RECORDED_FAILURES = 12
@@ -535,22 +535,36 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
 
 
 def check_molecule_function(corpus) -> CheckResult:
+    """The canonical norming function is 1-Lipschitz, norms its molecule, and
+    every molecule it pairs with to at least 1 - eps lies in the eps-segment.
+
+    Pairings are compared on integers, independently of the library's own
+    slope scan: with f = V / vscale, d = scaled / unit and eps = num / den,
+    the pairing (f(u) - f(v)) / d(u, v) of the molecule (u, v) is at least
+    1 - eps exactly when (V[u] - V[v]) * unit * den >= (den - num) * cap,
+    where cap = scaled[u][v] * vscale; eps = 0 gives the slope test.
+    """
     rec = _Recorder("molecule norming function: slope, pairing, segments")
     for space in corpus:
+        unit, lengths = space.scaled
         for p, q in space.ordered_pairs():
 
             def attempt():
-                f = molecule_norming_function(space, p, q)
-                ok = lip_constant(f) == 1
-                ok = ok and Molecule(p, q).as_element(space).pair(f) == 1
-                pairings = {
-                    (u, v): Molecule(u, v).as_element(space).pair(f)
+                vscale, V = scale_to_integers(molecule_norming_function(space, p, q).values)
+                # (u, v) -> (unit * vscale * d(u,v) * pairing, unit * vscale * d(u,v))
+                lifted = {
+                    (u, v): ((V[u] - V[v]) * unit, lengths[u][v] * vscale)
                     for u, v in space.ordered_pairs()
                 }
+                # slope at most one everywhere, and exactly one on (p, q)
+                ok = all(gain <= cap for gain, cap in lifted.values())
+                gain, cap = lifted[p, q]
+                ok = ok and gain == cap
                 for eps in _SEGMENT_EPSILONS:
                     seg = space.segment(p, q, eps)
-                    for (u, v), pairing in pairings.items():
-                        if pairing >= 1 - eps:
+                    num, den = eps.numerator, eps.denominator
+                    for (u, v), (gain, cap) in lifted.items():
+                        if gain * den >= (den - num) * cap:
                             ok = ok and u in seg.members and v in seg.members
                 return ok
 

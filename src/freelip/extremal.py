@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .elements import (
     FreeElement,
@@ -51,6 +52,7 @@ from .norms import (
     norming_face,
     positive_norm,
 )
+from .rationals import scale_to_integers
 
 _ZERO = Fraction(0)
 
@@ -299,12 +301,25 @@ def attainment_partition(
 def _attainment_cells(
     f: PartialFunction, extension: LipFunction
 ) -> dict[frozenset[int], frozenset[int]]:
-    """Cells of :func:`attainment_partition`, given the McShane extension of f."""
+    """Cells of :func:`attainment_partition`, given the McShane extension of f.
+
+    The comparison f(q) + d(q, x) == extension(x) runs on integers: the
+    domain values and the extension share one scale, the lcm of their
+    denominators, and that and the distance unit of `space.scaled` lift to
+    their lcm, as in :func:`functions.mcshane_formula`.
+    """
     space = f.space
+    unit, lengths = space.scaled
     vals = f.values
+    k = len(f.domain)
+    vscale, ints = scale_to_integers([vals[q] for q in f.domain] + list(extension.values))
+    common = lcm(vscale, unit)
+    value_factor, length_factor = common // vscale, common // unit
+    terms = [(q, v * value_factor) for q, v in zip(f.domain, ints[:k])]
     cells: dict[frozenset[int], set[int]] = {}
-    for x in range(space.n):
-        K = frozenset(q for q in f.domain if vals[q] + space.d(q, x) == extension(x))
+    for x, row in enumerate(lengths):
+        target = ints[k + x] * value_factor
+        K = frozenset(q for q, v in terms if v + row[q] * length_factor == target)
         cells.setdefault(K, set()).add(x)
     return {K: frozenset(xs) for K, xs in cells.items()}
 

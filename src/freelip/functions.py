@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .elements import (
     FreeElement,
-    Molecule,
     _same_space,
     canonicalize,
     is_positive,
@@ -218,27 +217,62 @@ def truncate_support(f: LipFunction, r) -> LipFunction:
     return g
 
 
+def _tight_pairs(
+    space: PointedMetricSpace, vscale: int, values: Sequence[int]
+) -> list[tuple[int, int]] | None:
+    """Where f = values / vscale has slope one, or None if it is steeper somewhere.
+
+    One pass over the unordered pairs on the integer rows of
+    `space.scaled`: with d = scaled / unit, |f(x) - f(y)| <= d(x, y) reads
+    |values[x] - values[y]| * unit <= scaled[x][y] * vscale.  On equality
+    the pair is tight in the direction in which f rises, which is unique
+    because d(x, y) > 0.  The tight pairs (x, y), those with
+    f(x) - f(y) = d(x, y), come back sorted, the order of `ordered_pairs`.
+    """
+    unit, lengths = space.scaled
+    lifted = [v * unit for v in values]
+    tight = []
+    for x, row in enumerate(lengths):
+        lx = lifted[x]
+        for y in range(x + 1, len(row)):
+            ly = lifted[y]
+            excess = abs(lx - ly) - row[y] * vscale
+            if excess >= 0:
+                if excess:
+                    return None
+                tight.append((x, y) if lx > ly else (y, x))
+    tight.sort()
+    return tight
+
+
 def molecule_norming_function(space: PointedMetricSpace, p: int, q: int) -> LipFunction:
     """The canonical 1-Lipschitz function attaining 1 on the molecule (p, q).
 
     Value at x is (d(p,q)/2) * (d(x,q) - d(x,p)) / (d(x,q) + d(x,p)), shifted
     by the constant that makes it vanish at the base point.  On the integer
-    distances of `space.scaled` (d = scaled / unit) that is one Fraction per
-    point, scaled[p][q] * (scaled[x][q] - scaled[x][p]) over
-    2 * unit * (scaled[x][q] + scaled[x][p]).
+    distances s of `space.scaled` (d = s / unit) and with S_x the positive
+    sum s[x][q] + s[x][p], that is s[p][q] * (s[x][q] - s[x][p]) * (L / S_x)
+    over 2 * unit * L, for L the lcm of the S_x: one integer numerator V[x]
+    per point over one integer scale, so the shift is an integer subtraction.
+    Both certification checks run on those integers: slope at most one
+    everywhere (:func:`_tight_pairs`), and the pairing with the molecule,
+    (f(p) - f(q)) / d(p,q), equal to one, that is V[p] - V[q] equal to
+    d(p,q) times the scale, 2 * L * s[p][q].  Fractions appear only in the
+    returned function.
     """
     if p == q:
         raise DegeneratePair(f"molecule endpoints coincide: {p}")
     unit, lengths = space.scaled
     dpq = lengths[p][q]
-    raw = [
-        Fraction(dpq * (row[q] - row[p]), 2 * unit * (row[q] + row[p])) for row in lengths
-    ]
+    sums = [row[q] + row[p] for row in lengths]
+    common = lcm(*sums)
+    raw = [dpq * (row[q] - row[p]) * (common // s) for row, s in zip(lengths, sums)]
     shift = raw[space.base]
-    f = LipFunction(space, tuple(v - shift for v in raw))
-    if lip_constant(f) > 1 or Molecule(p, q).as_element(space).pair(f) != 1:
+    V = [v - shift for v in raw]
+    vscale = 2 * unit * common
+    if _tight_pairs(space, vscale, V) is None or V[p] - V[q] != 2 * common * dpq:
         raise InternalVerificationFailure("molecule function failed to norm its molecule")
-    return f
+    return LipFunction(space, tuple(Fraction(v, vscale) for v in V))
 
 
 def mcshane_extend(pf: PartialFunction) -> LipFunction:

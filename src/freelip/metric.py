@@ -111,15 +111,23 @@ class PointedMetricSpace:
         d(p,x) + d(x,q) <= d(p,q) / (1 - epsilon); epsilon = 0 gives the
         exact segment.  Values epsilon >= 1 are rejected rather than
         interpreted (the membership bound would be meaningless).
+
+        Membership is decided on the integer rows s of `scaled`: with
+        d = s / unit and epsilon = num / den, multiplying the bound by the
+        positive unit * (den - num) gives
+        (s[p][x] + s[x][q]) * (den - num) <= s[p][q] * den, with no
+        division.
         """
         if p == q:
             raise DegeneratePair(f"segment endpoints coincide: {p}")
         eps = as_fraction(epsilon)
         if eps < 0 or eps >= 1:
             raise EpsilonOutOfRange(f"epsilon must satisfy 0 <= eps < 1, got {eps}")
-        bound = self.dist[p][q] / (1 - eps)
+        rows = self.scaled[1]
+        slack = eps.denominator - eps.numerator
+        bound = rows[p][q] * eps.denominator
         members = frozenset(
-            x for x in range(self.n) if self.dist[p][x] + self.dist[x][q] <= bound
+            x for x, (a, b) in enumerate(zip(rows[p], rows[q])) if (a + b) * slack <= bound
         )
         return Segment(p=p, q=q, epsilon=eps, members=members)
 

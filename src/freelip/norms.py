@@ -16,8 +16,11 @@ and the extension preserves the Lipschitz constant.
 A certificate needs only that row, so it runs one Bellman-Ford from the
 base point; `normers_of`, which bounds every value and slope, runs one
 all-pairs Floyd-Warshall.  Both run on the integer distances of
-`space.scaled`, and so does the tight-pair scan of a norming face, whose
-dimension a union-find reads off the tight pairs; Fractions appear only in
+`space.scaled`, and so does a norming face: one pass over the pairs of
+points, on the function's values scaled to integers, rejects a function
+steeper than 1 and collects the tight pairs (the pass the canonical
+molecule function of `functions` is certified with), and a union-find
+reads the face dimension off the tight pairs.  Fractions appear only in
 the values returned.
 
 Every certificate is checked by exact weak duality, or
@@ -46,6 +49,7 @@ from .errors import (
 )
 from .functions import (
     LipFunction,
+    _tight_pairs,
     distance_to_base,
     lip_constant,
     lip_function,
@@ -386,11 +390,15 @@ def positive_norm(mu: FreeElement) -> Fraction:
 def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     """Describe the unit-ball face {mu : <mu, f> = 1} for a 1-Lipschitz f.
 
-    The tight molecules are scanned exhaustively on integers: with
-    f = V / vscale and d = scaled / unit, f(x) - f(y) = d(x, y) reads
-    (V[x] - V[y]) * unit == scaled[x][y] * vscale.  The face is their
-    convex hull, and its affine dimension is the rank of the homogenized
-    rows [m(p, q), 1] minus one.  Every tight molecule lies on the
+    The unit-ball test and the tight scan are one pass over the pairs of
+    points on integers (:func:`functions._tight_pairs`): with f = V / vscale
+    and d = scaled / unit, |f(x) - f(y)| <= d(x, y) reads
+    |V[x] - V[y]| * unit <= scaled[x][y] * vscale, and the molecule from
+    the higher value to the lower is tight on equality.  A pair steeper
+    than 1 anywhere raises NotInUnitBall, even where no pair is tight, and
+    the tight molecules come out in the order of `ordered_pairs`.  The face
+    is their convex hull, and its affine dimension is the rank of the
+    homogenized rows [m(p, q), 1] minus one.  Every tight molecule lies on the
     hyperplane <., f> = 1, so the homogenizing column is the sum of the
     coordinate columns weighted by f and the rank is that of the rows
     m(p, q); scaling each by d(p, q) gives the rows e_p - e_q, with no
@@ -405,16 +413,10 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     be chosen different from it.
     """
     space = f.space
-    if lip_constant(f) > 1:
+    pairs = _tight_pairs(space, *scale_to_integers(f.values))
+    if pairs is None:
         raise NotInUnitBall("norming_face requires Lipschitz constant at most 1")
-    unit, lengths = space.scaled
-    vscale, V = scale_to_integers(f.values)
-    lifted = [v * unit for v in V]
-    tight = [
-        Molecule(x, y)
-        for x, y in space.ordered_pairs()
-        if lifted[x] - lifted[y] == lengths[x][y] * vscale
-    ]
+    tight = [Molecule(x, y) for x, y in pairs]
     if not tight:
         raise EmptyFace("no unit-ball element attains pairing 1 with this function")
 

@@ -11,11 +11,12 @@ Bland's-rule simplex on a Fraction tableau.  `lp` runs it on a
 fraction-free integer tableau, and the two must take the same pivots and
 return the same (status, value, x).
 
-So do the integer kernels of `norms` and `functions`: an all-pairs
-Floyd-Warshall over Fractions for the shortest paths, the face of a
-function scanned and ranked on Fraction molecule vectors, the rebuild of an
-element from its decomposition by element arithmetic, and the canonical
-norming function of a molecule evaluated on Fraction distances.
+So do the integer kernels of `norms`, `functions` and `metric`: an
+all-pairs Floyd-Warshall over Fractions for the shortest paths, the face of
+a function scanned and ranked on Fraction molecule vectors, the rebuild of
+an element from its decomposition by element arithmetic, the canonical
+norming function of a molecule evaluated on Fraction distances, and the
+relaxed segment bounded by d(p,q) / (1 - epsilon) over Fractions.
 
 Extremality has a reference that never consults the molecules: a transport
 LP per coordinate.
@@ -406,6 +407,12 @@ def fraction_rebuild(space, decomposition):
     for mol, weight in decomposition:
         rebuilt = rebuilt + mol.as_element(space) * weight
     return rebuilt
+
+
+def fraction_segment(space, p, q, epsilon):
+    """Members of `metric.PointedMetricSpace.segment` by the Fraction bound."""
+    bound = space.d(p, q) / (1 - epsilon)
+    return frozenset(x for x in space.points() if space.d(p, x) + space.d(x, q) <= bound)
 
 
 def fraction_molecule_norming_values(space, p, q):

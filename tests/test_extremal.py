@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freelip import extremal, functions
+from freelip import checks, extremal, functions, norms
 from freelip.checks import (
     extreme_molecules_bruteforce,
     is_extreme_in_ball_bruteforce,
@@ -54,6 +54,7 @@ from oracles import (
     is_extreme_by_lp,
     is_positive_ball_vertex_by_rank,
 )
+from spaces import coprime_space
 
 
 def test_classify_separated_pair_is_exposed(tri):
@@ -305,6 +306,22 @@ def test_attainment_cells_equal_the_fraction_minimum():
     assert nontrivial > 0
 
 
+def test_attainment_cells_on_coprime_denominators():
+    # value denominators 2, 3 and 5 against distance denominators 7, 11 and
+    # 13, so neither scale divides the other; every distance is at least
+    # 5/13 and every value lies in [0, 11/30], so the values are 1-Lipschitz
+    rng = random.Random(84)
+    nontrivial = 0
+    for _ in range(40):
+        space = coprime_space(rng, rng.randint(2, 8))
+        domain = rng.sample(space.nonbase_points(), rng.randint(1, space.n - 1))
+        pf = partial_function(space, {q: Fraction(rng.randint(0, 11), 30) for q in domain})
+        cells = attainment_partition(space, pf)
+        assert cells == fraction_attainment_partition(space, pf)
+        nontrivial += len(cells) > 1
+    assert nontrivial > 0
+
+
 def test_pairing_and_partition_reject_a_two_lipschitz_partial_function(line3):
     # |f(1) - f(0)| = 2 d(0, 1): the McShane extension refuses it
     pf = partial_function(line3, {0: 0, 1: 2 * line3.d(0, 1)})
@@ -437,6 +454,53 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
             assert sum(f is witness.f_star for f in measured) == 1
             found += 1
     assert found > 0
+
+
+def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monkeypatch):
+    # pins the cost shape: segments, molecule functions and faces run on the
+    # integer rows of `space.scaled`, so the only Lipschitz constants a pair
+    # question takes are those of its norm certificates (one each, in
+    # `norms._certified`), and it builds a few molecule elements however
+    # many of the n(n - 1) pairs its face scans
+    counts = dict.fromkeys(("lip_constant", "as_element", "norm_certificate"), 0)
+
+    def spy(owner, name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    real_lip = functions.lip_constant
+    for owner in (functions, norms, checks):
+        spy(owner, "lip_constant", real_lip)
+    spy(extremal, "norm_certificate", extremal.norm_certificate)
+    spy(Molecule, "as_element", Molecule.as_element)
+
+    def measured(question, *args):
+        counts.update(dict.fromkeys(counts, 0))
+        result = question(*args)
+        return result, dict(counts)
+
+    rng = random.Random(65)
+    spaces = [random_space(rng, n) for n in (6, 8, 10)] + [line_space(7), uniform_space(6)]
+    verdicts = set()
+    for space in spaces:
+        for p, q in space.ordered_pairs():
+            verdict, seen = measured(classify_molecule, space, p, q)
+            verdicts.add(verdict.verdict)
+            assert seen["lip_constant"] == seen["norm_certificate"]
+            # the face's distinct normer, and the two halves and the target
+            # of a midpoint decomposition
+            assert seen["as_element"] <= 4
+            assert seen["as_element"] == 0 or verdict.verdict == NOT_EXTREME
+            ok, seen = measured(normers_support_check, space, p, q)
+            assert ok
+            assert seen["lip_constant"] == 0 and seen["as_element"] <= 1
+        result, seen = measured(checks.check_molecule_function, [space])
+        assert result.passed and result.cases == space.n * (space.n - 1)
+        assert seen == dict.fromkeys(counts, 0)
+    assert verdicts == {EXPOSED, NOT_EXTREME}
 
 
 def test_witness_with_a_pairing_blind_kernel_vector_fails_verification(monkeypatch, line4):

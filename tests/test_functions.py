@@ -36,7 +36,8 @@ from freelip.generators import (
     random_space,
     random_weight,
 )
-from freelip.metric import space_from_points, validate_space
+from freelip.metric import PointedMetricSpace, space_from_points, validate_space
+from oracles import fraction_molecule_norming_values
 
 
 def test_lip_constant_examples(line3):
@@ -62,8 +63,39 @@ def test_constructions_certify_without_assert(line3, monkeypatch):
         radial_cutoff(line3, 1)
     with pytest.raises(InternalVerificationFailure):
         bump(line3, {1}, 1)
+    # the molecule function is certified by the integer slope scan instead,
+    # which reports a pair steeper than 1 as None
+    monkeypatch.setattr(functions, "_tight_pairs", lambda *args: None)
     with pytest.raises(InternalVerificationFailure):
         molecule_norming_function(line3, 1, 2)
+
+
+def _unvalidated(dist):
+    """A space built past `validate_space`, so its distances may break the axioms."""
+    labels = tuple(str(i) for i in range(len(dist)))
+    return PointedMetricSpace(labels, 0, tuple(tuple(map(Fraction, row)) for row in dist))
+
+
+def test_the_slope_check_rejects_a_molecule_function_steeper_than_one():
+    # d(0,2) = 5 > d(0,1) + d(1,2): the formula gives (0, -5/2, -5), which
+    # pairs with the molecule (0, 2) to 1 but has slope 5/2 on (0, 1)
+    space = _unvalidated([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    values = fraction_molecule_norming_values(space, 0, 2)
+    assert values[0] - values[2] == space.d(0, 2)
+    assert lip_constant(lip_function(space, values)) == Fraction(5, 2)
+    with pytest.raises(InternalVerificationFailure, match="failed to norm"):
+        molecule_norming_function(space, 0, 2)
+
+
+def test_the_pairing_check_rejects_a_molecule_function_that_misses_one():
+    # d(1,1) = 1: the formula gives (0, 1/2), 1-Lipschitz but pairing with
+    # the molecule (1, 0) to 1/2
+    space = _unvalidated([[0, 1], [1, 1]])
+    values = fraction_molecule_norming_values(space, 1, 0)
+    assert values == (0, Fraction(1, 2))
+    assert lip_constant(lip_function(space, values)) <= 1
+    with pytest.raises(InternalVerificationFailure, match="failed to norm"):
+        molecule_norming_function(space, 1, 0)
 
 
 def test_distance_to_base_values(line3, tri):

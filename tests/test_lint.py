@@ -4,7 +4,9 @@ Each module of the package except ``__init__`` (which imports to re-export)
 is parsed with ``ast``.  A name a module imports must be used somewhere in
 it, and a private module-level function must be referenced somewhere in it.
 No module, ``__init__`` included, may hold an ``assert`` statement: a check
-must raise under every interpreter mode.
+must raise under every interpreter mode.  The battery in ``checks`` takes no
+private name from the rest of the package, so its checks stay independent
+of the kernels they check.
 """
 
 import ast
@@ -76,3 +78,30 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def _from_the_package(node):
+    return node.level > 0 or (node.module or "").split(".")[0] == "freelip"
+
+
+def test_the_battery_uses_no_private_name_of_the_package():
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _from_the_package(node):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(alias.name)
+                # `from . import lp` binds a module of the package
+                if node.module is None or node.module == "freelip":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert "lp" in modules
+    assert private == []

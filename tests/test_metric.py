@@ -14,9 +14,10 @@ from freelip.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
-from freelip.generators import random_space
+from freelip.generators import random_line_subset, random_rational, random_space, uniform_space
 from freelip.metric import space_from_points, validate_space
-from oracles import fraction_closure_matrix, fraction_triangle_violation
+from oracles import fraction_closure_matrix, fraction_segment, fraction_triangle_violation
+from spaces import coprime_space, ultrametric_space
 
 
 def test_line3_is_valid(line3):
@@ -134,6 +135,32 @@ def test_relaxed_segments_stabilize_to_exact(coords):
                     break
                 eps = eps / 2
             assert found
+
+
+_SPACE_FAMILIES = {
+    "random": random_space,
+    "line": random_line_subset,
+    "uniform": lambda rng, n: uniform_space(n, random_rational(rng)),
+    "coprime": coprime_space,
+    "ultrametric": ultrametric_space,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPACE_FAMILIES))
+def test_integer_segments_match_the_fraction_bound(kind):
+    # the cross-multiplied integer test against d(p,x) + d(x,q) <= d(p,q) / (1 - eps)
+    rng = random.Random(64)
+    epsilons = [Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(99, 100)]
+    grew = 0
+    for _ in range(10):
+        space = _SPACE_FAMILIES[kind](rng, rng.randint(2, 9))
+        for p, q in space.ordered_pairs():
+            for eps in epsilons:
+                members = space.segment(p, q, eps).members
+                assert members == fraction_segment(space, p, q, eps)
+            grew += members != space.segment(p, q).members
+    # the loosest tolerance admits points the exact segment leaves out
+    assert grew > 0
 
 
 def test_ball(line3):

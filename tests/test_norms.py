@@ -52,6 +52,7 @@ from oracles import (
     pairing_objective,
     tight_distances,
 )
+from spaces import coprime_space, ultrametric_space
 
 
 def networkx_transport_norm(mu) -> Fraction:
@@ -257,19 +258,6 @@ def test_norm_certificate_solves_no_lp(monkeypatch):
     assert calls == []
 
 
-def _coprime_space(rng, n):
-    """Metric closure of weights whose denominators are distinct primes."""
-    w = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i][j] = w[j][i] = Fraction(rng.randint(5, 40), rng.choice((7, 11, 13)))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                w[i][j] = min(w[i][j], w[i][k] + w[k][j])
-    return validate_space(w)
-
-
 def _coprime_element(rng, space):
     points = rng.sample(list(space.nonbase_points()), rng.randint(1, space.n - 1))
     return canonicalize(
@@ -289,7 +277,7 @@ def test_normers_of_matches_probe_lps(kind):
         elif kind == "line":
             space = random_line_subset(rng, n)
         else:
-            space = _coprime_space(rng, n)
+            space = coprime_space(rng, n)
         if kind == "coprime":
             mu = _coprime_element(rng, space)
         elif rng.random() < 0.3:
@@ -303,14 +291,6 @@ def test_normers_of_matches_probe_lps(kind):
         assert report.shared_tight_pairs == shared
 
 
-def _ultrametric_space(rng, n):
-    """d(i, j) is the largest gap h_k between i and j on a line: an ultrametric."""
-    h = [random_rational(rng) for _ in range(n - 1)]
-    return validate_space(
-        [[max(h[min(i, j) : max(i, j)], default=0) for j in range(n)] for i in range(n)]
-    )
-
-
 def _degenerate_case(rng, kind):
     n = rng.randint(30, 40) if kind == "large" else rng.randint(2, 9)
     if kind == "uniform":
@@ -318,10 +298,10 @@ def _degenerate_case(rng, kind):
     elif kind == "line":
         space = random_line_subset(rng, n)
     elif kind == "coprime":
-        space = _coprime_space(rng, n)
+        space = coprime_space(rng, n)
         return space, _coprime_element(rng, space)
     elif kind == "ultrametric":
-        space = _ultrametric_space(rng, n)
+        space = ultrametric_space(rng, n)
     else:
         space = random_space(rng, n)
     if rng.random() < 0.2:
@@ -499,13 +479,47 @@ def test_integer_norming_face_matches_the_fraction_reference():
     assert cycles > 0
 
 
+def test_a_function_steeper_by_one_scaled_unit_is_not_in_the_unit_ball():
+    # f is 0 but at one point x whose nearest point is the base, where
+    # f(x) = a / D exceeds d(x, base) = r / unit by 1 / (D * unit): with D
+    # coprime to unit, the integer scan sees (V[x] - V[base]) * unit exceed
+    # scaled[x][base] * vscale by exactly 1.  Every other pair is slack, so
+    # no molecule is tight and the unit-ball test must come before the
+    # empty-face test
+    rng = random.Random(63)
+    cases = 0
+    while cases < 20:
+        space = coprime_space(rng, rng.randint(2, 9))
+        unit, lengths = space.scaled
+        base = space.base
+        for x in space.nonbase_points():
+            r = lengths[x][base]
+            if math.gcd(r, unit) != 1 or any(
+                lengths[x][y] <= r for y in space.points() if y not in (x, base)
+            ):
+                continue
+            D = -pow(r, -1, unit) % unit or unit
+            f = lip_function(space, {x: Fraction((1 + r * D) // unit, D)})
+            vscale, V = rationals.scale_to_integers(f.values)
+            gaps = [
+                (V[a] - V[b]) * unit - lengths[a][b] * vscale
+                for a, b in space.ordered_pairs()
+            ]
+            assert vscale == D and max(gaps) == 1 and gaps.count(1) == 1
+            assert 0 not in gaps
+            for face in (norming_face, fraction_norming_face):
+                with pytest.raises(NotInUnitBall):
+                    face(f)
+            cases += 1
+
+
 def test_integer_mcshane_formula_on_coprime_denominators():
     # value denominators 2, 3, 5 against distance denominators 7, 11, 13;
     # the formula has no Lipschitz check, so steep values are compared too,
     # kept at least -d(q, base) so that the result still vanishes at the base
     rng = random.Random(58)
     for _ in range(30):
-        space = _coprime_space(rng, rng.randint(2, 9))
+        space = coprime_space(rng, rng.randint(2, 9))
         base = space.base
         domain = set(rng.sample(range(space.n), rng.randint(1, space.n))) - {base}
         values = {base: Fraction(0)}
@@ -615,9 +629,9 @@ def test_integer_molecule_norming_function_matches_the_fraction_formula(kind):
     for _ in range(12):
         n = rng.randint(2, 9)
         if kind == "coprime":
-            space = _coprime_space(rng, n)
+            space = coprime_space(rng, n)
         elif kind == "ultrametric":
-            space = _ultrametric_space(rng, n)
+            space = ultrametric_space(rng, n)
         else:
             space = random_space(rng, n)
         for p, q in space.ordered_pairs():
