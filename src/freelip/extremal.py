@@ -37,9 +37,9 @@ from .functions import (
     LipFunction,
     PartialFunction,
     WeightFunction,
+    _molecule_function,
     bump,
     mcshane_extend,
-    molecule_norming_function,
     pointwise_product,
     restrict,
     weight_element,
@@ -48,8 +48,8 @@ from .functions import (
 from .metric import PointedMetricSpace
 from .norms import (
     FaceReport,
+    _face,
     norm_certificate,
-    norming_face,
     positive_norm,
 )
 from .rationals import scale_to_integers
@@ -112,8 +112,8 @@ def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessV
         raise DegeneratePair(f"molecule endpoints coincide: {p}")
     seg = space.segment(p, q)
     mol = Molecule(p, q)
-    f = molecule_norming_function(space, p, q)
-    face = norming_face(f, nominal=mol)
+    face = _molecule_face(space, p, q)
+    f = face.norming_function
 
     if seg.is_trivial():
         if not face.is_unique_normer or face.tight_molecules != (mol,):
@@ -165,10 +165,22 @@ def normers_support_check(space: PointedMetricSpace, p: int, q: int) -> bool:
     segment of (p, q).
     """
     seg = space.segment(p, q)
-    face = norming_face(molecule_norming_function(space, p, q), nominal=Molecule(p, q))
+    face = _molecule_face(space, p, q)
     return all(
         mol.p in seg.members and mol.q in seg.members for mol in face.tight_molecules
     )
+
+
+def _molecule_face(space: PointedMetricSpace, p: int, q: int) -> FaceReport:
+    """The norming face of the canonical function of the molecule (p, q).
+
+    The tight pairs come from the scan that certified the function
+    (:func:`functions._molecule_function`), so the face costs no second
+    pass; they are those :func:`norms.norming_face` would find, since
+    tightness does not depend on the integer scale of the values.
+    """
+    f, pairs = _molecule_function(space, p, q)
+    return _face(f, pairs, Molecule(p, q))
 
 
 def positive_ball_extremes(space: PointedMetricSpace) -> list[FreeElement]:
@@ -306,7 +318,7 @@ def _attainment_cells(
     The comparison f(q) + d(q, x) == extension(x) runs on integers: the
     domain values and the extension share one scale, the lcm of their
     denominators, and that and the distance unit of `space.scaled` lift to
-    their lcm, as in :func:`functions.mcshane_formula`.
+    their lcm, as in :func:`functions.mcshane_extend`.
     """
     space = f.space
     unit, lengths = space.scaled

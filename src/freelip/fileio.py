@@ -66,7 +66,12 @@ def _parse_rational(raw, path) -> Fraction:
 
 
 def load_space(path) -> PointedMetricSpace:
-    """Read and validate a space file: labels, base label, distance matrix."""
+    """Read and validate a space file: labels, base label, distance matrix.
+
+    Each distinct distance string is parsed once (a matrix repeats few of
+    them), and entries are read row by row, so the ParseError names the
+    first malformed one.
+    """
     data = _read_json(path)
     try:
         labels = data["labels"]
@@ -81,11 +86,21 @@ def load_space(path) -> PointedMetricSpace:
         raise ParseError(f"base label {base_label!r} not among the labels", path)
     if not isinstance(matrix, list):
         raise ParseError("dist must be a list of rows", path)
+    parsed: dict[str, Fraction] = {}
+
+    def entry(raw) -> Fraction:
+        if type(raw) is not str:
+            return _parse_rational(raw, path)
+        value = parsed.get(raw)
+        if value is None:
+            value = parsed[raw] = _parse_rational(raw, path)
+        return value
+
     rows = []
     for row in matrix:
         if not isinstance(row, list):
             raise ParseError("malformed matrix row", path)
-        rows.append([_parse_rational(v, path) for v in row])
+        rows.append([entry(v) for v in row])
     return validate_space(rows, base=labels.index(base_label), labels=labels)
 
 

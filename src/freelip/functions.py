@@ -260,6 +260,17 @@ def molecule_norming_function(space: PointedMetricSpace, p: int, q: int) -> LipF
     d(p,q) times the scale, 2 * L * s[p][q].  Fractions appear only in the
     returned function.
     """
+    return _molecule_function(space, p, q)[0]
+
+
+def _molecule_function(
+    space: PointedMetricSpace, p: int, q: int
+) -> tuple[LipFunction, list[tuple[int, int]]]:
+    """:func:`molecule_norming_function` and the tight pairs its slope check found.
+
+    The pairs are those :func:`_tight_pairs` returns for the function, so a
+    caller after its norming face needs no second scan.
+    """
     if p == q:
         raise DegeneratePair(f"molecule endpoints coincide: {p}")
     unit, lengths = space.scaled
@@ -270,34 +281,31 @@ def molecule_norming_function(space: PointedMetricSpace, p: int, q: int) -> LipF
     shift = raw[space.base]
     V = [v - shift for v in raw]
     vscale = 2 * unit * common
-    if _tight_pairs(space, vscale, V) is None or V[p] - V[q] != 2 * common * dpq:
+    tight = _tight_pairs(space, vscale, V)
+    if tight is None or V[p] - V[q] != 2 * common * dpq:
         raise InternalVerificationFailure("molecule function failed to norm its molecule")
-    return LipFunction(space, tuple(Fraction(v, vscale) for v in V))
+    return LipFunction(space, tuple(Fraction(v, vscale) for v in V)), tight
 
 
 def mcshane_extend(pf: PartialFunction) -> LipFunction:
-    """Largest 1-Lipschitz extension: x -> min over the domain of f(q) + d(q,x)."""
+    """Largest 1-Lipschitz extension: x -> min over the domain of f(q) + d(q,x).
+
+    The domain's values must be 1-Lipschitz, or NotOneLipschitzOnDomain is
+    raised; the extension is then a minimum of 1-Lipschitz functions, so it
+    is 1-Lipschitz and agrees with f on the domain.  The minimum is taken on
+    integers, over the lcm of the value and distance units, and each
+    point's value is one division.
+    """
     if lip_constant(pf) > 1:
         raise NotOneLipschitzOnDomain(
             "the partial function exceeds Lipschitz constant 1 on its domain"
         )
-    return mcshane_formula(pf.space, pf.values)
-
-
-def mcshane_formula(space: PointedMetricSpace, values: Mapping[int, Fraction]) -> LipFunction:
-    """x -> min over q of values[q] + d(q,x), with no Lipschitz check.
-
-    `values` maps a set of points containing the base to values vanishing
-    there.  The result extends them only if they are 1-Lipschitz, so a
-    caller certifies it, as :func:`mcshane_extend` does beforehand.  The
-    minimum is taken on integers, over the lcm of the value and distance
-    units, and each point's value is one division.
-    """
+    space = pf.space
     unit, lengths = space.scaled
-    vscale, ints = scale_to_integers(list(values.values()))
+    vscale, ints = scale_to_integers([v for _, v in pf.items])
     common = lcm(vscale, unit)
     value_factor, length_factor = common // vscale, common // unit
-    terms = [(q, v * value_factor) for q, v in zip(values, ints)]
+    terms = [(q, v * value_factor) for (q, _), v in zip(pf.items, ints)]
     out = tuple(
         Fraction(min(v + row[q] * length_factor for q, v in terms), common) for row in lengths
     )

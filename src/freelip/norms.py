@@ -19,16 +19,19 @@ all-pairs Floyd-Warshall.  Both run on the integer distances of
 `space.scaled`, and so does a norming face: one pass over the pairs of
 points, on the function's values scaled to integers, rejects a function
 steeper than 1 and collects the tight pairs (the pass the canonical
-molecule function of `functions` is certified with), and a union-find
-reads the face dimension off the tight pairs.  Fractions appear only in
-the values returned.
+molecule function of `functions` is certified with, whose tight pairs
+`extremal` reuses for its face), and a union-find reads the face
+dimension off the tight pairs.  Fractions appear only in the values
+returned.
 
 Every certificate is checked by exact weak duality, or
 InternalVerificationFailure is raised:
 - the decomposition rebuilds the element: `free_norm_primal` checks the
   plan's net flow at every point against the integer-scaled masses;
 - the witness is 1-Lipschitz and pairs with the element to the
-  decomposition weight: `_certified` checks both in exact arithmetic.
+  decomposition weight: `_certified` checks both on the integers it
+  builds the witness from, the shortest-path row McShane-extended in the
+  distance unit, before any Fraction is made.
 No LP is solved here; the dense simplex in `lp` is kept as an independent
 oracle for the battery and the tests.
 """
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from .elements import FreeElement, Molecule, is_positive, support
@@ -51,9 +55,7 @@ from .functions import (
     LipFunction,
     _tight_pairs,
     distance_to_base,
-    lip_constant,
     lip_function,
-    mcshane_formula,
 )
 from .metric import PointedMetricSpace
 from .rationals import scale_to_integers
@@ -328,24 +330,41 @@ def _certified(
     """Certificate of a nonzero element from its plan and the base row over `nodes`.
 
     `nodes` holds the support and the base point, and `row` the integer
-    shortest-path lengths from the base to them, `unit` times the largest
-    normer values.  The witness is that row over `unit`, McShane-extended
-    to the whole space; when `nodes` is every point the row is that
-    extension already, since a shortest path skips the points outside the
-    support (triangle inequality).  The extension is a minimum of the
-    1-Lipschitz functions row[q] / unit + d(q, .), so it is 1-Lipschitz by
-    construction, and LipFunction checks that it vanishes at the base.  The
-    pairing check certifies it: a 1-Lipschitz function pairing with mu to
-    the cost of a decomposition proves both optimal (weak duality).  The
-    Lipschitz check is a guard on the construction; it cannot fail on a
-    validated metric.
+    shortest-path lengths from the base to them: in units of 1 / `unit`,
+    like the distances s of `space.scaled`, so `unit` times the largest
+    normer values.  The witness is that row McShane-extended to the whole
+    space on the same integers, E[x] = min over q of row[q] + s[q][x], with
+    no lcm; when `nodes` is every point E is the row itself, since a
+    shortest path skips the points outside the support (triangle
+    inequality).  Both sides of weak duality are checked on E:
+    - E vanishes at the base and is 1-Lipschitz, |E[x] - E[y]| <= s[x][y],
+      read per x as max over y of E[y] - s[x][y] <= E[x];
+    - E pairs with mu to the cost of the decomposition: with (den, m) the
+      coefficients of mu scaled to integers, sum of m_p * E[p] times the
+      value's denominator equals its numerator times den * unit.
+    A 1-Lipschitz function pairing with mu to the cost of a decomposition
+    proves both optimal.  The first two checks are guards on the
+    construction: a minimum of the functions row[q] + s[q][.], each
+    1-Lipschitz on a validated metric, is 1-Lipschitz whatever the row, and
+    row[base] = 0 <= row[q] + s[q][base] (shortest paths) gives E[base] = 0.
+    Fractions are built only for the returned witness.
     """
     space = mu.space
-    unit = space.scaled[0]
-    witness = mcshane_formula(space, {p: Fraction(v, unit) for p, v in zip(nodes, row)})
-    if lip_constant(witness) > 1 or mu.pair(witness) != primal.value:
+    unit, lengths = space.scaled
+    # one lifted row per node, then the minimum point by point; `nodes`
+    # holds the base and a support point, so min gets at least two rows
+    E = list(map(min, *([v + d for d in lengths[q]] for q, v in zip(nodes, row))))
+    den, m = scale_to_integers([a for _, a in mu.items])
+    pairing = sum(mp * E[p] for (p, _), mp in zip(mu.items, m))
+    value = primal.value
+    if (
+        E[space.base]
+        or any(max(map(sub, E, s)) > e for e, s in zip(E, lengths))
+        or pairing * value.denominator != value.numerator * den * unit
+    ):
         raise InternalVerificationFailure("dual witness failed verification")
-    return NormCertificate(primal.value, witness, primal.decomposition)
+    witness = LipFunction(space, tuple(Fraction(e, unit) for e in E))
+    return NormCertificate(value, witness, primal.decomposition)
 
 
 def norm_certificate(mu: FreeElement) -> NormCertificate:
@@ -407,15 +426,26 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     the sum of the other columns of its component, so their rank is
     n - (connected components), the number of edges of a spanning forest,
     which is the number of merges a union-find makes over the tight pairs.
-    The uniqueness-vs-dimension check below ties the two counts together.
-    `nominal` names the molecule a caller expects to be normed, so the
-    sample distinct normer (present iff the face is not a single point) can
-    be chosen different from it.
+    The uniqueness-vs-dimension check in :func:`_face` ties the two counts
+    together.  `nominal` names the molecule a caller expects to be normed,
+    so the sample distinct normer (present iff the face is not a single
+    point) can be chosen different from it.
     """
-    space = f.space
-    pairs = _tight_pairs(space, *scale_to_integers(f.values))
+    pairs = _tight_pairs(f.space, *scale_to_integers(f.values))
     if pairs is None:
         raise NotInUnitBall("norming_face requires Lipschitz constant at most 1")
+    return _face(f, pairs, nominal)
+
+
+def _face(
+    f: LipFunction, pairs: Sequence[tuple[int, int]], nominal: Molecule | None
+) -> FaceReport:
+    """The face of a 1-Lipschitz f from its tight pairs; see :func:`norming_face`.
+
+    `pairs` are the tight pairs :func:`functions._tight_pairs` returned for
+    f, in the order of `ordered_pairs`.
+    """
+    space = f.space
     tight = [Molecule(x, y) for x, y in pairs]
     if not tight:
         raise EmptyFace("no unit-ball element attains pairing 1 with this function")

@@ -12,11 +12,13 @@ fraction-free integer tableau, and the two must take the same pivots and
 return the same (status, value, x).
 
 So do the integer kernels of `norms`, `functions` and `metric`: an
-all-pairs Floyd-Warshall over Fractions for the shortest paths, the face of
-a function scanned and ranked on Fraction molecule vectors, the rebuild of
-an element from its decomposition by element arithmetic, the canonical
-norming function of a molecule evaluated on Fraction distances, and the
-relaxed segment bounded by d(p,q) / (1 - epsilon) over Fractions.
+all-pairs Floyd-Warshall over Fractions for the shortest paths, the norm
+certificate's witness McShane-extended, measured and paired over
+Fractions, the face of a function scanned and ranked on Fraction molecule
+vectors, the rebuild of an element from its decomposition by element
+arithmetic, the canonical norming function of a molecule evaluated on
+Fraction distances, and the relaxed segment bounded by d(p,q) / (1 -
+epsilon) over Fractions.
 
 Extremality has a reference that never consults the molecules: a transport
 LP per coordinate.
@@ -47,11 +49,12 @@ from freelip.functions import (
     WeightFunction,
     bump,
     lip_constant,
+    lip_function,
     pointwise_product,
     weight_element,
 )
 from freelip.generators import random_rational
-from freelip.norms import FaceReport
+from freelip.norms import FaceReport, NormCertificate
 from freelip.rationals import row_echelon
 
 _ZERO = Fraction(0)
@@ -355,6 +358,24 @@ def tight_distances(space, nodes, decomposition):
     if any(D[i][i] < 0 for i in range(len(nodes))):
         raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
     return {a: dict(zip(nodes, D[i])) for i, a in enumerate(nodes)}
+
+
+def fraction_certified(mu, primal, nodes, row):
+    """`norms._certified` on Fractions: the witness and its weak-duality checks.
+
+    The base row over `nodes`, in units of 1 / `unit`, becomes Fractions,
+    is McShane-extended by the Fraction minimum, measured by `lip_constant`
+    and paired with mu by element arithmetic.
+    """
+    space = mu.space
+    unit = space.scaled[0]
+    values = {p: Fraction(v, unit) for p, v in zip(nodes, row)}
+    witness = lip_function(
+        space, [min(v + space.d(q, x) for q, v in values.items()) for x in space.points()]
+    )
+    if lip_constant(witness) > 1 or mu.pair(witness) != primal.value:
+        raise InternalVerificationFailure("dual witness failed verification")
+    return NormCertificate(primal.value, witness, primal.decomposition)
 
 
 def fraction_norming_face(f, nominal=None):

@@ -457,12 +457,12 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
 
 
 def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monkeypatch):
-    # pins the cost shape: segments, molecule functions and faces run on the
-    # integer rows of `space.scaled`, so the only Lipschitz constants a pair
-    # question takes are those of its norm certificates (one each, in
-    # `norms._certified`), and it builds a few molecule elements however
-    # many of the n(n - 1) pairs its face scans
-    counts = dict.fromkeys(("lip_constant", "as_element", "norm_certificate"), 0)
+    # pins the cost shape: segments, molecule functions, faces and norm
+    # certificates run on the integer rows of `space.scaled`, so a pair
+    # question takes no Lipschitz constant at all; its face comes from the
+    # one slope scan that certified the molecule function; and it builds a
+    # few molecule elements however many of the n(n - 1) pairs that scan sees
+    counts = dict.fromkeys(("lip_constant", "_tight_pairs", "as_element", "norm_certificate"), 0)
 
     def spy(owner, name, real):
         def counted(*args, **kwargs):
@@ -472,8 +472,11 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
         monkeypatch.setattr(owner, name, counted)
 
     real_lip = functions.lip_constant
-    for owner in (functions, norms, checks):
+    for owner in (functions, checks):
         spy(owner, "lip_constant", real_lip)
+    real_scan = functions._tight_pairs
+    for owner in (functions, norms):
+        spy(owner, "_tight_pairs", real_scan)
     spy(extremal, "norm_certificate", extremal.norm_certificate)
     spy(Molecule, "as_element", Molecule.as_element)
 
@@ -489,17 +492,20 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
         for p, q in space.ordered_pairs():
             verdict, seen = measured(classify_molecule, space, p, q)
             verdicts.add(verdict.verdict)
-            assert seen["lip_constant"] == seen["norm_certificate"]
+            assert seen["lip_constant"] == 0 and seen["_tight_pairs"] == 1
             # the face's distinct normer, and the two halves and the target
             # of a midpoint decomposition
             assert seen["as_element"] <= 4
             assert seen["as_element"] == 0 or verdict.verdict == NOT_EXTREME
+            assert seen["norm_certificate"] == (2 if verdict.verdict == NOT_EXTREME else 0)
             ok, seen = measured(normers_support_check, space, p, q)
             assert ok
-            assert seen["lip_constant"] == 0 and seen["as_element"] <= 1
+            assert seen["lip_constant"] == 0 and seen["_tight_pairs"] == 1
+            assert seen["as_element"] <= 1
         result, seen = measured(checks.check_molecule_function, [space])
-        assert result.passed and result.cases == space.n * (space.n - 1)
-        assert seen == dict.fromkeys(counts, 0)
+        pairs = space.n * (space.n - 1)
+        assert result.passed and result.cases == pairs
+        assert seen == dict(dict.fromkeys(counts, 0), _tight_pairs=pairs)
     assert verdicts == {EXPOSED, NOT_EXTREME}
 
 

@@ -77,6 +77,40 @@ def test_malformed_space_files(tmp_path):
         fileio.load_space(bad)
 
 
+_NOT_A_TYPE = "expected int, Fraction or string, got"
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        # a boolean after the string "1" and the number 1 were read: not 1
+        ([["0", "1", 1], ["1", "0", True], ["x", "1", "0"]], f"{_NOT_A_TYPE} bool"),
+        ([["0", "1/0", "x"], ["1/0", "0", "1"], ["x", "1", "0"]], "not a rational: '1/0'"),
+        ([["0", "1", "x"], ["1", "0", "x"], ["x", "x", "0"]], "not a rational: 'x'"),
+        ([["0", "2", "1"], ["2", "0", ["1"]], ["1", "1", "0"]], f"{_NOT_A_TYPE} list"),
+        ([["0", 1, "1"], [1, "0", 0.5], ["1", "0.5", "0"]], f"{_NOT_A_TYPE} float"),
+    ],
+)
+def test_space_loader_reports_the_first_bad_entry(tmp_path, dist, message):
+    # entries are read row by row, so the error names the first bad one,
+    # however often its string or an earlier good one repeats
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"labels": ["0", "1", "2"], "base": "0", "dist": dist}))
+    with pytest.raises(ParseError) as caught:
+        fileio.load_space(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_space_loader_parses_repeated_strings_to_the_same_values(tmp_path):
+    dist = [["0", "1/3", "2/3", "1/3"], ["1/3", "0", "1/3", "2/3"], ["2/3", "1/3", "0", "1/3"]]
+    dist.append(["1/3", "2/3", "1/3", 0])
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"labels": list("abcd"), "base": "a", "dist": dist}))
+    space = fileio.load_space(path)
+    assert space.dist == tuple(tuple(as_fraction(v) for v in row) for row in dist)
+    assert all(type(v) is Fraction for row in space.dist for v in row)
+
+
 def test_element_round_trip(tmp_path, line3_file):
     space = fileio.load_space(line3_file)
     mu = canonicalize(space, {1: Fraction(1, 2), 2: -3})

@@ -20,7 +20,6 @@ from freelip.functions import (
     lip_constant,
     lip_function,
     mcshane_extend,
-    mcshane_formula,
     molecule_norming_function,
     partial_function,
 )
@@ -32,7 +31,7 @@ from freelip.generators import (
     random_space,
     uniform_space,
 )
-from freelip.metric import space_from_points, validate_space
+from freelip.metric import PointedMetricSpace, space_from_points, validate_space
 from freelip.norms import (
     free_norm,
     free_norm_dual,
@@ -45,6 +44,7 @@ from freelip.norms import (
 from oracles import (
     dual_lp_norm,
     dual_rows,
+    fraction_certified,
     fraction_molecule_norming_values,
     fraction_norming_face,
     fraction_rebuild,
@@ -447,6 +447,102 @@ def test_certificates_run_one_integer_shortest_path_kernel(monkeypatch):
         assert calls == ["_all_distances"]
 
 
+@pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime", "ultrametric"])
+def test_integer_witnesses_equal_the_fraction_certificate(kind):
+    # the integer McShane minimum, Lipschitz guard and pairing against the
+    # Fraction route they replaced, fed the same shortest-path rows
+    rng = random.Random(61)
+    for space, mu in _rebuild_corpus(rng, kind):
+        base = space.base
+        primal = free_norm_primal(mu)
+        nodes = sorted(support(mu) | {base})
+        row = norms._base_distances(space, nodes, primal.decomposition)
+        cert = norm_certificate(mu)
+        assert cert == fraction_certified(mu, primal, nodes, row)
+        assert all(type(v) is Fraction for v in cert.dual_witness.values)
+        full = norms._all_distances(space, primal.decomposition)
+        reference = fraction_certified(mu, primal, range(space.n), full[base])
+        report = normers_of(mu)
+        assert (report.value, report.witness) == (reference.value, reference.dual_witness)
+
+
+def _rows_one_unit_off(row, positions):
+    for i in positions:
+        for step in (-1, 1):
+            off = list(row)
+            off[i] += step
+            yield off
+
+
+@pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime"])
+def test_a_row_one_unit_off_fails_verification(monkeypatch, kind):
+    # a row one unit off at a support point may still give a valid witness
+    # (it may shift a whole side of a balanced element); each certificate
+    # must raise exactly where the Fraction route rejects the row, and
+    # otherwise return what that route returns
+    rng = random.Random(62)
+    base_distances, all_distances = norms._base_distances, norms._all_distances
+    rejected = accepted = 0
+
+    def reference(mu, primal, nodes, row):
+        try:
+            return fraction_certified(mu, primal, nodes, row)
+        except (InternalVerificationFailure, ValueError):
+            return None
+
+    for space, mu in _rebuild_corpus(rng, kind):
+        base = space.base
+        primal = free_norm_primal(mu)
+        nodes = sorted(support(mu) | {base})
+        row = base_distances(space, nodes, primal.decomposition)
+        positions = [nodes.index(p) for p in support(mu)]
+        for off in _rows_one_unit_off(row, positions):
+            monkeypatch.setattr(norms, "_base_distances", lambda *args, off=off: off)
+            expected = reference(mu, primal, nodes, off)
+            if expected is None:
+                rejected += 1
+                with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
+                    norm_certificate(mu)
+            else:
+                accepted += 1
+                assert norm_certificate(mu) == expected
+        monkeypatch.setattr(norms, "_base_distances", base_distances)
+        full = all_distances(space, primal.decomposition)
+        for off in _rows_one_unit_off(full[base], support(mu)):
+            if reference(mu, primal, range(space.n), off) is None:
+                rejected += 1
+                D = [off if i == base else r for i, r in enumerate(full)]
+                monkeypatch.setattr(norms, "_all_distances", lambda *args, D=D: D)
+                with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
+                    normers_of(mu)
+        monkeypatch.setattr(norms, "_all_distances", all_distances)
+    assert rejected >= 50 and accepted >= 1
+
+
+def test_a_triangle_violation_fires_the_lipschitz_guard():
+    # built past `validate_space`: d(0,3) = 3 > d(0,2) + d(2,3) = 2.  The
+    # witness of delta(1) is min(d(0, .), 1 + d(1, .)) = (0, 1, 1, 3): it
+    # pairs with delta(1) to its norm 1 and vanishes at the base, but its
+    # slope on (2, 3) is 2, one distance unit too steep
+    dist = [[0, 1, 1, 3], [1, 0, 1, 10], [1, 1, 0, 1], [3, 10, 1, 0]]
+    space = PointedMetricSpace(
+        tuple("abcd"), 0, tuple(tuple(map(Fraction, row)) for row in dist)
+    )
+    mu = delta(space, 1)
+    primal = free_norm_primal(mu)
+    assert primal.value == 1
+    nodes = [0, 1]
+    row = norms._base_distances(space, nodes, primal.decomposition)
+    assert row == [0, 1]
+    with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
+        norm_certificate(mu)
+    with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
+        fraction_certified(mu, primal, nodes, row)
+    witness = lip_function(space, [0, 1, 1, 3])
+    assert space.scaled[0] == 1
+    assert mu.pair(witness) == 1 and lip_constant(witness) == 2
+
+
 def _face_corpus(rng):
     """(function, nominal) pairs with 1-Lipschitz functions whose face is nonempty."""
     for kind in ("random", "uniform", "line", "coprime", "ultrametric"):
@@ -515,21 +611,28 @@ def test_a_function_steeper_by_one_scaled_unit_is_not_in_the_unit_ball():
 
 def test_integer_mcshane_formula_on_coprime_denominators():
     # value denominators 2, 3, 5 against distance denominators 7, 11, 13;
-    # the formula has no Lipschitz check, so steep values are compared too,
-    # kept at least -d(q, base) so that the result still vanishes at the base
+    # each value is drawn inside the interval the values before it allow,
+    # so the partial function is 1-Lipschitz and `mcshane_extend` accepts it
     rng = random.Random(58)
+    cases = 0
     for _ in range(30):
         space = coprime_space(rng, rng.randint(2, 9))
         base = space.base
         domain = set(rng.sample(range(space.n), rng.randint(1, space.n))) - {base}
         values = {base: Fraction(0)}
         for q in sorted(domain):
-            lift = Fraction(rng.randint(0, 60), rng.choice((2, 3, 5)))
-            values[q] = lift - space.d(q, base)
+            lo = max(v - space.d(r, q) for r, v in values.items())
+            hi = min(v + space.d(r, q) for r, v in values.items())
+            den = rng.choice((2, 3, 5))
+            choices = range(math.ceil(lo * den), math.floor(hi * den) + 1)
+            if choices:
+                values[q] = Fraction(rng.choice(choices), den)
+        cases += len(values) > 1
         expected = tuple(
             min(v + space.d(q, x) for q, v in values.items()) for x in space.points()
         )
-        assert mcshane_formula(space, values).values == expected
+        assert mcshane_extend(partial_function(space, values)).values == expected
+    assert cases >= 20
 
 
 def _rebuild_corpus(rng, kind):
