@@ -39,7 +39,6 @@ from .functions import (
     LipFunction,
     PartialFunction,
     WeightFunction,
-    bump,
     distance_to_base,
     lip_constant,
     lip_function,
@@ -48,9 +47,7 @@ from .functions import (
     multiply_by_weight,
     partial_function,
     point_bump,
-    radial_cutoff,
     restrict,
-    truncate_support,
     weight_element,
     weight_function,
     weighting_bound,
@@ -87,10 +84,9 @@ __all__ = [
     "almost_positive_witness", "attainment_partition", "classify_molecule",
     "extended_pairing", "maximize_extended_pairing", "normers_support_check",
     "positive_ball_extremes", "split_positive", "LipFunction",
-    "PartialFunction", "WeightFunction", "bump", "distance_to_base",
-    "lip_constant", "lip_function", "mcshane_extend",
-    "molecule_norming_function", "multiply_by_weight", "partial_function",
-    "point_bump", "radial_cutoff", "restrict", "truncate_support",
+    "PartialFunction", "WeightFunction", "distance_to_base", "lip_constant",
+    "lip_function", "mcshane_extend", "molecule_norming_function",
+    "multiply_by_weight", "partial_function", "point_bump", "restrict",
     "weight_element", "weight_function", "weighting_bound",
     "PointedMetricSpace", "Segment", "line_space", "space_from_points",
     "validate_space", "DualCertificate", "FaceReport", "NormCertificate",

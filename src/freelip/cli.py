@@ -9,6 +9,7 @@ reproduces reports byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -32,6 +33,16 @@ def _max_points(raw: str) -> int:
     if cap < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {cap}")
     return cap
+
+
+def _scale(raw: str) -> float:
+    try:
+        scale = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not (0 < scale < math.inf):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
+    return scale
 
 
 def _pair(space, raw: str) -> tuple[int, int]:
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         f" (default: ${DEFAULT_MAX_POINTS_ENV} or 12)",
     )
     cmd.add_argument(
-        "--scale", type=float, default=1.0, help="multiply sample counts (for quick smoke runs)"
+        "--scale", type=_scale, default=1.0, help="multiply sample counts (for quick smoke runs)"
     )
     return parser
 

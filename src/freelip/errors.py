@@ -56,10 +56,6 @@ class DuplicateLabel(SpaceValidationError):
 # argument errors
 
 
-class EmptySet(FreeLipError):
-    """A nonempty point subset was required."""
-
-
 class EmptyFamily(FreeLipError):
     """A nonempty family of subsets was required."""
 
@@ -70,10 +66,6 @@ class DegeneratePair(FreeLipError):
 
 class EpsilonOutOfRange(FreeLipError):
     """Segment relaxation parameter must satisfy 0 <= eps < 1."""
-
-
-class NonpositiveRadius(FreeLipError):
-    """A strictly positive radius was required."""
 
 
 class UnknownLabel(FreeLipError):
@@ -92,10 +84,6 @@ class SpaceMismatch(FreeLipError):
 
 class NotOneLipschitzOnDomain(FreeLipError):
     """A partial function exceeded Lipschitz constant 1 on its domain."""
-
-
-class SupportNotContained(FreeLipError):
-    """The weight's support must lie inside the multiplication window."""
 
 
 class NotPositive(FreeLipError):

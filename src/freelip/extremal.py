@@ -38,7 +38,6 @@ from .functions import (
     PartialFunction,
     WeightFunction,
     _molecule_function,
-    bump,
     mcshane_extend,
     pointwise_product,
     restrict,
@@ -230,11 +229,11 @@ def _is_positive_ball_vertex(element: FreeElement) -> bool:
 def split_positive(mu: FreeElement) -> tuple[FreeElement, FreeElement, Fraction]:
     """Write a norm-one positive element as a nontrivial positive convex combination.
 
-    With a and b the first two support points by label, weights mu by a
-    plateau bump that is 1 near a and 0 near b (radius d(a,b)/3), producing
-    mu1 + mu2 = mu with both halves positive and nonzero.  Returns
-    (mu1/t, mu2/(1-t), t) where t = ||mu1||; positive norms are additive,
-    so t + ||mu2|| = 1 exactly.
+    With a the first support point by label, splits off the point mass
+    mu1 = a_a delta(a), so that mu1 + mu2 = mu with both halves positive and
+    nonzero (mu2 keeps the other support points).  Returns
+    (mu1/t, mu2/(1-t), t) where t = ||mu1|| = a_a d(a, base); positive norms
+    are additive, so t + ||mu2|| = 1 exactly.
     """
     if not is_positive(mu):
         raise NotPositive("split_positive requires a positive element")
@@ -243,21 +242,19 @@ def split_positive(mu: FreeElement) -> tuple[FreeElement, FreeElement, Fraction]
         raise SingletonSupport("split_positive requires at least two support points")
     if positive_norm(mu) != 1:
         raise NotNormalized("split_positive requires a norm-one element")
-    a, b = supp[0], supp[1]
+    a = supp[0]
     space = mu.space
-    r = space.d(a, b) / 3
-    h = bump(space, space.ball(a, r), r)
-    mu1 = weight_element(mu, h)
+    mu1 = delta(space, a) * mu.coeffs[a]
     mu2 = mu - mu1
     if mu1.is_zero() or mu2.is_zero():
-        raise InternalVerificationFailure("bump split produced a trivial half")
+        raise InternalVerificationFailure("point split produced a trivial half")
     if not (is_positive(mu1) and is_positive(mu2)):
-        raise InternalVerificationFailure("bump split produced a non-positive half")
+        raise InternalVerificationFailure("point split produced a non-positive half")
     t = positive_norm(mu1)
     if t + positive_norm(mu2) != 1:
-        raise InternalVerificationFailure("positive norms failed to add up")
+        raise InternalVerificationFailure("point split: positive norms failed to add up")
     if mu1 / t * t + mu2 / (1 - t) * (1 - t) != mu:
-        raise InternalVerificationFailure("split does not reconstruct the element")
+        raise InternalVerificationFailure("point split does not reconstruct the element")
     return (mu1 / t, mu2 / (1 - t), t)
 
 

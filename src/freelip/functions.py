@@ -1,9 +1,9 @@
 """Lipschitz functions on finite pointed spaces and explicit constructions.
 
 Covers the function-side toolbox: Lipschitz constants, the distance-to-base
-function, radial cutoffs and support truncation, the canonical norming
-function of a molecule, McShane extension of partial functions, plateau
-bumps, multiplication by a weight and its predual action on elements.
+function, point bumps, the canonical norming function of a molecule,
+McShane extension of partial functions, multiplication by a weight and its
+predual action on elements.
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from .elements import (
 )
 from .errors import (
     DegeneratePair,
-    EmptySet,
     InternalVerificationFailure,
-    NonpositiveRadius,
     NotOneLipschitzOnDomain,
     SpaceMismatch,
-    SupportNotContained,
 )
 from .metric import PointedMetricSpace
 from .rationals import as_fraction, scale_to_integers
@@ -165,58 +162,6 @@ def point_bump(space: PointedMetricSpace, p: int) -> LipFunction:
     )
 
 
-def radial_cutoff(space: PointedMetricSpace, r) -> WeightFunction:
-    """Tent cutoff of the distance-to-base function at radius r.
-
-    Equals d(x, base) inside the ball of radius r, decays linearly to 0
-    between r and 2r, and vanishes beyond 2r.  Nonnegative, bounded by r,
-    and 1-Lipschitz.
-    """
-    r = as_fraction(r)
-    if r <= 0:
-        raise NonpositiveRadius("cutoff radius must be positive")
-    base = space.base
-    out = []
-    for x in range(space.n):
-        dx = space.d(x, base)
-        if dx <= r:
-            out.append(dx)
-        elif dx <= 2 * r:
-            out.append(2 * r - dx)
-        else:
-            out.append(Fraction(0))
-    cut = WeightFunction(space, tuple(out))
-    if not all(0 <= v <= r for v in cut.values) or lip_constant(cut) > 1:
-        raise InternalVerificationFailure("radial cutoff left [0, r] or exceeded slope 1")
-    return cut
-
-
-def truncate_support(f: LipFunction, r) -> LipFunction:
-    """Clamp f between +-L * cutoff so it vanishes outside the 2r-ball.
-
-    Agrees with f on the r-ball around the base, never increases the
-    Lipschitz constant, and preserves zero values.
-    """
-    r = as_fraction(r)
-    if r <= 0:
-        raise NonpositiveRadius("truncation radius must be positive")
-    space = f.space
-    L = lip_constant(f)
-    cut = radial_cutoff(space, r)
-    out = tuple(
-        max(min(f.values[x], L * cut.values[x]), -L * cut.values[x])
-        for x in range(space.n)
-    )
-    g = LipFunction(space, out)
-    if lip_constant(g) > L:
-        raise InternalVerificationFailure("truncation increased the Lipschitz constant")
-    if any(g.values[x] != f.values[x] for x in space.ball(space.base, r)):
-        raise InternalVerificationFailure("truncation changed f inside the r-ball")
-    if any(g.values[x] != 0 for x in range(space.n) if f.values[x] == 0):
-        raise InternalVerificationFailure("truncation moved a zero of f")
-    return g
-
-
 def _tight_pairs(
     space: PointedMetricSpace, vscale: int, values: Sequence[int]
 ) -> list[tuple[int, int]] | None:
@@ -312,58 +257,21 @@ def mcshane_extend(pf: PartialFunction) -> LipFunction:
     return LipFunction(space, out)
 
 
-def bump(space: PointedMetricSpace, S: Iterable[int], r) -> WeightFunction:
-    """Plateau bump: 1 on S, decaying with slope 1/r, zero at distance r.
-
-    h(x) = max(1 - d(x,S)/r, 0).
-    """
-    core = sorted(set(S))
-    if not core:
-        raise EmptySet("bump core must be nonempty")
-    r = as_fraction(r)
-    if r <= 0:
-        raise NonpositiveRadius("bump radius must be positive")
-    out = tuple(
-        max(1 - space.distance_to_set(x, core) / r, Fraction(0))
-        for x in range(space.n)
-    )
-    h = WeightFunction(space, out)
-    if not all(0 <= v <= 1 for v in h.values) or any(h.values[x] != 1 for x in core):
-        raise InternalVerificationFailure("bump left [0, 1] or is not 1 on its core")
-    if lip_constant(h) * r > 1:
-        raise InternalVerificationFailure("bump is steeper than 1/r")
-    return h
-
-
 def weighting_bound(h: WeightFunction) -> Fraction:
     """Operator-norm bound of weighting by h: sup|h| + rad(supp h) * ||h||_L."""
     return sup_norm(h) + h.space.radius(h.support) * lip_constant(h)
 
 
-def multiply_by_weight(
-    f: LipFunction, h: WeightFunction, window: Iterable[int] | None = None
-) -> LipFunction:
-    """Pointwise product f * h on a window containing supp(h), zero outside.
+def multiply_by_weight(f: LipFunction, h: WeightFunction) -> LipFunction:
+    """Pointwise product f * h.
 
-    The window defaults to the whole space; it must contain the base point
-    and the support of h.  The product never exceeds the weighting bound
-    times the Lipschitz constant of f, and it preserves zero values of f.
+    The product never exceeds the weighting bound times the Lipschitz
+    constant of f, and it preserves zero values of f.
     """
     space = f.space
     if not _same_space(space, h.space):
         raise SpaceMismatch("weight and function must live on the same space")
-    if window is None:
-        K = set(range(space.n))
-    else:
-        K = set(window) | {space.base}
-        if not h.support <= K:
-            raise SupportNotContained(
-                "the multiplication window must contain the weight's support"
-            )
-    out = tuple(
-        f.values[x] * h.values[x] if x in K else Fraction(0)
-        for x in range(space.n)
-    )
+    out = tuple(a * b for a, b in zip(f.values, h.values))
     g = LipFunction(space, out)
     if lip_constant(g) > weighting_bound(h) * lip_constant(f):
         raise InternalVerificationFailure("product exceeds the weighting bound")

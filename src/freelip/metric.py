@@ -18,7 +18,6 @@ from .errors import (
     BadBaseIndex,
     DegeneratePair,
     DuplicateLabel,
-    EmptySet,
     EpsilonOutOfRange,
     TriangleViolation,
     UnknownLabel,
@@ -84,18 +83,6 @@ class PointedMetricSpace:
     def ordered_pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs of distinct point indices."""
         return [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
-
-    def ball(self, center: int, r: Fraction) -> frozenset[int]:
-        """Closed ball of radius r around a point."""
-        r = as_fraction(r)
-        return frozenset(x for x in range(self.n) if self.dist[center][x] <= r)
-
-    def distance_to_set(self, p: int, A: Iterable[int]) -> Fraction:
-        """Minimum distance from p to a nonempty set of points."""
-        members = list(A)
-        if not members:
-            raise EmptySet("distance to the empty set is undefined")
-        return min(self.dist[p][x] for x in members)
 
     def radius(self, A: Iterable[int]) -> Fraction:
         """Maximum distance from the base point over A; 0 for empty A."""
@@ -185,7 +172,7 @@ def validate_space(
         labels = [str(i) for i in range(n)]
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
-        raise DuplicateLabel(f"expected {n} labels, got {len(labels)}")
+        raise ValueError(f"expected {n} labels, got {len(labels)}")
     seen = set()
     for lab in labels:
         if lab in seen:

@@ -29,9 +29,10 @@ the positive-ball vertex test by exact elimination of the active rows.
 
 The almost-positive witness has its general form as a reference: plateau
 bumps of a radius kept inside the attainment cell by a margin, as in the
-paper, where the library puts point weights.  Its attainment cells have a
-reference that takes the McShane minimum over Fractions, where the library
-reads it off the integer McShane kernel.
+paper, where the library puts point weights.  The bump itself lives here,
+since the library has no use for it on a finite space.  Its attainment
+cells have a reference that takes the McShane minimum over Fractions, where
+the library reads it off the integer McShane kernel.
 """
 
 from fractions import Fraction
@@ -47,7 +48,6 @@ from freelip.extremal import (
 )
 from freelip.functions import (
     WeightFunction,
-    bump,
     lip_constant,
     lip_function,
     pointwise_product,
@@ -546,6 +546,29 @@ def fraction_attainment_partition(space, f):
     return {K: frozenset(xs) for K, xs in cells.items()}
 
 
+def bump(space, S, r):
+    """Plateau bump: 1 on S, decaying with slope 1/r, zero at distance r.
+
+    h(x) = max(1 - d(x,S)/r, 0), the paper's bump for an arbitrary metric
+    space; on a finite space a small enough radius makes it a point mass.
+    """
+    core = sorted(set(S))
+    if not core:
+        raise ValueError("bump core must be nonempty")
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("bump radius must be positive")
+    out = tuple(
+        max(1 - min(space.d(x, s) for s in core) / r, _ZERO) for x in range(space.n)
+    )
+    h = WeightFunction(space, out)
+    if not all(0 <= v <= 1 for v in h.values) or any(h.values[x] != 1 for x in core):
+        raise InternalVerificationFailure("bump left [0, 1] or is not 1 on its core")
+    if lip_constant(h) * r > 1:
+        raise InternalVerificationFailure("bump is steeper than 1/r")
+    return h
+
+
 def bump_witness(lam, mu):
     """`extremal.almost_positive_witness` built with bumps, without its norm checks.
 
@@ -587,10 +610,7 @@ def bump_witness(lam, mu):
         ) / 2
     if eps <= 0:
         raise InternalVerificationFailure("attainment margin must be positive")
-    gaps = [
-        space.distance_to_set(pi, [x for x in range(space.n) if x != pi])
-        for pi in points
-    ]
+    gaps = [min(space.d(pi, x) for x in range(space.n) if x != pi) for pi in points]
     r = min([eps] + gaps) / 2
     bumps = [bump(space, [pi], r) for pi in points]
     if any(hi.support != {pi} for pi, hi in zip(points, bumps)):

@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from freelip.elements import Molecule, canonicalize, is_positive, support
 from freelip.errors import (
     DegeneratePair,
-    EmptySet,
     InternalVerificationFailure,
-    NonpositiveRadius,
     NotOneLipschitzOnDomain,
-    SupportNotContained,
 )
 from freelip.functions import (
-    bump,
     distance_to_base,
     lip_constant,
     lip_function,
@@ -23,9 +19,7 @@ from freelip.functions import (
     molecule_norming_function,
     multiply_by_weight,
     partial_function,
-    radial_cutoff,
     restrict,
-    truncate_support,
     weight_element,
     weight_function,
     weighting_bound,
@@ -37,7 +31,7 @@ from freelip.generators import (
     random_weight,
 )
 from freelip.metric import PointedMetricSpace, space_from_points, validate_space
-from oracles import fraction_molecule_norming_values
+from oracles import bump, fraction_molecule_norming_values
 
 
 def test_lip_constant_examples(line3):
@@ -55,16 +49,11 @@ def test_lip_function_requires_zero_at_base(line3):
 
 
 def test_constructions_certify_without_assert(line3, monkeypatch):
-    # a broken Lipschitz constant must raise in every interpreter mode
+    # a broken check must raise in every interpreter mode
     from freelip import functions
 
-    monkeypatch.setattr(functions, "lip_constant", lambda f: Fraction(5))
-    with pytest.raises(InternalVerificationFailure):
-        radial_cutoff(line3, 1)
-    with pytest.raises(InternalVerificationFailure):
-        bump(line3, {1}, 1)
-    # the molecule function is certified by the integer slope scan instead,
-    # which reports a pair steeper than 1 as None
+    # the molecule function is certified by the integer slope scan, which
+    # reports a pair steeper than 1 as None
     monkeypatch.setattr(functions, "_tight_pairs", lambda *args: None)
     with pytest.raises(InternalVerificationFailure):
         molecule_norming_function(line3, 1, 2)
@@ -111,40 +100,6 @@ def test_distance_to_base_dominates_the_ball(line3):
     for _ in range(50):
         f = random_lip0(rng, line3, unit_ball=True)
         assert all(a <= b for a, b in zip(f.values, rho.values))
-
-
-def test_radial_cutoff_branches(line3):
-    assert radial_cutoff(line3, 1).values == (0, 1, 0)
-    assert radial_cutoff(line3, 2).values == (0, 1, 2)
-    # all points within the radius: the cutoff is the distance to the base
-    assert radial_cutoff(line3, 5).values == distance_to_base(line3).values
-    with pytest.raises(NonpositiveRadius):
-        radial_cutoff(line3, 0)
-
-
-def test_truncate_support(line3):
-    rho = distance_to_base(line3)
-    cut = truncate_support(rho, 1)
-    assert cut.values == (0, 1, 0)
-    assert truncate_support(lip_function(line3, [0, 0, 0]), 1).values == (0, 0, 0)
-    assert truncate_support(rho, 5).values == rho.values
-
-
-def test_truncate_support_properties():
-    rng = random.Random(9)
-    for _ in range(60):
-        space = random_space(rng, rng.randint(2, 7))
-        f = random_lip0(rng, space)
-        r = Fraction(rng.randint(1, 8), rng.randint(1, 3))
-        g = truncate_support(f, r)
-        assert lip_constant(g) <= lip_constant(f)
-        for x in space.ball(space.base, r):
-            assert g.values[x] == f.values[x]
-        for x in space.points():
-            if f.values[x] == 0:
-                assert g.values[x] == 0
-            if space.d(x, space.base) > 2 * r:
-                assert g.values[x] == 0
 
 
 def test_molecule_norming_function_line3(line3):
@@ -238,9 +193,9 @@ def test_bump_examples(line3):
     assert bump(line3, {1}, 1).values == (0, 1, 0)
     assert bump(line3, line3.points(), 1).values == (1, 1, 1)
     assert bump(line3, {0}, 2).values == (1, Fraction(1, 2), 0)
-    with pytest.raises(EmptySet):
+    with pytest.raises(ValueError):
         bump(line3, set(), 1)
-    with pytest.raises(NonpositiveRadius):
+    with pytest.raises(ValueError):
         bump(line3, {1}, 0)
 
 
@@ -252,15 +207,6 @@ def test_multiply_by_weight(line3):
     assert multiply_by_weight(f, zero_w).values == (0, 0, 0)
     spike = weight_function(line3, [0, 1, 0])
     assert multiply_by_weight(f, spike).values == (0, 1, 0)
-
-
-def test_multiply_by_weight_window(line3):
-    spike = weight_function(line3, [0, 1, 0])
-    f = distance_to_base(line3)
-    g = multiply_by_weight(f, spike, window={0, 1})
-    assert g.values == (0, 1, 0)
-    with pytest.raises(SupportNotContained):
-        multiply_by_weight(f, spike, window={0, 2})
 
 
 def test_multiply_by_weight_bound():
@@ -278,7 +224,7 @@ def test_multiply_by_weight_bound():
 
 def test_weight_element_examples(line3):
     mu = canonicalize(line3, {1: 1, 2: 1})
-    h = bump(line3, {1}, 1)
+    h = weight_function(line3, [0, 1, 0])
     assert weight_element(mu, h).coeffs == {1: Fraction(1)}
     ones = weight_function(line3, [1, 1, 1])
     assert weight_element(mu, ones) == mu

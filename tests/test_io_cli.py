@@ -288,6 +288,23 @@ def test_cli_input_errors_exit_2(tmp_path, line3_file, capsys):
         rejected(["positive-extremes", "--space", bad_labels], "labels must be a list")
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["0", "1", "1"], "label '1' appears more than once"),
+        (["0", "1"], "expected 3 labels, got 2"),
+    ],
+)
+def test_cli_bad_label_lists_exit_2(tmp_path, labels, message, capsys):
+    space = _write(
+        tmp_path,
+        "labels.json",
+        {"labels": labels, "base": "0", "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]},
+    )
+    assert main(["positive-extremes", "--space", space]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_rejects_json_booleans_as_numbers(tmp_path, line3_file, capsys):
     true_coeff = _write(tmp_path, "mu.json", {"1": True})
     assert main(["norm", "--space", str(line3_file), "--element", true_coeff]) == 2
@@ -331,6 +348,15 @@ def test_cli_check_suite_rejects_bad_size_cap(cap, capsys, monkeypatch):
         main(["check-suite"])
     assert exc.value.code == 2
     assert "argument --max-points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["inf", "1e400", "nan", "-1", "0"])
+def test_cli_check_suite_rejects_bad_scale(scale, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-suite", "--scale", scale])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --scale" in err and "must be a finite number > 0" in err
 
 
 def test_cli_check_suite_env_size_cap(capsys, monkeypatch):

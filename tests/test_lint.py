@@ -6,13 +6,17 @@ it, and a private module-level function must be referenced somewhere in it.
 No module, ``__init__`` included, may hold an ``assert`` statement: a check
 must raise under every interpreter mode.  The battery in ``checks`` takes no
 private name from the rest of the package, so its checks stay independent
-of the kernels they check.
+of the kernels they check.  Every exception class in ``errors`` is raised
+somewhere in the package, or is the base of one that is, and every name in
+``freelip.__all__`` resolves.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import freelip
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "freelip"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -105,3 +109,35 @@ def test_the_battery_uses_no_private_name_of_the_package():
             private.append(f"{node.value.id}.{node.attr}")
     assert "lp" in modules
     assert private == []
+
+
+def _raised(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised_or_a_base_of_one_that_is():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    bases = {
+        node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    live = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        live |= set(_raised(ast.parse(path.read_text(), filename=str(path))))
+    frontier = list(live & set(bases))
+    while frontier:
+        for base in bases.get(frontier.pop(), []):
+            if base not in live:
+                live.add(base)
+                frontier.append(base)
+    assert sorted(set(bases) - live) == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in freelip.__all__ if not hasattr(freelip, name)]
+    assert missing == []

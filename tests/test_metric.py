@@ -9,7 +9,7 @@ from freelip.errors import (
     AsymmetricDistance,
     BadBaseIndex,
     DegeneratePair,
-    EmptySet,
+    DuplicateLabel,
     EpsilonOutOfRange,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
@@ -65,20 +65,12 @@ def test_negative_distance_is_a_triangle_violation():
         validate_space([[0, -1], [-1, 0]])
 
 
-def test_distance_to_set(line3):
-    assert line3.distance_to_set(2, [0, 1]) == 1
-    assert line3.distance_to_set(0, [1, 2]) == 1
-    assert line3.distance_to_set(1, [0, 1]) == 0
-    with pytest.raises(EmptySet):
-        line3.distance_to_set(0, [])
-
-
 def test_radius(line3):
     assert line3.radius([1, 2]) == 2
     assert line3.radius([]) == 0
     assert line3.radius([0]) == 0
     for x in line3.points():
-        assert line3.radius([x]) == line3.d(x, 0) == line3.distance_to_set(x, [0])
+        assert line3.radius([x]) == line3.d(x, 0)
 
 
 def test_segment_on_the_line(line3):
@@ -163,10 +155,18 @@ def test_integer_segments_match_the_fraction_bound(kind):
     assert grew > 0
 
 
-def test_ball(line3):
-    assert line3.ball(0, 1) == {0, 1}
-    assert line3.ball(1, 1) == {0, 1, 2}
-    assert line3.ball(2, 0) == {2}
+def test_duplicate_label_names_the_repeated_label():
+    with pytest.raises(DuplicateLabel) as err:
+        validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], labels=["a", "b", "a"])
+    assert err.value.label == "a"
+    assert str(err.value) == "label 'a' appears more than once"
+
+
+def test_wrong_label_count_is_a_value_error():
+    with pytest.raises(ValueError) as err:
+        validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], labels=["a", "b"])
+    assert not isinstance(err.value, DuplicateLabel)
+    assert str(err.value) == "expected 3 labels, got 2"
 
 
 def test_line_space_rejects_nonsquare():
