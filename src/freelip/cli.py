@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import fileio
@@ -35,14 +36,22 @@ def _max_points(raw: str) -> int:
     return cap
 
 
-def _scale(raw: str) -> float:
+def _scale(raw: str) -> Fraction:
+    """A positive sample-count multiplier, read exactly as every rational input is.
+
+    It must lie within the float range.  A decimal goes through float()
+    first, so inf, nan, 1e400 and 1e-400 are rejected before an exponent is
+    expanded into a huge integer; p/q, which has none, is checked once exact
+    (float() of a Fraction past the range raises OverflowError).
+    """
     try:
-        scale = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
-    if not (0 < scale < math.inf):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
-    return scale
+        if "/" in raw or 0 < float(raw) < math.inf:
+            scale = as_fraction(raw)
+            if float(scale) > 0:
+                return scale
+    except (ValueError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw!r}")
 
 
 def _pair(space, raw: str) -> tuple[int, int]:
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         f" (default: ${DEFAULT_MAX_POINTS_ENV} or 12)",
     )
     cmd.add_argument(
-        "--scale", type=_scale, default=1.0, help="multiply sample counts (for quick smoke runs)"
+        "--scale", type=_scale, default="1", help="multiply sample counts (for quick smoke runs)"
     )
     return parser
 

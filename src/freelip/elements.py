@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 from .errors import EmptyFamily, SpaceMismatch
@@ -186,42 +185,27 @@ def subspace_membership(mu: FreeElement, K: Iterable[int]) -> bool:
 def intersection_property_check(
     space: PointedMetricSpace, Ks: Iterable[Iterable[int]]
 ) -> bool:
-    """Finite-scale intersection property for coordinate subspaces.
+    """The intersection property for coordinate subspaces, decided by annihilators.
 
-    Compares, as sets of admissible support patterns, the intersection of
-    the subspaces spanned by each K_i against the subspace spanned by the
-    intersection of the K_i.  Always true; returning the comparison keeps
-    the two sides honest.
+    An element lies in F(K) exactly when it kills every Lipschitz function
+    vanishing on K and the base.  The McShane extension g_K of 0 from
+    K + {base} is the largest one, and bounds every other by its Lipschitz
+    constant times g_K, so delta(x) lies in F(K) iff g_K(x) = 0.  The
+    intersection of the F(K_i) is thus spanned by the delta(x) where every
+    g_i vanishes, and the property holds when those non-base points are
+    the intersection of the K_i.  An extension that does not vanish exactly
+    on its domain makes the comparison fail.
     """
+    from .functions import mcshane_extend, partial_function
+
     family = [frozenset(K) for K in Ks]
     if not family:
         raise EmptyFamily("the subset family must be nonempty")
-
-    allowed_each = [(K | {space.base}) - {space.base} for K in family]
-
-    inter = family[0]
-    for K in family[1:]:
-        inter = inter & K
-    allowed_inter = (inter | {space.base}) - {space.base}
-
-    points = sorted(set(space.nonbase_points()))
-    if len(points) <= 16:
-        # exhaustive comparison of the admissible support patterns
-        def patterns(allowed: frozenset[int] | set[int]) -> set[frozenset[int]]:
-            allowed = sorted(allowed)
-            return {
-                frozenset(c)
-                for c in chain.from_iterable(
-                    combinations(allowed, k) for k in range(len(allowed) + 1)
-                )
-            }
-
-        lhs = patterns(allowed_each[0])
-        for allowed in allowed_each[1:]:
-            lhs &= patterns(allowed)
-        return lhs == patterns(allowed_inter)
-
-    lhs_points = set(points)
-    for allowed in allowed_each:
-        lhs_points &= set(allowed)
-    return lhs_points == set(allowed_inter)
+    # partial_function puts the base point in every domain
+    annihilators = [
+        mcshane_extend(partial_function(space, dict.fromkeys(K, Fraction(0)))) for K in family
+    ]
+    common_zeros = {
+        x for x in space.nonbase_points() if all(g(x) == 0 for g in annihilators)
+    }
+    return common_zeros == frozenset.intersection(*family) - {space.base}

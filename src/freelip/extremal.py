@@ -185,45 +185,17 @@ def _molecule_face(space: PointedMetricSpace, p: int, q: int) -> FaceReport:
 def positive_ball_extremes(space: PointedMetricSpace) -> list[FreeElement]:
     """Extreme points of the positive unit ball: 0 and delta(x)/d(x, base).
 
-    Each returned element is verified to be a vertex of the positive ball,
-    which in coefficient coordinates is the scaled simplex
-    {a >= 0 : sum a_p d(p, base) <= 1}: the active constraints at the
-    claimed vertex must have full rank.
+    In coefficient coordinates the positive ball is the scaled simplex
+    {a >= 0 : sum a_p d(p, base) <= 1}; its vertices are 0 and the single
+    coefficients 1 / d(x, base), as every d(x, base) > 0 on a validated
+    space.  The battery checks the list independently, by brute-force
+    vertex enumeration (`checks.positive_ball_vertices_bruteforce`).
     """
     base = space.base
     out = [zero(space)]
     for x in space.nonbase_points():
         out.append(delta(space, x) / space.d(x, base))
-    for element in out:
-        if not _is_positive_ball_vertex(element):
-            raise InternalVerificationFailure(
-                "claimed extreme point is not a vertex of the positive ball"
-            )
     return out
-
-
-def _is_positive_ball_vertex(element: FreeElement) -> bool:
-    """Exact active-constraint rank test in coefficient coordinates.
-
-    The positive ball is {a >= 0 : <a, w> <= 1} with w_p = d(p, base), and
-    a feasible point is a vertex when its active constraints have rank dim.
-    Those are the rows e_p for the zero coefficients (the set Z), plus w
-    when the budget <a, w> is 1.  The e_p are independent, and w lies
-    outside their span: a budget of 1 needs a nonzero coefficient, so some
-    coordinate is outside Z, and w is positive there (every d(p, base) > 0,
-    which `validate_space` enforces).  So the rank is |Z| + [budget = 1],
-    with no elimination needed.
-    """
-    space = element.space
-    if any(a < 0 for _, a in element.items):
-        return False
-    budget = sum(a * space.d(p, space.base) for p, a in element.items)
-    if budget > 1:
-        return False
-    # items hold every nonzero coefficient and never the base point
-    dim = space.n - 1
-    zeros = dim - len(element.items)
-    return zeros + (1 if budget == 1 else 0) == dim
 
 
 def split_positive(mu: FreeElement) -> tuple[FreeElement, FreeElement, Fraction]:
@@ -234,6 +206,11 @@ def split_positive(mu: FreeElement) -> tuple[FreeElement, FreeElement, Fraction]
     nonzero (mu2 keeps the other support points).  Returns
     (mu1/t, mu2/(1-t), t) where t = ||mu1|| = a_a d(a, base); positive norms
     are additive, so t + ||mu2|| = 1 exactly.
+
+    The split's identities hold by construction: a_a > 0 and a second
+    support point make both halves positive and nonzero, positive norms are
+    the closed-form sum, and the rest is exact arithmetic on mu1 + mu2 = mu.
+    The battery's split clauses (`check_positive_ball`) check them.
     """
     if not is_positive(mu):
         raise NotPositive("split_positive requires a positive element")
@@ -243,18 +220,9 @@ def split_positive(mu: FreeElement) -> tuple[FreeElement, FreeElement, Fraction]
     if positive_norm(mu) != 1:
         raise NotNormalized("split_positive requires a norm-one element")
     a = supp[0]
-    space = mu.space
-    mu1 = delta(space, a) * mu.coeffs[a]
+    mu1 = delta(mu.space, a) * mu.coeffs[a]
     mu2 = mu - mu1
-    if mu1.is_zero() or mu2.is_zero():
-        raise InternalVerificationFailure("point split produced a trivial half")
-    if not (is_positive(mu1) and is_positive(mu2)):
-        raise InternalVerificationFailure("point split produced a non-positive half")
     t = positive_norm(mu1)
-    if t + positive_norm(mu2) != 1:
-        raise InternalVerificationFailure("point split: positive norms failed to add up")
-    if mu1 / t * t + mu2 / (1 - t) * (1 - t) != mu:
-        raise InternalVerificationFailure("point split does not reconstruct the element")
     return (mu1 / t, mu2 / (1 - t), t)
 
 

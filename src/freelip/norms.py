@@ -426,8 +426,7 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     the sum of the other columns of its component, so their rank is
     n - (connected components), the number of edges of a spanning forest,
     which is the number of merges a union-find makes over the tight pairs.
-    The uniqueness-vs-dimension check in :func:`_face` ties the two counts
-    together.  `nominal` names the molecule a caller expects to be normed,
+    `nominal` names the molecule a caller expects to be normed,
     so the sample distinct normer (present iff the face is not a single
     point) can be chosen different from it.
     """
@@ -444,6 +443,13 @@ def _face(
 
     `pairs` are the tight pairs :func:`functions._tight_pairs` returned for
     f, in the order of `ordered_pairs`.
+
+    The face is a point (a unique normer) exactly when its dimension is 0:
+    `_tight_pairs` yields each unordered pair at most once (d > 0 fixes the
+    direction), so one tight pair makes one merge, and a second pair has an
+    endpoint outside the first, which makes a second merge.  The battery's
+    exposedness clauses and the tests against the elimination reference
+    `fraction_norming_face` check the count independently.
     """
     space = f.space
     tight = [Molecule(x, y) for x, y in pairs]
@@ -474,8 +480,6 @@ def _face(
             if (mol.p, mol.q) != (fallback.p, fallback.q):
                 sample = mol.as_element(space)
                 break
-    if unique != (dimension == 0):
-        raise InternalVerificationFailure("face dimension disagrees with uniqueness")
     return FaceReport(
         norming_function=f,
         tight_molecules=tuple(tight),

@@ -24,8 +24,7 @@ Extremality has a reference that never consults the molecules: a transport
 LP per coordinate.
 
 Spaces have references too: the triangle inequality scanned over every
-triple in Fraction arithmetic, the random-space closure over Fractions, and
-the positive-ball vertex test by exact elimination of the active rows.
+triple in Fraction arithmetic, and the random-space closure over Fractions.
 
 The almost-positive witness has its general form as a reference: plateau
 bumps of a radius kept inside the attainment cell by a margin, as in the
@@ -509,30 +508,6 @@ def fraction_closure_matrix(rng, n):
                 if i != j and through < w[i][j]:
                     w[i][j] = through
     return w
-
-
-def is_positive_ball_vertex_by_rank(element):
-    """`extremal._is_positive_ball_vertex` with the rank of the active rows by elimination."""
-    space = element.space
-    points = space.nonbase_points()
-    dim = len(points)
-    if dim == 0:
-        return element.is_zero()
-    coeffs = element.coeffs
-    if any(a < 0 for a in coeffs.values()):
-        return False
-    budget = sum(coeffs.get(p, _ZERO) * space.d(p, space.base) for p in points)
-    if budget > 1:
-        return False
-    active = []
-    for i, p in enumerate(points):
-        if coeffs.get(p, _ZERO) == 0:
-            row = [_ZERO] * dim
-            row[i] = _ONE
-            active.append(row)
-    if budget == 1:
-        active.append([space.d(p, space.base) for p in points])
-    return len(row_echelon(active)[1]) == dim
 
 
 def fraction_attainment_partition(space, f):

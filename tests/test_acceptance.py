@@ -36,6 +36,23 @@ def battery():
     return results, elapsed
 
 
+# the battery's digest at the CI seed and scale 1: check names and case
+# counts, 13,200 cases in all
+DIGEST = [
+    ("molecule norms (dual = primal = 1)", 2846),
+    ("exposedness matches the segment criterion", 1086),
+    ("norming faces live inside the metric segment", 2846),
+    ("positive-ball extreme points and splits", 154),
+    ("positive elements: norm formula, additivity, vanishing", 1400),
+    ("weighting operator bound, duality and positivity", 1000),
+    ("coordinate-subspace intersection property", 500),
+    ("McShane extension, concavity, pairing maximization", 1200),
+    ("almost-positive extreme points are molecules; witnesses verify", 782),
+    ("molecule norming function: slope, pairing, segments", 1086),
+    ("support agrees between basis and functional routes", 300),
+]
+
+
 def _criterion(number: int, result, extra: str = ""):
     mark = "PASS" if result.passed else "FAIL"
     print(f"{mark} criterion {number}: {result.name} [{result.cases} cases]{extra}")
@@ -109,3 +126,9 @@ def test_supporting_property_support_routes(battery):
     result = results[SUPPORT_ROUTES]
     print(f"{'PASS' if result.passed else 'FAIL'} support-route agreement [{result.cases} cases]")
     assert result.passed
+
+
+def test_the_battery_digest_is_pinned(battery):
+    results, _ = battery
+    assert [(r.name, r.cases) for r in results] == DIGEST
+    assert sum(cases for _, cases in DIGEST) == 13200

@@ -6,7 +6,8 @@ import subprocess
 import sys
 import textwrap
 
-from freelip import checks
+from freelip import checks, functions
+from freelip.functions import lip_function
 from freelip.generators import random_corpus
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -43,6 +44,25 @@ def test_certifier_raise_fails_its_check_and_the_battery_goes_on(monkeypatch):
     assert [r.name for r in failed] == ["exposedness matches the segment criterion"]
     assert failed[0].cases > 0
     assert all("RuntimeError: classification failed" in f for f in failed[0].failures)
+
+
+def test_a_mcshane_extension_that_ignores_its_domain_fails_the_intersection_check(
+    monkeypatch,
+):
+    # minimizing over every point, with 0 off the domain, makes the
+    # annihilator of every subset vanish everywhere
+    def domain_blind(pf):
+        space, values = pf.space, pf.values
+        return lip_function(
+            space,
+            [min(values.get(q, 0) + space.d(q, x) for q in space.points()) for x in space.points()],
+        )
+
+    assert checks.check_intersection(random.Random(7), 50).passed
+    monkeypatch.setattr(functions, "mcshane_extend", domain_blind)
+    result = checks.check_intersection(random.Random(7), 50)
+    assert not result.passed and result.cases == 50
+    assert len(result.failures) == checks._MAX_RECORDED_FAILURES
 
 
 def test_injected_fault_fails_under_optimize():

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +23,6 @@ from freelip.errors import (
 from freelip.extremal import (
     EXPOSED,
     NOT_EXTREME,
-    _is_positive_ball_vertex,
     almost_positive_witness,
     attainment_partition,
     classify_molecule,
@@ -46,13 +45,12 @@ from freelip.generators import (
     random_space,
     uniform_space,
 )
-from freelip.metric import line_space, validate_space
+from freelip.metric import PointedMetricSpace, line_space, validate_space
 from freelip.norms import free_norm, norm_certificate, positive_norm
 from oracles import (
     bump_witness,
     fraction_attainment_partition,
     is_extreme_by_lp,
-    is_positive_ball_vertex_by_rank,
 )
 from spaces import coprime_space
 
@@ -129,29 +127,6 @@ def test_positive_ball_matches_vertex_enumeration():
             for e in positive_ball_extremes(space)
         }
         assert claimed == positive_ball_vertices_bruteforce(space)
-
-
-def test_closed_form_vertex_test_matches_the_rank_reference():
-    rng = random.Random(43)
-    verdicts = set()
-    for space in random_corpus(44, count=24, min_n=1, max_n=8):
-        extremes = positive_ball_extremes(space)
-        candidates = list(extremes)
-        for e in extremes:
-            candidates += [e / 2, e * 2, -e]
-        for a, b in zip(extremes, extremes[1:]):
-            candidates.append(a / 2 + b / 2)
-            candidates.append(a / 3 + b * Fraction(2, 3))
-        for _ in range(3):
-            mu = random_positive_element(rng, space)
-            if not mu.is_zero():
-                candidates += [mu, mu / positive_norm(mu)]
-            candidates.append(random_element(rng, space))
-        for element in candidates:
-            verdict = _is_positive_ball_vertex(element)
-            assert verdict == is_positive_ball_vertex_by_rank(element)
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
 
 
 def test_split_positive_example(line3):
@@ -426,7 +401,8 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
         calls.append(mu)
         return real(mu)
 
-    # f* is McShane-extended once, and its Lipschitz constant taken once
+    # f* is McShane-extended once, and its Lipschitz constant is never
+    # taken: the extension certifies f* by agreement on its domain
     extended, measured = [], []
     real_extend, real_lip = extremal.mcshane_extend, functions.lip_constant
 
@@ -451,7 +427,7 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
         if witness is not None:
             assert len(calls) == 3
             assert extended == [witness.f_star]
-            assert sum(f is witness.f_star for f in measured) == 1
+            assert sum(f is witness.f_star for f in measured) == 0
             found += 1
     assert found > 0
 
@@ -518,6 +494,107 @@ def test_witness_with_a_pairing_blind_kernel_vector_fails_verification(monkeypat
     lam = canonicalize(line4, {1: third, 2: third, 3: third})
     with pytest.raises(InternalVerificationFailure, match="weighted extension pairing is nonzero"):
         almost_positive_witness(lam, zero(line4))
+
+
+def test_a_tight_scan_reporting_a_pair_twice_fails_the_exposed_branch(monkeypatch, tri):
+    # (a, b) has a trivial segment; a scan that also reports the reversed
+    # pair puts a second molecule on the face
+    real = extremal._molecule_function
+
+    def both_directions(space, p, q):
+        f, pairs = real(space, p, q)
+        return f, sorted(pairs + [(q, p)])
+
+    monkeypatch.setattr(extremal, "_molecule_function", both_directions)
+    with pytest.raises(InternalVerificationFailure, match="not the molecule alone"):
+        classify_molecule(tri, 1, 2)
+
+
+def test_a_segment_admitting_a_non_segment_point_fails_the_midpoint_check(monkeypatch, tri):
+    # relaxed by 1/4, the segment of (a, b) admits the base point, which
+    # is not between a and b: the two halves through it miss the molecule
+    real = PointedMetricSpace.segment
+
+    def relaxed(space, p, q, epsilon=Fraction(0)):
+        return real(space, p, q, Fraction(1, 4))
+
+    monkeypatch.setattr(PointedMetricSpace, "segment", relaxed)
+    assert not tri.segment(1, 2).is_trivial()
+    with pytest.raises(InternalVerificationFailure, match="does not average back"):
+        classify_molecule(tri, 1, 2)
+
+
+def test_a_norm_left_in_the_distance_unit_fails_the_midpoint_halves(monkeypatch):
+    # steps of 1/2 make the distance unit 2, so an unscaled norm is off by 2
+    real = extremal.norm_certificate
+
+    def unscaled(mu):
+        cert = real(mu)
+        return replace(cert, value=cert.value * mu.space.scaled[0])
+
+    monkeypatch.setattr(extremal, "norm_certificate", unscaled)
+    with pytest.raises(InternalVerificationFailure, match="midpoint half does not have norm one"):
+        classify_molecule(line_space(3, step=Fraction(1, 2)), 0, 2)
+
+
+def test_a_restriction_that_drops_the_support_fails_the_extended_pairing(monkeypatch, line3):
+    # restricted to the base alone, f* extends to d(., base), which pairs
+    # with delta(1) - 2 delta(2) to -3 while its norm is 3
+    real = extremal.restrict
+    monkeypatch.setattr(extremal, "restrict", lambda f, S: real(f, ()))
+    lam, mu = delta(line3, 1), delta(line3, 2) * -2
+    assert free_norm(lam + mu) == 3
+    with pytest.raises(InternalVerificationFailure, match="does not equal the norm"):
+        maximize_extended_pairing(lam, mu)
+
+
+def _line4_lam():
+    line4 = line_space(4)
+    return canonicalize(line4, {1: 1, 2: 1, 3: 1})
+
+
+def test_a_zero_weighting_fails_the_witness(monkeypatch):
+    monkeypatch.setattr(extremal, "weight_element", lambda lam, h: zero(lam.space))
+    lam = _line4_lam()
+    with pytest.raises(InternalVerificationFailure, match="witness perturbation is zero"):
+        almost_positive_witness(lam, zero(lam.space))
+
+
+def test_a_weighting_past_the_sup_bound_fails_positivity(monkeypatch):
+    # the weights are scaled to sup 1, so doubling v makes lam - v or
+    # lam + v negative where |c_i| = 1
+    real = extremal.weight_element
+    monkeypatch.setattr(extremal, "weight_element", lambda lam, h: real(lam, h) * 2)
+    lam = _line4_lam()
+    with pytest.raises(InternalVerificationFailure, match="witness breaks positivity"):
+        almost_positive_witness(lam, zero(lam.space))
+
+
+def test_a_kernel_vector_off_the_mass_hyperplane_fails_the_witness(monkeypatch):
+    # c = (1, 0, 0) keeps lam +- v positive (lam - v drops a coefficient to
+    # 0) but weights lam's mass by a_1 != 0
+    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (Fraction(1), Fraction(0), Fraction(0)))
+    lam = _line4_lam()
+    with pytest.raises(InternalVerificationFailure, match="nonzero mass"):
+        almost_positive_witness(lam, zero(lam.space))
+
+
+def test_points_from_different_attainment_cells_change_the_norm(monkeypatch):
+    # the extension is attained from the base at 1 and 2 but from 3 itself
+    # at 3, so no cell holds three points of lam; merged into one cell,
+    # 1, 2 and 3 get weights orthogonal to lam and to the extension, and
+    # ||lam + mu - v|| grows from 3 to 11/2
+    space = validate_space([[0, 1, 2, 3], [1, 0, 1, 3], [2, 1, 0, 4], [3, 3, 4, 0]])
+    lam = canonicalize(space, {1: 1, 2: 1, 3: 1})
+    mu = delta(space, 3) * -1
+    assert almost_positive_witness(lam, mu) is None
+
+    def one_cell(f, extension):
+        return {frozenset(f.domain): frozenset(range(f.space.n))}
+
+    monkeypatch.setattr(extremal, "_attainment_cells", one_cell)
+    with pytest.raises(InternalVerificationFailure, match="perturbation changed the norm"):
+        almost_positive_witness(lam, mu)
 
 
 def test_extreme_brute_force_matches_segments():

@@ -27,7 +27,9 @@ from freelip.functions import (
 from freelip.generators import (
     random_element,
     random_lip0,
+    random_rational,
     random_space,
+    random_subset,
     random_weight,
 )
 from freelip.metric import PointedMetricSpace, space_from_points, validate_space
@@ -55,7 +57,7 @@ def test_constructions_certify_without_assert(line3, monkeypatch):
     # the molecule function is certified by the integer slope scan, which
     # reports a pair steeper than 1 as None
     monkeypatch.setattr(functions, "_tight_pairs", lambda *args: None)
-    with pytest.raises(InternalVerificationFailure):
+    with pytest.raises(InternalVerificationFailure, match="failed to norm"):
         molecule_norming_function(line3, 1, 2)
 
 
@@ -155,6 +157,35 @@ def test_mcshane_rejects_expanding_data(line3):
         mcshane_extend(partial_function(line3, {0: 0, 1: 5}))
 
 
+def test_mcshane_rejects_exactly_the_partial_functions_steeper_than_one():
+    # the extension decides by agreement on the domain; the reference is
+    # the Lipschitz constant of the domain's values, at the draw's own
+    # slope and rescaled to slope exactly 1 and to 1% either side of it
+    rng = random.Random(16)
+    raised = []
+    for _ in range(1000):
+        space = random_space(rng, rng.randint(1, 7))
+        domain = random_subset(rng, space) - {space.base}
+        signs = [rng.choice((1, -1)) for _ in domain]
+        values = {p: s * random_rational(rng) for p, s in zip(sorted(domain), signs)}
+        L = lip_constant(partial_function(space, values))
+        factors = [Fraction(1)]
+        if L:
+            factors += [1 / L, Fraction(99, 100) / L, Fraction(101, 100) / L]
+        for c in factors:
+            pf = partial_function(space, {p: c * v for p, v in values.items()})
+            steep = lip_constant(pf) > 1
+            try:
+                mcshane_extend(pf)
+            except NotOneLipschitzOnDomain:
+                raised.append(True)
+            else:
+                raised.append(False)
+            assert raised[-1] == steep
+    # both outcomes: 2,896 cases, 1,081 raising and 650 at slope exactly 1
+    assert len(raised) > 2500 and 500 < sum(raised) < len(raised) - 500
+
+
 @given(
     coords=st.lists(st.integers(0, 24), min_size=2, max_size=6, unique=True),
     data=st.data(),
@@ -220,6 +251,16 @@ def test_multiply_by_weight_bound():
         for x in space.points():
             if f.values[x] == 0:
                 assert g.values[x] == 0
+
+
+def test_a_sup_norm_without_absolute_values_fails_the_weighting_bound(monkeypatch, line3):
+    from freelip import functions
+
+    # for h = -1 the bound reads max(h) + 0 = -1, below the product's slope
+    monkeypatch.setattr(functions, "sup_norm", lambda h: max(h.values))
+    h = weight_function(line3, [-1, -1, -1])
+    with pytest.raises(InternalVerificationFailure, match="exceeds the weighting bound"):
+        multiply_by_weight(distance_to_base(line3), h)
 
 
 def test_weight_element_examples(line3):

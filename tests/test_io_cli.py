@@ -359,6 +359,15 @@ def test_cli_check_suite_rejects_bad_scale(scale, capsys):
     assert "argument --scale" in err and "must be a finite number > 0" in err
 
 
+def test_cli_check_suite_scales_sample_counts_exactly(capsys):
+    # 0.29 is read as 29/100, so the McShane check draws
+    # 145 + 145 + 58 = 348 cases; as a float, int(200 * 0.29) is 57
+    argv = ["check-suite", "--scale", "0.29", "--seed", "5", "--max-points", "4"]
+    assert main(argv + ["--format", "machine"]) == 0
+    cases = {c["name"]: c["cases"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert cases["McShane extension, concavity, pairing maximization"] == 348
+
+
 def test_cli_check_suite_env_size_cap(capsys, monkeypatch):
     monkeypatch.setenv("FREELIP_MAX_POINTS", "4")
     assert main(["check-suite", "--seed", "5", "--scale", "0.02"]) == 0

@@ -8,17 +8,21 @@ must raise under every interpreter mode.  The battery in ``checks`` takes no
 private name from the rest of the package, so its checks stay independent
 of the kernels they check.  Every exception class in ``errors`` is raised
 somewhere in the package, or is the base of one that is, and every name in
-``freelip.__all__`` resolves.
+``freelip.__all__`` resolves.  Every ``InternalVerificationFailure`` the
+package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
+``match`` pattern finds its message.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import freelip
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "freelip"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "freelip"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -141,3 +145,57 @@ def test_every_error_class_is_raised_or_a_base_of_one_that_is():
 def test_every_exported_name_resolves():
     missing = [name for name in freelip.__all__ if not hasattr(freelip, name)]
     assert missing == []
+
+
+def _leading_literal(node):
+    """A string message, or the literal text before an f-string's first field."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        text = ""
+        for part in node.values:
+            if not isinstance(part, ast.Constant):
+                break
+            text += part.value
+        return text
+    return None
+
+
+def _verification_failures(tree):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "InternalVerificationFailure"
+        ):
+            args = node.exc.args
+            yield node.lineno, _leading_literal(args[0]) if args else None
+
+
+def _fault_test_patterns():
+    for path in sorted(TESTS.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "raises"
+                and node.args
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == "InternalVerificationFailure"
+            ):
+                for keyword in node.keywords:
+                    if keyword.arg == "match" and isinstance(keyword.value, ast.Constant):
+                        yield keyword.value.value
+
+
+def test_every_verification_failure_has_a_fault_test():
+    patterns = set(_fault_test_patterns())
+    sites, untested = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for lineno, message in _verification_failures(ast.parse(path.read_text())):
+            sites += 1
+            if message is None or not any(re.search(p, message) for p in patterns):
+                untested.append(f"{path.stem}:{lineno}: {message!r}")
+    assert sites > 0
+    assert untested == []

@@ -345,6 +345,21 @@ def test_normers_of_positive_element_pins_the_support(line3):
     assert report.fixed_values[2] == 2
 
 
+def test_a_lower_bound_one_unit_off_fails_the_positive_normers(monkeypatch, line3):
+    # f(1) >= -D[1][base] one unit too low leaves f(1) unfixed, so a
+    # normer could deviate from d(., base) at a support point
+    real = norms._all_distances
+
+    def loose(space, decomposition):
+        D = real(space, decomposition)
+        D[1][space.base] += 1
+        return D
+
+    monkeypatch.setattr(norms, "_all_distances", loose)
+    with pytest.raises(InternalVerificationFailure, match="may deviate from d"):
+        normers_of(canonicalize(line3, {1: 1, 2: 1}))
+
+
 def test_normers_of_rejects_zero(line3):
     with pytest.raises(ZeroElement):
         normers_of(zero(line3))
