@@ -204,14 +204,12 @@ def extreme_molecules_bruteforce(vectors: dict[tuple[int, int], tuple]) -> set[t
     `vectors` is :func:`molecule_vectors` of the space.  The unit ball is
     the convex hull of the molecule vectors, so a molecule is extreme iff
     it is not a convex combination of the others; that is one exact LP
-    feasibility problem per molecule.
+    feasibility problem per molecule.  Each ordered pair has its reverse
+    among the others, so no problem is empty.
     """
     extreme = set()
     for pair, target in vectors.items():
         others = [v for key, v in vectors.items() if key != pair]
-        if not others:
-            extreme.add(pair)
-            continue
         rows = []
         for i in range(len(target)):
             rows.append(([v[i] for v in others], lp.EQ, target[i]))
@@ -309,11 +307,9 @@ def check_positive_ball(corpus, rng: random.Random, splits_per_space: int = 5) -
 
         rec.run(f"vertices on {space.labels}", vertices)
         if len(points) < 2:
-            continue
+            continue  # random_positive_element(min_support=2) needs two points
         for _ in range(splits_per_space):
             mu = random_positive_element(rng, space, min_support=2)
-            if len(support(mu)) < 2:
-                continue
 
             def attempt():
                 unit = mu / positive_norm(mu)

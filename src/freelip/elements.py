@@ -196,16 +196,12 @@ def intersection_property_check(
     the intersection of the K_i.  An extension that does not vanish exactly
     on its domain makes the comparison fail.
     """
-    from .functions import mcshane_extend, partial_function
+    from .functions import _mcshane_minima
 
-    family = [frozenset(K) for K in Ks]
+    family = [frozenset(map(space.resolve, K)) for K in Ks]
     if not family:
         raise EmptyFamily("the subset family must be nonempty")
-    # partial_function puts the base point in every domain
-    annihilators = [
-        mcshane_extend(partial_function(space, dict.fromkeys(K, Fraction(0)))) for K in family
-    ]
-    common_zeros = {
-        x for x in space.nonbase_points() if all(g(x) == 0 for g in annihilators)
-    }
+    # the minima of 0 on K + {base}, on integers, are unit * g_K
+    annihilators = [_mcshane_minima(space, [(q, 0) for q in K | {space.base}])[2] for K in family]
+    common_zeros = {x for x in space.nonbase_points() if all(g[x] == 0 for g in annihilators)}
     return common_zeros == frozenset.intersection(*family) - {space.base}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .elements import (
     FreeElement,
@@ -37,6 +36,7 @@ from .functions import (
     LipFunction,
     PartialFunction,
     WeightFunction,
+    _mcshane_minima,
     _molecule_function,
     mcshane_extend,
     pointwise_product,
@@ -51,7 +51,6 @@ from .norms import (
     norm_certificate,
     positive_norm,
 )
-from .rationals import scale_to_integers
 
 _ZERO = Fraction(0)
 
@@ -269,34 +268,17 @@ def attainment_partition(
 
     Each x is assigned the set K(x) of domain points achieving
     min_q f(q) + d(q, x); the cells keyed by K(x) are disjoint and cover
-    the space.  The McShane extension raises NotOneLipschitzOnDomain
-    unless f is 1-Lipschitz.
+    the space.  NotOneLipschitzOnDomain is raised unless f is 1-Lipschitz.
     """
-    return _attainment_cells(f, mcshane_extend(f))
+    return _attainment_cells(f)
 
 
-def _attainment_cells(
-    f: PartialFunction, extension: LipFunction
-) -> dict[frozenset[int], frozenset[int]]:
-    """Cells of :func:`attainment_partition`, given the McShane extension of f.
-
-    The comparison f(q) + d(q, x) == extension(x) runs on integers: the
-    domain values and the extension share one scale, the lcm of their
-    denominators, and that and the distance unit of `space.scaled` lift to
-    their lcm, as in :func:`functions.mcshane_extend`.
-    """
-    space = f.space
-    unit, lengths = space.scaled
-    vals = f.values
-    k = len(f.domain)
-    vscale, ints = scale_to_integers([vals[q] for q in f.domain] + list(extension.values))
-    common = lcm(vscale, unit)
-    value_factor, length_factor = common // vscale, common // unit
-    terms = [(q, v * value_factor) for q, v in zip(f.domain, ints[:k])]
+def _attainment_cells(f: PartialFunction) -> dict[frozenset[int], frozenset[int]]:
+    """Cells of :func:`attainment_partition`, from the integer rows of :func:`_mcshane_minima`."""
+    _, rows, E = _mcshane_minima(f.space, f.items)
     cells: dict[frozenset[int], set[int]] = {}
-    for x, row in enumerate(lengths):
-        target = ints[k + x] * value_factor
-        K = frozenset(q for q, v in terms if v + row[q] * length_factor == target)
+    for x, e in enumerate(E):
+        K = frozenset(q for q, row in rows.items() if row[x] == e)
         cells.setdefault(K, set()).add(x)
     return {K: frozenset(xs) for K, xs in cells.items()}
 
@@ -334,7 +316,7 @@ def almost_positive_witness(
     """
     space = lam.space
     f_star, extension, norm = maximize_extended_pairing(lam, mu)
-    cells = _attainment_cells(f_star, extension)
+    cells = _attainment_cells(f_star)
 
     lam_support = support(lam)
     candidates = []

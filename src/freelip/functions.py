@@ -50,9 +50,6 @@ class WeightFunction:
     space: PointedMetricSpace
     values: tuple[Fraction, ...]
 
-    def __call__(self, p: int) -> Fraction:
-        return self.values[p]
-
     @property
     def support(self) -> frozenset[int]:
         return frozenset(p for p, v in enumerate(self.values) if v != 0)
@@ -69,12 +66,6 @@ class PartialFunction:
     @property
     def values(self) -> dict[int, Fraction]:
         return dict(self.items)
-
-    def __call__(self, p: int) -> Fraction:
-        for idx, v in self.items:
-            if idx == p:
-                return v
-        raise KeyError(p)
 
 
 def lip_function(space: PointedMetricSpace, values) -> LipFunction:
@@ -230,29 +221,39 @@ def _molecule_function(
     return LipFunction(space, tuple(Fraction(v, vscale) for v in V)), tight
 
 
-def mcshane_extend(pf: PartialFunction) -> LipFunction:
-    """Largest 1-Lipschitz extension: x -> min over the domain of f(q) + d(q,x).
+def _mcshane_minima(
+    space: PointedMetricSpace, items: Sequence[tuple[int, Fraction]]
+) -> tuple[int, dict[int, list[int]], list[int]]:
+    """The McShane extension x -> min over q of f(q) + d(q, x), on integers.
 
-    The minimum E is taken on integers, over the lcm of the value and
-    distance units, and each point's value is one division.  E is a minimum
-    of 1-Lipschitz functions, so 1-Lipschitz, and E[q] <= f(q) + d(q, q) =
-    f(q) on the domain.  NotOneLipschitzOnDomain is raised iff E[q] != f(q)
-    at some domain point q, which is iff f is steeper than 1 there:
-    f(a) - f(b) > d(a, b) gives E[a] <= f(b) + d(b, a) < f(a), and
-    otherwise every term f(b) + d(b, q) is at least f(q).
+    `items` are the (point, value) pairs of a function f on a domain that
+    holds the base point; an int value stands for itself.  The values and
+    the distances of `space.scaled` lift to one scale, `common`, the lcm of
+    their units.  Returns `common`, the lifted term row of each domain point
+    q, common * (f(q) + d(q, x)) for every x, and the minima E of those
+    rows, point by point.  E is a minimum of 1-Lipschitz functions,
+    so 1-Lipschitz, and E[q] <= f(q) + d(q, q) = f(q) on the domain.
+    NotOneLipschitzOnDomain is raised iff E[q] != f(q) at some domain point
+    q, which is iff f is steeper than 1 there: f(a) - f(b) > d(a, b) gives
+    E[a] <= f(b) + d(b, a) < f(a), and otherwise every term f(b) + d(b, q)
+    is at least f(q).
     """
-    space = pf.space
     unit, lengths = space.scaled
-    vscale, ints = scale_to_integers([v for _, v in pf.items])
+    vscale, ints = scale_to_integers([v for _, v in items])
     common = lcm(vscale, unit)
-    value_factor, length_factor = common // vscale, common // unit
-    terms = [(q, v * value_factor) for (q, _), v in zip(pf.items, ints)]
-    E = [min(v + row[q] * length_factor for q, v in terms) for row in lengths]
-    if any(E[q] != v for q, v in terms):
-        raise NotOneLipschitzOnDomain(
-            "the partial function exceeds Lipschitz constant 1 on its domain"
-        )
-    return LipFunction(space, tuple(Fraction(e, common) for e in E))
+    lift_v, lift_d = common // vscale, common // unit
+    rows = {q: [v * lift_v + s * lift_d for s in lengths[q]] for (q, _), v in zip(items, ints)}
+    # min needs two rows to take them point by point; a one-point domain has one
+    E = list(map(min, *rows.values())) if len(rows) > 1 else next(iter(rows.values()))
+    if any(E[q] != row[q] for q, row in rows.items()):
+        raise NotOneLipschitzOnDomain("the partial function exceeds Lipschitz constant 1 on its domain")
+    return common, rows, E
+
+
+def mcshane_extend(pf: PartialFunction) -> LipFunction:
+    """Largest 1-Lipschitz extension: one division per point of :func:`_mcshane_minima`."""
+    common, _, E = _mcshane_minima(pf.space, pf.items)
+    return LipFunction(pf.space, tuple(Fraction(e, common) for e in E))
 
 
 def weighting_bound(h: WeightFunction) -> Fraction:

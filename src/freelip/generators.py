@@ -21,7 +21,13 @@ from .functions import (
     lip_function,
     weight_function,
 )
-from .metric import PointedMetricSpace, line_space, space_from_points, validate_space
+from .metric import (
+    PointedMetricSpace,
+    floyd_warshall,
+    line_space,
+    space_from_points,
+    validate_space,
+)
 from .rationals import scale_to_integers
 
 
@@ -32,12 +38,10 @@ def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 3) -> F
 def random_space(rng: random.Random, n: int) -> PointedMetricSpace:
     """Random n-point space: metric closure of random positive weights.
 
-    The closure runs on the weights scaled to integers by the lcm of their
-    denominators and is divided back once, so it gives the Fractions that
-    the same closure over Fractions would.
+    The closure (:func:`metric.floyd_warshall`) runs on the weights scaled
+    to integers by the lcm of their denominators and is divided back once,
+    so it gives the Fractions that the same closure over Fractions would.
     """
-    if n == 1:
-        return validate_space([[0]])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     unit, drawn = scale_to_integers(
         [random_rational(rng, max_num=12, max_den=3) for _ in pairs]
@@ -45,12 +49,8 @@ def random_space(rng: random.Random, n: int) -> PointedMetricSpace:
     w = [[0] * n for _ in range(n)]
     for (i, j), v in zip(pairs, drawn):
         w[i][j] = w[j][i] = v
-    # Floyd-Warshall closure keeps symmetry, positivity and the zero diagonal
-    for k in range(n):
-        row_k = w[k]
-        for i, row_i in enumerate(w):
-            w[i] = list(map(min, row_i, map(row_i[k].__add__, row_k)))
-    return validate_space([[Fraction(v, unit) for v in row] for row in w])
+    # the closure keeps symmetry, positivity and the zero diagonal
+    return validate_space([[Fraction(v, unit) for v in row] for row in floyd_warshall(w)])
 
 
 def random_line_subset(rng: random.Random, n: int) -> PointedMetricSpace:

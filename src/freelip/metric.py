@@ -136,6 +136,17 @@ class Segment:
         return self.members == frozenset((self.p, self.q))
 
 
+def floyd_warshall(W: list[list[int]]) -> list[list[int]]:
+    """Close an integer arc-length matrix under shortest paths, in place (Floyd, CACM 1962)."""
+    for k, row_k in enumerate(W):
+        for row in W:
+            through = row[k]
+            for j, via in enumerate(row_k):
+                if through + via < row[j]:
+                    row[j] = through + via
+    return W
+
+
 def validate_space(
     dist: Sequence[Sequence], base: int = 0, labels: Sequence | None = None
 ) -> PointedMetricSpace:

@@ -57,7 +57,7 @@ from .functions import (
     distance_to_base,
     lip_function,
 )
-from .metric import PointedMetricSpace
+from .metric import PointedMetricSpace, floyd_warshall
 from .rationals import scale_to_integers
 
 _ZERO = Fraction(0)
@@ -189,13 +189,7 @@ def _all_distances(
     tight on the flow.  A negative diagonal entry is a negative cycle,
     which means the flow was not optimal.
     """
-    D = _arc_lengths(space, range(space.n), decomposition)
-    for k, row_k in enumerate(D):
-        for row in D:
-            through = row[k]
-            for j, via in enumerate(row_k):
-                if through + via < row[j]:
-                    row[j] = through + via
+    D = floyd_warshall(_arc_lengths(space, range(space.n), decomposition))
     if any(D[i][i] < 0 for i in range(space.n)):
         raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
     return D
@@ -208,10 +202,10 @@ def free_norm_dual(mu: FreeElement) -> DualCertificate:
 
 
 def _transport_plan(mu: FreeElement) -> tuple[int, list[tuple[int, int, int]]]:
-    """Optimal transport plan of a nonzero element as (mass unit, flows).
+    """Optimal transport plan of an element as (mass unit, flows).
 
     Each flow is (source, sink, integer mass), the mass in units of
-    1 / (mass unit).
+    1 / (mass unit).  The zero element has nothing to move: (1, []).
 
     Successive shortest paths (Ahuja-Magnanti-Orlin, *Network Flows*,
     ch. 9) on the bipartite graph from the nodes of positive coefficient to
@@ -308,11 +302,9 @@ def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
     The optimal plan of :func:`_transport_plan` is returned as a molecule
     decomposition whose weights sum to the norm.  The plan is checked to
     rebuild the element here, outside the solver, on its integer masses
-    (:func:`_rebuilds`).
+    (:func:`_rebuilds`).  The zero element has the empty plan: value 0.
     """
     space = mu.space
-    if mu.is_zero():
-        return PrimalCertificate(_ZERO, ())
     mass, flows = _transport_plan(mu)
     if not _rebuilds(mu, mass, flows):
         raise InternalVerificationFailure("transport plan does not rebuild the element")
@@ -347,7 +339,9 @@ def _certified(
     construction: a minimum of the functions row[q] + s[q][.], each
     1-Lipschitz on a validated metric, is 1-Lipschitz whatever the row, and
     row[base] = 0 <= row[q] + s[q][base] (shortest paths) gives E[base] = 0.
-    Fractions are built only for the returned witness.
+    Fractions are built only for the returned witness.  The row is in the
+    distance unit already, so it needs no lift: routing it through the
+    kernel `functions._mcshane_minima` made `norm_certificate` slower.
     """
     space = mu.space
     unit, lengths = space.scaled

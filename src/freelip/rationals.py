@@ -11,22 +11,30 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+MAX_EXPONENT = 4300  # the digits CPython allows an int string (sys.get_int_max_str_digits())
+
 
 def as_fraction(value) -> Fraction:
     """Convert an int, Fraction or string to an exact Fraction.
 
     Booleans are rejected although they are ints: a JSON `true` where a
-    number belongs is malformed input, not the number 1.
+    number belongs is malformed input, not the number 1.  A decimal
+    exponent above MAX_EXPONENT in magnitude is rejected before Fraction
+    expands it: "1e10000000" is ten bytes but a 33-million-bit integer.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # only a decimal has an "e", and what int() cannot read after it, Fraction cannot
+        _, e, exponent = value.lower().rpartition("e")
         try:
-            return Fraction(value)
+            if not (e and abs(int(exponent)) > MAX_EXPONENT):
+                return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
+        raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}: {value!r}")
     raise TypeError(f"expected int, Fraction or string, got {type(value).__name__}")
 
 

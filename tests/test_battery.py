@@ -7,8 +7,8 @@ import sys
 import textwrap
 
 from freelip import checks, functions
-from freelip.functions import lip_function
 from freelip.generators import random_corpus
+from freelip.metric import line_space, validate_space
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -49,20 +49,30 @@ def test_certifier_raise_fails_its_check_and_the_battery_goes_on(monkeypatch):
 def test_a_mcshane_extension_that_ignores_its_domain_fails_the_intersection_check(
     monkeypatch,
 ):
-    # minimizing over every point, with 0 off the domain, makes the
-    # annihilator of every subset vanish everywhere
-    def domain_blind(pf):
-        space, values = pf.space, pf.values
-        return lip_function(
-            space,
-            [min(values.get(q, 0) + space.d(q, x) for q in space.points()) for x in space.points()],
-        )
+    # a McShane kernel minimizing over every point, with 0 off the domain,
+    # makes the annihilator of every subset vanish everywhere
+    def domain_blind(space, items):
+        values = dict(items)
+        unit, lengths = space.scaled
+        rows = {q: [values.get(q, 0) * unit + s for s in lengths[q]] for q in space.points()}
+        return unit, rows, [min(column) for column in zip(*rows.values())]
 
     assert checks.check_intersection(random.Random(7), 50).passed
-    monkeypatch.setattr(functions, "mcshane_extend", domain_blind)
+    monkeypatch.setattr(functions, "_mcshane_minima", domain_blind)
     result = checks.check_intersection(random.Random(7), 50)
     assert not result.passed and result.cases == 50
     assert len(result.failures) == checks._MAX_RECORDED_FAILURES
+
+
+def test_a_one_point_space_adds_no_almost_positive_case():
+    # nothing is drawn for it, so the cases are those of the rest
+    line = line_space(3)
+    alone = checks.check_almost_positive([line], random.Random(8), pairs_per_space=3)
+    mixed = checks.check_almost_positive(
+        [validate_space([[0]]), line], random.Random(8), pairs_per_space=3
+    )
+    assert mixed.passed and alone.passed
+    assert mixed.cases == alone.cases > 0
 
 
 def test_injected_fault_fails_under_optimize():

@@ -52,11 +52,19 @@ def test_arithmetic(line3):
     assert (mu * Fraction(1, 2)).coeffs == {1: Fraction(1, 2), 2: Fraction(-1)}
     assert (-mu).coeffs == {1: Fraction(-1), 2: Fraction(2)}
     assert (mu / 2) * 2 == mu
+    # an operand that is no element is refused, not coerced
+    with pytest.raises(TypeError):
+        mu + 3
 
 
 def test_elements_over_different_spaces_never_mix(line3, line4):
+    mu, nu = canonicalize(line3, {1: 1}), canonicalize(line4, {1: 1})
     with pytest.raises(SpaceMismatch):
-        canonicalize(line3, {1: 1}) + canonicalize(line4, {1: 1})
+        mu + nu
+    with pytest.raises(SpaceMismatch):
+        mu.pair(lip_function(line4, [0, 1, 2, 3]))
+    with pytest.raises(SpaceMismatch):
+        order_leq(mu, nu)
 
 
 def test_structurally_equal_spaces_interoperate(line3):

@@ -589,7 +589,7 @@ def test_points_from_different_attainment_cells_change_the_norm(monkeypatch):
     mu = delta(space, 3) * -1
     assert almost_positive_witness(lam, mu) is None
 
-    def one_cell(f, extension):
+    def one_cell(f):
         return {frozenset(f.domain): frozenset(range(f.space.n))}
 
     monkeypatch.setattr(extremal, "_attainment_cells", one_cell)

@@ -10,6 +10,7 @@ from freelip.errors import (
     DegeneratePair,
     InternalVerificationFailure,
     NotOneLipschitzOnDomain,
+    SpaceMismatch,
 )
 from freelip.functions import (
     distance_to_base,
@@ -19,6 +20,8 @@ from freelip.functions import (
     molecule_norming_function,
     multiply_by_weight,
     partial_function,
+    point_bump,
+    pointwise_product,
     restrict,
     weight_element,
     weight_function,
@@ -48,6 +51,26 @@ def test_lip_constant_examples(line3):
 def test_lip_function_requires_zero_at_base(line3):
     with pytest.raises(ValueError):
         lip_function(line3, [1, 0, 0])
+    with pytest.raises(ValueError, match="partial Lip_0 function must vanish"):
+        partial_function(line3, {0: 1, 2: 1})
+    with pytest.raises(ValueError, match="bump at the base point"):
+        point_bump(line3, 0)
+
+
+@pytest.mark.parametrize("build", [lip_function, weight_function])
+def test_a_value_sequence_must_cover_the_space(line3, build):
+    with pytest.raises(ValueError, match="expected 3 values, got 2"):
+        build(line3, [0, 1])
+
+
+def test_functions_and_elements_over_different_spaces_never_mix(line3, line4):
+    f, h = distance_to_base(line3), weight_function(line4, [1, 1, 1, 1])
+    with pytest.raises(SpaceMismatch):
+        multiply_by_weight(f, h)
+    with pytest.raises(SpaceMismatch):
+        weight_element(canonicalize(line3, {1: 1}), h)
+    with pytest.raises(SpaceMismatch):
+        pointwise_product(h, f)
 
 
 def test_constructions_certify_without_assert(line3, monkeypatch):

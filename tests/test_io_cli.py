@@ -1,12 +1,13 @@
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
-from freelip import fileio
+from freelip import checks, cli, fileio
 from freelip.cli import main
 from freelip.elements import canonicalize
-from freelip.errors import ParseError
+from freelip.errors import InternalVerificationFailure, ParseError
 from freelip.functions import lip_function, partial_function, weight_function
 from freelip.rationals import as_fraction, format_fraction
 
@@ -37,6 +38,12 @@ def test_rational_parsing():
         as_fraction(0.1)
     with pytest.raises(TypeError):
         as_fraction(True)
+    # the exponent is refused before it is expanded: this returns at once
+    with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+        as_fraction("1e10000000")
+    with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+        as_fraction("-2.5E-4301")
+    assert as_fraction("1e4300") == 10**4300
     assert format_fraction(Fraction(3, 4)) == "3/4"
     assert format_fraction(Fraction(6, 3)) == "2"
 
@@ -89,6 +96,10 @@ _NOT_A_TYPE = "expected int, Fraction or string, got"
         ([["0", "1", "x"], ["1", "0", "x"], ["x", "x", "0"]], "not a rational: 'x'"),
         ([["0", "2", "1"], ["2", "0", ["1"]], ["1", "1", "0"]], f"{_NOT_A_TYPE} list"),
         ([["0", 1, "1"], [1, "0", 0.5], ["1", "0.5", "0"]], f"{_NOT_A_TYPE} float"),
+        ([["0", "1", "1e10000000"], ["1", "0", "1"], ["1", "1", "0"]],
+         "decimal exponent beyond 4300: '1e10000000'"),
+        ("0 1 2", "dist must be a list of rows"),
+        ([["0", "1", "1"], "1 0 1", ["1", "1", "0"]], "malformed matrix row"),
     ],
 )
 def test_space_loader_reports_the_first_bad_entry(tmp_path, dist, message):
@@ -127,6 +138,9 @@ def test_element_accepts_bare_mapping(tmp_path, line3_file):
     path = tmp_path / "mu.json"
     path.write_text(json.dumps({"1": "2/3"}))
     assert fileio.load_element(path, space).coeffs == {1: Fraction(2, 3)}
+    # the envelope keys of a bare mapping are not labels
+    path.write_text(json.dumps({"schema_version": 1, "kind": "element", "1": "2/3"}))
+    assert fileio.load_element(path, space).coeffs == {1: Fraction(2, 3)}
 
 
 def test_function_round_trips(tmp_path, line3_file):
@@ -143,6 +157,28 @@ def test_function_round_trips(tmp_path, line3_file):
         again = fileio.load_function(path, space)
         assert again == f
         assert fileio.machine_dumps(fileio.function_payload(again)) == text
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"kind": "cone", "values": {}}, "unknown function kind 'cone'"),
+        ({"kind": "lip0", "values": {"0": "1"}}, "a Lip_0 function must vanish at the base point"),
+    ],
+)
+def test_malformed_function_files(tmp_path, line3_file, payload, message):
+    space = fileio.load_space(line3_file)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError) as caught:
+        fileio.load_function(path, space)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_only_functions_have_a_function_payload(line3_file):
+    space = fileio.load_space(line3_file)
+    with pytest.raises(TypeError, match="not a function value: FreeElement"):
+        fileio.function_payload(canonicalize(space, {1: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +316,13 @@ def test_cli_input_errors_exit_2(tmp_path, line3_file, capsys):
         rejected(["extend", "--space", space, "--function", f], "kind 'partial'")
     for h in (lip0, partial, no_kind):
         rejected(["weight", "--space", space, "--element", mu, "--weight", h], "kind 'weight'")
+    rejected(["segment", "--space", space, "--pair", "0"], "expected a pair 'P,Q', got '0'")
+    huge = _write(
+        tmp_path,
+        "huge.json",
+        {"labels": ["0", "1"], "base": "0", "dist": [["0", "1e10000000"], ["1e10000000", "0"]]},
+    )
+    rejected(["positive-extremes", "--space", huge], "decimal exponent beyond 4300")
     # labels must be a JSON list
     for labels in (5, "abc", {"0": 1, "1": 2, "2": 3}):
         bad_labels = _write(
@@ -350,13 +393,47 @@ def test_cli_check_suite_rejects_bad_size_cap(cap, capsys, monkeypatch):
     assert "argument --max-points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", ["inf", "1e400", "nan", "-1", "0"])
+@pytest.mark.parametrize("scale", ["inf", "1e400", "nan", "-1", "0", "1e30", "two"])
 def test_cli_check_suite_rejects_bad_scale(scale, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-suite", "--scale", scale])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --scale" in err and "must be a finite number > 0" in err
+
+
+def test_the_scale_range_is_exact_at_both_ends():
+    # read exactly, with no float underflow below and a bound above
+    assert cli._scale("1e-400") == Fraction(1, 10**400)
+    assert cli._scale(str(cli.MAX_SCALE)) == cli.MAX_SCALE
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._scale(f"{cli.MAX_SCALE}.000001")
+
+
+def test_a_failed_certification_exits_1(tmp_path, line3_file, capsys, monkeypatch):
+    def failing(mu):
+        raise InternalVerificationFailure("dual witness failed verification")
+
+    monkeypatch.setattr(cli, "norm_certificate", failing)
+    mu = _write(tmp_path, "mu.json", {"1": "1"})
+    assert main(["norm", "--space", str(line3_file), "--element", mu]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certification failed: dual witness failed verification\n"
+
+
+def test_a_failing_battery_exits_1(capsys, monkeypatch):
+    def broken(space, p, q):
+        raise RuntimeError("classification failed")
+
+    monkeypatch.setattr(checks, "classify_molecule", broken)
+    argv = ["check-suite", "--seed", "5", "--max-points", "5", "--scale", "0.05"]
+    assert main(argv + ["--format", "machine"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is False
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "exposedness matches the segment criterion"
+    ]
 
 
 def test_cli_check_suite_scales_sample_counts_exactly(capsys):

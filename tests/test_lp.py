@@ -69,6 +69,21 @@ def test_minimize_wrapper():
     assert sol.status == lp.OPTIMAL
     assert sol.value == 4
     assert sol.x == (F(2), F(0))
+    # minimizing -x over x >= 0 is unbounded, and the status passes through
+    assert lp.minimize([F(-1)], [([F(-1)], lp.LEQ, F(0))]).status == lp.UNBOUNDED
+    assert lp.minimize([F(1)], [([F(1)], lp.LEQ, F(-1))]).status == lp.INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (([F(1)], lp.LEQ, F(1)), "constraint length does not match objective"),
+        (([F(1), F(1)], "<>", F(1)), "unknown relation '<>'"),
+    ],
+)
+def test_malformed_rows_are_rejected(row, message):
+    with pytest.raises(ValueError, match=message):
+        lp.maximize([F(1), F(1)], [row])
 
 
 def test_degenerate_cycling_example_terminates():

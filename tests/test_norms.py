@@ -372,10 +372,22 @@ def test_zero_element_certificate(line3):
     assert all(v == 0 for v in cert.dual_witness.values)
 
 
+def test_the_zero_element_has_the_empty_plan(line3):
+    # the solver moves no mass, and the empty plan rebuilds zero
+    assert norms._transport_plan(zero(line3)) == (1, [])
+    assert free_norm_primal(zero(line3)) == norms.PrimalCertificate(Fraction(0), ())
+    one = validate_space([[0]])
+    assert free_norm_primal(zero(one)).decomposition == ()
+
+
 def test_one_point_space():
     one = validate_space([[0]])
     cert = norm_certificate(zero(one))
     assert cert.value == 0
+    # the generators have no point to put mass on
+    rng = random.Random(0)
+    assert random_positive_element(rng, one).is_zero()
+    assert random_element(rng, one).is_zero()
 
 
 @pytest.mark.parametrize("kind", ["random", "line", "coprime", "ultrametric", "large"])
