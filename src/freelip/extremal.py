@@ -269,12 +269,9 @@ def attainment_partition(
     Each x is assigned the set K(x) of domain points achieving
     min_q f(q) + d(q, x); the cells keyed by K(x) are disjoint and cover
     the space.  NotOneLipschitzOnDomain is raised unless f is 1-Lipschitz.
+    The minimum is read off the integer rows of :func:`_mcshane_minima`
+    over `f.space`, the space that `space` names.
     """
-    return _attainment_cells(f)
-
-
-def _attainment_cells(f: PartialFunction) -> dict[frozenset[int], frozenset[int]]:
-    """Cells of :func:`attainment_partition`, from the integer rows of :func:`_mcshane_minima`."""
     _, rows, E = _mcshane_minima(f.space, f.items)
     cells: dict[frozenset[int], set[int]] = {}
     for x, e in enumerate(E):
@@ -316,7 +313,7 @@ def almost_positive_witness(
     """
     space = lam.space
     f_star, extension, norm = maximize_extended_pairing(lam, mu)
-    cells = _attainment_cells(f_star)
+    cells = attainment_partition(space, f_star)
 
     lam_support = support(lam)
     candidates = []

@@ -118,17 +118,22 @@ def space_payload(space: PointedMetricSpace) -> dict:
 
 
 def load_element(path, space: PointedMetricSpace) -> FreeElement:
-    """Read an element file: a mapping from point label to rational string."""
+    """Read an element file: a mapping from point label to rational string.
+
+    The mapping is the `coefficients` field of an element payload, or the
+    whole file; only in the bare form are the envelope keys skipped, since
+    inside `coefficients` every key is a label.
+    """
     data = _read_json(path)
-    mapping = data.get("coefficients", data)
+    if "coefficients" in data:
+        mapping = data["coefficients"]
+    else:
+        mapping = {k: v for k, v in data.items() if k not in ("schema_version", "kind")}
     if not isinstance(mapping, Mapping):
         raise ParseError("expected a label -> rational mapping", path)
-    out = {}
-    for label, raw in mapping.items():
-        if label in ("schema_version", "kind"):
-            continue
-        out[str(label)] = _parse_rational(raw, path)
-    return canonicalize(space, out)
+    return canonicalize(
+        space, {str(label): _parse_rational(raw, path) for label, raw in mapping.items()}
+    )
 
 
 def element_payload(mu: FreeElement) -> dict:

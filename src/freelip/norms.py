@@ -1,21 +1,22 @@
-"""Exact free-norm computation by one min-cost flow and shortest paths.
+"""Exact free-norm computation by one min-cost flow.
 
 The norm of an element is the minimum cost of transporting its
 coefficient masses.  It is solved once, exactly, by successive shortest
 paths on the bipartite graph from the nodes of positive coefficient to
 those of negative coefficient (the base point balances the masses), and
-the optimal plan is returned as a molecule decomposition.  The norming
-functions are the 1-Lipschitz functions tight on that plan
-(complementary slackness); that is a system of difference constraints, so
-the largest one is a row of shortest-path distances and is McShane-extended
-to the whole space.  Restricting to the support loses nothing: pairings
-only see values on the support, a shortest route between support points
-never improves by detouring through other points (triangle inequality),
-and the extension preserves the Lipschitz constant.
+the optimal plan is returned as a molecule decomposition.  The same solve
+gives the norming function: the solver's node potentials at exit are an
+optimal dual, since every source -> sink arc has nonnegative reduced cost
+and the arcs carrying flow have reduced cost zero (complementary
+slackness).  A certificate McShane-extends minus the sink potentials to
+the whole space and shifts the result to vanish at the base point
+(`_certified` proves that this is a norming function).  No shortest-path
+pass runs after the solve.
 
-A certificate needs only that row, so it runs one Bellman-Ford from the
-base point; `normers_of`, which bounds every value and slope, runs one
-all-pairs Floyd-Warshall.  Both run on the integer distances of
+The norming functions are the 1-Lipschitz functions tight on the optimal
+plan, a system of difference constraints; `normers_of`, which bounds every
+value and slope over that set, runs one all-pairs Floyd-Warshall on it.
+The solve and the Floyd-Warshall run on the integer distances of
 `space.scaled`, and so does a norming face: one pass over the pairs of
 points, on the function's values scaled to integers, rejects a function
 steeper than 1 and collects the tight pairs (the pass the canonical
@@ -30,7 +31,7 @@ InternalVerificationFailure is raised:
   plan's net flow at every point against the integer-scaled masses;
 - the witness is 1-Lipschitz and pairs with the element to the
   decomposition weight: `_certified` checks both on the integers it
-  builds the witness from, the shortest-path row McShane-extended in the
+  builds the witness from, the potentials McShane-extended in the
   distance unit, before any Fraction is made.
 No LP is solved here; the dense simplex in `lp` is kept as an independent
 oracle for the battery and the tests.
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .elements import FreeElement, Molecule, is_positive, support
 from .errors import (
@@ -122,74 +123,25 @@ class NormersReport:
     shared_tight_pairs: frozenset[tuple[int, int]]
 
 
-def _arc_lengths(
-    space: PointedMetricSpace,
-    nodes: Sequence[int],
-    decomposition: Sequence[tuple[Molecule, Fraction]],
-) -> list[list[int]]:
-    """Integer arc lengths of the constraints on the normers tight on a flow.
-
-    The optimal dual set is {f : f(b) - f(a) <= d(a,b), and
-    f(p) - f(q) = d(p,q) on every molecule (p, q) carrying flow}, a system
-    of difference constraints (CLRS 24.4): arc a -> b weighs d(a,b), and a
-    flow molecule tightens p -> q to -d(p,q).  Lengths are the integer
-    distances of `space.scaled`, so a shortest path of this graph is
-    `unit` times the largest f(b) - f(a) over the set.  Matrix indices are
-    positions in `nodes`.
-    """
-    rows = space.scaled[1]
-    index = {p: i for i, p in enumerate(nodes)}
-    W = [[rows[a][b] for b in nodes] for a in nodes]
-    for mol, _ in decomposition:
-        W[index[mol.p]][index[mol.q]] = -rows[mol.p][mol.q]
-    return W
-
-
-def _base_distances(
-    space: PointedMetricSpace,
-    nodes: Sequence[int],
-    decomposition: Sequence[tuple[Molecule, Fraction]],
-) -> list[int]:
-    """Shortest-path lengths from the base point over `nodes`, as integers.
-
-    Label-correcting Bellman-Ford (CLRS 24.1) on the graph of
-    :func:`_arc_lengths`: each round relaxes the arcs leaving the nodes
-    whose label dropped in the round before, and the run stops at the first
-    round that changes nothing.  A shortest path has fewer than k = len(nodes)
-    arcs, so a label still dropping in round k proves a negative cycle,
-    which means the flow was not optimal.
-    """
-    W = _arc_lengths(space, nodes, decomposition)
-    start = nodes.index(space.base)
-    # round 1 relaxes the arcs leaving the base: every other label drops
-    # from infinity to the length of its arc
-    dist = list(W[start])
-    active = [v for v in range(len(nodes)) if v != start]
-    for _ in range(len(nodes) - 1):
-        dropped = set()
-        for u in active:
-            du = dist[u]
-            for v, w in enumerate(W[u]):
-                if du + w < dist[v]:
-                    dist[v] = du + w
-                    dropped.add(v)
-        if not dropped:
-            return dist
-        active = sorted(dropped)
-    raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
-
-
 def _all_distances(
     space: PointedMetricSpace, decomposition: Sequence[tuple[Molecule, Fraction]]
 ) -> list[list[int]]:
     """Shortest-path lengths between all points, as integers.
 
-    Floyd-Warshall on the graph of :func:`_arc_lengths` over the whole
-    space: D[a][b] is `unit` times the largest f(b) - f(a) over the normers
+    The normers tight on a flow are {f : f(b) - f(a) <= d(a,b), and
+    f(p) - f(q) = d(p,q) on every molecule (p, q) carrying flow}, a system
+    of difference constraints (CLRS 24.4): arc a -> b weighs d(a,b), and a
+    flow molecule tightens p -> q to -d(p,q).  Lengths are the integer
+    distances of `space.scaled`, so Floyd-Warshall over the whole space
+    gives D[a][b] = `unit` times the largest f(b) - f(a) over the normers
     tight on the flow.  A negative diagonal entry is a negative cycle,
     which means the flow was not optimal.
     """
-    D = floyd_warshall(_arc_lengths(space, range(space.n), decomposition))
+    rows = space.scaled[1]
+    W = [list(row) for row in rows]
+    for mol, _ in decomposition:
+        W[mol.p][mol.q] = -rows[mol.p][mol.q]
+    D = floyd_warshall(W)
     if any(D[i][i] < 0 for i in range(space.n)):
         raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
     return D
@@ -201,11 +153,15 @@ def free_norm_dual(mu: FreeElement) -> DualCertificate:
     return DualCertificate(cert.value, cert.dual_witness)
 
 
-def _transport_plan(mu: FreeElement) -> tuple[int, list[tuple[int, int, int]]]:
-    """Optimal transport plan of an element as (mass unit, flows).
+def _transport_plan(
+    mu: FreeElement,
+) -> tuple[int, list[tuple[int, int, int]], dict[int, int]]:
+    """Optimal transport plan of an element as (mass unit, flows, sink duals).
 
     Each flow is (source, sink, integer mass), the mass in units of
-    1 / (mass unit).  The zero element has nothing to move: (1, []).
+    1 / (mass unit).  The sink duals map each sink t to -pi(t), minus its
+    node potential at exit, in the integer distance unit of
+    `space.scaled`.  The zero element has nothing to move: (1, [], {}).
 
     Successive shortest paths (Ahuja-Magnanti-Orlin, *Network Flows*,
     ch. 9) on the bipartite graph from the nodes of positive coefficient to
@@ -217,7 +173,11 @@ def _transport_plan(mu: FreeElement) -> tuple[int, list[tuple[int, int, int]]]:
     graph.  Masses are scaled to integers by the lcm of their denominators
     and costs are the integer distances of `space.scaled`, so every step is
     exact; scaling every cost by one positive integer leaves the plan as it
-    is.
+    is.  When no source has mass left, every source -> sink arc has
+    reduced cost c(s,t) + pi(s) - pi(t) >= 0, and an arc carrying flow has
+    reduced cost 0, since its residual reverse arc has reduced cost >= 0
+    too: -pi is an optimal dual, which `_certified` turns into a norming
+    function.
     """
     space = mu.space
     supply = dict(mu.coeffs)
@@ -265,16 +225,16 @@ def _transport_plan(mu: FreeElement) -> tuple[int, list[tuple[int, int, int]]]:
             flow[path[i + 1], path[i]] += amount
         for arc in back:
             flow[arc] -= amount
-    return mass, [(s, t, f) for (s, t), f in flow.items() if f]
+    return mass, [(s, t, f) for (s, t), f in flow.items() if f], {t: -pi[t] for t in sinks}
 
 
 def _rebuilds(mu: FreeElement, mass: int, flows: Sequence[tuple[int, int, int]]) -> bool:
     """Whether a plan in units of 1 / mass rebuilds mu, checked on integers.
 
     Every flow must be positive and join two distinct points of the support
-    and the base, the nodes the solver and the certificate's shortest paths
-    run on.  At every such node, the base included, flow out minus flow in
-    must be `mass` times the coefficient there (at the base, times minus
+    and the base, the nodes the solver and its dual run on.  At every such
+    node, the base included, flow out minus flow in must be `mass` times
+    the coefficient there (at the base, times minus
     their sum).  Since m(s, t) = (delta_s - delta_t) / d(s, t) and
     delta_base = 0, that is the identity sum of w * m(s, t) = mu for the
     weights w = flow * d(s, t) / mass.
@@ -304,8 +264,17 @@ def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
     rebuild the element here, outside the solver, on its integer masses
     (:func:`_rebuilds`).  The zero element has the empty plan: value 0.
     """
+    return _solve(mu)[0]
+
+
+def _solve(mu: FreeElement) -> tuple[PrimalCertificate, dict[int, int]]:
+    """The one transport solve behind both halves of a norm certificate.
+
+    Returns the checked plan as :func:`free_norm_primal` does, and the sink
+    duals of :func:`_transport_plan` for :func:`_certified`.
+    """
     space = mu.space
-    mass, flows = _transport_plan(mu)
+    mass, flows, duals = _transport_plan(mu)
     if not _rebuilds(mu, mass, flows):
         raise InternalVerificationFailure("transport plan does not rebuild the element")
     unit, lengths = space.scaled
@@ -313,47 +282,59 @@ def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
     decomposition = tuple(
         (Molecule(s, t), Fraction(c, mass * unit)) for (s, t, _), c in zip(flows, costs)
     )
-    return PrimalCertificate(Fraction(sum(costs), mass * unit), decomposition)
+    return PrimalCertificate(Fraction(sum(costs), mass * unit), decomposition), duals
 
 
 def _certified(
-    mu: FreeElement, primal: PrimalCertificate, nodes: Sequence[int], row: Sequence[int]
+    mu: FreeElement, primal: PrimalCertificate, values: Mapping[int, int]
 ) -> NormCertificate:
-    """Certificate of a nonzero element from its plan and the base row over `nodes`.
+    """Certificate of a nonzero element from its plan and a dual of that plan.
 
-    `nodes` holds the support and the base point, and `row` the integer
-    shortest-path lengths from the base to them: in units of 1 / `unit`,
-    like the distances s of `space.scaled`, so `unit` times the largest
-    normer values.  The witness is that row McShane-extended to the whole
-    space on the same integers, E[x] = min over q of row[q] + s[q][x], with
-    no lcm; when `nodes` is every point E is the row itself, since a
-    shortest path skips the points outside the support (triangle
-    inequality).  Both sides of weak duality are checked on E:
-    - E vanishes at the base and is 1-Lipschitz, |E[x] - E[y]| <= s[x][y],
-      read per x as max over y of E[y] - s[x][y] <= E[x];
+    `values` maps some points q to integers f(q) in units of 1 / `unit`,
+    like the distances s of `space.scaled`.  The witness is their McShane
+    minimum on the same integers, E[x] = min over q of f(q) + s[q][x],
+    shifted by E[base] to vanish at the base point.  Two duals are passed:
+    - from :func:`norm_certificate`, the sink duals f = -pi of
+      :func:`_transport_plan`.  With f = -pi on the sources too,
+      f(p) <= f(t) + s[p][t] for every source p and sink t, with equality
+      where flow runs from p to t.  E is 1-Lipschitz, as a minimum of the
+      functions f(t) + s[t][.]; E <= f on the sinks (take t = x) and
+      E >= f on the sources.  So the balanced pairing of E, where the base
+      carries minus the sum of the coefficients, is at least that of f,
+      which is the sum over the flows of mass times f(p) - f(t) = s[p][t]:
+      the plan cost.  By weak duality it is at most the norm, so the two
+      are equal.  The shift leaves the balanced pairing unchanged and makes
+      it the pairing with mu.  A positive element has the base as its only
+      sink, and its witness is d(., base).
+    - from :func:`normers_of`, the base row D[base] of its shortest paths
+      over every point, the largest normer tight on the flow.  E is the row
+      itself, since D[base][x] <= D[base][q] + s[q][x], and E[base] = 0.
+    Both sides of weak duality are checked on E:
+    - E is 1-Lipschitz, |E[x] - E[y]| <= s[x][y], read per x as max over
+      y of E[y] - s[x][y] <= E[x];
     - E pairs with mu to the cost of the decomposition: with (den, m) the
       coefficients of mu scaled to integers, sum of m_p * E[p] times the
       value's denominator equals its numerator times den * unit.
     A 1-Lipschitz function pairing with mu to the cost of a decomposition
-    proves both optimal.  The first two checks are guards on the
-    construction: a minimum of the functions row[q] + s[q][.], each
-    1-Lipschitz on a validated metric, is 1-Lipschitz whatever the row, and
-    row[base] = 0 <= row[q] + s[q][base] (shortest paths) gives E[base] = 0.
-    Fractions are built only for the returned witness.  The row is in the
-    distance unit already, so it needs no lift: routing it through the
-    kernel `functions._mcshane_minima` made `norm_certificate` slower.
+    proves both optimal.  The Lipschitz check is a guard on the
+    construction: a minimum of the functions f(q) + s[q][.], each
+    1-Lipschitz on a validated metric, is 1-Lipschitz whatever the values.
+    Fractions are built only for the returned witness.  The values are in
+    the distance unit already, so they need no lift: routing them through
+    the kernel `functions._mcshane_minima` made `norm_certificate` slower.
     """
     space = mu.space
     unit, lengths = space.scaled
-    # one lifted row per node, then the minimum point by point; `nodes`
-    # holds the base and a support point, so min gets at least two rows
-    E = list(map(min, *([v + d for d in lengths[q]] for q, v in zip(nodes, row))))
+    # one lifted row per point of `values`, then the minimum point by point
+    rows = [[v + d for d in lengths[q]] for q, v in values.items()]
+    E = [min(column) for column in zip(*rows)]
+    shift = E[space.base]
+    E = [e - shift for e in E]
     den, m = scale_to_integers([a for _, a in mu.items])
     pairing = sum(mp * E[p] for (p, _), mp in zip(mu.items, m))
     value = primal.value
     if (
-        E[space.base]
-        or any(max(map(sub, E, s)) > e for e, s in zip(E, lengths))
+        any(max(map(sub, E, s)) > e for e, s in zip(E, lengths))
         or pairing * value.denominator != value.numerator * den * unit
     ):
         raise InternalVerificationFailure("dual witness failed verification")
@@ -364,18 +345,16 @@ def _certified(
 def norm_certificate(mu: FreeElement) -> NormCertificate:
     """Solve the transport problem once and certify it by exact weak duality.
 
-    The molecule decomposition bounds the norm from above.  The largest
-    potential tight on its flow, over the support plus the base point and
-    McShane-extended to the whole space, bounds it from below; equal
-    bounds prove both optimal.  That potential is one row of shortest
-    paths, from the base point (:func:`_base_distances`).
+    The molecule decomposition bounds the norm from above.  The solver's
+    dual on the sinks, McShane-extended to the whole space and shifted to
+    vanish at the base point, bounds it from below; equal bounds prove both
+    optimal (:func:`_certified`).  No shortest-path pass runs after the
+    solve.
     """
     space = mu.space
     if mu.is_zero():
         return NormCertificate(_ZERO, lip_function(space, [0] * space.n), ())
-    primal = free_norm_primal(mu)
-    nodes = sorted(support(mu) | {space.base})
-    return _certified(mu, primal, nodes, _base_distances(space, nodes, primal.decomposition))
+    return _certified(mu, *_solve(mu))
 
 
 def free_norm(mu: FreeElement) -> Fraction:
@@ -503,7 +482,7 @@ def normers_of(mu: FreeElement) -> NormersReport:
     base = space.base
     primal = free_norm_primal(mu)
     D = _all_distances(space, primal.decomposition)
-    cert = _certified(mu, primal, range(space.n), D[base])
+    cert = _certified(mu, primal, dict(enumerate(D[base])))
     unit, lengths = space.scaled
     fixed = {
         p: Fraction(D[base][p], unit)

@@ -359,19 +359,19 @@ def tight_distances(space, nodes, decomposition):
     return {a: dict(zip(nodes, D[i])) for i, a in enumerate(nodes)}
 
 
-def fraction_certified(mu, primal, nodes, row):
+def fraction_certified(mu, primal, values):
     """`norms._certified` on Fractions: the witness and its weak-duality checks.
 
-    The base row over `nodes`, in units of 1 / `unit`, becomes Fractions,
-    is McShane-extended by the Fraction minimum, measured by `lip_constant`
-    and paired with mu by element arithmetic.
+    The integer values, in units of 1 / `unit`, become Fractions, are
+    McShane-extended by the Fraction minimum, shifted to vanish at the base
+    point, measured by `lip_constant` and paired with mu by element
+    arithmetic.
     """
     space = mu.space
     unit = space.scaled[0]
-    values = {p: Fraction(v, unit) for p, v in zip(nodes, row)}
-    witness = lip_function(
-        space, [min(v + space.d(q, x) for q, v in values.items()) for x in space.points()]
-    )
+    values = {q: Fraction(v, unit) for q, v in values.items()}
+    extension = [min(v + space.d(q, x) for q, v in values.items()) for x in space.points()]
+    witness = lip_function(space, [e - extension[space.base] for e in extension])
     if lip_constant(witness) > 1 or mu.pair(witness) != primal.value:
         raise InternalVerificationFailure("dual witness failed verification")
     return NormCertificate(primal.value, witness, primal.decomposition)

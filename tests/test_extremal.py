@@ -589,10 +589,10 @@ def test_points_from_different_attainment_cells_change_the_norm(monkeypatch):
     mu = delta(space, 3) * -1
     assert almost_positive_witness(lam, mu) is None
 
-    def one_cell(f):
-        return {frozenset(f.domain): frozenset(range(f.space.n))}
+    def one_cell(space, f):
+        return {frozenset(f.domain): frozenset(range(space.n))}
 
-    monkeypatch.setattr(extremal, "_attainment_cells", one_cell)
+    monkeypatch.setattr(extremal, "attainment_partition", one_cell)
     with pytest.raises(InternalVerificationFailure, match="perturbation changed the norm"):
         almost_positive_witness(lam, mu)
 

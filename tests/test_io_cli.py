@@ -133,6 +133,27 @@ def test_element_round_trip(tmp_path, line3_file):
     assert fileio.machine_dumps(fileio.element_payload(again)) == text
 
 
+def test_envelope_names_are_labels_inside_the_coefficients(tmp_path, capsys):
+    # on a space labelled `0`, `kind`, `schema_version` and `b`, every
+    # coefficient of a written element reads back
+    dist = [[0, 1, 1, 1], [1, 0, 2, 1], [1, 2, 0, 2], [1, 1, 2, 0]]
+    space_path = _write(
+        tmp_path,
+        "space.json",
+        {"labels": ["0", "kind", "schema_version", "b"], "base": "0", "dist": dist},
+    )
+    space = fileio.load_space(space_path)
+    path = tmp_path / "mu.json"
+    for coeffs in ({2: Fraction(1, 3), 1: -2, 3: 5}, {1: 1, 3: -1}):
+        mu = canonicalize(space, coeffs)
+        path.write_text(fileio.machine_dumps(fileio.element_payload(mu)))
+        assert fileio.load_element(path, space) == mu
+    # the last one, delta(kind) - delta(b), has norm d(kind, b) = 1
+    capsys.readouterr()
+    assert main(["norm", "--space", space_path, "--element", str(path)]) == 0
+    assert "norm = 1\n" in capsys.readouterr().out
+
+
 def test_element_accepts_bare_mapping(tmp_path, line3_file):
     space = fileio.load_space(line3_file)
     path = tmp_path / "mu.json"

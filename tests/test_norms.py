@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -322,10 +323,16 @@ def test_flow_solver_matches_the_dense_simplex_and_networkx(kind):
         oracle_value, oracle_plan = transport_norm_bruteforce(mu)
         assert cert.value == oracle_value == networkx_transport_norm(mu)
         assert sum(w for _, w in cert.primal_witness) == cert.value
-        # every optimal flow pins the same largest tight normer
+        # every optimal flow pins the same largest tight normer, the one
+        # normers_of returns
         nodes = sorted(support(mu) | {space.base})
         D = tight_distances(space, nodes, oracle_plan)
-        assert cert.dual_witness == mcshane_extend(partial_function(space, D[space.base]))
+        largest = mcshane_extend(partial_function(space, D[space.base]))
+        assert normers_of(mu).witness == largest
+        # the certificate's witness is a normer, checked on Fractions
+        witness = cert.dual_witness
+        assert witness.values[space.base] == 0 and lip_constant(witness) <= 1
+        assert mu.pair(witness) == oracle_value
 
 
 def test_normers_of_delta(line3):
@@ -374,7 +381,7 @@ def test_zero_element_certificate(line3):
 
 def test_the_zero_element_has_the_empty_plan(line3):
     # the solver moves no mass, and the empty plan rebuilds zero
-    assert norms._transport_plan(zero(line3)) == (1, [])
+    assert norms._transport_plan(zero(line3)) == (1, [], {})
     assert free_norm_primal(zero(line3)) == norms.PrimalCertificate(Fraction(0), ())
     one = validate_space([[0]])
     assert free_norm_primal(zero(one)).decomposition == ()
@@ -392,21 +399,17 @@ def test_one_point_space():
 
 @pytest.mark.parametrize("kind", ["random", "line", "coprime", "ultrametric", "large"])
 def test_integer_shortest_paths_match_the_fraction_floyd_warshall(kind):
-    # the Bellman-Ford base row and the integer all-pairs matrix are `unit`
-    # times the Fraction Floyd-Warshall of the same tight constraints
+    # the integer all-pairs matrix is `unit` times the Fraction
+    # Floyd-Warshall of the same tight constraints
     rng = random.Random(55)
     for _ in range(4 if kind == "large" else 15):
         space, mu = _degenerate_case(rng, kind)
         if mu.is_zero():
             continue
-        unit, base = space.scaled[0], space.base
+        unit = space.scaled[0]
         flow = free_norm_primal(mu).decomposition
-        nodes = sorted(support(mu) | {base})
-        row = norms._base_distances(space, nodes, flow)
-        D = tight_distances(space, nodes, flow)
-        assert all(type(v) is int for v in row)
-        assert [Fraction(v, unit) for v in row] == [D[base][p] for p in nodes]
         full = norms._all_distances(space, flow)
+        assert all(type(v) is int for row in full for v in row)
         reference = tight_distances(space, range(space.n), flow)
         assert [[Fraction(v, unit) for v in r] for r in full] == [
             [reference[a][b] for b in space.points()] for a in space.points()
@@ -422,8 +425,9 @@ def _crossed_flow():
     """
     space = space_from_points([0, 1, 2, 10, 11])
     mu = canonicalize(space, {1: 1, 2: -1, 3: 1, 4: -1})
-    # (mass unit, [(source, sink, integer mass)]), as `_transport_plan` returns it
-    plan = (1, [(1, 4, 1), (3, 2, 1)])
+    # (mass unit, [(source, sink, integer mass)], sink duals), as
+    # `_transport_plan` returns it; the duals are those of the optimal plan
+    plan = (1, [(1, 4, 1), (3, 2, 1)], norms._transport_plan(mu)[2])
     return space, mu, plan
 
 
@@ -431,101 +435,124 @@ def test_a_non_optimal_flow_makes_every_shortest_path_routine_raise(monkeypatch)
     space, mu, plan = _crossed_flow()
     flow = [(Molecule(s, t), f * space.d(s, t)) for s, t, f in plan[1]]
     with pytest.raises(InternalVerificationFailure, match="negative cycle"):
-        norms._base_distances(space, sorted(support(mu) | {space.base}), flow)
-    with pytest.raises(InternalVerificationFailure, match="negative cycle"):
         norms._all_distances(space, flow)
     with pytest.raises(InternalVerificationFailure, match="negative cycle"):
         tight_distances(space, range(space.n), flow)
-    # the crossed plan rebuilds mu, so only the shortest paths can catch it
+    # the crossed plan rebuilds mu, so only the dual side can catch it: no
+    # 1-Lipschitz function pairs with mu to its cost 18, and its tight
+    # constraints hold a negative cycle
     monkeypatch.setattr(norms, "_transport_plan", lambda _: plan)
     assert free_norm_primal(mu).value == 18
-    for certify in (norm_certificate, normers_of):
-        with pytest.raises(InternalVerificationFailure, match="negative cycle"):
-            certify(mu)
+    with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
+        norm_certificate(mu)
+    with pytest.raises(InternalVerificationFailure, match="negative cycle"):
+        normers_of(mu)
+
+
+def _norms_calls(run, mu):
+    """Names of the functions of `norms` that run(mu) calls, in call order.
+
+    Comprehensions and generator expressions (`<listcomp>` and the like)
+    are left out.
+    """
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == norms.__file__ and code.co_name[0] != "<":
+            calls.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run(mu)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def test_certificates_run_one_integer_shortest_path_kernel(monkeypatch):
-    # pins the cost shape: a norm certificate runs one single-source pass
-    # and no all-pairs pass; normers_of runs the all-pairs pass once
-    calls = []
+    # pins the cost shape: a norm certificate runs one transport solve and
+    # no shortest-path pass after it, so a Floyd-Warshall or any new helper
+    # in `norms` (a re-added Bellman-Ford, say) fails here; normers_of runs
+    # one solve and one all-pairs pass
+    kernels = []
+    original = norms.floyd_warshall
 
-    def spy(name):
-        original = getattr(norms, name)
+    def counted(W):
+        kernels.append("floyd_warshall")
+        return original(W)
 
-        def counted(*args):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(norms, name, counted)
-
-    spy("_base_distances")
-    spy("_all_distances")
+    monkeypatch.setattr(norms, "floyd_warshall", counted)
     rng = random.Random(56)
     for _ in range(10):
         space = random_space(rng, rng.randint(2, 8))
         mu = random_element(rng, space)
         if mu.is_zero():
             continue
-        calls.clear()
-        norm_certificate(mu)
-        assert calls == ["_base_distances"]
-        calls.clear()
-        normers_of(mu)
-        assert calls == ["_all_distances"]
+        kernels.clear()
+        assert _norms_calls(norm_certificate, mu) == [
+            "norm_certificate", "_solve", "_transport_plan", "_rebuilds", "_certified"
+        ]
+        assert kernels == []
+        assert _norms_calls(normers_of, mu) == [
+            "normers_of", "free_norm_primal", "_solve", "_transport_plan", "_rebuilds",
+            "_all_distances", "_certified",
+        ]
+        assert kernels == ["floyd_warshall"]
 
 
 @pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime", "ultrametric"])
 def test_integer_witnesses_equal_the_fraction_certificate(kind):
-    # the integer McShane minimum, Lipschitz guard and pairing against the
-    # Fraction route they replaced, fed the same shortest-path rows
+    # the integer McShane minimum, shift, Lipschitz guard and pairing against
+    # the Fraction route they replaced, fed the same sink duals and rows
     rng = random.Random(61)
     for space, mu in _rebuild_corpus(rng, kind):
         base = space.base
         primal = free_norm_primal(mu)
-        nodes = sorted(support(mu) | {base})
-        row = norms._base_distances(space, nodes, primal.decomposition)
+        duals = norms._transport_plan(mu)[2]
+        assert all(type(v) is int for v in duals.values())
         cert = norm_certificate(mu)
-        assert cert == fraction_certified(mu, primal, nodes, row)
+        assert cert == fraction_certified(mu, primal, duals)
         assert all(type(v) is Fraction for v in cert.dual_witness.values)
         full = norms._all_distances(space, primal.decomposition)
-        reference = fraction_certified(mu, primal, range(space.n), full[base])
+        reference = fraction_certified(mu, primal, dict(enumerate(full[base])))
         report = normers_of(mu)
         assert (report.value, report.witness) == (reference.value, reference.dual_witness)
 
 
-def _rows_one_unit_off(row, positions):
+def _rows_one_unit_off(values, positions):
+    """Copies of a {point: integer} mapping, each one unit off at one position."""
     for i in positions:
         for step in (-1, 1):
-            off = list(row)
+            off = dict(values)
             off[i] += step
             yield off
 
 
 @pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime"])
 def test_a_row_one_unit_off_fails_verification(monkeypatch, kind):
-    # a row one unit off at a support point may still give a valid witness
-    # (it may shift a whole side of a balanced element); each certificate
-    # must raise exactly where the Fraction route rejects the row, and
-    # otherwise return what that route returns
+    # a sink dual or a row one unit off may still give a valid witness (it
+    # may shift a whole side of a balanced element); each certificate must
+    # raise exactly where the Fraction route rejects it, and otherwise
+    # return what that route returns
     rng = random.Random(62)
-    base_distances, all_distances = norms._base_distances, norms._all_distances
+    transport_plan, all_distances = norms._transport_plan, norms._all_distances
     rejected = accepted = 0
 
-    def reference(mu, primal, nodes, row):
+    def reference(mu, primal, values):
         try:
-            return fraction_certified(mu, primal, nodes, row)
+            return fraction_certified(mu, primal, values)
         except (InternalVerificationFailure, ValueError):
             return None
 
     for space, mu in _rebuild_corpus(rng, kind):
         base = space.base
         primal = free_norm_primal(mu)
-        nodes = sorted(support(mu) | {base})
-        row = base_distances(space, nodes, primal.decomposition)
-        positions = [nodes.index(p) for p in support(mu)]
-        for off in _rows_one_unit_off(row, positions):
-            monkeypatch.setattr(norms, "_base_distances", lambda *args, off=off: off)
-            expected = reference(mu, primal, nodes, off)
+        mass, flows, duals = transport_plan(mu)
+        for off in _rows_one_unit_off(duals, duals):
+            plan = (mass, flows, off)
+            monkeypatch.setattr(norms, "_transport_plan", lambda _, plan=plan: plan)
+            expected = reference(mu, primal, off)
             if expected is None:
                 rejected += 1
                 with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
@@ -533,12 +560,12 @@ def test_a_row_one_unit_off_fails_verification(monkeypatch, kind):
             else:
                 accepted += 1
                 assert norm_certificate(mu) == expected
-        monkeypatch.setattr(norms, "_base_distances", base_distances)
+        monkeypatch.setattr(norms, "_transport_plan", transport_plan)
         full = all_distances(space, primal.decomposition)
-        for off in _rows_one_unit_off(full[base], support(mu)):
-            if reference(mu, primal, range(space.n), off) is None:
+        for off in _rows_one_unit_off(dict(enumerate(full[base])), support(mu)):
+            if reference(mu, primal, off) is None:
                 rejected += 1
-                D = [off if i == base else r for i, r in enumerate(full)]
+                D = [list(off.values()) if i == base else r for i, r in enumerate(full)]
                 monkeypatch.setattr(norms, "_all_distances", lambda *args, D=D: D)
                 with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
                     normers_of(mu)
@@ -548,9 +575,9 @@ def test_a_row_one_unit_off_fails_verification(monkeypatch, kind):
 
 def test_a_triangle_violation_fires_the_lipschitz_guard():
     # built past `validate_space`: d(0,3) = 3 > d(0,2) + d(2,3) = 2.  The
-    # witness of delta(1) is min(d(0, .), 1 + d(1, .)) = (0, 1, 1, 3): it
-    # pairs with delta(1) to its norm 1 and vanishes at the base, but its
-    # slope on (2, 3) is 2, one distance unit too steep
+    # base is the only sink of delta(1), so its witness is d(0, .) =
+    # (0, 1, 1, 3): it pairs with delta(1) to its norm 1 and vanishes at
+    # the base, but its slope on (2, 3) is 2, one distance unit too steep
     dist = [[0, 1, 1, 3], [1, 0, 1, 10], [1, 1, 0, 1], [3, 10, 1, 0]]
     space = PointedMetricSpace(
         tuple("abcd"), 0, tuple(tuple(map(Fraction, row)) for row in dist)
@@ -558,16 +585,41 @@ def test_a_triangle_violation_fires_the_lipschitz_guard():
     mu = delta(space, 1)
     primal = free_norm_primal(mu)
     assert primal.value == 1
-    nodes = [0, 1]
-    row = norms._base_distances(space, nodes, primal.decomposition)
-    assert row == [0, 1]
+    duals = norms._transport_plan(mu)[2]
+    assert duals == {0: -1}
     with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
         norm_certificate(mu)
     with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
-        fraction_certified(mu, primal, nodes, row)
+        fraction_certified(mu, primal, duals)
     witness = lip_function(space, [0, 1, 1, 3])
     assert space.scaled[0] == 1
     assert mu.pair(witness) == 1 and lip_constant(witness) == 2
+
+
+@pytest.mark.parametrize("kind", ["line", "coprime", "ultrametric", "uniform"])
+def test_the_dual_witness_is_a_normer_over_fractions(kind):
+    # the witness read off the solver's potentials, checked on Fractions
+    # against the dense dual LP: 1-Lipschitz, zero at the base, pairing to
+    # the norm; the base is a sink, a source (every coefficient negative)
+    # or carries no mass (coefficients summing to 0).  The base is the only
+    # sink of a positive element, whose witness is then d(., base)
+    rng = random.Random(64)
+    base_sides = set()
+    for space, mu in _rebuild_corpus(rng, kind):
+        p = rng.choice(list(space.nonbase_points()))
+        positive = random_positive_element(rng, space, max_support=10)
+        balanced = mu - delta(space, p) * sum(mu.coeffs.values(), Fraction(0))
+        for nu in (mu, positive, positive * -1, balanced):
+            if nu.is_zero():
+                continue
+            total = sum(nu.coeffs.values(), Fraction(0))
+            base_sides.add((total > 0) - (total < 0))
+            witness = norm_certificate(nu).dual_witness
+            assert witness.values[space.base] == 0
+            assert lip_constant(witness) <= 1
+            assert nu.pair(witness) == dual_lp_norm(nu, sorted(support(nu) | {space.base}))
+        assert norm_certificate(positive).dual_witness == distance_to_base(space)
+    assert base_sides == {-1, 0, 1}
 
 
 def _face_corpus(rng):
@@ -679,25 +731,28 @@ def test_every_decomposition_rebuilds_the_element_in_fraction_arithmetic(kind):
         assert fraction_rebuild(space, transport_norm_bruteforce(mu)[1]) == mu
 
 
-def _faulty_plans(mu, mass, flows):
-    """(fault, plan) pairs: plans near an optimal one that do not rebuild mu."""
+def _faulty_plans(mu, mass, flows, duals):
+    """(fault, plan) pairs: plans near an optimal one that do not rebuild mu.
+
+    Each keeps the optimal plan's sink duals.
+    """
     space = mu.space
     s, t, f = flows[0]
     wrong = next(x for x in space.points() if x not in (s, t)) if space.n > 2 else None
     if wrong is not None:
         moved = [(s, t, f - 1), (s, wrong, 1)] if f > 1 else [(s, wrong, 1)]
-        yield "one unit to the wrong sink", (mass, moved + flows[1:])
+        yield "one unit to the wrong sink", (mass, moved + flows[1:], duals)
     # same divergence, but no decomposition into nonnegative weights
-    yield "a negative flow", (mass, [(t, s, -f)] + flows[1:])
-    yield "another mass unit", (2 * mass, flows)
-    yield "no flow in a coarse unit", (1, [])
+    yield "a negative flow", (mass, [(t, s, -f)] + flows[1:], duals)
+    yield "another mass unit", (2 * mass, flows, duals)
+    yield "no flow in a coarse unit", (1, [], duals)
     outside = [x for x in space.nonbase_points() if x not in support(mu)]
     if len(outside) >= 2:
         x, y = outside[:2]
         # balanced at the support and the base, unbalanced elsewhere
-        yield "a unit between points off the support", (mass, flows + [(x, y, 1)])
+        yield "a unit between points off the support", (mass, flows + [(x, y, 1)], duals)
         # balanced everywhere, but off the nodes the certificate runs on
-        yield "a cycle off the support", (mass, flows + [(x, y, 1), (y, x, 1)])
+        yield "a cycle off the support", (mass, flows + [(x, y, 1), (y, x, 1)], duals)
 
 
 @pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime"])
