@@ -18,7 +18,6 @@ from .elements import (
     order_leq,
     subspace_membership,
     support,
-    support_by_functionals,
     zero,
 )
 from .extremal import (
@@ -46,7 +45,6 @@ from .functions import (
     molecule_norming_function,
     multiply_by_weight,
     partial_function,
-    point_bump,
     restrict,
     weight_element,
     weight_function,
@@ -79,14 +77,14 @@ __version__ = "0.1.0"
 __all__ = [
     "FreeElement", "Molecule", "canonicalize", "delta",
     "intersection_property_check", "is_positive", "order_leq",
-    "subspace_membership", "support", "support_by_functionals", "zero",
+    "subspace_membership", "support", "zero",
     "EXPOSED", "NOT_EXTREME", "ExposednessVerdict", "PerturbationWitness",
     "almost_positive_witness", "attainment_partition", "classify_molecule",
     "extended_pairing", "maximize_extended_pairing", "normers_support_check",
     "positive_ball_extremes", "split_positive", "LipFunction",
     "PartialFunction", "WeightFunction", "distance_to_base", "lip_constant",
     "lip_function", "mcshane_extend", "molecule_norming_function",
-    "multiply_by_weight", "partial_function", "point_bump", "restrict",
+    "multiply_by_weight", "partial_function", "restrict",
     "weight_element", "weight_function", "weighting_bound",
     "PointedMetricSpace", "Segment", "line_space", "space_from_points",
     "validate_space", "DualCertificate", "FaceReport", "NormCertificate",

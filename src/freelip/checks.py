@@ -30,13 +30,11 @@ from .elements import (
     is_positive,
     order_leq,
     support,
-    support_by_functionals,
     zero,
 )
 from .functions import (
     distance_to_base,
     lip_constant,
-    lip_function,
     mcshane_extend,
     molecule_norming_function,
     multiply_by_weight,
@@ -335,16 +333,15 @@ def check_positive_facts(corpus, rng: random.Random, samples: int, families: int
 
         def attempt():
             cert = norm_certificate(mu)
-            ok = cert.value == mu.pair(rho)
-            # norming function equals d(., base) on the support
-            ok = ok and all(cert.dual_witness.values[p] == rho.values[p] for p in support(mu))
-            # vanishing: rho - witness is a nonnegative function with zero
-            # pairing against mu, so it must vanish on the support
+            # vanishing: the witness is 1-Lipschitz and vanishes at the base,
+            # so rho - witness is nonnegative; it pairs with the positive mu
+            # to ||mu|| - ||mu|| = 0, so it vanishes on the support
             gap = [a - b for a, b in zip(rho.values, cert.dual_witness.values)]
-            ok = ok and all(v >= 0 for v in gap)
-            pairing = sum((a * gap[p] for p, a in mu.items), _ZERO)
-            ok = ok and pairing == 0
-            return ok and all(gap[p] == 0 for p in support(mu))
+            return (
+                cert.value == mu.pair(rho)
+                and all(v >= 0 for v in gap)
+                and all(gap[p] == 0 for p in support(mu))
+            )
 
         rec.run(f"norm formula on {space.labels}", attempt)
     for _ in range(families):
@@ -354,18 +351,20 @@ def check_positive_facts(corpus, rng: random.Random, samples: int, families: int
         ]
 
         def additivity():
+            # the transport norm of the sum against the closed forms of the parts
             total = zero(space)
             for m in members:
                 total = total + m
-            return positive_norm(total) == sum((positive_norm(m) for m in members), _ZERO)
+            return free_norm(total) == sum((positive_norm(m) for m in members), _ZERO)
 
         rec.run(f"additivity on {space.labels}", additivity)
-        # order comparison propagates to supports
+        # mu < lam strictly; supp(mu) <= supp(lam) follows from mu <= lam,
+        # as lam's coefficients are at least mu's positive ones
         mu = random_positive_element(rng, space)
         lam = mu + random_positive_element(rng, space)
         rec.run(
-            f"order/support on {space.labels}",
-            lambda: order_leq(mu, lam) and support(mu) <= support(lam),
+            f"order on {space.labels}",
+            lambda: order_leq(mu, lam) and not order_leq(lam, mu),
         )
     return rec.result()
 
@@ -438,22 +437,19 @@ def check_mcshane(
     for _ in range(extension_samples):
         space = rng.choice(usable)
         pf = _random_partial(rng, space, sorted(random_subset(rng, space) | {space.base}))
-        c = Fraction(rng.randint(0, 4), 4)
+        rng.randint(0, 4)  # an unused draw that keeps the seeded samples after it as they are
 
         def extension():
+            # a 1-Lipschitz extension g has g(x) <= f(q) + d(q, x) for every
+            # domain point q, so one meeting that bound at every x is the largest
             top = mcshane_extend(pf)
             vals = pf.values
-            floor = [
-                max(vals[q] - space.d(q, x) for q in pf.domain) for x in range(space.n)
-            ]
             ok = lip_constant(top) <= 1
             ok = ok and all(top.values[p] == vals[p] for p in pf.domain)
-            ok = ok and all(a <= b for a, b in zip(floor, top.values))
-            mix = [c * t + (1 - c) * fl for t, fl in zip(top.values, floor)]
-            g = lip_function(space, mix)
-            ok = ok and lip_constant(g) <= 1
-            ok = ok and all(g.values[p] == vals[p] for p in pf.domain)
-            return ok and all(a <= b for a, b in zip(g.values, top.values))
+            return ok and all(
+                any(t == vals[q] + space.d(q, x) for q in pf.domain)
+                for x, t in enumerate(top.values)
+            )
 
         rec.run(f"extension on {space.labels}", extension)
     for _ in range(concavity_samples):
@@ -514,17 +510,16 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
             def attempt():
                 witness = almost_positive_witness(lam, mu)
                 if total.is_zero():
-                    return witness is None or not witness.v.is_zero()
+                    # a witness v != 0 would need ||v|| = ||lam + mu|| = 0
+                    return witness is None
                 norm = norm_certificate(total).value
                 unit = total / norm
                 if not is_extreme_in_ball_bruteforce(unit, brute, vectors):
                     return True
-                # an extreme point has no witness (a verified witness
-                # certifies non-extremality) and is a molecule
-                target = tuple(
-                    unit.coeffs.get(x, _ZERO) for x in space.nonbase_points()
-                )
-                return witness is None and any(vec == target for vec in vectors.values())
+                # an extreme point has no witness, as a verified witness
+                # certifies non-extremality; it is a molecule, since the hull
+                # oracle calls only molecule vectors extreme
+                return witness is None
 
             rec.run(f"pair on {space.labels}", attempt)
     return rec.result()
@@ -569,19 +564,38 @@ def check_molecule_function(corpus) -> CheckResult:
 
 
 def check_support_routes(corpus, rng: random.Random, samples: int) -> CheckResult:
+    """The support as a key set against its definition, by annihilators.
+
+    The support of mu is the intersection of the closed K with mu in F(K),
+    so a point x != base lies outside it exactly when mu is in F(M - {x}),
+    that is when mu kills g_x, the McShane extension of 0 from M - {x}:
+    every Lipschitz function vanishing on M - {x} is a multiple of g_x,
+    which is d(x, M - {x}) > 0 at x.  The annihilators are built once per
+    space from public functions.  The sum mu + nu is checked as well,
+    because a sum can cancel a coefficient that `canonicalize` must drop.
+    """
     rec = _Recorder("support agrees between basis and functional routes")
     usable = [s for s in corpus if s.n >= 2]
+    annihilators = {}
     for _ in range(samples):
         space = rng.choice(usable)
         mu = random_element(rng, space)
         nu = random_element(rng, space)
-        rec.run(
-            f"element on {space.labels}",
-            lambda: (
-                support(mu) == support_by_functionals(mu)
-                and support(mu + nu) <= (support(mu) | support(nu))
-            ),
-        )
+
+        def attempt():
+            if id(space) not in annihilators:
+                annihilators[id(space)] = {
+                    x: mcshane_extend(
+                        partial_function(space, {y: 0 for y in space.points() if y != x})
+                    )
+                    for x in space.nonbase_points()
+                }
+            routes = annihilators[id(space)].items()
+            return all(
+                support(m) == {x for x, g in routes if m.pair(g) != 0} for m in (mu, mu + nu)
+            )
+
+        rec.run(f"element on {space.labels}", attempt)
     return rec.result()
 
 

@@ -3,8 +3,10 @@
 An element is a rational linear combination of evaluation functionals
 delta(p); the base point never carries a coefficient because delta(base) is
 the zero functional.  On a finite space the evaluation functionals at the
-non-base points form a basis, so representations are unique and the support
-is literally the key set of the canonical coefficient mapping.
+non-base points form a basis, so representations are unique.  The support,
+the intersection of all closed K with mu in F(K), is then the key set of the
+canonical coefficient mapping; the battery checks that against its
+definition, by annihilators (`checks.check_support_routes`).
 """
 
 from __future__ import annotations
@@ -134,25 +136,13 @@ def delta(space: PointedMetricSpace, p: int) -> FreeElement:
 
 
 def support(mu: FreeElement) -> frozenset[int]:
-    """Support of mu: the key set of its canonical coefficient mapping."""
-    return frozenset(p for p, _ in mu.items)
+    """Support of mu: the key set of its canonical coefficient mapping.
 
-
-def support_by_functionals(mu: FreeElement) -> frozenset[int]:
-    """Independent route to the support via bump-function pairings.
-
-    A point p != base belongs to the support iff the nonnegative bump equal
-    to 1 at p and 0 elsewhere (always Lipschitz on a finite space) pairs
-    nontrivially with mu.
+    A point x != base is outside the support exactly when mu lies in
+    F(M - {x}), that is when mu kills every Lipschitz function vanishing
+    off x; on the basis delta(p) those functions read back a_x alone.
     """
-    from .functions import point_bump
-
-    space = mu.space
-    found = []
-    for p in space.nonbase_points():
-        if mu.pair(point_bump(space, p)) != 0:
-            found.append(p)
-    return frozenset(found)
+    return frozenset(p for p, _ in mu.items)
 
 
 def is_positive(mu: FreeElement) -> bool:

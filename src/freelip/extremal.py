@@ -20,6 +20,7 @@ from fractions import Fraction
 from .elements import (
     FreeElement,
     Molecule,
+    _same_space,
     delta,
     is_positive,
     support,
@@ -31,6 +32,7 @@ from .errors import (
     NotNormalized,
     NotPositive,
     SingletonSupport,
+    SpaceMismatch,
 )
 from .functions import (
     LipFunction,
@@ -270,9 +272,11 @@ def attainment_partition(
     min_q f(q) + d(q, x); the cells keyed by K(x) are disjoint and cover
     the space.  NotOneLipschitzOnDomain is raised unless f is 1-Lipschitz.
     The minimum is read off the integer rows of :func:`_mcshane_minima`
-    over `f.space`, the space that `space` names.
+    over `space`; SpaceMismatch is raised unless f is a function on it.
     """
-    _, rows, E = _mcshane_minima(f.space, f.items)
+    if not _same_space(space, f.space):
+        raise SpaceMismatch("the partial function must live on the partitioned space")
+    _, rows, E = _mcshane_minima(space, f.items)
     cells: dict[frozenset[int], set[int]] = {}
     for x, e in enumerate(E):
         K = frozenset(q for q, row in rows.items() if row[x] == e)

@@ -1,9 +1,10 @@
 """Lipschitz functions on finite pointed spaces and explicit constructions.
 
 Covers the function-side toolbox: Lipschitz constants, the distance-to-base
-function, point bumps, the canonical norming function of a molecule,
-McShane extension of partial functions, multiplication by a weight and its
-predual action on elements.
+function, the canonical norming function of a molecule, McShane extension
+of partial functions, multiplication by a weight and its predual action on
+elements.  A function vanishing off one point, the point bump of the
+paper's finite case, is `lip_function(space, {p: 1})`.
 """
 
 from __future__ import annotations
@@ -142,15 +143,6 @@ def distance_to_base(space: PointedMetricSpace) -> LipFunction:
     return LipFunction(space, tuple(space.d(x, base) for x in range(space.n)))
 
 
-def point_bump(space: PointedMetricSpace, p: int) -> LipFunction:
-    """Nonnegative bump: 1 at p, 0 elsewhere (p must not be the base)."""
-    if p == space.base:
-        raise ValueError("a point bump at the base point cannot vanish there")
-    return LipFunction(
-        space, tuple(Fraction(1 if x == p else 0) for x in range(space.n))
-    )
-
-
 def _tight_pairs(
     space: PointedMetricSpace, vscale: int, values: Sequence[int]
 ) -> list[tuple[int, int]] | None:
@@ -282,10 +274,10 @@ def weight_element(mu: FreeElement, h: WeightFunction) -> FreeElement:
     """Predual action of weighting: multiply each coefficient by h(p).
 
     This is the unique element pairing with f the way mu pairs with f * h
-    (forced by evaluating on point bumps).  Support shrinks into
-    supp(mu) & supp(h), as `canonicalize` drops the zero products, and a
-    nonnegative h keeps positivity, as a_p > 0 and h(p) >= 0; the battery's
-    `check_weighting` checks both.
+    (forced by evaluating on the functions vanishing off one point).
+    Support shrinks into supp(mu) & supp(h), as `canonicalize` drops the
+    zero products, and a nonnegative h keeps positivity, as a_p > 0 and
+    h(p) >= 0; the battery's `check_weighting` checks both.
     """
     if not _same_space(mu.space, h.space):
         raise SpaceMismatch("element and weight must live on the same space")

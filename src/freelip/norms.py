@@ -27,8 +27,9 @@ returned.
 
 Every certificate is checked by exact weak duality, or
 InternalVerificationFailure is raised:
-- the decomposition rebuilds the element: `free_norm_primal` checks the
-  plan's net flow at every point against the integer-scaled masses;
+- the decomposition rebuilds the element: `_solve`, the one solve behind
+  `free_norm_primal` and `norm_certificate`, checks the plan's net flow at
+  every point against the integer-scaled masses;
 - the witness is 1-Lipschitz and pairs with the element to the
   decomposition weight: `_certified` checks both on the integers it
   builds the witness from, the potentials McShane-extended in the

@@ -1,16 +1,50 @@
-"""The battery records every failing case, in every interpreter mode."""
+"""The battery records every failing case, in every interpreter mode.
+
+Each check has a fault test here: a plausible fault patched into what the
+check covers turns it FAIL with its case count unchanged.
+`tests/test_lint.py` requires one for every check.
+"""
 
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
+from fractions import Fraction
 
-from freelip import checks, functions
+import pytest
+
+from freelip import checks, elements, extremal, functions
+from freelip.elements import FreeElement
+from freelip.extremal import EXPOSED, NOT_EXTREME
+from freelip.functions import LipFunction
 from freelip.generators import random_corpus
-from freelip.metric import line_space, validate_space
+from freelip.metric import PointedMetricSpace, line_space, validate_space
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CORPUS = random_corpus(3, 6, 2, 6)
+
+
+def domain_blind(space, items):
+    """A McShane kernel minimizing over every point, with 0 off the domain.
+
+    It makes the extension of 0 from any subset vanish everywhere.
+    """
+    values = dict(items)
+    unit, lengths = space.scaled
+    rows = {q: [values.get(q, 0) * unit + s for s in lengths[q]] for q in space.points()}
+    return unit, rows, [min(column) for column in zip(*rows.values())]
+
+
+def _segment_of_endpoints(monkeypatch):
+    """Every segment keeps its endpoints only, as a strict betweenness test would."""
+    real = PointedMetricSpace.segment
+
+    def endpoints_only(self, p, q, epsilon=Fraction(0)):
+        return replace(real(self, p, q, epsilon), members=frozenset((p, q)))
+
+    monkeypatch.setattr(PointedMetricSpace, "segment", endpoints_only)
 
 
 def test_exception_in_a_case_is_a_failure_not_an_abort(monkeypatch):
@@ -49,14 +83,6 @@ def test_certifier_raise_fails_its_check_and_the_battery_goes_on(monkeypatch):
 def test_a_mcshane_extension_that_ignores_its_domain_fails_the_intersection_check(
     monkeypatch,
 ):
-    # a McShane kernel minimizing over every point, with 0 off the domain,
-    # makes the annihilator of every subset vanish everywhere
-    def domain_blind(space, items):
-        values = dict(items)
-        unit, lengths = space.scaled
-        rows = {q: [values.get(q, 0) * unit + s for s in lengths[q]] for q in space.points()}
-        return unit, rows, [min(column) for column in zip(*rows.values())]
-
     assert checks.check_intersection(random.Random(7), 50).passed
     monkeypatch.setattr(functions, "_mcshane_minima", domain_blind)
     result = checks.check_intersection(random.Random(7), 50)
@@ -104,3 +130,181 @@ def test_injected_fault_fails_under_optimize():
     optimize, line = proc.stdout.strip().split(" ", 1)
     assert optimize == "1"
     assert line.startswith("FAIL"), line
+
+
+def test_a_mcshane_extension_that_ignores_its_domain_fails_the_support_routes(monkeypatch):
+    clean = checks.check_support_routes(CORPUS, random.Random(9), 30)
+    monkeypatch.setattr(functions, "_mcshane_minima", domain_blind)
+    result = checks.check_support_routes(CORPUS, random.Random(9), 30)
+    assert clean.passed and not result.passed and result.cases == clean.cases == 30
+    assert len(result.failures) == checks._MAX_RECORDED_FAILURES
+
+
+def test_a_sum_that_keeps_a_cancelled_coefficient_fails_the_support_routes(monkeypatch):
+    def keeps_zeros(space, raw):
+        return FreeElement(space, tuple(sorted((p, a) for p, a in raw.items() if p != space.base)))
+
+    clean = checks.check_support_routes(CORPUS, random.Random(9), 100)
+    monkeypatch.setattr(elements, "canonicalize", keeps_zeros)
+    result = checks.check_support_routes(CORPUS, random.Random(9), 100)
+    assert clean.passed and not result.passed and result.cases == clean.cases
+
+
+def test_a_norm_off_by_one_unit_fails_the_molecule_norms(monkeypatch):
+    real = checks.norm_certificate
+
+    def off_by_one(mu):
+        cert = real(mu)
+        return replace(cert, value=cert.value + Fraction(1, mu.space.scaled[0]))
+
+    clean = checks.check_molecule_norms(CORPUS)
+    monkeypatch.setattr(checks, "norm_certificate", off_by_one)
+    result = checks.check_molecule_norms(CORPUS)
+    assert clean.passed and not result.passed and result.cases == clean.cases
+
+
+def _flipped_verdict(verdict):
+    return replace(verdict, verdict=EXPOSED if verdict.verdict == NOT_EXTREME else NOT_EXTREME)
+
+
+def _dropped_tight_molecule(verdict):
+    face = verdict.face
+    return replace(verdict, face=replace(face, tight_molecules=face.tight_molecules[1:]))
+
+
+@pytest.mark.parametrize("fault", [_flipped_verdict, _dropped_tight_molecule])
+def test_a_wrong_classification_fails_the_exposedness_check(monkeypatch, fault):
+    real = checks.classify_molecule
+    clean = checks.check_exposedness(CORPUS)
+    monkeypatch.setattr(checks, "classify_molecule", lambda space, p, q: fault(real(space, p, q)))
+    result = checks.check_exposedness(CORPUS)
+    assert clean.passed and not result.passed and result.cases == clean.cases
+
+
+def test_a_segment_of_its_endpoints_fails_the_normer_support(monkeypatch):
+    clean = checks.check_normer_support(CORPUS)
+    _segment_of_endpoints(monkeypatch)
+    result = checks.check_normer_support(CORPUS)
+    assert clean.passed and not result.passed and result.cases == clean.cases
+
+
+def test_a_missing_zero_vertex_fails_the_positive_ball(monkeypatch):
+    real = checks.positive_ball_extremes
+    clean = checks.check_positive_ball(CORPUS, random.Random(8), splits_per_space=2)
+    monkeypatch.setattr(checks, "positive_ball_extremes", lambda space: real(space)[1:])
+    result = checks.check_positive_ball(CORPUS, random.Random(8), splits_per_space=2)
+    assert clean.passed and not result.passed and result.cases == clean.cases
+
+
+def _witness_low_at_a_support_point(monkeypatch):
+    real = checks.norm_certificate
+
+    def low(mu):
+        cert = real(mu)
+        values = list(cert.dual_witness.values)
+        values[mu.items[0][0]] -= 1
+        return replace(cert, dual_witness=LipFunction(mu.space, tuple(values)))
+
+    monkeypatch.setattr(checks, "norm_certificate", low)
+
+
+def _norm_without_distances(monkeypatch):
+    # linear like the closed form, so sums of norms still add up
+    monkeypatch.setattr(checks, "positive_norm", lambda mu: sum(a for _, a in mu.items))
+
+
+def _order_reversed(monkeypatch):
+    real = checks.order_leq
+    monkeypatch.setattr(checks, "order_leq", lambda mu, lam: real(lam, mu))
+
+
+def _order_that_always_holds(monkeypatch):
+    monkeypatch.setattr(checks, "order_leq", lambda mu, lam: True)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        _witness_low_at_a_support_point,
+        _norm_without_distances,
+        _order_reversed,
+        _order_that_always_holds,
+    ],
+)
+def test_a_fault_in_each_positive_fact_fails_the_check(monkeypatch, fault):
+    clean = checks.check_positive_facts(CORPUS, random.Random(5), samples=20, families=10)
+    fault(monkeypatch)
+    result = checks.check_positive_facts(CORPUS, random.Random(5), samples=20, families=10)
+    assert clean.passed and not result.passed and result.cases == clean.cases == 40
+
+
+def _weight_by_absolute_value(monkeypatch):
+    real = checks.weight_element
+    absolute = lambda h: replace(h, values=tuple(map(abs, h.values)))
+    monkeypatch.setattr(checks, "weight_element", lambda mu, h: real(mu, absolute(h)))
+
+
+def _support_of_positive_weights(monkeypatch):
+    monkeypatch.setattr(
+        functions.WeightFunction,
+        "support",
+        property(lambda h: frozenset(p for p, v in enumerate(h.values) if v > 0)),
+    )
+
+
+@pytest.mark.parametrize("fault", [_weight_by_absolute_value, _support_of_positive_weights])
+def test_a_wrong_weighting_fails_the_weighting_check(monkeypatch, fault):
+    clean = checks.check_weighting(CORPUS, random.Random(6), samples=40)
+    fault(monkeypatch)
+    result = checks.check_weighting(CORPUS, random.Random(6), samples=40)
+    assert clean.passed and not result.passed and result.cases == clean.cases == 40
+
+
+def test_the_smallest_extension_fails_the_mcshane_extension_clause(monkeypatch):
+    def smallest(pf):
+        space, vals = pf.space, pf.values
+        floor = [max(vals[q] - space.d(q, x) for q in pf.domain) for x in space.points()]
+        return LipFunction(space, tuple(floor))
+
+    run = lambda: checks.check_mcshane(
+        CORPUS, random.Random(4), extension_samples=20, concavity_samples=0, pairing_samples=0
+    )
+    clean = run()
+    monkeypatch.setattr(checks, "mcshane_extend", smallest)
+    result = run()
+    assert clean.passed and not result.passed and result.cases == clean.cases == 20
+
+
+def _witness_for_every_element(monkeypatch):
+    real = checks.almost_positive_witness
+    claimed = lambda lam, mu: real(lam, mu) or object()
+    monkeypatch.setattr(checks, "almost_positive_witness", claimed)
+
+
+def _witness_without_the_pairing_equation(monkeypatch):
+    # the weights then solve the mass equation only
+    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (u[1], -u[0], Fraction(0)))
+
+
+@pytest.mark.parametrize(
+    "fault", [_witness_for_every_element, _witness_without_the_pairing_equation]
+)
+def test_a_wrong_witness_fails_the_almost_positive_check(monkeypatch, fault):
+    spaces = [line_space(4), line_space(5)] + [s for s in CORPUS if s.n <= 5]
+    clean = checks.check_almost_positive(spaces, random.Random(2), pairs_per_space=3)
+    fault(monkeypatch)
+    result = checks.check_almost_positive(spaces, random.Random(2), pairs_per_space=3)
+    assert clean.passed and not result.passed and result.cases == clean.cases
+
+
+def _reversed_molecule_function(monkeypatch):
+    real = checks.molecule_norming_function
+    monkeypatch.setattr(checks, "molecule_norming_function", lambda space, p, q: real(space, q, p))
+
+
+@pytest.mark.parametrize("fault", [_reversed_molecule_function, _segment_of_endpoints])
+def test_a_wrong_function_or_segment_fails_the_molecule_function_check(monkeypatch, fault):
+    clean = checks.check_molecule_function(CORPUS)
+    fault(monkeypatch)
+    result = checks.check_molecule_function(CORPUS)
+    assert clean.passed and not result.passed and result.cases == clean.cases

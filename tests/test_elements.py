@@ -11,11 +11,10 @@ from freelip.elements import (
     order_leq,
     subspace_membership,
     support,
-    support_by_functionals,
     zero,
 )
 from freelip.errors import EmptyFamily, SpaceMismatch, UnknownLabel
-from freelip.functions import lip_function, point_bump
+from freelip.functions import lip_function
 from freelip.generators import random_element, random_space, random_subset
 from freelip.metric import validate_space
 from freelip import lp
@@ -107,16 +106,11 @@ def test_molecule_element_rejects_what_canonicalize_rejects(line3):
         Molecule(1, 1).as_element(line3)
 
 
-def test_support_by_functionals_matches(line3):
-    for coeffs in ({}, {1: 1, 2: -1}, {1: 1, 2: 1}, {2: Fraction(-1, 3)}):
-        mu = canonicalize(line3, coeffs)
-        assert support(mu) == support_by_functionals(mu)
-
-
 def test_pairing_against_bumps_is_the_coefficient(line3):
     mu = canonicalize(line3, {1: Fraction(2, 3), 2: -5})
-    assert mu.pair(point_bump(line3, 1)) == Fraction(2, 3)
-    assert mu.pair(point_bump(line3, 2)) == -5
+    # the bump at p is the function 1 at p and 0 elsewhere
+    assert mu.pair(lip_function(line3, {1: 1})) == Fraction(2, 3)
+    assert mu.pair(lip_function(line3, {2: 1})) == -5
 
 
 def test_is_positive(line3):

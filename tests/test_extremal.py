@@ -10,6 +10,7 @@ from freelip.checks import (
     is_extreme_in_ball_bruteforce,
     molecule_vectors,
     positive_ball_vertices_bruteforce,
+    transport_norm_bruteforce,
 )
 from freelip.elements import Molecule, canonicalize, delta, support, zero
 from freelip.errors import (
@@ -19,6 +20,7 @@ from freelip.errors import (
     NotOneLipschitzOnDomain,
     NotPositive,
     SingletonSupport,
+    SpaceMismatch,
 )
 from freelip.extremal import (
     EXPOSED,
@@ -89,6 +91,13 @@ def test_classification_matches_brute_force():
             verdict = classify_molecule(space, p, q)
             assert (verdict.verdict == EXPOSED) == ((p, q) in brute)
             assert verdict.segment_trivial == space.segment(p, q).is_trivial()
+            if verdict.verdict == NOT_EXTREME:
+                # two distinct halves of norm one, by the dense transport LP,
+                # averaging back to the molecule
+                u, w = verdict.counterexample_decomposition
+                assert u != w
+                assert (u + w) * Fraction(1, 2) == Molecule(p, q).as_element(space)
+                assert transport_norm_bruteforce(u)[0] == 1 == transport_norm_bruteforce(w)[0]
 
 
 def test_normers_support_check_examples(line3, line4, tri):
@@ -253,6 +262,12 @@ def test_attainment_partition_examples(line3):
     cells = attainment_partition(line3, pf)
     assert cells[frozenset({0})] == frozenset({0, 1})
     assert cells[frozenset({0, 2})] == frozenset({2})
+
+
+def test_attainment_partition_rejects_a_function_on_another_space(line3):
+    pf = partial_function(line3, {0: 0, 2: 2})
+    with pytest.raises(SpaceMismatch):
+        attainment_partition(line_space(2), pf)
 
 
 def test_attainment_partition_covers_and_is_disjoint():

@@ -20,7 +20,6 @@ from freelip.functions import (
     molecule_norming_function,
     multiply_by_weight,
     partial_function,
-    point_bump,
     pointwise_product,
     restrict,
     weight_element,
@@ -53,8 +52,6 @@ def test_lip_function_requires_zero_at_base(line3):
         lip_function(line3, [1, 0, 0])
     with pytest.raises(ValueError, match="partial Lip_0 function must vanish"):
         partial_function(line3, {0: 1, 2: 1})
-    with pytest.raises(ValueError, match="bump at the base point"):
-        point_bump(line3, 0)
 
 
 @pytest.mark.parametrize("build", [lip_function, weight_function])

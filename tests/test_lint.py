@@ -10,7 +10,9 @@ of the kernels they check.  Every exception class in ``errors`` is raised
 somewhere in the package, or is the base of one that is, and every name in
 ``freelip.__all__`` resolves.  Every ``InternalVerificationFailure`` the
 package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
-``match`` pattern finds its message.
+``match`` pattern finds its message.  Every ``check_*`` of the battery has
+one too: a test in ``tests/test_battery.py`` that binds the check's result
+and asserts ``not result.passed``.
 """
 
 import ast
@@ -199,3 +201,48 @@ def test_every_verification_failure_has_a_fault_test():
                 untested.append(f"{path.stem}:{lineno}: {message!r}")
     assert sites > 0
     assert untested == []
+
+
+def _checks_asserted_to_fail(tree):
+    """Checks whose result a test function binds and asserts not to have passed."""
+    for func in tree.body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("test_")):
+            continue
+        bound = {}
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and isinstance(node.value.func.value, ast.Name)
+                and node.value.func.value.id == "checks"
+                and node.value.func.attr.startswith("check_")
+            ):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound[target.id] = node.value.func.attr
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Assert):
+                continue
+            for sub in ast.walk(node.test):
+                if (
+                    isinstance(sub, ast.UnaryOp)
+                    and isinstance(sub.op, ast.Not)
+                    and isinstance(sub.operand, ast.Attribute)
+                    and sub.operand.attr == "passed"
+                    and isinstance(sub.operand.value, ast.Name)
+                    and sub.operand.value.id in bound
+                ):
+                    yield bound[sub.operand.value.id]
+
+
+def test_every_battery_check_has_a_fault_test():
+    battery = ast.parse((PACKAGE / "checks.py").read_text())
+    defined = {
+        node.name
+        for node in battery.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    }
+    failed = set(_checks_asserted_to_fail(ast.parse((TESTS / "test_battery.py").read_text())))
+    assert len(defined) == 11
+    assert sorted(defined - failed) == []
