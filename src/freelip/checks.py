@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -68,6 +67,7 @@ from .norms import (
     positive_norm,
 )
 from .rationals import row_echelon, scale_to_integers
+from .records import record
 
 _ZERO = Fraction(0)
 _MAX_RECORDED_FAILURES = 12
@@ -75,7 +75,7 @@ _MAX_RECORDED_FAILURES = 12
 _SEGMENT_EPSILONS = (Fraction(0), Fraction(1, 10), Fraction(1, 4))
 
 
-@dataclass
+@record
 class CheckResult:
     name: str
     passed: bool
@@ -269,7 +269,8 @@ def check_exposedness(corpus) -> CheckResult:
                     ok = ok and verdict.face.tight_molecules == (Molecule(p, q),)
                     ok = ok and verdict.counterexample_decomposition is None
                 else:
-                    ok = ok and verdict.counterexample_decomposition is not None
+                    if verdict.counterexample_decomposition is None:
+                        return False
                     u, w = verdict.counterexample_decomposition
                     ok = ok and u != w
                     ok = ok and (u + w) * Fraction(1, 2) == Molecule(p, q).as_element(space)
@@ -513,13 +514,19 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
                     # a witness v != 0 would need ||v|| = ||lam + mu|| = 0
                     return witness is None
                 norm = norm_certificate(total).value
-                unit = total / norm
-                if not is_extreme_in_ball_bruteforce(unit, brute, vectors):
-                    return True
-                # an extreme point has no witness, as a verified witness
-                # certifies non-extremality; it is a molecule, since the hull
-                # oracle calls only molecule vectors extreme
-                return witness is None
+                if witness is None or is_extreme_in_ball_bruteforce(total / norm, brute, vectors):
+                    # an extreme point has no witness, as a verified witness
+                    # certifies non-extremality; it is a molecule, since the hull
+                    # oracle calls only molecule vectors extreme
+                    return witness is None
+                # lam + mu is not extreme: it is the mean of lam + mu +- v, which
+                # keep its dense-LP norm, with v != 0 and lam +- v >= 0
+                v, dense = witness.v, transport_norm_bruteforce(total)[0]
+                return (
+                    not v.is_zero()
+                    and all(a >= 0 for side in (lam + v, lam - v) for _, a in side.items)
+                    and all(transport_norm_bruteforce(total + s * v)[0] == dense for s in (1, -1))
+                )
 
             rec.run(f"pair on {space.labels}", attempt)
     return rec.result()

@@ -11,16 +11,16 @@ definition, by annihilators (`checks.check_support_routes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import EmptyFamily, SpaceMismatch
 from .metric import PointedMetricSpace
 from .rationals import as_fraction
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class FreeElement:
     """Sparse element sum_p a_p delta(p) with exact rational coefficients.
 
@@ -83,7 +83,7 @@ class FreeElement:
         return self * (Fraction(1) / c)
 
 
-@dataclass(frozen=True)
+@record
 class Molecule:
     """An ordered pair of distinct points naming (delta(p)-delta(q))/d(p,q)."""
 

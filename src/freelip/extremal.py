@@ -14,7 +14,6 @@ Three families of results are certified constructively:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .elements import (
@@ -53,6 +52,7 @@ from .norms import (
     norm_certificate,
     positive_norm,
 )
+from .records import record
 
 _ZERO = Fraction(0)
 
@@ -60,7 +60,7 @@ EXPOSED = "Exposed"
 NOT_EXTREME = "NotExtreme"
 
 
-@dataclass(frozen=True)
+@record
 class ExposednessVerdict:
     """Outcome of classifying a molecule against the segment criterion.
 
@@ -78,7 +78,7 @@ class ExposednessVerdict:
     counterexample_decomposition: tuple[FreeElement, FreeElement] | None
 
 
-@dataclass(frozen=True)
+@record
 class PerturbationWitness:
     """Constructive certificate that lam + mu is not an extreme point.
 

@@ -9,7 +9,6 @@ paper's finite case, is `lip_function(space, {p: 1})`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -27,9 +26,10 @@ from .errors import (
 )
 from .metric import PointedMetricSpace
 from .rationals import as_fraction, scale_to_integers
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class LipFunction:
     """Total rational-valued function vanishing at the base point."""
 
@@ -44,7 +44,7 @@ class LipFunction:
         return self.values[p]
 
 
-@dataclass(frozen=True)
+@record
 class WeightFunction:
     """Total rational-valued function with no base-point constraint."""
 
@@ -56,7 +56,7 @@ class WeightFunction:
         return frozenset(p for p, v in enumerate(self.values) if v != 0)
 
 
-@dataclass(frozen=True)
+@record
 class PartialFunction:
     """Function defined on a subset of points containing the base."""
 

@@ -18,11 +18,11 @@ in `free`, in which case they are split internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .rationals import primitive, scale_to_integers
+from .records import record
 
 LEQ = "<="
 GEQ = ">="
@@ -35,7 +35,7 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@record
 class LPSolution:
     status: str
     value: Fraction | None

@@ -7,7 +7,6 @@ the data, so no floating point is allowed anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
@@ -24,9 +23,10 @@ from .errors import (
     ZeroDistanceDistinctPoints,
 )
 from .rationals import as_fraction, scale_to_integers
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class PointedMetricSpace:
     """A finite metric space with a distinguished base point.
 
@@ -119,7 +119,7 @@ class PointedMetricSpace:
         return Segment(p=p, q=q, epsilon=eps, members=members)
 
 
-@dataclass(frozen=True)
+@record
 class Segment:
     """Points lying (almost) between two endpoints.
 

@@ -40,7 +40,6 @@ oracle for the battery and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Mapping, Sequence
@@ -61,11 +60,12 @@ from .functions import (
 )
 from .metric import PointedMetricSpace, floyd_warshall
 from .rationals import scale_to_integers
+from .records import record
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@record
 class DualCertificate:
     """Norm value together with a norming 1-Lipschitz function."""
 
@@ -73,7 +73,7 @@ class DualCertificate:
     witness: LipFunction
 
 
-@dataclass(frozen=True)
+@record
 class PrimalCertificate:
     """Norm value together with a molecule decomposition attaining it."""
 
@@ -81,7 +81,7 @@ class PrimalCertificate:
     decomposition: tuple[tuple[Molecule, Fraction], ...]
 
 
-@dataclass(frozen=True)
+@record
 class NormCertificate:
     """Both halves of a norm computation, certified against each other.
 
@@ -94,7 +94,7 @@ class NormCertificate:
     primal_witness: tuple[tuple[Molecule, Fraction], ...]
 
 
-@dataclass(frozen=True)
+@record
 class FaceReport:
     """The face of the unit ball normed by a given function.
 
@@ -109,7 +109,7 @@ class FaceReport:
     sample_distinct_normer: FreeElement | None
 
 
-@dataclass(frozen=True)
+@record
 class NormersReport:
     """Affine description of the set of norming functions of an element.
 

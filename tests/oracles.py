@@ -615,3 +615,9 @@ def bump_witness(lam, mu):
         h=h,
         v=weight_element(lam, h),
     )
+
+
+def replace(record, **changes):
+    """A copy of a package record with some fields changed, as `dataclasses.replace` did."""
+    fields = {name: getattr(record, name) for name in record.__match_args__}
+    return type(record)(**{**fields, **changes})

@@ -1,7 +1,9 @@
 """The battery records every failing case, in every interpreter mode.
 
 Each check has a fault test here: a plausible fault patched into what the
-check covers turns it FAIL with its case count unchanged.
+check covers turns it FAIL with its case count unchanged, on a clause: no
+recorded failure names a TypeError or an AttributeError, which would mean
+the fault broke the test's own plumbing or the check's code instead.
 `tests/test_lint.py` requires one for every check.
 """
 
@@ -10,8 +12,8 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,9 +23,15 @@ from freelip.extremal import EXPOSED, NOT_EXTREME
 from freelip.functions import LipFunction
 from freelip.generators import random_corpus
 from freelip.metric import PointedMetricSpace, line_space, validate_space
+from oracles import replace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CORPUS = random_corpus(3, 6, 2, 6)
+
+
+def _crashes(failures):
+    """Recorded failures that name a crash rather than a false clause."""
+    return [f for f in failures if "TypeError" in f or "AttributeError" in f]
 
 
 def domain_blind(space, items):
@@ -60,6 +68,7 @@ def test_exception_in_a_case_is_a_failure_not_an_abort(monkeypatch):
     assert result.cases == 7
     assert len(result.failures) == 3
     assert all("RuntimeError" in f for f in result.failures)
+    assert not _crashes(result.failures), result.failures
 
 
 def test_certifier_raise_fails_its_check_and_the_battery_goes_on(monkeypatch):
@@ -78,6 +87,7 @@ def test_certifier_raise_fails_its_check_and_the_battery_goes_on(monkeypatch):
     assert [r.name for r in failed] == ["exposedness matches the segment criterion"]
     assert failed[0].cases > 0
     assert all("RuntimeError: classification failed" in f for f in failed[0].failures)
+    assert not _crashes(failed[0].failures), failed[0].failures
 
 
 def test_a_mcshane_extension_that_ignores_its_domain_fails_the_intersection_check(
@@ -87,6 +97,7 @@ def test_a_mcshane_extension_that_ignores_its_domain_fails_the_intersection_chec
     monkeypatch.setattr(functions, "_mcshane_minima", domain_blind)
     result = checks.check_intersection(random.Random(7), 50)
     assert not result.passed and result.cases == 50
+    assert not _crashes(result.failures), result.failures
     assert len(result.failures) == checks._MAX_RECORDED_FAILURES
 
 
@@ -119,6 +130,8 @@ def test_injected_fault_fails_under_optimize():
         corpus = random_corpus(7, 4, 3, 5)
         result = checks.check_positive_ball(corpus, random.Random(8), splits_per_space=2)
         print(sys.flags.optimize, result.line())
+        for failure in result.failures:
+            print(failure)
         """
     )
     env = dict(os.environ)
@@ -127,9 +140,11 @@ def test_injected_fault_fails_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    optimize, line = proc.stdout.strip().split(" ", 1)
+    first, *failures = proc.stdout.strip().splitlines()
+    optimize, line = first.split(" ", 1)
     assert optimize == "1"
     assert line.startswith("FAIL"), line
+    assert not _crashes(failures), failures
 
 
 def test_a_mcshane_extension_that_ignores_its_domain_fails_the_support_routes(monkeypatch):
@@ -137,6 +152,7 @@ def test_a_mcshane_extension_that_ignores_its_domain_fails_the_support_routes(mo
     monkeypatch.setattr(functions, "_mcshane_minima", domain_blind)
     result = checks.check_support_routes(CORPUS, random.Random(9), 30)
     assert clean.passed and not result.passed and result.cases == clean.cases == 30
+    assert not _crashes(result.failures), result.failures
     assert len(result.failures) == checks._MAX_RECORDED_FAILURES
 
 
@@ -148,6 +164,7 @@ def test_a_sum_that_keeps_a_cancelled_coefficient_fails_the_support_routes(monke
     monkeypatch.setattr(elements, "canonicalize", keeps_zeros)
     result = checks.check_support_routes(CORPUS, random.Random(9), 100)
     assert clean.passed and not result.passed and result.cases == clean.cases
+    assert not _crashes(result.failures), result.failures
 
 
 def test_a_norm_off_by_one_unit_fails_the_molecule_norms(monkeypatch):
@@ -161,6 +178,7 @@ def test_a_norm_off_by_one_unit_fails_the_molecule_norms(monkeypatch):
     monkeypatch.setattr(checks, "norm_certificate", off_by_one)
     result = checks.check_molecule_norms(CORPUS)
     assert clean.passed and not result.passed and result.cases == clean.cases
+    assert not _crashes(result.failures), result.failures
 
 
 def _flipped_verdict(verdict):
@@ -179,6 +197,7 @@ def test_a_wrong_classification_fails_the_exposedness_check(monkeypatch, fault):
     monkeypatch.setattr(checks, "classify_molecule", lambda space, p, q: fault(real(space, p, q)))
     result = checks.check_exposedness(CORPUS)
     assert clean.passed and not result.passed and result.cases == clean.cases
+    assert not _crashes(result.failures), result.failures
 
 
 def test_a_segment_of_its_endpoints_fails_the_normer_support(monkeypatch):
@@ -186,6 +205,7 @@ def test_a_segment_of_its_endpoints_fails_the_normer_support(monkeypatch):
     _segment_of_endpoints(monkeypatch)
     result = checks.check_normer_support(CORPUS)
     assert clean.passed and not result.passed and result.cases == clean.cases
+    assert not _crashes(result.failures), result.failures
 
 
 def test_a_missing_zero_vertex_fails_the_positive_ball(monkeypatch):
@@ -194,6 +214,7 @@ def test_a_missing_zero_vertex_fails_the_positive_ball(monkeypatch):
     monkeypatch.setattr(checks, "positive_ball_extremes", lambda space: real(space)[1:])
     result = checks.check_positive_ball(CORPUS, random.Random(8), splits_per_space=2)
     assert clean.passed and not result.passed and result.cases == clean.cases
+    assert not _crashes(result.failures), result.failures
 
 
 def _witness_low_at_a_support_point(monkeypatch):
@@ -236,6 +257,7 @@ def test_a_fault_in_each_positive_fact_fails_the_check(monkeypatch, fault):
     fault(monkeypatch)
     result = checks.check_positive_facts(CORPUS, random.Random(5), samples=20, families=10)
     assert clean.passed and not result.passed and result.cases == clean.cases == 40
+    assert not _crashes(result.failures), result.failures
 
 
 def _weight_by_absolute_value(monkeypatch):
@@ -258,6 +280,7 @@ def test_a_wrong_weighting_fails_the_weighting_check(monkeypatch, fault):
     fault(monkeypatch)
     result = checks.check_weighting(CORPUS, random.Random(6), samples=40)
     assert clean.passed and not result.passed and result.cases == clean.cases == 40
+    assert not _crashes(result.failures), result.failures
 
 
 def test_the_smallest_extension_fails_the_mcshane_extension_clause(monkeypatch):
@@ -273,11 +296,13 @@ def test_the_smallest_extension_fails_the_mcshane_extension_clause(monkeypatch):
     monkeypatch.setattr(checks, "mcshane_extend", smallest)
     result = run()
     assert clean.passed and not result.passed and result.cases == clean.cases == 20
+    assert not _crashes(result.failures), result.failures
 
 
 def _witness_for_every_element(monkeypatch):
+    # where there is none, a zero perturbation is claimed
     real = checks.almost_positive_witness
-    claimed = lambda lam, mu: real(lam, mu) or object()
+    claimed = lambda lam, mu: real(lam, mu) or SimpleNamespace(v=elements.zero(lam.space))
     monkeypatch.setattr(checks, "almost_positive_witness", claimed)
 
 
@@ -286,8 +311,20 @@ def _witness_without_the_pairing_equation(monkeypatch):
     monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (u[1], -u[0], Fraction(0)))
 
 
+def _doubled_perturbation_unverified(monkeypatch):
+    # lam - 2v has a negative coefficient; the library's own guard is off too
+    real = extremal.weight_element
+    monkeypatch.setattr(extremal, "weight_element", lambda lam, h: real(lam, h) * 2)
+    monkeypatch.setattr(extremal, "_verify_witness", lambda *args: None)
+
+
 @pytest.mark.parametrize(
-    "fault", [_witness_for_every_element, _witness_without_the_pairing_equation]
+    "fault",
+    [
+        _witness_for_every_element,
+        _witness_without_the_pairing_equation,
+        _doubled_perturbation_unverified,
+    ],
 )
 def test_a_wrong_witness_fails_the_almost_positive_check(monkeypatch, fault):
     spaces = [line_space(4), line_space(5)] + [s for s in CORPUS if s.n <= 5]
@@ -295,6 +332,7 @@ def test_a_wrong_witness_fails_the_almost_positive_check(monkeypatch, fault):
     fault(monkeypatch)
     result = checks.check_almost_positive(spaces, random.Random(2), pairs_per_space=3)
     assert clean.passed and not result.passed and result.cases == clean.cases
+    assert not _crashes(result.failures), result.failures
 
 
 def _reversed_molecule_function(monkeypatch):
@@ -308,3 +346,4 @@ def test_a_wrong_function_or_segment_fails_the_molecule_function_check(monkeypat
     fault(monkeypatch)
     result = checks.check_molecule_function(CORPUS)
     assert clean.passed and not result.passed and result.cases == clean.cases
+    assert not _crashes(result.failures), result.failures

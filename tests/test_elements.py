@@ -14,9 +14,9 @@ from freelip.elements import (
     zero,
 )
 from freelip.errors import EmptyFamily, SpaceMismatch, UnknownLabel
-from freelip.functions import lip_function
+from freelip.functions import LipFunction, WeightFunction, lip_function
 from freelip.generators import random_element, random_space, random_subset
-from freelip.metric import validate_space
+from freelip.metric import PointedMetricSpace, validate_space
 from freelip import lp
 from freelip.norms import free_norm_dual
 
@@ -54,6 +54,40 @@ def test_arithmetic(line3):
     # an operand that is no element is refused, not coerced
     with pytest.raises(TypeError):
         mu + 3
+
+
+def test_records_are_equal_only_within_their_class(line3):
+    values = (Fraction(0), Fraction(1), Fraction(2))
+    f = LipFunction(line3, values)
+    assert f == LipFunction(space=line3, values=values)
+    assert hash(f) == hash(LipFunction(values=values, space=line3))
+    assert f != WeightFunction(line3, values) and WeightFunction(line3, values) != f
+    assert repr(Molecule(1, 2)) == "Molecule(p=1, q=2)"
+
+
+def test_records_refuse_assignment_and_a_wrong_field_list(line3):
+    mol = Molecule(1, 2)
+    with pytest.raises(AttributeError):
+        mol.p = 0
+    with pytest.raises(AttributeError):
+        del mol.q
+    with pytest.raises(AttributeError):
+        mol.r = 0
+    assert (mol.p, mol.q) == (1, 2)
+    for args, kwargs in [((1,), {}), ((1, 2, 3), {}), ((1,), {"p": 2}), ((1,), {"r": 2})]:
+        with pytest.raises(TypeError):
+            Molecule(*args, **kwargs)
+    with pytest.raises(ValueError, match="vanish at the base point"):
+        LipFunction(line3, (Fraction(1), Fraction(1), Fraction(2)))
+
+
+def test_a_cached_scaling_leaves_space_equality_and_hash_alone(line3):
+    fresh = PointedMetricSpace(line3.labels, line3.base, line3.dist)
+    before = hash(fresh)
+    assert "scaled" not in fresh.__dict__ and "scaled" in line3.__dict__
+    assert fresh == line3 and before == hash(line3)
+    assert fresh.scaled == line3.scaled
+    assert fresh == line3 and hash(fresh) == before
 
 
 def test_elements_over_different_spaces_never_mix(line3, line4):

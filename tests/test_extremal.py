@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -53,6 +52,7 @@ from oracles import (
     bump_witness,
     fraction_attainment_partition,
     is_extreme_by_lp,
+    replace,
 )
 from spaces import coprime_space
 
@@ -397,8 +397,8 @@ def test_point_weight_witness_equals_the_bump_reference():
             assert reference is None
             outcomes["none"] += 1
             continue
-        for field in fields(witness):
-            assert getattr(witness, field.name) == getattr(reference, field.name), field.name
+        for name in witness.__match_args__:
+            assert getattr(witness, name) == getattr(reference, name), name
         assert witness.h.support <= set(witness.chosen_points)
         outcomes["witness"] += 1
         outcomes["parallel"] += 0 in witness.c

@@ -12,11 +12,15 @@ somewhere in the package, or is the base of one that is, and every name in
 package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
 ``match`` pattern finds its message.  Every ``check_*`` of the battery has
 one too: a test in ``tests/test_battery.py`` that binds the check's result
-and asserts ``not result.passed``.
+and asserts ``not result.passed``.  No module imports ``dataclasses``, and
+``import freelip.cli`` loads neither ``inspect`` nor the battery.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +92,40 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def _absolute_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_dataclasses():
+    # it imports `inspect` and runs `exec` for each record, on every command
+    importers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in _absolute_imports(ast.parse(path.read_text()))
+    ]
+    assert importers == []
+
+
+def test_a_command_loads_no_introspection_and_no_battery():
+    # `cli._dispatch` imports the battery only for `check-suite`
+    env = dict(os.environ)
+    extra = os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    env["PYTHONPATH"] = str(PACKAGE.parent) + extra
+    script = "import sys, freelip.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "freelip.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "freelip.checks", "freelip.lp", "freelip.generators"}
+    assert sorted(loaded & unwanted) == []
 
 
 def _from_the_package(node):
