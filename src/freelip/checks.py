@@ -140,7 +140,7 @@ def transport_norm_bruteforce(mu: FreeElement) -> tuple[Fraction, tuple]:
     for p in nodes:
         if p == space.base:
             continue
-        row = [Fraction(int(x == p) - int(y == p)) for x, y in arcs]
+        row = [(x == p) - (y == p) for x, y in arcs]
         rows.append((row, lp.EQ, mu.coeffs.get(p, _ZERO)))
     sol = lp.minimize([space.d(x, y) for x, y in arcs], rows).require_optimal()
     decomposition = tuple(
@@ -187,34 +187,37 @@ def positive_ball_vertices_bruteforce(space: PointedMetricSpace) -> set:
 
 
 def molecule_vectors(space: PointedMetricSpace) -> dict[tuple[int, int], tuple]:
-    """Coordinates of each molecule over the non-base points, by ordered pair."""
+    """Coordinates over the non-base points by ordered pair: 1/d(p, q) at p, -1/d(p, q) at q."""
     points = space.nonbase_points()
     out = {}
     for p, q in space.ordered_pairs():
-        coeffs = Molecule(p, q).as_element(space).coeffs
-        out[(p, q)] = tuple(coeffs.get(x, _ZERO) for x in points)
+        w = 1 / space.d(p, q)
+        out[(p, q)] = tuple(w if x == p else -w if x == q else 0 for x in points)
     return out
 
 
 def extreme_molecules_bruteforce(vectors: dict[tuple[int, int], tuple]) -> set[tuple[int, int]]:
     """Ordered pairs whose molecule is a vertex of the unit ball polytope.
 
-    `vectors` is :func:`molecule_vectors` of the space.  The unit ball is
-    the convex hull of the molecule vectors, so a molecule is extreme iff
-    it is not a convex combination of the others; that is one exact LP
-    feasibility problem per molecule.  Each ordered pair has its reverse
-    among the others, so no problem is empty.
+    `vectors` is :func:`molecule_vectors` of the space.  The unit ball is the convex
+    hull of the molecule vectors, so a molecule is extreme iff it is not a convex
+    combination of the others; that is one exact LP feasibility problem.  Each ordered
+    pair has its reverse among the others, so no problem is empty.  The ball is
+    centrally symmetric: m(q, p) = -m(p, q), and negation maps the other molecules of
+    (p, q) onto those of (q, p), so one LP per unordered pair decides both orders.
+    Vectors that are not antisymmetric raise ValueError.
     """
     extreme = set()
-    for pair, target in vectors.items():
-        others = [v for key, v in vectors.items() if key != pair]
-        rows = []
-        for i in range(len(target)):
-            rows.append(([v[i] for v in others], lp.EQ, target[i]))
-        rows.append(([Fraction(1)] * len(others), lp.EQ, Fraction(1)))
-        sol = lp.maximize([_ZERO] * len(others), rows)
-        if sol.status == lp.INFEASIBLE:
-            extreme.add(pair)
+    for (p, q), target in vectors.items():
+        if vectors.get((q, p)) != tuple(-a for a in target):
+            raise ValueError(f"the vectors of ({p}, {q}) and ({q}, {p}) are not opposite")
+        if p > q:
+            continue
+        others = [v for key, v in vectors.items() if key != (p, q)]
+        rows = [([v[i] for v in others], lp.EQ, a) for i, a in enumerate(target)]
+        rows.append(([1] * len(others), lp.EQ, 1))
+        if lp.maximize([0] * len(others), rows).status == lp.INFEASIBLE:
+            extreme |= {(p, q), (q, p)}
     return extreme
 
 

@@ -13,7 +13,9 @@ multiply-subtract, and only the solution is returned as Fractions.
 
 Problems are stated as: maximize c . x subject to rows (coeffs, rel, rhs)
 with rel one of "<=", ">=", "==".  Variables are nonnegative unless listed
-in `free`, in which case they are split internally.
+in `free`, in which case they are split internally.  Every entry of c, of
+a row and of an rhs is an int or a Fraction and is used as it is; a float
+or a bool raises TypeError, as everywhere in the package.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
+def _exact(a):
+    if type(a) is not int and type(a) is not Fraction:
+        raise TypeError(f"LP entry {a!r} is a {type(a).__name__}, not an int or Fraction")
+    return a
+
+
 @record
 class LPSolution:
     status: str
@@ -48,8 +56,8 @@ class LPSolution:
 
 
 def maximize(
-    c: Sequence[Fraction],
-    rows: Iterable[tuple[Sequence[Fraction], str, Fraction]],
+    c: Sequence[int | Fraction],
+    rows: Iterable[tuple[Sequence[int | Fraction], str, int | Fraction]],
     free: Iterable[int] = (),
 ) -> LPSolution:
     """Solve max c.x subject to the given rows; see module docstring."""
@@ -57,11 +65,11 @@ def maximize(
 
 
 def minimize(
-    c: Sequence[Fraction],
-    rows: Iterable[tuple[Sequence[Fraction], str, Fraction]],
+    c: Sequence[int | Fraction],
+    rows: Iterable[tuple[Sequence[int | Fraction], str, int | Fraction]],
     free: Iterable[int] = (),
 ) -> LPSolution:
-    sol = maximize([-v for v in c], rows, free)
+    sol = maximize([-_exact(v) for v in c], rows, free)
     if sol.status != OPTIMAL:
         return sol
     return LPSolution(OPTIMAL, -sol.value, sol.x)
@@ -94,6 +102,9 @@ class _Simplex:
 
     def __init__(self, c, rows, free):
         self.nvars = len(c)
+        outside = free.difference(range(self.nvars))
+        if outside:
+            raise ValueError(f"free indices out of range: {sorted(outside)}")
         # split free variables into nonnegative pairs
         self.col_of: list[tuple[int, int | None]] = []
         ncols = 0
@@ -112,12 +123,11 @@ class _Simplex:
         self.art_cols: set[int] = set()
         self._build(rows)
 
-    def _extend(self, coeffs) -> list[Fraction]:
-        row = [_ZERO] * self.nstruct
+    def _extend(self, coeffs) -> list[int | Fraction]:
+        row = [0] * self.nstruct
         for j, a in enumerate(coeffs):
-            if a == 0:
+            if _exact(a) == 0:
                 continue
-            a = Fraction(a)
             pos, neg = self.col_of[j]
             row[pos] = a
             if neg is not None:
@@ -131,7 +141,7 @@ class _Simplex:
             if len(coeffs) != self.nvars:
                 raise ValueError("constraint length does not match objective")
             row = self._extend(coeffs)
-            rhs = Fraction(rhs)
+            rhs = _exact(rhs)
             if rel == GEQ:
                 row = [-a for a in row]
                 rhs = -rhs
@@ -192,7 +202,7 @@ class _Simplex:
             r[:] = _eliminate(r, row, j)
         self.basis[i] = j
 
-    def _reduced_costs(self, cost: list[Fraction]) -> list[int]:
+    def _reduced_costs(self, cost: list[int | Fraction]) -> list[int]:
         """The cost row with every basic column eliminated.
 
         Its reduced costs have the signs of r[:ncols], and the objective
@@ -239,9 +249,9 @@ class _Simplex:
 
     def solve(self) -> LPSolution:
         if self.art_cols:
-            cost1 = [_ZERO] * self.ncols
+            cost1 = [0] * self.ncols
             for j in self.art_cols:
-                cost1[j] = Fraction(-1)
+                cost1[j] = -1
             r = self._reduced_costs(cost1)
             self._run(r, set())
             # phase 1 is always bounded (objective <= 0)
@@ -249,7 +259,7 @@ class _Simplex:
                 return LPSolution(INFEASIBLE, None, None)
             self._evict_artificials()
 
-        cost2 = self.c_ext + [_ZERO] * (self.ncols - self.nstruct)
+        cost2 = self.c_ext + [0] * (self.ncols - self.nstruct)
         r = self._reduced_costs(cost2)
         if self._run(r, self.art_cols) == UNBOUNDED:
             return LPSolution(UNBOUNDED, None, None)

@@ -21,7 +21,10 @@ Fraction distances, and the relaxed segment bounded by d(p,q) / (1 -
 epsilon) over Fractions.
 
 Extremality has a reference that never consults the molecules: a transport
-LP per coordinate.
+LP per coordinate.  The brute-force extremality oracle of `checks` has its
+earlier form as a reference: molecule vectors read off `Molecule.as_element`,
+and one convex-hull LP per ordered pair, where `checks` solves one per
+unordered pair.
 
 Spaces have references too: the triangle inequality scanned over every
 triple in Fraction arithmetic, and the random-space closure over Fractions.
@@ -482,6 +485,35 @@ def is_extreme_by_lp(unit):
             if lp.maximize(objective, rows, free=free).require_optimal().value != 0:
                 return False
     return True
+
+
+def molecule_vectors_by_elements(space):
+    """Coordinates of each molecule over the non-base points, read off its element."""
+    points = space.nonbase_points()
+    out = {}
+    for p, q in space.ordered_pairs():
+        coeffs = Molecule(p, q).as_element(space).coeffs
+        out[(p, q)] = tuple(coeffs.get(x, _ZERO) for x in points)
+    return out
+
+
+def extreme_molecules_per_ordered_pair(vectors):
+    """Pairs whose molecule is no convex combination of the others, one LP per ordered pair.
+
+    Assumes nothing of the ball's central symmetry: the LP for (q, p) is
+    solved as well as the one for (p, q), with every entry a Fraction.
+    """
+    extreme = set()
+    for pair, target in vectors.items():
+        others = [v for key, v in vectors.items() if key != pair]
+        rows = []
+        for i in range(len(target)):
+            rows.append(([Fraction(v[i]) for v in others], lp.EQ, Fraction(target[i])))
+        rows.append(([_ONE] * len(others), lp.EQ, _ONE))
+        sol = lp.maximize([_ZERO] * len(others), rows)
+        if sol.status == lp.INFEASIBLE:
+            extreme.add(pair)
+    return extreme
 
 
 def fraction_triangle_violation(matrix):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from freelip import checks, extremal, functions, norms
+from freelip import checks, extremal, functions, lp, norms
 from freelip.checks import (
     extreme_molecules_bruteforce,
     is_extreme_in_ball_bruteforce,
@@ -41,6 +41,7 @@ from freelip.functions import (
 from freelip.generators import (
     random_corpus,
     random_element,
+    random_line_subset,
     random_positive_element,
     random_rational,
     random_space,
@@ -50,8 +51,10 @@ from freelip.metric import PointedMetricSpace, line_space, validate_space
 from freelip.norms import free_norm, norm_certificate, positive_norm
 from oracles import (
     bump_witness,
+    extreme_molecules_per_ordered_pair,
     fraction_attainment_partition,
     is_extreme_by_lp,
+    molecule_vectors_by_elements,
     replace,
 )
 from spaces import coprime_space
@@ -619,6 +622,49 @@ def test_extreme_brute_force_matches_segments():
         brute = extreme_molecules_bruteforce(molecule_vectors(space))
         for p, q in space.ordered_pairs():
             assert ((p, q) in brute) == space.segment(p, q).is_trivial()
+
+
+def _hull_oracle_spaces(seed):
+    # random, line, uniform and line-subset spaces of n <= 6
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        yield line_space(n)
+        yield uniform_space(n, random_rational(rng))
+        for _ in range(2):
+            yield random_space(rng, n)
+            yield random_line_subset(rng, n)
+
+
+def test_one_hull_lp_per_unordered_pair_matches_one_per_ordered_pair(monkeypatch):
+    # m(q, p) = -m(p, q), so the LP for (q, p) has the verdict of the LP for (p, q)
+    real, solves, outcomes = lp.maximize, [], set()
+
+    def spy(c, rows, free=()):
+        solves.append(len(c))
+        return real(c, rows, free)
+
+    for space in _hull_oracle_spaces(81):
+        vectors = molecule_vectors(space)
+        assert vectors == molecule_vectors_by_elements(space)
+        solves.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "maximize", spy)
+            extreme = extreme_molecules_bruteforce(vectors)
+        assert len(solves) == space.n * (space.n - 1) // 2
+        assert extreme == extreme_molecules_per_ordered_pair(vectors)
+        outcomes |= {pair in extreme for pair in vectors}
+    assert outcomes == {True, False}
+
+
+def test_the_hull_oracle_rejects_vectors_that_are_not_antisymmetric():
+    vectors = molecule_vectors(line_space(4))
+    doubled = dict(vectors)
+    doubled[(2, 1)] = tuple(2 * a for a in vectors[(2, 1)])
+    with pytest.raises(ValueError, match=r"the vectors of \(1, 2\) and \(2, 1\) are not opposite"):
+        extreme_molecules_bruteforce(doubled)
+    missing = {pair: v for pair, v in vectors.items() if pair != (3, 0)}
+    with pytest.raises(ValueError, match=r"the vectors of \(0, 3\) and \(3, 0\)"):
+        extreme_molecules_bruteforce(missing)
 
 
 def test_hull_extremality_oracle_matches_the_lp_oracle():

@@ -13,7 +13,8 @@ package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
 ``match`` pattern finds its message.  Every ``check_*`` of the battery has
 one too: a test in ``tests/test_battery.py`` that binds the check's result
 and asserts ``not result.passed``.  No module imports ``dataclasses``, and
-``import freelip.cli`` loads neither ``inspect`` nor the battery.
+``import freelip.cli`` loads neither ``inspect`` nor the battery.  No module
+but the battery imports ``lp``: the library core solves no LP.
 """
 
 import ast
@@ -153,6 +154,50 @@ def test_the_battery_uses_no_private_name_of_the_package():
             private.append(f"{node.value.id}.{node.attr}")
     assert "lp" in modules
     assert private == []
+
+
+def _imports_lp(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[:2] == ["freelip", "lp"] for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and _from_the_package(node):
+            # the module path below the package: "" for `from . import lp`
+            inner = node.module or ""
+            if node.level == 0:
+                inner = inner.partition(".")[2]
+            names = {alias.name for alias in node.names}
+            if inner.split(".")[0] == "lp" or (inner == "" and "lp" in names):
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "source, imports",
+    [
+        ("from . import lp", True),
+        ("from . import norms, lp as simplex", True),
+        ("from .lp import maximize", True),
+        ("from freelip import lp", True),
+        ("from freelip.lp import LEQ", True),
+        ("import freelip.lp", True),
+        ("from .norms import norm_certificate", False),
+        ("from freelip import elements", False),
+        ("import lp", False),
+    ],
+)
+def test_the_lp_import_finder(source, imports):
+    assert _imports_lp(ast.parse(source)) == imports
+
+
+def test_only_the_battery_imports_the_simplex():
+    # the library core solves no LP; the dense simplex is the battery's oracle
+    importers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _imports_lp(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert importers == ["checks"]
 
 
 def _raised(tree):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,33 @@ def test_minimize_wrapper():
 def test_malformed_rows_are_rejected(row, message):
     with pytest.raises(ValueError, match=message):
         lp.maximize([F(1), F(1)], [row])
+
+
+@pytest.mark.parametrize("entry", [0.1, 0.0, True, False], ids=repr)
+@pytest.mark.parametrize("where", ["c", "row", "rhs"])
+def test_floats_and_bools_are_rejected(where, entry):
+    c, coeffs, rhs = [F(1), F(1)], [F(1), F(0)], F(1)
+    if where == "c":
+        c[1] = entry
+    elif where == "row":
+        coeffs[1] = entry
+    else:
+        rhs = entry
+    message = f"LP entry {re.escape(repr(entry))} is a {type(entry).__name__}"
+    for solve in (lp.maximize, lp.minimize):
+        with pytest.raises(TypeError, match=message):
+            solve(c, [(coeffs, lp.LEQ, rhs)])
+
+
+def test_a_float_no_longer_passes_as_its_binary_fraction():
+    with pytest.raises(TypeError, match="LP entry 0.1 is a float, not an int or Fraction"):
+        lp.maximize([1], [([0.1], lp.LEQ, 1)])
+
+
+@pytest.mark.parametrize("free, outside", [([5], "[5]"), ([0, -1], "[-1]"), (range(3), "[1, 2]")])
+def test_free_indices_out_of_range_are_rejected(free, outside):
+    with pytest.raises(ValueError, match=f"free indices out of range: {re.escape(outside)}"):
+        lp.maximize([F(1)], [([F(1)], lp.LEQ, F(2))], free=free)
 
 
 def test_degenerate_cycling_example_terminates():
@@ -272,7 +300,7 @@ def _random_lp(rng, dens=(1, 2, 3), free_share=0.0, redundant_share=0.0, rhs=ran
     return c, rows, free
 
 
-@pytest.mark.parametrize(
+_CORPORA = pytest.mark.parametrize(
     "corpus",
     [
         dict(),
@@ -285,6 +313,9 @@ def _random_lp(rng, dens=(1, 2, 3), free_share=0.0, redundant_share=0.0, rhs=ran
     ],
     ids=["plain", "free", "redundant", "coprime", "mixed", "degenerate"],
 )
+
+
+@_CORPORA
 def test_integer_tableau_matches_the_fraction_tableau(corpus):
     rng = random.Random(11)
     statuses = set()
@@ -292,6 +323,30 @@ def test_integer_tableau_matches_the_fraction_tableau(corpus):
         statuses.add(_same_as_reference(*_random_lp(rng, **corpus)).status)
     # every corpus reaches all three outcomes, so each path is compared
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+
+def _ints_where_integral(c, rows):
+    exact = lambda v: v.numerator if v.denominator == 1 else v
+    return [exact(v) for v in c], [([exact(v) for v in a], rel, exact(b)) for a, rel, b in rows]
+
+
+@_CORPORA
+def test_integral_entries_given_as_ints_solve_alike(corpus):
+    rng = random.Random(13)
+    ints = 0
+    for _ in range(400):
+        c, rows, free = _random_lp(rng, **corpus)
+        int_c, int_rows = _ints_where_integral(c, rows)
+        ours = lp._Simplex(int_c, int_rows, set(free))
+        reference = lp._Simplex(list(c), list(rows), set(free))
+        sol = ours.solve()
+        assert sol == reference.solve()
+        assert ours.basis == reference.basis
+        # Fractions come back whatever the entries were
+        if sol.status == lp.OPTIMAL:
+            assert type(sol.value) is Fraction and {type(v) for v in sol.x} == {Fraction}
+        ints += sum(type(v) is int for a, _, b in int_rows for v in a + [b])
+    assert ints > 0
 
 
 def test_integer_tableau_on_bounded_feasible_instances():
