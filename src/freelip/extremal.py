@@ -37,7 +37,6 @@ from .functions import (
     LipFunction,
     PartialFunction,
     WeightFunction,
-    _mcshane_minima,
     _molecule_function,
     mcshane_extend,
     pointwise_product,
@@ -271,12 +270,14 @@ def attainment_partition(
     Each x is assigned the set K(x) of domain points achieving
     min_q f(q) + d(q, x); the cells keyed by K(x) are disjoint and cover
     the space.  NotOneLipschitzOnDomain is raised unless f is 1-Lipschitz.
-    The minimum is read off the integer rows of :func:`_mcshane_minima`
-    over `space`; SpaceMismatch is raised unless f is a function on it.
+    The minimum is read off the integer rows of :func:`_mcshane_minima`,
+    which f keeps once taken, so a witness partitioning by the f* it has
+    McShane-extended reuses them; SpaceMismatch is raised unless f is a
+    function on `space`.
     """
     if not _same_space(space, f.space):
         raise SpaceMismatch("the partial function must live on the partitioned space")
-    _, rows, E = _mcshane_minima(space, f.items)
+    _, rows, E = f._minima
     cells: dict[frozenset[int], set[int]] = {}
     for x, e in enumerate(E):
         K = frozenset(q for q, row in rows.items() if row[x] == e)

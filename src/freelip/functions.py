@@ -10,6 +10,7 @@ paper's finite case, is `lip_function(space, {p: 1})`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -67,6 +68,11 @@ class PartialFunction:
     @property
     def values(self) -> dict[int, Fraction]:
         return dict(self.items)
+
+    @cached_property
+    def _minima(self) -> tuple[int, dict[int, list[int]], list[int]]:
+        """:func:`_mcshane_minima` of the function, taken once per instance."""
+        return _mcshane_minima(self.space, self.items)
 
 
 def lip_function(space: PointedMetricSpace, values) -> LipFunction:
@@ -244,7 +250,7 @@ def _mcshane_minima(
 
 def mcshane_extend(pf: PartialFunction) -> LipFunction:
     """Largest 1-Lipschitz extension: one division per point of :func:`_mcshane_minima`."""
-    common, _, E = _mcshane_minima(pf.space, pf.items)
+    common, _, E = pf._minima
     return LipFunction(pf.space, tuple(Fraction(e, common) for e in E))
 
 

@@ -4,7 +4,9 @@ The norm of an element is the minimum cost of transporting its
 coefficient masses.  It is solved once, exactly, by successive shortest
 paths on the bipartite graph from the nodes of positive coefficient to
 those of negative coefficient (the base point balances the masses), and
-the optimal plan is returned as a molecule decomposition.  The same solve
+the optimal plan is returned as a molecule decomposition.  The solver
+keeps the graph in int lists indexed by position, sources then sinks in
+point order, and augments by one dense Dijkstra per path.  The same solve
 gives the norming function: the solver's node potentials at exit are an
 optimal dual, since every source -> sink arc has nonnegative reduced cost
 and the arcs carrying flow have reduced cost zero (complementary
@@ -165,68 +167,82 @@ def _transport_plan(
     `space.scaled`.  The zero element has nothing to move: (1, [], {}).
 
     Successive shortest paths (Ahuja-Magnanti-Orlin, *Network Flows*,
-    ch. 9) on the bipartite graph from the nodes of positive coefficient to
-    the nodes of negative coefficient; the base point carries minus the sum
-    of the coefficients.  Moving mass through a third point never beats the
-    direct arc (triangle inequality), so source -> sink arcs suffice.
-    Dijkstra runs on the reduced costs c(u,v) + pi(u) - pi(v), which the
-    potential update after each search keeps nonnegative on the residual
-    graph.  Masses are scaled to integers by the lcm of their denominators
-    and costs are the integer distances of `space.scaled`, so every step is
-    exact; scaling every cost by one positive integer leaves the plan as it
-    is.  When no source has mass left, every source -> sink arc has
-    reduced cost c(s,t) + pi(s) - pi(t) >= 0, and an arc carrying flow has
-    reduced cost 0, since its residual reverse arc has reduced cost >= 0
-    too: -pi is an optimal dual, which `_certified` turns into a norming
-    function.
+    ch. 9) from the nodes of positive coefficient to those of negative
+    coefficient, the base point carrying minus their sum; moving mass
+    through a third point never beats the direct arc (triangle inequality),
+    so source -> sink arcs suffice.  Masses are scaled to integers by the
+    lcm of their denominators and costs are the integer distances of
+    `space.scaled`, so every step is exact; scaling every cost by one
+    positive integer leaves the plan as it is.  Node v < k is source v and
+    node k + j sink j, both numbered in point order; costs and flows are
+    k x l int matrices, potentials pi and masses left int lists.  Each
+    augmentation is one dense Dijkstra, O((k + l)^2), on the reduced costs
+    c(u,v) + pi(u) - pi(v), kept nonnegative on the residual graph by the
+    potential update after it: a linear scan of the reached, unsettled
+    nodes settles the nearest (unreached: distance None), a source relaxes
+    its cost row and a sink its flow column (the residual arcs back), until
+    a sink with demand left is settled.  Ties go to the node reached first,
+    the sources with mass left first, in point order, then by relaxation in
+    position order; only a strictly smaller distance replaces a predecessor,
+    and never at a settled node, so a search ends whatever the costs.
+    At exit every source -> sink arc has reduced cost >= 0, and an arc
+    carrying flow reduced cost 0, since its residual reverse arc has
+    reduced cost >= 0 too: -pi is an optimal dual, which `_certified` turns
+    into a norming function.
     """
     space = mu.space
-    supply = dict(mu.coeffs)
-    supply[space.base] = -sum(supply.values(), _ZERO)
-    sources = [p for p in sorted(supply) if supply[p] > 0]
-    sinks = [p for p in sorted(supply) if supply[p] < 0]
-    mass, masses = scale_to_integers(list(supply.values()))
-    rest = {p: abs(m) for p, m in zip(supply, masses)}
+    mass, masses = scale_to_integers([a for _, a in mu.items])
+    # the base point balances the masses
+    supply = sorted([(p, m) for (p, _), m in zip(mu.items, masses)] + [(space.base, -sum(masses))])
+    sources = [p for p, m in supply if m > 0]
+    sinks = [p for p, m in supply if m < 0]
+    k = len(sources)
+    rest = [m for _, m in supply if m > 0] + [-m for _, m in supply if m < 0]
     lengths = space.scaled[1]
-    cost = {(s, t): lengths[s][t] for s in sources for t in sinks}
-    flow = dict.fromkeys(cost, 0)
-    pi = dict.fromkeys(sources, 0)
-    pi.update({t: min(cost[s, t] for s in sources) for t in sinks})
-    is_sink = set(sinks)
+    cost = [[lengths[s][t] for t in sinks] for s in sources]
+    flow = [[0] * len(sinks) for _ in sources]
+    pi = [0] * k + [min(column) for column in zip(*cost)]
 
-    while any(rest[s] for s in sources):
-        dist = {s: 0 for s in sources if rest[s]}
-        pred: dict[int, int] = {}
-        settled: dict[int, int] = {}
+    while any(rest[:k]):
+        dist = [0 if r else None for r in rest[:k]] + [None] * len(sinks)
+        pred = [None] * len(pi)
+        done = [False] * len(pi)
+        frontier = [v for v in range(k) if rest[v]]
         while True:
-            u = min((v for v in dist if v not in settled), key=dist.__getitem__)
-            du = settled[u] = dist[u]
-            if u in is_sink:
-                if rest[u]:
-                    break
-                # residual arcs u -> s undo flow already sent s -> u
-                steps = [(s, pi[u] - pi[s] - cost[s, u]) for s in sources if flow[s, u]]
+            u = min(frontier, key=dist.__getitem__)
+            frontier.remove(u)
+            done[u] = True
+            level = dist[u] + pi[u]
+            if u < k:
+                steps = zip(range(k, len(pi)), [level + c - p for c, p in zip(cost[u], pi[k:])])
+            elif rest[u]:
+                break
             else:
-                steps = [(t, pi[u] - pi[t] + cost[u, t]) for t in sinks]
-            for v, reduced in steps:
-                if v not in settled and (v not in dist or du + reduced < dist[v]):
-                    dist[v] = du + reduced
-                    pred[v] = u
-        for v in pi:
-            pi[v] += settled.get(v, du)
+                # residual arcs u -> s undo flow already sent s -> u
+                j = u - k
+                steps = [(v, level - pi[v] - cost[v][j]) for v, row in enumerate(flow) if row[j]]
+            for v, d in steps:
+                if dist[v] is None:
+                    frontier.append(v)
+                elif done[v] or d >= dist[v]:
+                    continue
+                dist[v], pred[v] = d, u
+        du = dist[u]
+        for v, d in enumerate(dist):
+            pi[v] += d if done[v] else du
 
-        path = [u]
-        while path[-1] in pred:
-            path.append(pred[path[-1]])
-        back = [(path[i], path[i + 1]) for i in range(1, len(path) - 1, 2)]
-        amount = min([rest[path[-1]], rest[u]] + [flow[arc] for arc in back])
-        rest[path[-1]] -= amount
+        # the path's arcs as (source, sink position, +1 forward or -1 back)
+        arcs, v = [], u
+        while pred[v] is not None:
+            arcs.append((pred[v], v - k, 1) if v >= k else (v, pred[v] - k, -1))
+            v = pred[v]
+        amount = min([rest[v], rest[u]] + [flow[s][j] for s, j, sign in arcs if sign < 0])
+        rest[v] -= amount
         rest[u] -= amount
-        for i in range(0, len(path) - 1, 2):
-            flow[path[i + 1], path[i]] += amount
-        for arc in back:
-            flow[arc] -= amount
-    return mass, [(s, t, f) for (s, t), f in flow.items() if f], {t: -pi[t] for t in sinks}
+        for s, j, sign in arcs:
+            flow[s][j] += sign * amount
+    plan = [(s, t, f) for s, row in zip(sources, flow) for t, f in zip(sinks, row) if f]
+    return mass, plan, {t: -p for t, p in zip(sinks, pi[k:])}
 
 
 def _rebuilds(mu: FreeElement, mass: int, flows: Sequence[tuple[int, int, int]]) -> bool:

@@ -419,14 +419,21 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
         calls.append(mu)
         return real(mu)
 
-    # f* is McShane-extended once, and its Lipschitz constant is never
-    # taken: the extension certifies f* by agreement on its domain
-    extended, measured = [], []
+    # f* is McShane-extended once, its McShane minimum is taken once for
+    # both the extension and the attainment cells, and its Lipschitz
+    # constant is never taken: the extension certifies f* by agreement on
+    # its domain
+    extended, minima, measured = [], [], []
     real_extend, real_lip = extremal.mcshane_extend, functions.lip_constant
+    real_minima = functions._mcshane_minima
 
     def counted_extend(pf):
         extended.append(pf)
         return real_extend(pf)
+
+    def counted_minima(space, items):
+        minima.append(items)
+        return real_minima(space, items)
 
     def counted_lip(f):
         measured.append(f)
@@ -435,16 +442,20 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
     monkeypatch.setattr(extremal, "norm_certificate", counted)
     monkeypatch.setattr(extremal, "mcshane_extend", counted_extend)
     for owner in (functions, extremal):
+        monkeypatch.setattr(owner, "_mcshane_minima", counted_minima, raising=False)
         monkeypatch.setattr(owner, "lip_constant", counted_lip, raising=False)
     found = 0
     for lam, mu in _witness_draws(82, 60):
         calls.clear()
         extended.clear()
+        minima.clear()
         measured.clear()
         witness = almost_positive_witness(lam, mu)
+        assert len(minima) == 1
         if witness is not None:
             assert len(calls) == 3
             assert extended == [witness.f_star]
+            assert minima == [witness.f_star.items]
             assert sum(f is witness.f_star for f in measured) == 0
             found += 1
     assert found > 0

@@ -14,7 +14,10 @@ package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
 one too: a test in ``tests/test_battery.py`` that binds the check's result
 and asserts ``not result.passed``.  No module imports ``dataclasses``, and
 ``import freelip.cli`` loads neither ``inspect`` nor the battery.  No module
-but the battery imports ``lp``: the library core solves no LP.
+but the battery imports ``lp``: the library core solves no LP.  The body of
+the transport solver ``norms._transport_plan`` names neither ``Fraction``
+nor ``float``, nor a module constant built by either, and holds no float
+literal: the kernel computes on ints alone.
 """
 
 import ast
@@ -198,6 +201,52 @@ def test_only_the_battery_imports_the_simplex():
         if _imports_lp(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert importers == ["checks"]
+
+
+def _inexact(tree, function):
+    """Whatever in the body of the module-level `function` is not an int.
+
+    That is the names `Fraction` and `float`, as attributes too, the module
+    constants bound to a call of either, and float literals.
+    """
+    banned = {"Fraction", "float"}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            called = node.value.func
+            if getattr(called, "id", getattr(called, "attr", None)) in banned:
+                banned |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    for node in ast.walk(body):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in banned:
+            yield name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield repr(node.value)
+
+
+@pytest.mark.parametrize(
+    "body, found",
+    [
+        ("return x + 1", []),
+        ("return float('inf')", ["float"]),
+        ("return 1.5 * x", ["1.5"]),
+        ("return 1e9", ["1000000000.0"]),
+        ("return Fraction(x)", ["Fraction"]),
+        ("return fractions.Fraction(x)", ["Fraction"]),
+        ("return sum(x, _ZERO)", ["_ZERO"]),
+        ("return sum(x, _ONE)", ["_ONE"]),
+    ],
+)
+def test_the_inexact_value_finder(body, found):
+    module = f"_ZERO = Fraction(0)\n_ONE = fractions.Fraction(1)\ndef kernel(x):\n    {body}\n"
+    assert list(_inexact(ast.parse(module), "kernel")) == found
+
+
+def test_the_transport_kernel_stays_exact():
+    # every value of the solver is an int: masses, costs, flows, potentials
+    # and distances, with None for a node not reached yet
+    tree = ast.parse((PACKAGE / "norms.py").read_text())
+    assert list(_inexact(tree, "_transport_plan")) == []
 
 
 def _raised(tree):

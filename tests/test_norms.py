@@ -335,6 +335,40 @@ def test_flow_solver_matches_the_dense_simplex_and_networkx(kind):
         assert mu.pair(witness) == oracle_value
 
 
+@pytest.mark.parametrize("kind", ["uniform", "line", "coprime", "ultrametric", "large"])
+def test_the_raw_transport_plan_is_optimal_on_integers(kind):
+    # the kernel's own output, before `_solve` or `_certified` check it: the
+    # sink duals, extended to the sources by their minimum, are tight on
+    # every flow arc and pair with the supplies to the plan cost, which is
+    # networkx's min-cost flow cost on the same integer supplies and costs;
+    # the tie-heavy corpora stress the order in which the solver breaks ties
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(61)
+    for _ in range(4 if kind == "large" else 15):
+        space, mu = _degenerate_case(rng, kind)
+        if mu.is_zero():
+            continue
+        mass, flows, duals = norms._transport_plan(mu)
+        lengths = space.scaled[1]
+        scaled = {p: a * mass for p, a in mu.items}
+        assert all(m.denominator == 1 for m in scaled.values())
+        supply = {p: int(m) for p, m in scaled.items()}
+        supply[space.base] = -sum(supply.values())
+        sources = [p for p, m in supply.items() if m > 0]
+        sinks = [p for p, m in supply.items() if m < 0]
+        assert sorted(duals) == sorted(sinks)
+        f = {s: min(duals[t] + lengths[s][t] for t in sinks) for s in sources}
+        f.update(duals)
+        assert flows and all(f[s] - f[t] == lengths[s][t] for s, t, _ in flows)
+        cost = sum(x * lengths[s][t] for s, t, x in flows)
+        assert sum(m * f[p] for p, m in supply.items() if m) == cost
+        G = nx.DiGraph()
+        for p, m in supply.items():
+            G.add_node(p, demand=-m)
+        G.add_edges_from((s, t, {"weight": lengths[s][t]}) for s in sources for t in sinks)
+        assert cost == nx.min_cost_flow_cost(G)
+
+
 def test_normers_of_delta(line3):
     report = normers_of(delta(line3, 1))
     assert report.value == 1
