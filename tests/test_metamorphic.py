@@ -10,6 +10,22 @@ points.  The transport solver numbers its sources and sinks by position,
 so a relabelling reorders every one of its arrays: an index mixed up
 between point, source and sink survives a comparison with one oracle on
 one labelling far more easily than this relation.
+
+Base change.  F(M, b) and F(M, b') are isometric through
+delta_b(x) -> delta_b'(x) - delta_b'(b), and each molecule is the same
+element of both, so norms and molecule verdicts agree, and a normer of the
+image, shifted to vanish at b, norms the original.  The base point is where
+the solver puts the balancing mass and where every witness is shifted to
+zero, so a base mixed up with a point index breaks this relation.
+
+Wedge sum.  Gluing M1 and M2 at their base points, with d(x, y) =
+d(x, base) + d(base, y) across, makes F(M1) and F(M2) sit isometrically in
+the free space of the wedge, and the norm adds: ||mu1 + mu2|| = ||mu1|| +
+||mu2||.
+
+Restriction.  For a subset K holding the base and p, q, the segment [p, q]
+in K is the one in M cut down to K, so a trivial segment stays trivial and
+an EXPOSED molecule of M is EXPOSED in K.
 """
 
 import random
@@ -17,6 +33,7 @@ import random
 import pytest
 
 from freelip.elements import canonicalize
+from freelip.extremal import EXPOSED, classify_molecule
 from freelip.functions import lip_constant, lip_function
 from freelip.generators import (
     random_element,
@@ -104,3 +121,119 @@ def test_relabel_moves_points_labels_and_base():
     moved = relabel(space, [2, 0, 1])
     assert moved.labels == ("b", "c", "a") and moved.base == 2
     assert moved.d(2, 0) == space.d(0, 1) == 1 and moved.d(0, 1) == space.d(1, 2) == 2
+
+
+def rebase(space, base):
+    """The same metric space pointed at another base."""
+    return validate_space([list(row) for row in space.dist], base=base, labels=space.labels)
+
+
+def moved_to_base(mu, space):
+    """The image of mu under delta_b(x) -> delta_b'(x) - delta_b'(b) in `space`."""
+    raw = {p: a for p, a in mu.items}
+    raw[mu.space.base] = -sum(raw.values())
+    return canonicalize(space, raw)
+
+
+def _rebased_cases(kind, count=30):
+    rng = random.Random(10 + sorted(SPACES).index(kind))
+    for _ in range(count):
+        space = SPACES[kind](rng, rng.randint(2, 7))
+        draw = random_positive_element if rng.random() < 0.2 else random_element
+        mu = draw(rng, space, max_support=6)
+        other = rebase(space, rng.choice(space.nonbase_points()))
+        yield space, mu, other, moved_to_base(mu, other)
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_base_change_keeps_the_norm_and_the_normers(kind):
+    for space, mu, other, nu in _rebased_cases(kind):
+        cert, moved_cert = norm_certificate(mu), norm_certificate(nu)
+        assert moved_cert.value == cert.value
+        f, b = moved_cert.dual_witness.values, space.base
+        back = lip_function(space, [f[x] - f[b] for x in range(space.n)])
+        assert lip_constant(back) <= 1 and mu.pair(back) == cert.value
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_base_change_keeps_every_molecule_verdict(kind):
+    for space, _, other, _ in _rebased_cases(kind, count=8):
+        for p, q in space.ordered_pairs():
+            verdict = classify_molecule(space, p, q)
+            assert classify_molecule(other, p, q).verdict == verdict.verdict
+
+
+def wedge(first, second):
+    """M1 and M2 glued at their base points; M2's other points follow M1's."""
+    rest = second.nonbase_points()
+    at = {q: first.n + i for i, q in enumerate(rest)}
+    at[second.base] = first.base
+    size = first.n + len(rest)
+    dist = [[0] * size for _ in range(size)]
+    for x in range(first.n):
+        for y in range(first.n):
+            dist[x][y] = first.d(x, y)
+        for q in rest:
+            dist[x][at[q]] = dist[at[q]][x] = first.d(x, first.base) + second.d(second.base, q)
+    for q in rest:
+        for r in rest:
+            dist[at[q]][at[r]] = second.d(q, r)
+    labels = list(first.labels) + ["w" + second.labels[q] for q in rest]
+    return validate_space(dist, base=first.base, labels=labels), at
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_the_norm_adds_over_a_wedge_sum(kind):
+    rng = random.Random(20 + sorted(SPACES).index(kind))
+    for _ in range(25):
+        first = SPACES[kind](rng, rng.randint(2, 6))
+        second = SPACES[rng.choice(sorted(SPACES))](rng, rng.randint(2, 6))
+        glued, at = wedge(first, second)
+        mu1, mu2 = random_element(rng, first), random_element(rng, second)
+        nu1 = canonicalize(glued, dict(mu1.items))
+        nu2 = canonicalize(glued, {at[q]: a for q, a in mu2.items})
+        norm1, norm2 = norm_certificate(mu1).value, norm_certificate(mu2).value
+        assert norm_certificate(nu1).value == norm1
+        assert norm_certificate(nu2).value == norm2
+        assert norm_certificate(nu1 + nu2).value == norm1 + norm2
+
+
+def restrict_space(space, keep):
+    """The subspace on the points of `keep`, in point order, with the same base."""
+    keep = sorted(keep)
+    return validate_space(
+        [[space.d(a, b) for b in keep] for a in keep],
+        base=keep.index(space.base),
+        labels=[space.labels[x] for x in keep],
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_an_exposed_molecule_stays_exposed_in_a_subspace(kind):
+    rng = random.Random(30 + sorted(SPACES).index(kind))
+    exposed = 0
+    for _ in range(12):
+        space = SPACES[kind](rng, rng.randint(3, 7))
+        for p, q in space.ordered_pairs():
+            if classify_molecule(space, p, q).verdict != EXPOSED:
+                continue
+            exposed += 1
+            others = [x for x in space.points() if x not in (p, q, space.base)]
+            keep = {space.base, p, q} | set(rng.sample(others, rng.randint(0, len(others))))
+            sub = restrict_space(space, keep)
+            at = sorted(keep)
+            assert classify_molecule(sub, at.index(p), at.index(q)).verdict == EXPOSED
+    assert exposed > 0
+
+
+def test_the_space_constructions():
+    space = validate_space([[0, 1, 3], [1, 0, 2], [3, 2, 0]], base=0, labels="abc")
+    other = rebase(space, 2)
+    assert other.base == 2 and other.dist == space.dist
+    mu = canonicalize(space, {1: 2, 2: -1})
+    assert moved_to_base(mu, other).coeffs == {0: -1, 1: 2}
+    glued, at = wedge(space, space)
+    assert glued.labels == ("a", "b", "c", "wb", "wc") and at == {0: 0, 1: 3, 2: 4}
+    assert glued.d(1, 3) == 2 and glued.d(4, 2) == 6 and glued.d(3, 4) == 2
+    sub = restrict_space(space, {0, 2})
+    assert sub.labels == ("a", "c") and sub.base == 0 and sub.d(0, 1) == 3
