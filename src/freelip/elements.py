@@ -7,16 +7,26 @@ non-base points form a basis, so representations are unique.  The support,
 the intersection of all closed K with mu in F(K), is then the key set of the
 canonical coefficient mapping; the battery checks that against its
 definition, by annihilators (`checks.check_support_routes`).
+
+An element is stored in one integer form, the exact rational form with
+one denominator for all coefficients: one positive denominator and
+gcd-reduced integer numerators, sorted by point, without zeros and without
+the base point.  Sums, negation, scaling, molecules and the predual
+weighting of `functions` compute on the numerators, and end in one gcd
+(`_reduced`); the Fraction coefficients `items` and `coeffs` are views,
+for input, output and the battery's oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from math import gcd
+from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyFamily, SpaceMismatch
+from .errors import DegeneratePair, EmptyFamily, SpaceMismatch
 from .metric import PointedMetricSpace
-from .rationals import as_fraction
+from .rationals import as_fraction, scale_to_integers
 from .records import record
 
 
@@ -24,42 +34,56 @@ from .records import record
 class FreeElement:
     """Sparse element sum_p a_p delta(p) with exact rational coefficients.
 
-    `items` is sorted by point index, stores no zero coefficient, and never
-    contains the base point.  Use :func:`canonicalize` (or the arithmetic
-    operators) instead of constructing instances directly.
+    Stored in one integer form: a_p = n_p / den for one positive `den` and
+    the pairs (p, n_p) of `nums`, sorted by point, with no zero numerator,
+    no base point, and gcd(den, n_p...) = 1, so every element has exactly
+    one such form and the zero element is (1, ()).  Arithmetic works on
+    the numerators, with one gcd per result (Knuth, *TAOCP* vol. 2,
+    4.5.1); `items` and `coeffs` are Fraction views, built on first read.
+    Use :func:`canonicalize` (or the arithmetic operators) instead of
+    constructing instances directly.
     """
 
     space: PointedMetricSpace
-    items: tuple[tuple[int, Fraction], ...]
+    den: int
+    nums: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def items(self) -> tuple[tuple[int, Fraction], ...]:
+        den = self.den
+        return tuple((p, Fraction(n, den)) for p, n in self.nums)
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
         return dict(self.items)
 
     def is_zero(self) -> bool:
-        return not self.items
+        return not self.nums
 
     def pair(self, f) -> Fraction:
         """Duality pairing <mu, f> = sum_p a_p f(p).
 
-        Works against any function-like object exposing `values` indexed by
-        point; for weight functions this is the same formula because
-        delta(base) = 0 keeps the base value out of the sum.
+        Works against any total function, Lipschitz or weight, on its
+        integers f = ints / scale: one division, by den * scale.  For weight
+        functions this is the same formula because delta(base) = 0 keeps
+        the base value out of the sum.
         """
         if not _same_space(self.space, f.space):
             raise SpaceMismatch("pairing requires a function over the same space")
-        values = f.values
-        return sum((a * values[p] for p, a in self.items), Fraction(0))
+        ints = f.ints
+        return Fraction(sum(n * ints[p] for p, n in self.nums), self.den * f.scale)
 
     def _binop(self, other: "FreeElement", sign: int) -> "FreeElement":
         if not isinstance(other, FreeElement):
             return NotImplemented
         if not _same_space(self.space, other.space):
             raise SpaceMismatch("elements over different spaces never interoperate")
-        acc = dict(self.items)
-        for p, a in other.items:
-            acc[p] = acc.get(p, Fraction(0)) + sign * a
-        return canonicalize(self.space, acc)
+        g = gcd(self.den, other.den)
+        lift, other_lift = other.den // g, sign * (self.den // g)
+        acc = {p: n * lift for p, n in self.nums}
+        for p, n in other.nums:
+            acc[p] = acc.get(p, 0) + n * other_lift
+        return _reduced(self.space, self.den * lift, sorted(acc.items()))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -68,19 +92,23 @@ class FreeElement:
         return self._binop(other, -1)
 
     def __neg__(self):
-        return FreeElement(self.space, tuple((p, -a) for p, a in self.items))
+        return FreeElement(self.space, self.den, tuple((p, -n) for p, n in self.nums))
+
+    def _times(self, num: int, den: int) -> "FreeElement":
+        """The element times num / den, for a nonzero den."""
+        return _reduced(self.space, self.den * den, [(p, n * num) for p, n in self.nums])
 
     def __mul__(self, scalar):
         c = as_fraction(scalar)
-        if c == 0:
-            return FreeElement(self.space, ())
-        return FreeElement(self.space, tuple((p, c * a) for p, a in self.items))
+        return self._times(c.numerator, c.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         c = as_fraction(scalar)
-        return self * (Fraction(1) / c)
+        if c == 0:
+            raise ZeroDivisionError("element divided by zero")
+        return self._times(c.denominator, c.numerator)
 
 
 @record
@@ -94,20 +122,40 @@ class Molecule:
         """The element (delta(p) - delta(q)) / d(p, q).
 
         Both endpoints are resolved as :func:`canonicalize` resolves keys,
-        so the same inputs are rejected (equal endpoints divide by zero);
-        the two items are then built directly, in point order, without the
-        base point.
+        so the same keys are rejected, and equal endpoints raise
+        DegeneratePair, as `segment` does; the two numerators, the distance
+        unit over the integer distance, are then built directly, in point
+        order, without the base point.
         """
         p, q = space.resolve(self.p), space.resolve(self.q)
+        if p == q:
+            raise DegeneratePair(f"molecule endpoints coincide: {p}")
         unit, lengths = space.scaled
-        scale = Fraction(unit, lengths[p][q])
-        items = ((p, scale), (q, -scale)) if p < q else ((q, -scale), (p, scale))
-        return FreeElement(space, tuple(item for item in items if item[0] != space.base))
+        nums = ((p, unit), (q, -unit)) if p < q else ((q, -unit), (p, unit))
+        return _reduced(space, lengths[p][q], [item for item in nums if item[0] != space.base])
 
 
 def _same_space(a: PointedMetricSpace, b: PointedMetricSpace) -> bool:
     """Identity first (hot path), structural equality as the fallback."""
     return a is b or a == b
+
+
+def _reduced(space: PointedMetricSpace, den: int, nums: Sequence[tuple[int, int]]) -> FreeElement:
+    """The element of the numerators `nums` over `den`, in its one integer form.
+
+    `nums` are (point, numerator) pairs sorted by point, without the base
+    point, over a nonzero `den`.  Zero numerators are dropped, and the rest
+    and `den` are divided by their gcd, taken once, with the sign that
+    makes the denominator positive.
+    """
+    kept = [(p, n) for p, n in nums if n]
+    g = gcd(den, *(n for _, n in kept))
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        kept = [(p, n // g) for p, n in kept]
+    return FreeElement(space, den, tuple(kept))
 
 
 def canonicalize(space: PointedMetricSpace, raw: Mapping) -> FreeElement:
@@ -119,15 +167,15 @@ def canonicalize(space: PointedMetricSpace, raw: Mapping) -> FreeElement:
     acc: dict[int, Fraction] = {}
     for key, value in raw.items():
         idx = space.resolve(key)
-        acc[idx] = acc.get(idx, Fraction(0)) + as_fraction(value)
-    items = tuple(
-        sorted((p, a) for p, a in acc.items() if a != 0 and p != space.base)
-    )
-    return FreeElement(space=space, items=items)
+        acc[idx] = acc.get(idx, 0) + as_fraction(value)
+    kept = sorted((p, a) for p, a in acc.items() if a != 0 and p != space.base)
+    # the lcm of reduced denominators shares no factor with every numerator
+    den, nums = scale_to_integers([a for _, a in kept])
+    return FreeElement(space, den, tuple((p, n) for (p, _), n in zip(kept, nums)))
 
 
 def zero(space: PointedMetricSpace) -> FreeElement:
-    return FreeElement(space, ())
+    return FreeElement(space, 1, ())
 
 
 def delta(space: PointedMetricSpace, p: int) -> FreeElement:
@@ -142,7 +190,7 @@ def support(mu: FreeElement) -> frozenset[int]:
     F(M - {x}), that is when mu kills every Lipschitz function vanishing
     off x; on the basis delta(p) those functions read back a_x alone.
     """
-    return frozenset(p for p, _ in mu.items)
+    return frozenset(p for p, _ in mu.nums)
 
 
 def is_positive(mu: FreeElement) -> bool:
@@ -151,7 +199,7 @@ def is_positive(mu: FreeElement) -> bool:
     On a finite space this is equivalent to coefficientwise nonnegativity:
     a negative coefficient at p is exposed by the nonnegative bump at p.
     """
-    return all(a > 0 for _, a in mu.items)
+    return all(n > 0 for _, n in mu.nums)
 
 
 def order_leq(mu: FreeElement, lam: FreeElement) -> bool:

@@ -5,20 +5,23 @@ function, the canonical norming function of a molecule, McShane extension
 of partial functions, multiplication by a weight and its predual action on
 elements.  A function vanishing off one point, the point bump of the
 paper's finite case, is `lip_function(space, {p: 1})`.
+
+Total functions, Lipschitz and weight, hold one integer form: one positive
+scale and one integer per point, with no common factor.  The Lipschitz
+constant, the pairing with an element, the products with a weight and the
+norming face read those integers, and the kernels here and in `norms`
+build their functions from the integers they computed; the Fraction
+`values` are a view, built on first read for such a function.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .elements import (
-    FreeElement,
-    _same_space,
-    canonicalize,
-)
+from .elements import FreeElement, _reduced, _same_space
 from .errors import (
     DegeneratePair,
     InternalVerificationFailure,
@@ -30,31 +33,79 @@ from .rationals import as_fraction, scale_to_integers
 from .records import record
 
 
-@record
-class LipFunction:
+class _TotalFunction:
+    """A total rational-valued function, stored as integers over one scale.
+
+    f(x) = ints[x] / scale for one positive `scale` with gcd(scale, ints...)
+    = 1, so every function has exactly one such form and the kernels read
+    it directly.  Built from `(space, values)`, it behaves as a record of
+    those two fields: it equals only a function of its own class with the
+    same space and values, hashes and reprs as such, and refuses
+    assignment.  `values`, the tuple of Fractions, is kept as given, or
+    built on first read for a function made from integers (:meth:`_of`).
+    """
+
+    __match_args__ = ("space", "values")
+
+    def __init__(self, space: PointedMetricSpace, values: Sequence[Fraction]):
+        values = tuple(values)
+        scale, ints = scale_to_integers(values)
+        self.__dict__.update(space=space, scale=scale, ints=tuple(ints), values=values)
+        self._check()
+
+    @classmethod
+    def _of(cls, space: PointedMetricSpace, scale: int, ints: Sequence[int]):
+        """The function ints / scale, for a positive scale, reduced by one gcd."""
+        self = cls.__new__(cls)
+        g = gcd(scale, *ints)
+        if g != 1:
+            scale, ints = scale // g, [v // g for v in ints]
+        self.__dict__.update(space=space, scale=scale, ints=tuple(ints))
+        self._check()
+        return self
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        scale = self.scale
+        return tuple(Fraction(v, scale) for v in self.ints)
+
+    def _check(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.scale, self.ints) == (other.space, other.scale, other.ints)
+
+    def __hash__(self):
+        return hash((self.space, self.scale, self.ints))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(space={self.space!r}, values={self.values!r})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class LipFunction(_TotalFunction):
     """Total rational-valued function vanishing at the base point."""
 
-    space: PointedMetricSpace
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.values[self.space.base] != 0:
+    def _check(self) -> None:
+        if self.ints[self.space.base] != 0:
             raise ValueError("a Lip_0 function must vanish at the base point")
 
     def __call__(self, p: int) -> Fraction:
         return self.values[p]
 
 
-@record
-class WeightFunction:
+class WeightFunction(_TotalFunction):
     """Total rational-valued function with no base-point constraint."""
-
-    space: PointedMetricSpace
-    values: tuple[Fraction, ...]
 
     @property
     def support(self) -> frozenset[int]:
-        return frozenset(p for p, v in enumerate(self.values) if v != 0)
+        return frozenset(p for p, v in enumerate(self.ints) if v != 0)
 
 
 @record
@@ -68,6 +119,11 @@ class PartialFunction:
     @property
     def values(self) -> dict[int, Fraction]:
         return dict(self.items)
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[int]]:
+        """The values on the domain, in domain order, as integers over one scale."""
+        return scale_to_integers([v for _, v in self.items])
 
     @cached_property
     def _minima(self) -> tuple[int, dict[int, list[int]], list[int]]:
@@ -120,13 +176,15 @@ def lip_constant(f) -> Fraction:
     """Exact Lipschitz constant: max of |f(x)-f(y)| / d(x,y) over pairs.
 
     A partial function is measured over its domain, anything else over
-    the whole space.  Values and distances are scaled to integers, slopes
-    are compared by cross-multiplying, and the one division is the last.
+    the whole space.  Values and distances are read as integers over their
+    scales, slopes are compared by cross-multiplying, and the one division
+    is the last.
     """
     space = f.space
-    values = f.values
-    points = f.domain if isinstance(f, PartialFunction) else range(space.n)
-    vscale, ints = scale_to_integers([values[x] for x in points])
+    if isinstance(f, PartialFunction):
+        points, (vscale, ints) = f.domain, f._scaled
+    else:
+        points, vscale, ints = range(space.n), f.scale, f.ints
     unit, dist = space.scaled
     best_num, best_den = 0, 1
     for i, x in enumerate(points):
@@ -140,7 +198,7 @@ def lip_constant(f) -> Fraction:
 
 
 def sup_norm(h) -> Fraction:
-    return max((abs(v) for v in h.values), default=Fraction(0))
+    return Fraction(max(map(abs, h.ints)), h.scale)
 
 
 def distance_to_base(space: PointedMetricSpace) -> LipFunction:
@@ -190,7 +248,7 @@ def molecule_norming_function(space: PointedMetricSpace, p: int, q: int) -> LipF
     everywhere (:func:`_tight_pairs`), and the pairing with the molecule,
     (f(p) - f(q)) / d(p,q), equal to one, that is V[p] - V[q] equal to
     d(p,q) times the scale, 2 * L * s[p][q].  Fractions appear only in the
-    returned function.
+    returned function's view.
     """
     return _molecule_function(space, p, q)[0]
 
@@ -216,7 +274,7 @@ def _molecule_function(
     tight = _tight_pairs(space, vscale, V)
     if tight is None or V[p] - V[q] != 2 * common * dpq:
         raise InternalVerificationFailure("molecule function failed to norm its molecule")
-    return LipFunction(space, tuple(Fraction(v, vscale) for v in V)), tight
+    return LipFunction._of(space, vscale, V), tight
 
 
 def _mcshane_minima(
@@ -249,9 +307,9 @@ def _mcshane_minima(
 
 
 def mcshane_extend(pf: PartialFunction) -> LipFunction:
-    """Largest 1-Lipschitz extension: one division per point of :func:`_mcshane_minima`."""
+    """Largest 1-Lipschitz extension: the minima of :func:`_mcshane_minima` over their scale."""
     common, _, E = pf._minima
-    return LipFunction(pf.space, tuple(Fraction(e, common) for e in E))
+    return LipFunction._of(pf.space, common, E)
 
 
 def weighting_bound(h: WeightFunction) -> Fraction:
@@ -269,8 +327,7 @@ def multiply_by_weight(f: LipFunction, h: WeightFunction) -> LipFunction:
     space = f.space
     if not _same_space(space, h.space):
         raise SpaceMismatch("weight and function must live on the same space")
-    out = tuple(a * b for a, b in zip(f.values, h.values))
-    g = LipFunction(space, out)
+    g = LipFunction._of(space, f.scale * h.scale, [a * b for a, b in zip(f.ints, h.ints)])
     if lip_constant(g) > weighting_bound(h) * lip_constant(f):
         raise InternalVerificationFailure("product exceeds the weighting bound")
     return g
@@ -281,20 +338,21 @@ def weight_element(mu: FreeElement, h: WeightFunction) -> FreeElement:
 
     This is the unique element pairing with f the way mu pairs with f * h
     (forced by evaluating on the functions vanishing off one point).
-    Support shrinks into supp(mu) & supp(h), as `canonicalize` drops the
-    zero products, and a nonnegative h keeps positivity, as a_p > 0 and
-    h(p) >= 0; the battery's `check_weighting` checks both.
+    On integers, it is the numerators of mu times those of h, over the
+    product of the scales.  Support shrinks into supp(mu) & supp(h), as the
+    integer form drops the zero products, and a nonnegative h keeps
+    positivity, as a_p > 0 and h(p) >= 0; the battery's `check_weighting`
+    checks both.
     """
     if not _same_space(mu.space, h.space):
         raise SpaceMismatch("element and weight must live on the same space")
-    return canonicalize(mu.space, {p: a * h.values[p] for p, a in mu.items})
+    ints = h.ints
+    return _reduced(mu.space, mu.den * h.scale, [(p, n * ints[p]) for p, n in mu.nums])
 
 
 def pointwise_product(h: WeightFunction, f) -> WeightFunction:
     """Pointwise product of a weight with any total function, as a weight."""
     if not _same_space(h.space, f.space):
         raise SpaceMismatch("product requires functions over the same space")
-    return WeightFunction(
-        h.space, tuple(a * b for a, b in zip(h.values, f.values))
-    )
+    return WeightFunction._of(h.space, h.scale * f.scale, [a * b for a, b in zip(h.ints, f.ints)])
 

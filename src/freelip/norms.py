@@ -19,19 +19,21 @@ The norming functions are the 1-Lipschitz functions tight on the optimal
 plan, a system of difference constraints; `normers_of`, which bounds every
 value and slope over that set, runs one all-pairs Floyd-Warshall on it.
 The solve and the Floyd-Warshall run on the integer distances of
-`space.scaled`, and so does a norming face: one pass over the pairs of
-points, on the function's values scaled to integers, rejects a function
+`space.scaled` and on the integer form an element and a function hold,
+numerators over one denominator and values over one scale, so no kernel
+rescales Fractions.  A norming face runs on them too: one pass over the
+pairs of points, on the function's integer values, rejects a function
 steeper than 1 and collects the tight pairs (the pass the canonical
 molecule function of `functions` is certified with, whose tight pairs
 `extremal` reuses for its face), and a union-find reads the face
 dimension off the tight pairs.  Fractions appear only in the values
-returned.
+returned, and in a witness only once something reads its values.
 
 Every certificate is checked by exact weak duality, or
 InternalVerificationFailure is raised:
 - the decomposition rebuilds the element: `_solve`, the one solve behind
   `free_norm_primal` and `norm_certificate`, checks the plan's net flow at
-  every point against the integer-scaled masses;
+  every point against the element's numerators;
 - the witness is 1-Lipschitz and pairs with the element to the
   decomposition weight: `_certified` checks both on the integers it
   builds the witness from, the potentials McShane-extended in the
@@ -54,17 +56,9 @@ from .errors import (
     NotPositive,
     ZeroElement,
 )
-from .functions import (
-    LipFunction,
-    _tight_pairs,
-    distance_to_base,
-    lip_function,
-)
+from .functions import LipFunction, _tight_pairs, distance_to_base
 from .metric import PointedMetricSpace, floyd_warshall
-from .rationals import scale_to_integers
 from .records import record
-
-_ZERO = Fraction(0)
 
 
 @record
@@ -170,10 +164,10 @@ def _transport_plan(
     ch. 9) from the nodes of positive coefficient to those of negative
     coefficient, the base point carrying minus their sum; moving mass
     through a third point never beats the direct arc (triangle inequality),
-    so source -> sink arcs suffice.  Masses are scaled to integers by the
-    lcm of their denominators and costs are the integer distances of
-    `space.scaled`, so every step is exact; scaling every cost by one
-    positive integer leaves the plan as it is.  Node v < k is source v and
+    so source -> sink arcs suffice.  Masses are the integer numerators of
+    mu over its one denominator, the mass unit, and costs are the integer
+    distances of `space.scaled`, so every step is exact; scaling every cost
+    by one positive integer leaves the plan as it is.  Node v < k is source v and
     node k + j sink j, both numbered in point order; costs and flows are
     k x l int matrices, potentials pi and masses left int lists.  Each
     augmentation is one dense Dijkstra, O((k + l)^2), on the reduced costs
@@ -191,9 +185,8 @@ def _transport_plan(
     into a norming function.
     """
     space = mu.space
-    mass, masses = scale_to_integers([a for _, a in mu.items])
-    # the base point balances the masses
-    supply = sorted([(p, m) for (p, _), m in zip(mu.items, masses)] + [(space.base, -sum(masses))])
+    # the base point balances the masses, the numerators of mu over its den
+    supply = sorted([*mu.nums, (space.base, -sum(m for _, m in mu.nums))])
     sources = [p for p, m in supply if m > 0]
     sinks = [p for p, m in supply if m < 0]
     k = len(sources)
@@ -242,7 +235,7 @@ def _transport_plan(
         for s, j, sign in arcs:
             flow[s][j] += sign * amount
     plan = [(s, t, f) for s, row in zip(sources, flow) for t, f in zip(sinks, row) if f]
-    return mass, plan, {t: -p for t, p in zip(sinks, pi[k:])}
+    return mu.den, plan, {t: -p for t, p in zip(sinks, pi[k:])}
 
 
 def _rebuilds(mu: FreeElement, mass: int, flows: Sequence[tuple[int, int, int]]) -> bool:
@@ -251,13 +244,13 @@ def _rebuilds(mu: FreeElement, mass: int, flows: Sequence[tuple[int, int, int]])
     Every flow must be positive and join two distinct points of the support
     and the base, the nodes the solver and its dual run on.  At every such
     node, the base included, flow out minus flow in must be `mass` times
-    the coefficient there (at the base, times minus
-    their sum).  Since m(s, t) = (delta_s - delta_t) / d(s, t) and
-    delta_base = 0, that is the identity sum of w * m(s, t) = mu for the
-    weights w = flow * d(s, t) / mass.
+    the coefficient there (at the base, times minus their sum), read off
+    mu's numerators over its denominator.  Since m(s, t) = (delta_s -
+    delta_t) / d(s, t) and delta_base = 0, that is the identity sum of
+    w * m(s, t) = mu for the weights w = flow * d(s, t) / mass.
     """
     base = mu.space.base
-    net = {p: 0 for p, _ in mu.items}
+    net = {p: 0 for p, _ in mu.nums}
     net[base] = 0
     for s, t, f in flows:
         if f <= 0 or s == t or s not in net or t not in net:
@@ -265,8 +258,8 @@ def _rebuilds(mu: FreeElement, mass: int, flows: Sequence[tuple[int, int, int]])
         net[s] += f
         net[t] -= f
     total = 0
-    for p, a in mu.items:
-        scaled, rest = divmod(a.numerator * mass, a.denominator)
+    for p, n in mu.nums:
+        scaled, rest = divmod(n * mass, mu.den)
         if rest or net[p] != scaled:
             return False
         total += scaled
@@ -329,14 +322,15 @@ def _certified(
     Both sides of weak duality are checked on E:
     - E is 1-Lipschitz, |E[x] - E[y]| <= s[x][y], read per x as max over
       y of E[y] - s[x][y] <= E[x];
-    - E pairs with mu to the cost of the decomposition: with (den, m) the
-      coefficients of mu scaled to integers, sum of m_p * E[p] times the
+    - E pairs with mu to the cost of the decomposition: with den and n_p
+      the denominator and numerators of mu, sum of n_p * E[p] times the
       value's denominator equals its numerator times den * unit.
     A 1-Lipschitz function pairing with mu to the cost of a decomposition
     proves both optimal.  The Lipschitz check is a guard on the
     construction: a minimum of the functions f(q) + s[q][.], each
     1-Lipschitz on a validated metric, is 1-Lipschitz whatever the values.
-    Fractions are built only for the returned witness.  The values are in
+    The witness is made from E over `unit`, and its Fraction values are
+    built only when something reads them.  The values are in
     the distance unit already, so they need no lift: routing them through
     the kernel `functions._mcshane_minima` made `norm_certificate` slower.
     """
@@ -347,15 +341,14 @@ def _certified(
     E = [min(column) for column in zip(*rows)]
     shift = E[space.base]
     E = [e - shift for e in E]
-    den, m = scale_to_integers([a for _, a in mu.items])
-    pairing = sum(mp * E[p] for (p, _), mp in zip(mu.items, m))
+    pairing = sum(n * E[p] for p, n in mu.nums)
     value = primal.value
     if (
         any(max(map(sub, E, s)) > e for e, s in zip(E, lengths))
-        or pairing * value.denominator != value.numerator * den * unit
+        or pairing * value.denominator != value.numerator * mu.den * unit
     ):
         raise InternalVerificationFailure("dual witness failed verification")
-    witness = LipFunction(space, tuple(Fraction(e, unit) for e in E))
+    witness = LipFunction._of(space, unit, E)
     return NormCertificate(value, witness, primal.decomposition)
 
 
@@ -370,7 +363,7 @@ def norm_certificate(mu: FreeElement) -> NormCertificate:
     """
     space = mu.space
     if mu.is_zero():
-        return NormCertificate(_ZERO, lip_function(space, [0] * space.n), ())
+        return NormCertificate(Fraction(0), LipFunction._of(space, 1, [0] * space.n), ())
     return _certified(mu, *_solve(mu))
 
 
@@ -388,19 +381,22 @@ def positive_norm(mu: FreeElement) -> Fraction:
     function d(., base) is 1-Lipschitz by the triangle inequality that
     `validate_space` enforced and pairs with mu to the same sum, which
     bounds it from below.  The battery compares the formula with the
-    transport norm (`check_positive_facts`).
+    transport norm (`check_positive_facts`).  On integers, the sum is that
+    of n_p * s[p][base] over den * unit.
     """
     if not is_positive(mu):
         raise NotPositive("positive_norm requires a positive element")
-    base = mu.space.base
-    return sum((a * mu.space.d(p, base) for p, a in mu.items), _ZERO)
+    unit, lengths = mu.space.scaled
+    to_base = lengths[mu.space.base]
+    return Fraction(sum(n * to_base[p] for p, n in mu.nums), mu.den * unit)
 
 
 def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     """Describe the unit-ball face {mu : <mu, f> = 1} for a 1-Lipschitz f.
 
     The unit-ball test and the tight scan are one pass over the pairs of
-    points on integers (:func:`functions._tight_pairs`): with f = V / vscale
+    points on the integers f holds (:func:`functions._tight_pairs`): with
+    f = V / vscale
     and d = scaled / unit, |f(x) - f(y)| <= d(x, y) reads
     |V[x] - V[y]| * unit <= scaled[x][y] * vscale, and the molecule from
     the higher value to the lower is tight on equality.  A pair steeper
@@ -420,7 +416,7 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     so the sample distinct normer (present iff the face is not a single
     point) can be chosen different from it.
     """
-    pairs = _tight_pairs(f.space, *scale_to_integers(f.values))
+    pairs = _tight_pairs(f.space, f.scale, f.ints)
     if pairs is None:
         raise NotInUnitBall("norming_face requires Lipschitz constant at most 1")
     return _face(f, pairs, nominal)

@@ -26,6 +26,10 @@ earlier form as a reference: molecule vectors read off `Molecule.as_element`,
 and one convex-hull LP per ordered pair, where `checks` solves one per
 unordered pair.
 
+Elements have a reference too: coefficients summed over Fractions,
+sorted, without zeros or the base point, where `elements` keeps one
+integer numerator per point over one denominator.
+
 Spaces have references too: the triangle inequality scanned over every
 triple in Fraction arithmetic, and the random-space closure over Fractions.
 
@@ -430,6 +434,18 @@ def fraction_rebuild(space, decomposition):
     for mol, weight in decomposition:
         rebuilt = rebuilt + mol.as_element(space) * weight
     return rebuilt
+
+
+def fraction_items(space, terms):
+    """The items of the element sum of a * delta(p) over (p, a) in `terms`, over Fractions.
+
+    A point may repeat; the items are sorted by point, with no zero and no
+    base point, as `elements.FreeElement.items` are.
+    """
+    acc = {}
+    for p, a in terms:
+        acc[p] = acc.get(p, _ZERO) + Fraction(a)
+    return tuple(sorted((p, a) for p, a in acc.items() if a != 0 and p != space.base))
 
 
 def fraction_segment(space, p, q, epsilon):

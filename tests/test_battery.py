@@ -23,6 +23,7 @@ from freelip.extremal import EXPOSED, NOT_EXTREME
 from freelip.functions import LipFunction
 from freelip.generators import random_corpus
 from freelip.metric import PointedMetricSpace, line_space, validate_space
+from freelip.rationals import scale_to_integers
 from oracles import replace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -37,12 +38,14 @@ def _crashes(failures):
 def domain_blind(space, items):
     """A McShane kernel minimizing over every point, with 0 off the domain.
 
-    It makes the extension of 0 from any subset vanish everywhere.
+    It makes the extension of 0 from any subset vanish everywhere.  Like
+    the kernel, it returns integers over one scale.
     """
-    values = dict(items)
     unit, lengths = space.scaled
-    rows = {q: [values.get(q, 0) * unit + s for s in lengths[q]] for q in space.points()}
-    return unit, rows, [min(column) for column in zip(*rows.values())]
+    scale, ints = scale_to_integers([v for _, v in items])
+    values = {q: v * unit for (q, _), v in zip(items, ints)}
+    rows = {q: [values.get(q, 0) + s * scale for s in lengths[q]] for q in space.points()}
+    return unit * scale, rows, [min(column) for column in zip(*rows.values())]
 
 
 def _segment_of_endpoints(monkeypatch):
@@ -157,11 +160,12 @@ def test_a_mcshane_extension_that_ignores_its_domain_fails_the_support_routes(mo
 
 
 def test_a_sum_that_keeps_a_cancelled_coefficient_fails_the_support_routes(monkeypatch):
-    def keeps_zeros(space, raw):
-        return FreeElement(space, tuple(sorted((p, a) for p, a in raw.items() if p != space.base)))
+    # the integer reduction every sum ends in, without dropping zeros or the gcd
+    def keeps_zeros(space, den, nums):
+        return FreeElement(space, den, tuple(nums))
 
     clean = checks.check_support_routes(CORPUS, random.Random(9), 100)
-    monkeypatch.setattr(elements, "canonicalize", keeps_zeros)
+    monkeypatch.setattr(elements, "_reduced", keeps_zeros)
     result = checks.check_support_routes(CORPUS, random.Random(9), 100)
     assert clean.passed and not result.passed and result.cases == clean.cases
     assert not _crashes(result.failures), result.failures

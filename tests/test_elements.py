@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,12 +14,20 @@ from freelip.elements import (
     support,
     zero,
 )
-from freelip.errors import EmptyFamily, SpaceMismatch, UnknownLabel
-from freelip.functions import LipFunction, WeightFunction, lip_function
-from freelip.generators import random_element, random_space, random_subset
+from freelip.errors import DegeneratePair, EmptyFamily, SpaceMismatch, UnknownLabel
+from freelip.functions import LipFunction, WeightFunction, lip_function, weight_element
+from freelip.generators import (
+    random_element,
+    random_rational,
+    random_space,
+    random_subset,
+    random_weight,
+)
 from freelip.metric import PointedMetricSpace, validate_space
 from freelip import lp
 from freelip.norms import free_norm_dual
+from oracles import fraction_items
+from spaces import coprime_space
 
 
 def test_canonicalize_drops_zero_coefficients(line3):
@@ -136,8 +145,10 @@ def test_molecule_element_rejects_what_canonicalize_rejects(line3):
     for p, q in ((-1, 1), (1, -1), (3, 1), ("zz", 1), (1, "zz")):
         with pytest.raises(UnknownLabel):
             Molecule(p, q).as_element(line3)
-    with pytest.raises(ZeroDivisionError):
-        Molecule(1, 1).as_element(line3)
+    # equal endpoints are rejected as `segment` rejects them, before any division
+    for p, q in ((1, 1), (1, "1"), ("2", 2)):
+        with pytest.raises(DegeneratePair):
+            Molecule(p, q).as_element(line3)
 
 
 def test_pairing_against_bumps_is_the_coefficient(line3):
@@ -239,3 +250,108 @@ def test_package_exports_are_explicit_and_exclude_submodules():
     for name in freelip.__all__:
         assert not isinstance(getattr(freelip, name), types.ModuleType), name
     assert "lp" not in freelip.__all__
+
+
+def _integer_form(mu):
+    """Whether mu holds its one integer form: reduced, sorted, no zero, no base."""
+    points = [p for p, _ in mu.nums]
+    return (
+        mu.den > 0
+        and gcd(mu.den, *(n for _, n in mu.nums)) == 1
+        and points == sorted(set(points))
+        and all(n != 0 for _, n in mu.nums)
+        and mu.space.base not in points
+    )
+
+
+def _coprime_or_large(kind, rng):
+    """A space and an element whose denominators are distinct small primes."""
+    if kind == "coprime":
+        space = coprime_space(rng, rng.randint(2, 9))
+    else:
+        space = random_space(rng, rng.randint(30, 40))
+    points = rng.sample(list(space.nonbase_points()), rng.randint(1, min(space.n - 1, 10)))
+    raw = {
+        p: Fraction(rng.choice((1, -1)) * rng.randint(1, 30), rng.choice((2, 3, 5, 7, 11)))
+        for p in points
+    }
+    # a label key and a base key too; canonicalize resolves and drops them
+    raw[space.labels[points[0]]] = Fraction(1, 6)
+    raw[space.base] = 5
+    return space, raw
+
+
+@pytest.mark.parametrize("kind", ["coprime", "large"])
+def test_every_operation_keeps_the_integer_form_and_its_views_match_fractions(kind):
+    rng = random.Random(71 if kind == "coprime" else 72)
+    for _ in range(25 if kind == "coprime" else 5):
+        space, raw = _coprime_or_large(kind, rng)
+        terms = [(space.resolve(key), a) for key, a in raw.items()]
+        mu = canonicalize(space, raw)
+        nu = random_element(rng, space, max_support=10)
+        c = rng.choice((1, -1)) * random_rational(rng, max_num=12, max_den=12)
+        h = random_weight(rng, space)
+        p, q = rng.sample(range(space.n), 2)
+        d = space.d(p, q)
+        cases = [
+            (mu, terms),
+            (mu + nu, [*mu.items, *nu.items]),
+            (mu - nu, [*mu.items, *((x, -a) for x, a in nu.items)]),
+            (mu - mu, []),
+            (-mu, [(x, -a) for x, a in mu.items]),
+            (mu * c, [(x, a * c) for x, a in mu.items]),
+            (c * mu, [(x, a * c) for x, a in mu.items]),
+            (mu * 0, []),
+            (mu / c, [(x, a / c) for x, a in mu.items]),
+            (Molecule(p, q).as_element(space), [(p, 1 / d), (q, -1 / d)]),
+            (weight_element(mu, h), [(x, a * h.values[x]) for x, a in mu.items]),
+            (zero(space), []),
+        ]
+        for got, expected in cases:
+            assert _integer_form(got)
+            assert got.items == fraction_items(space, expected)
+            assert got.coeffs == dict(got.items)
+            if not expected:
+                assert (got.den, got.nums) == (1, ())
+    with pytest.raises(ZeroDivisionError):
+        mu / 0
+
+
+def test_the_integer_form_is_reduced_by_one_gcd(line4):
+    mu = canonicalize(line4, {1: Fraction(1, 6), 2: Fraction(1, 3), 3: Fraction(-1, 2)})
+    assert (mu.den, mu.nums) == (6, ((1, 1), (2, 2), (3, -3)))
+    # 1/6 + 1/3 - 1/2 at the three points leaves halves, over 2 and not 6
+    nu = canonicalize(line4, {1: Fraction(1, 3), 2: Fraction(1, 6)})
+    assert ((mu + nu).den, (mu + nu).nums) == (2, ((1, 1), (2, 1), (3, -1)))
+    assert ((mu * 6).den, (mu * 6).nums) == (1, ((1, 1), (2, 2), (3, -3)))
+    halved = mu / Fraction(-1, 2)
+    assert (halved.den, halved.nums) == (3, ((1, -1), (2, -2), (3, 3)))
+    mol = Molecule(3, 1).as_element(line4)
+    assert (mol.den, mol.nums) == (2, ((1, -1), (3, 1)))
+
+
+@pytest.mark.parametrize("cls", [LipFunction, WeightFunction])
+def test_a_function_built_from_integers_is_the_one_built_from_fractions(cls, tri):
+    values = (Fraction(0), Fraction(3, 4), Fraction(-1, 2))
+    f = cls(tri, values)
+    assert (f.scale, f.ints) == (4, (0, 3, -2))
+    # unreduced integers are brought to the same form
+    for scale, ints in ((4, (0, 3, -2)), (12, (0, 9, -6)), (8, (0, 6, -4))):
+        g = cls._of(tri, scale, ints)
+        assert g == f and f == g and hash(g) == hash(f) and repr(g) == repr(f)
+        assert (g.scale, g.ints) == (4, (0, 3, -2)) and g.values == values
+    assert cls._of(tri, 4, (0, 3, -1)) != f
+    assert cls._of(tri, 1, (0, 0, 0)) == cls(tri, (0, 0, 0))
+    assert cls(values=values, space=tri) == f and f.__match_args__ == ("space", "values")
+    with pytest.raises(AttributeError):
+        f.scale = 2
+    with pytest.raises(AttributeError):
+        del f.values
+
+
+def test_a_function_built_from_integers_rejects_a_nonzero_base_value(tri):
+    with pytest.raises(ValueError, match="vanish at the base point"):
+        LipFunction._of(tri, 3, (1, 0, 2))
+    with pytest.raises(ValueError, match="vanish at the base point"):
+        LipFunction(tri, (Fraction(1, 3), 0, 0))
+    assert WeightFunction._of(tri, 3, (1, 0, 2)).values == (Fraction(1, 3), 0, Fraction(2, 3))

@@ -17,7 +17,10 @@ and asserts ``not result.passed``.  No module imports ``dataclasses``, and
 but the battery imports ``lp``: the library core solves no LP.  The body of
 the transport solver ``norms._transport_plan`` names neither ``Fraction``
 nor ``float``, nor a module constant built by either, and holds no float
-literal: the kernel computes on ints alone.
+literal: the kernel computes on ints alone.  Elements and total functions
+store one integer form, so no kernel that reads them (the transport
+solver, its two checks, the norming face, the Lipschitz constant and the
+predual weighting) calls ``scale_to_integers``.
 """
 
 import ast
@@ -247,6 +250,48 @@ def test_the_transport_kernel_stays_exact():
     # and distances, with None for a node not reached yet
     tree = ast.parse((PACKAGE / "norms.py").read_text())
     assert list(_inexact(tree, "_transport_plan")) == []
+
+
+def _calls(tree, function, callee):
+    """Lines of the body of the module-level `function` calling `callee`, by name or attribute."""
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            called = node.func
+            if getattr(called, "id", getattr(called, "attr", None)) == callee:
+                yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "body, calls",
+    [
+        ("return scale_to_integers(x)", 1),
+        ("return rationals.scale_to_integers(x)", 1),
+        ("den, ints = scale_to_integers(x)\n    return f(*scale_to_integers(y))", 2),
+        ("return scale_to_integers", 0),
+        ("return x.scale, x.ints", 0),
+    ],
+)
+def test_the_call_finder(body, calls):
+    module = f"def kernel(x):\n    {body}\n"
+    assert len(list(_calls(ast.parse(module), "kernel", "scale_to_integers"))) == calls
+
+
+KERNELS = {
+    "norms": ("_transport_plan", "_rebuilds", "_certified", "norming_face"),
+    "functions": ("lip_constant", "weight_element"),
+}
+
+
+def test_the_kernels_read_the_stored_integers():
+    # elements and total functions hold one integer form; no kernel rescales a Fraction view
+    rescaled = []
+    for module, functions in KERNELS.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for function in functions:
+            lines = _calls(tree, function, "scale_to_integers")
+            rescaled += [f"{module}.{function}:{line}" for line in lines]
+    assert rescaled == []
 
 
 def _raised(tree):
