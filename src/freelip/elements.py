@@ -9,12 +9,13 @@ canonical coefficient mapping; the battery checks that against its
 definition, by annihilators (`checks.check_support_routes`).
 
 An element is stored in one integer form, the exact rational form with
-one denominator for all coefficients: one positive denominator and
-gcd-reduced integer numerators, sorted by point, without zeros and without
-the base point.  Sums, negation, scaling, molecules and the predual
-weighting of `functions` compute on the numerators, and end in one gcd
-(`_reduced`); the Fraction coefficients `items` and `coeffs` are views,
-for input, output and the battery's oracles.
+one denominator for all coefficients (Knuth, *TAOCP* vol. 2, 4.5.1): one
+positive denominator and integer numerators with no common factor, sorted
+by point, without zeros and without the base point, so each element has
+exactly one.  Sums, negation, scaling, molecules and the predual weighting
+of `functions` compute on the numerators and end in one gcd (`_reduced`);
+the Fraction coefficients `items` and `coeffs` are views, for input,
+output and the battery's oracles.
 """
 
 from __future__ import annotations
@@ -34,13 +35,10 @@ from .records import record
 class FreeElement:
     """Sparse element sum_p a_p delta(p) with exact rational coefficients.
 
-    Stored in one integer form: a_p = n_p / den for one positive `den` and
-    the pairs (p, n_p) of `nums`, sorted by point, with no zero numerator,
-    no base point, and gcd(den, n_p...) = 1, so every element has exactly
-    one such form and the zero element is (1, ()).  Arithmetic works on
-    the numerators, with one gcd per result (Knuth, *TAOCP* vol. 2,
-    4.5.1); `items` and `coeffs` are Fraction views, built on first read.
-    Use :func:`canonicalize` (or the arithmetic operators) instead of
+    a_p = n_p / den over the pairs (p, n_p) of `nums`, in the integer form
+    of the module docstring, so the zero element is (1, ()); `items` and
+    `coeffs` are Fraction views, built on first read.  Use
+    :func:`canonicalize` (or the arithmetic operators) instead of
     constructing instances directly.
     """
 

@@ -7,11 +7,12 @@ elements.  A function vanishing off one point, the point bump of the
 paper's finite case, is `lip_function(space, {p: 1})`.
 
 Total functions, Lipschitz and weight, hold one integer form: one positive
-scale and one integer per point, with no common factor.  The Lipschitz
-constant, the pairing with an element, the products with a weight and the
-norming face read those integers, and the kernels here and in `norms`
-build their functions from the integers they computed; the Fraction
-`values` are a view, built on first read for such a function.
+scale and one integer per point, with no common factor, so each function
+has exactly one.  The Lipschitz constant, the pairing with an element, the
+products with a weight and the norming face read those integers, and the
+kernels here and in `norms` build their functions from the integers they
+computed; the Fraction `values` are a view, built on first read for such
+a function.
 """
 
 from __future__ import annotations
@@ -34,15 +35,13 @@ from .records import record
 
 
 class _TotalFunction:
-    """A total rational-valued function, stored as integers over one scale.
+    """A total rational-valued function, f(x) = ints[x] / scale.
 
-    f(x) = ints[x] / scale for one positive `scale` with gcd(scale, ints...)
-    = 1, so every function has exactly one such form and the kernels read
-    it directly.  Built from `(space, values)`, it behaves as a record of
-    those two fields: it equals only a function of its own class with the
-    same space and values, hashes and reprs as such, and refuses
-    assignment.  `values`, the tuple of Fractions, is kept as given, or
-    built on first read for a function made from integers (:meth:`_of`).
+    Built from `(space, values)`, it behaves as a record of those two
+    fields: it equals only a function of its own class with the same space
+    and values, hashes and reprs as such, and refuses assignment.  `values`,
+    the tuple of Fractions, is kept as given, or built on first read for a
+    function made from integers (:meth:`_of`).
     """
 
     __match_args__ = ("space", "values")

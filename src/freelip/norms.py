@@ -167,8 +167,8 @@ def _transport_plan(
     so source -> sink arcs suffice.  Masses are the integer numerators of
     mu over its one denominator, the mass unit, and costs are the integer
     distances of `space.scaled`, so every step is exact; scaling every cost
-    by one positive integer leaves the plan as it is.  Node v < k is source v and
-    node k + j sink j, both numbered in point order; costs and flows are
+    by one positive integer leaves the plan as it is.  Node v < k is source
+    v and node k + j sink j, both numbered in point order; costs and flows are
     k x l int matrices, potentials pi and masses left int lists.  Each
     augmentation is one dense Dijkstra, O((k + l)^2), on the reduced costs
     c(u,v) + pi(u) - pi(v), kept nonnegative on the residual graph by the
@@ -396,8 +396,7 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
 
     The unit-ball test and the tight scan are one pass over the pairs of
     points on the integers f holds (:func:`functions._tight_pairs`): with
-    f = V / vscale
-    and d = scaled / unit, |f(x) - f(y)| <= d(x, y) reads
+    f = V / vscale and d = scaled / unit, |f(x) - f(y)| <= d(x, y) reads
     |V[x] - V[y]| * unit <= scaled[x][y] * vscale, and the molecule from
     the higher value to the lower is tight on equality.  A pair steeper
     than 1 anywhere raises NotInUnitBall, even where no pair is tight, and
