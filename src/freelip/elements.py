@@ -234,10 +234,10 @@ def intersection_property_check(
     """
     from .functions import _mcshane_minima
 
-    family = [frozenset(map(space.resolve, K)) for K in Ks]
+    family = [frozenset(map(space.resolve, K)) | {space.base} for K in Ks]
     if not family:
         raise EmptyFamily("the subset family must be nonempty")
-    # the minima of 0 on K + {base}, on integers, are unit * g_K
-    annihilators = [_mcshane_minima(space, [(q, 0) for q in K | {space.base}])[2] for K in family]
+    # the minima of 0 on each K, which holds the base, over the scale 1, are unit * g_K
+    annihilators = [_mcshane_minima(space, K, 1, [0] * len(K))[2] for K in family]
     common_zeros = {x for x in space.nonbase_points() if all(g[x] == 0 for g in annihilators)}
     return common_zeros == frozenset.intersection(*family) - {space.base}

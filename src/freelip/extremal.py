@@ -42,7 +42,6 @@ from .functions import (
     pointwise_product,
     restrict,
     weight_element,
-    weight_function,
 )
 from .metric import PointedMetricSpace
 from .norms import (
@@ -52,8 +51,6 @@ from .norms import (
     positive_norm,
 )
 from .records import record
-
-_ZERO = Fraction(0)
 
 EXPOSED = "Exposed"
 NOT_EXTREME = "NotExtreme"
@@ -188,14 +185,12 @@ def positive_ball_extremes(space: PointedMetricSpace) -> list[FreeElement]:
     In coefficient coordinates the positive ball is the scaled simplex
     {a >= 0 : sum a_p d(p, base) <= 1}; its vertices are 0 and the single
     coefficients 1 / d(x, base), as every d(x, base) > 0 on a validated
-    space.  The battery checks the list independently, by brute-force
-    vertex enumeration (`checks.positive_ball_vertices_bruteforce`).
+    space.  As delta(base) = 0, each is the molecule m(x, base), built
+    from its integers.  The battery checks the list independently, by
+    brute-force vertex enumeration (`checks.positive_ball_vertices_bruteforce`).
     """
     base = space.base
-    out = [zero(space)]
-    for x in space.nonbase_points():
-        out.append(delta(space, x) / space.d(x, base))
-    return out
+    return [zero(space)] + [Molecule(x, base).as_element(space) for x in space.nonbase_points()]
 
 
 def split_positive(mu: FreeElement) -> tuple[FreeElement, FreeElement, Fraction]:
@@ -285,8 +280,8 @@ def attainment_partition(
     return {K: frozenset(xs) for K, xs in cells.items()}
 
 
-def _kernel_vector(u: tuple[Fraction, ...], w: tuple[Fraction, ...]):
-    """Nonzero integer-free rational solution of u.c = 0, w.c = 0 in R^3."""
+def _kernel_vector(u: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, int, int]:
+    """Nonzero integer solution of u.c = 0, w.c = 0 in Z^3, for integer rows."""
     cross = (
         u[1] * w[2] - u[2] * w[1],
         u[2] * w[0] - u[0] * w[2],
@@ -295,7 +290,7 @@ def _kernel_vector(u: tuple[Fraction, ...], w: tuple[Fraction, ...]):
     if any(v != 0 for v in cross):
         return cross
     # rows are parallel; u has strictly positive entries here
-    return (u[1], -u[0], _ZERO)
+    return (u[1], -u[0], 0)
 
 
 def almost_positive_witness(
@@ -332,15 +327,17 @@ def almost_positive_witness(
     _, _, K, hits = candidates[0]
     points = tuple(hits[:3])
 
-    # lam is positive, so each mass a_i is a strictly positive coefficient
-    a = lam.coeffs
-    u = tuple(a[p] for p in points)
-    w = tuple(a[p] * extension(p) for p in points)
+    # rows a_i and a_i f(i) times the positive lam.den and lam.den * extension.scale
+    # (same kernel); lam is positive, so each mass a_i, and each u_i, is positive
+    nums, ext = dict(lam.nums), extension.ints
+    u = tuple(nums[p] for p in points)
+    w = tuple(n * ext[p] for n, p in zip(u, points))
     c_raw = _kernel_vector(u, w)
-    scale = max(abs(v) for v in c_raw)
-    c = tuple(v / scale for v in c_raw)
+    scale = max(map(abs, c_raw))
+    c = tuple(Fraction(v, scale) for v in c_raw)
 
-    h = weight_function(space, dict(zip(points, c)))
+    at = dict(zip(points, c_raw))
+    h = WeightFunction._of(space, scale, [at.get(x, 0) for x in range(space.n)])
     v = weight_element(lam, h)
 
     _verify_witness(lam, mu, norm, extension, h, v)

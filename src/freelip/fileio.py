@@ -176,8 +176,7 @@ def function_payload(f) -> dict:
     kind = _KINDS.get(type(f))
     if kind is None:
         raise TypeError(f"not a function value: {type(f).__name__}")
-    items = f.items if isinstance(f, PartialFunction) else enumerate(f.values)
-    return envelope(kind, values={f.space.labels[p]: format_fraction(v) for p, v in items})
+    return envelope(kind, values={f.space.labels[p]: format_fraction(v) for p, v in f.items})
 
 
 # ---------------------------------------------------------------------------

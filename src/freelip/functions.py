@@ -6,13 +6,13 @@ of partial functions, multiplication by a weight and its predual action on
 elements.  A function vanishing off one point, the point bump of the
 paper's finite case, is `lip_function(space, {p: 1})`.
 
-Total functions, Lipschitz and weight, hold one integer form: one positive
-scale and one integer per point, with no common factor, so each function
-has exactly one.  The Lipschitz constant, the pairing with an element, the
-products with a weight and the norming face read those integers, and the
-kernels here and in `norms` build their functions from the integers they
-computed; the Fraction `values` are a view, built on first read for such
-a function.
+Every function, Lipschitz, weight or partial, holds one integer form,
+f(domain[i]) = ints[i] / scale over one positive scale with no common
+factor, so each function has exactly one; a total function's domain is
+every point.  The Lipschitz constant, the pairing, the weight products,
+the McShane extension and the norming face read those integers, and the
+kernels here, in `norms` and in `extremal` build their functions from the
+integers they computed; the Fraction `values` and `items` are views.
 """
 
 from __future__ import annotations
@@ -31,42 +31,30 @@ from .errors import (
 )
 from .metric import PointedMetricSpace
 from .rationals import as_fraction, scale_to_integers
-from .records import record
 
 
-class _TotalFunction:
-    """A total rational-valued function, f(x) = ints[x] / scale.
+class _Function:
+    """A rational-valued function on `domain`, f(domain[i]) = ints[i] / scale.
 
-    Built from `(space, values)`, it behaves as a record of those two
-    fields: it equals only a function of its own class with the same space
-    and values, hashes and reprs as such, and refuses assignment.  `values`,
-    the tuple of Fractions, is kept as given, or built on first read for a
-    function made from integers (:meth:`_of`).
+    It behaves as a record of the fields `__match_args__` names: it equals
+    only a function of its own class with the same space and values,
+    hashes and reprs as such, and refuses assignment.
     """
 
-    __match_args__ = ("space", "values")
+    __match_args__ = ("space", "domain", "scale", "ints")
 
-    def __init__(self, space: PointedMetricSpace, values: Sequence[Fraction]):
-        values = tuple(values)
-        scale, ints = scale_to_integers(values)
-        self.__dict__.update(space=space, scale=scale, ints=tuple(ints), values=values)
-        self._check()
-
-    @classmethod
-    def _of(cls, space: PointedMetricSpace, scale: int, ints: Sequence[int]):
-        """The function ints / scale, for a positive scale, reduced by one gcd."""
-        self = cls.__new__(cls)
+    def __init__(self, space: PointedMetricSpace, domain, scale: int, ints: Sequence[int]):
+        """The function ints / scale on `domain`, for a positive scale, reduced by one gcd."""
         g = gcd(scale, *ints)
         if g != 1:
             scale, ints = scale // g, [v // g for v in ints]
-        self.__dict__.update(space=space, scale=scale, ints=tuple(ints))
+        self.__dict__.update(space=space, domain=domain, scale=scale, ints=tuple(ints))
         self._check()
-        return self
 
     @cached_property
-    def values(self) -> tuple[Fraction, ...]:
+    def items(self) -> tuple[tuple[int, Fraction], ...]:
         scale = self.scale
-        return tuple(Fraction(v, scale) for v in self.ints)
+        return tuple((p, Fraction(v, scale)) for p, v in zip(self.domain, self.ints))
 
     def _check(self) -> None:
         pass
@@ -74,18 +62,48 @@ class _TotalFunction:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.space, self.scale, self.ints) == (other.space, other.scale, other.ints)
+        return (self.space, self.domain, self.scale, self.ints) == (
+            other.space, other.domain, other.scale, other.ints
+        )
 
     def __hash__(self):
-        return hash((self.space, self.scale, self.ints))
+        return hash((self.space, self.domain, self.scale, self.ints))
 
     def __repr__(self):
-        return f"{self.__class__.__qualname__}(space={self.space!r}, values={self.values!r})"
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+class _TotalFunction(_Function):
+    """A function on every point, `domain` = range(n), built from `(space, values)`.
+
+    `values`, the tuple of Fractions, is kept as given, or built on first
+    read for a function made from integers (:meth:`_of`).
+    """
+
+    __match_args__ = ("space", "values")
+
+    def __init__(self, space: PointedMetricSpace, values: Sequence[Fraction]):
+        values = tuple(values)
+        super().__init__(space, range(space.n), *scale_to_integers(values))
+        self.__dict__["values"] = values
+
+    @classmethod
+    def _of(cls, space: PointedMetricSpace, scale: int, ints: Sequence[int]):
+        """The function ints / scale on every point, for a positive scale, reduced by one gcd."""
+        self = cls.__new__(cls)
+        _Function.__init__(self, space, range(space.n), scale, ints)
+        return self
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        scale = self.scale
+        return tuple(Fraction(v, scale) for v in self.ints)
 
 
 class LipFunction(_TotalFunction):
@@ -107,27 +125,20 @@ class WeightFunction(_TotalFunction):
         return frozenset(p for p, v in enumerate(self.ints) if v != 0)
 
 
-@record
-class PartialFunction:
-    """Function defined on a subset of points containing the base."""
+class PartialFunction(_Function):
+    """Function on a sorted `domain` that holds the base point once.
 
-    space: PointedMetricSpace
-    domain: tuple[int, ...]
-    items: tuple[tuple[int, Fraction], ...]
+    Build it with :func:`partial_function` or :func:`restrict`.
+    """
 
     @property
     def values(self) -> dict[int, Fraction]:
         return dict(self.items)
 
     @cached_property
-    def _scaled(self) -> tuple[int, list[int]]:
-        """The values on the domain, in domain order, as integers over one scale."""
-        return scale_to_integers([v for _, v in self.items])
-
-    @cached_property
     def _minima(self) -> tuple[int, dict[int, list[int]], list[int]]:
         """:func:`_mcshane_minima` of the function, taken once per instance."""
-        return _mcshane_minima(self.space, self.items)
+        return _mcshane_minima(self.space, self.domain, self.scale, self.ints)
 
 
 def lip_function(space: PointedMetricSpace, values) -> LipFunction:
@@ -157,34 +168,29 @@ def _total_values(space: PointedMetricSpace, values) -> tuple[Fraction, ...]:
 def partial_function(space: PointedMetricSpace, values: Mapping) -> PartialFunction:
     """Build a PartialFunction; the base point joins the domain with value 0."""
     acc = {space.resolve(key): as_fraction(v) for key, v in values.items()}
-    base = space.base
-    if acc.get(base, Fraction(0)) != 0:
+    if acc.setdefault(space.base, Fraction(0)) != 0:
         raise ValueError("a partial Lip_0 function must vanish at the base point")
-    acc[base] = Fraction(0)
     domain = tuple(sorted(acc))
-    return PartialFunction(space, domain, tuple(sorted(acc.items())))
+    return PartialFunction(space, domain, *scale_to_integers([acc[p] for p in domain]))
 
 
 def restrict(f: LipFunction, S: Iterable[int]) -> PartialFunction:
-    """Restriction f|_S as a partial function (the base always joins S)."""
-    keep = set(S) | {f.space.base}
-    return partial_function(f.space, {p: f.values[p] for p in keep})
+    """Restriction f|_S as a partial function (the base always joins S), on f's integers."""
+    space = f.space
+    domain = tuple(sorted({*map(space.resolve, S), space.base}))
+    return PartialFunction(space, domain, f.scale, [f.ints[p] for p in domain])
 
 
 def lip_constant(f) -> Fraction:
     """Exact Lipschitz constant: max of |f(x)-f(y)| / d(x,y) over pairs.
 
-    A partial function is measured over its domain, anything else over
-    the whole space.  Values and distances are read as integers over their
-    scales, slopes are compared by cross-multiplying, and the one division
-    is the last.
+    Any function is measured over its domain, which for a total function
+    is the whole space.  Values and distances are read as the stored
+    integers over their scales, slopes are compared by cross-multiplying,
+    and the one division is the last.
     """
-    space = f.space
-    if isinstance(f, PartialFunction):
-        points, (vscale, ints) = f.domain, f._scaled
-    else:
-        points, vscale, ints = range(space.n), f.scale, f.ints
-    unit, dist = space.scaled
+    points, vscale, ints = f.domain, f.scale, f.ints
+    unit, dist = f.space.scaled
     best_num, best_den = 0, 1
     for i, x in enumerate(points):
         vx, row = ints[i], dist[x]
@@ -202,8 +208,8 @@ def sup_norm(h) -> Fraction:
 
 def distance_to_base(space: PointedMetricSpace) -> LipFunction:
     """The function x -> d(x, base); norms every positive element."""
-    base = space.base
-    return LipFunction(space, tuple(space.d(x, base) for x in range(space.n)))
+    unit, lengths = space.scaled
+    return LipFunction._of(space, unit, lengths[space.base])
 
 
 def _tight_pairs(
@@ -277,16 +283,16 @@ def _molecule_function(
 
 
 def _mcshane_minima(
-    space: PointedMetricSpace, items: Sequence[tuple[int, Fraction]]
+    space: PointedMetricSpace, domain: Iterable[int], scale: int, ints: Sequence[int]
 ) -> tuple[int, dict[int, list[int]], list[int]]:
     """The McShane extension x -> min over q of f(q) + d(q, x), on integers.
 
-    `items` are the (point, value) pairs of a function f on a domain that
-    holds the base point; an int value stands for itself.  The values and
-    the distances of `space.scaled` lift to one scale, `common`, the lcm of
-    their units.  Returns `common`, the lifted term row of each domain point
-    q, common * (f(q) + d(q, x)) for every x, and the minima E of those
-    rows, point by point.  E is a minimum of 1-Lipschitz functions,
+    f(domain[i]) = ints[i] / scale, a partial function's integer form, has
+    a domain that holds the base point.  The values and the distances of
+    `space.scaled` lift to one scale, `common`, the lcm of `scale` and the
+    distance unit.  Returns `common`, the lifted term row of each domain
+    point q, common * (f(q) + d(q, x)) for every x, and the minima E of
+    those rows, point by point.  E is a minimum of 1-Lipschitz functions,
     so 1-Lipschitz, and E[q] <= f(q) + d(q, q) = f(q) on the domain.
     NotOneLipschitzOnDomain is raised iff E[q] != f(q) at some domain point
     q, which is iff f is steeper than 1 there: f(a) - f(b) > d(a, b) gives
@@ -294,10 +300,9 @@ def _mcshane_minima(
     is at least f(q).
     """
     unit, lengths = space.scaled
-    vscale, ints = scale_to_integers([v for _, v in items])
-    common = lcm(vscale, unit)
-    lift_v, lift_d = common // vscale, common // unit
-    rows = {q: [v * lift_v + s * lift_d for s in lengths[q]] for (q, _), v in zip(items, ints)}
+    common = lcm(scale, unit)
+    lift_v, lift_d = common // scale, common // unit
+    rows = {q: [v * lift_v + s * lift_d for s in lengths[q]] for q, v in zip(domain, ints)}
     # min needs two rows to take them point by point; a one-point domain has one
     E = list(map(min, *rows.values())) if len(rows) > 1 else next(iter(rows.values()))
     if any(E[q] != row[q] for q, row in rows.items()):

@@ -56,7 +56,7 @@ from .errors import (
     NotPositive,
     ZeroElement,
 )
-from .functions import LipFunction, _tight_pairs, distance_to_base
+from .functions import LipFunction, _tight_pairs
 from .metric import PointedMetricSpace, floyd_warshall
 from .records import record
 
@@ -506,9 +506,8 @@ def normers_of(mu: FreeElement) -> NormersReport:
     )
 
     if is_positive(mu):
-        rho = distance_to_base(space)
         for p in support(mu):
-            if fixed.get(p) != rho.values[p]:
+            if not D[base][p] == -D[p][base] == lengths[base][p]:
                 raise InternalVerificationFailure(
                     "a normer of a positive element may deviate from d(., base) on the support"
                 )

@@ -38,7 +38,10 @@ bumps of a radius kept inside the attainment cell by a margin, as in the
 paper, where the library puts point weights.  The bump itself lives here,
 since the library has no use for it on a finite space.  Its attainment
 cells have a reference that takes the McShane minimum over Fractions, where
-the library reads it off the integer McShane kernel.
+the library reads it off the integer McShane kernel.  Its weights have the
+Fraction kernel vector as a reference: the rows are lam's masses and those
+masses times the extension's values, where the library puts lam's
+numerators and those numerators times the extension's integers.
 """
 
 from fractions import Fraction
@@ -58,6 +61,7 @@ from freelip.functions import (
     lip_function,
     pointwise_product,
     weight_element,
+    weight_function,
 )
 from freelip.generators import random_rational
 from freelip.norms import FaceReport, NormCertificate
@@ -556,6 +560,29 @@ def fraction_closure_matrix(rng, n):
                 if i != j and through < w[i][j]:
                     w[i][j] = through
     return w
+
+
+def fraction_kernel_weights(lam, extension, points):
+    """The weights c, h and v of `extremal.almost_positive_witness` over Fractions.
+
+    c spans the kernel of the rows a_i and a_i f(i) on the three `points`,
+    for a the coefficients of lam and f the extension, scaled to sup 1; h
+    puts c on the points and v weights lam by h.
+    """
+    a = lam.coeffs
+    u = [a[p] for p in points]
+    w = [a[p] * extension(p) for p in points]
+    cross = (
+        u[1] * w[2] - u[2] * w[1],
+        u[2] * w[0] - u[0] * w[2],
+        u[0] * w[1] - u[1] * w[0],
+    )
+    if not any(cross):
+        cross = (u[1], -u[0], _ZERO)
+    scale = max(abs(v) for v in cross)
+    c = tuple(v / scale for v in cross)
+    h = weight_function(lam.space, dict(zip(points, c)))
+    return c, h, weight_element(lam, h)
 
 
 def fraction_attainment_partition(space, f):

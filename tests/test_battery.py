@@ -23,7 +23,6 @@ from freelip.extremal import EXPOSED, NOT_EXTREME
 from freelip.functions import LipFunction
 from freelip.generators import random_corpus
 from freelip.metric import PointedMetricSpace, line_space, validate_space
-from freelip.rationals import scale_to_integers
 from oracles import replace
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -35,15 +34,15 @@ def _crashes(failures):
     return [f for f in failures if "TypeError" in f or "AttributeError" in f]
 
 
-def domain_blind(space, items):
+def domain_blind(space, domain, scale, ints):
     """A McShane kernel minimizing over every point, with 0 off the domain.
 
     It makes the extension of 0 from any subset vanish everywhere.  Like
-    the kernel, it returns integers over one scale.
+    the kernel, it reads the function's integers over their scale and
+    returns integers over one scale.
     """
     unit, lengths = space.scaled
-    scale, ints = scale_to_integers([v for _, v in items])
-    values = {q: v * unit for (q, _), v in zip(items, ints)}
+    values = {q: v * unit for q, v in zip(domain, ints)}
     rows = {q: [values.get(q, 0) + s * scale for s in lengths[q]] for q in space.points()}
     return unit * scale, rows, [min(column) for column in zip(*rows.values())]
 
@@ -312,7 +311,7 @@ def _witness_for_every_element(monkeypatch):
 
 def _witness_without_the_pairing_equation(monkeypatch):
     # the weights then solve the mass equation only
-    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (u[1], -u[0], Fraction(0)))
+    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (u[1], -u[0], 0))
 
 
 def _doubled_perturbation_unverified(monkeypatch):

@@ -53,6 +53,7 @@ from oracles import (
     bump_witness,
     extreme_molecules_per_ordered_pair,
     fraction_attainment_partition,
+    fraction_kernel_weights,
     is_extreme_by_lp,
     molecule_vectors_by_elements,
     replace,
@@ -131,14 +132,15 @@ def test_positive_ball_extremes_tri(tri):
 
 def test_positive_ball_matches_vertex_enumeration():
     rng = random.Random(42)
-    for _ in range(15):
-        space = random_space(rng, rng.randint(1, 8))
+    spaces = [random_space(rng, rng.randint(1, 8)) for _ in range(15)]
+    for space in spaces + [coprime_space(rng, rng.randint(1, 6)) for _ in range(5)]:
         points = space.nonbase_points()
-        claimed = {
-            tuple(e.coeffs.get(p, Fraction(0)) for p in points)
-            for e in positive_ball_extremes(space)
-        }
+        extremes = positive_ball_extremes(space)
+        claimed = {tuple(e.coeffs.get(p, Fraction(0)) for p in points) for e in extremes}
         assert claimed == positive_ball_vertices_bruteforce(space)
+        # in order, each delta(x) / d(x, base) divided over Fractions
+        normalized = [delta(space, x) / space.d(x, space.base) for x in points]
+        assert extremes == [zero(space)] + normalized
 
 
 def test_split_positive_example(line3):
@@ -409,6 +411,35 @@ def test_point_weight_witness_equals_the_bump_reference():
     assert all(outcomes.values()), outcomes
 
 
+def _coprime_witness_draws(seed, count):
+    # value denominators against distance denominators 7, 11 and 13
+    rng = random.Random(seed)
+    for i in range(count):
+        space = coprime_space(rng, rng.randint(3, 8))
+        lam = random_positive_element(rng, space)
+        yield lam, zero(space) if i % 2 == 0 else random_element(rng, space)
+
+
+def test_the_integer_kernel_rows_give_the_fraction_kernel_weights():
+    # lam's numerators, and those times the extension's integers, are the
+    # Fraction rows times lam.den and lam.den * extension.scale, so c, h and
+    # v come out as the Fraction kernel vector gives them
+    outcomes = {"witness": 0, "zero weight": 0, "coprime": 0}
+    draws = [*_witness_draws(85, 240), *_coprime_witness_draws(86, 60)]
+    for i, (lam, mu) in enumerate(draws):
+        witness = almost_positive_witness(lam, mu)
+        if witness is None:
+            continue
+        extension = mcshane_extend(witness.f_star)
+        c, h, v = fraction_kernel_weights(lam, extension, witness.chosen_points)
+        assert witness.c == c and witness.v == v
+        assert witness.h == h and hash(witness.h) == hash(h) and witness.h.values == h.values
+        outcomes["witness"] += 1
+        outcomes["zero weight"] += 0 in c
+        outcomes["coprime"] += i >= 240
+    assert all(outcomes.values()), outcomes
+
+
 def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch):
     # maximize_extended_pairing certifies ||lam + mu|| once; the witness
     # reuses that value and certifies only ||lam + mu +- v||
@@ -431,9 +462,9 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
         extended.append(pf)
         return real_extend(pf)
 
-    def counted_minima(space, items):
-        minima.append(items)
-        return real_minima(space, items)
+    def counted_minima(space, domain, scale, ints):
+        minima.append((domain, scale, ints))
+        return real_minima(space, domain, scale, ints)
 
     def counted_lip(f):
         measured.append(f)
@@ -455,7 +486,8 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
         if witness is not None:
             assert len(calls) == 3
             assert extended == [witness.f_star]
-            assert minima == [witness.f_star.items]
+            f_star = witness.f_star
+            assert minima == [(f_star.domain, f_star.scale, f_star.ints)]
             assert sum(f is witness.f_star for f in measured) == 0
             found += 1
     assert found > 0
@@ -518,7 +550,7 @@ def test_witness_with_a_pairing_blind_kernel_vector_fails_verification(monkeypat
     # (u2, -u1, 0) balances the mass of the weighted copy of lam but not
     # its pairing with the extension, which the orthogonality check catches
     # before the +-v norm certificates run
-    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (u[1], -u[0], Fraction(0)))
+    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (u[1], -u[0], 0))
     third = Fraction(1, 6)
     lam = canonicalize(line4, {1: third, 2: third, 3: third})
     with pytest.raises(InternalVerificationFailure, match="weighted extension pairing is nonzero"):
@@ -602,7 +634,7 @@ def test_a_weighting_past_the_sup_bound_fails_positivity(monkeypatch):
 def test_a_kernel_vector_off_the_mass_hyperplane_fails_the_witness(monkeypatch):
     # c = (1, 0, 0) keeps lam +- v positive (lam - v drops a coefficient to
     # 0) but weights lam's mass by a_1 != 0
-    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (Fraction(1), Fraction(0), Fraction(0)))
+    monkeypatch.setattr(extremal, "_kernel_vector", lambda u, w: (1, 0, 0))
     lam = _line4_lam()
     with pytest.raises(InternalVerificationFailure, match="nonzero mass"):
         almost_positive_witness(lam, zero(lam.space))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from freelip.errors import (
     InternalVerificationFailure,
     NotOneLipschitzOnDomain,
     SpaceMismatch,
+    UnknownLabel,
 )
 from freelip.functions import (
     distance_to_base,
@@ -36,6 +38,7 @@ from freelip.generators import (
 )
 from freelip.metric import PointedMetricSpace, space_from_points, validate_space
 from oracles import bump, fraction_molecule_norming_values
+from spaces import coprime_space
 
 
 def test_lip_constant_examples(line3):
@@ -170,6 +173,61 @@ def test_mcshane_examples(line3):
     # the empty-domain extension is the distance to the base
     base_only = partial_function(line3, {0: 0})
     assert mcshane_extend(base_only).values == distance_to_base(line3).values
+
+
+def _assert_integer_form(pf, reference):
+    # scale > 0, no common factor, a sorted domain holding the base once,
+    # and views equal to the Fraction values of `reference`, base included
+    space = pf.space
+    expected = dict(sorted({**reference, space.base: Fraction(0)}.items()))
+    assert pf.scale > 0 and gcd(pf.scale, *pf.ints) == 1
+    assert pf.domain == tuple(expected) and pf.domain.count(space.base) == 1
+    assert len(pf.ints) == len(pf.domain)
+    assert pf.items == tuple(expected.items()) and pf.values == expected
+    assert all(type(v) is Fraction for _, v in pf.items)
+
+
+def test_partial_functions_hold_the_integer_form():
+    rng = random.Random(88)
+    spaces = [random_space(rng, rng.randint(1, 8)) for _ in range(60)]
+    spaces += [coprime_space(rng, rng.randint(1, 8)) for _ in range(20)]
+    for space in spaces:
+        f = random_lip0(rng, space)
+        # values over coprime denominators, and some whose common factor cancels
+        g = lip_function(
+            space,
+            {
+                p: Fraction(rng.randint(-9, 9), rng.choice((7, 11, 13)))
+                for p in space.nonbase_points()
+            },
+        )
+        h = lip_function(
+            space, {p: Fraction(6 * rng.randint(-3, 3), 4) for p in space.nonbase_points()}
+        )
+        for total in (f, g, h):
+            S = random_subset(rng, space)
+            reference = {p: total.values[p] for p in S}
+            _assert_integer_form(partial_function(space, reference), reference)
+            # keyed by label too
+            by_label = {space.labels[p]: v for p, v in reference.items()}
+            _assert_integer_form(partial_function(space, by_label), reference)
+            for T in (S | {space.base}, S - {space.base}):
+                pf = restrict(total, T)
+                _assert_integer_form(pf, {p: total.values[p] for p in T})
+                built = partial_function(space, {p: total.values[p] for p in T})
+                assert pf == built and hash(pf) == hash(built) and repr(pf) == repr(built)
+
+
+def test_a_restriction_keeps_the_scale_it_needs(line3):
+    # f = (0, 1/2, 3/2) has scale 2; on {0, 2} alone it still needs 2, and
+    # g = (0, 1/2, 2) on {0, 2} needs only 1
+    f = lip_function(line3, [0, Fraction(1, 2), Fraction(3, 2)])
+    g = lip_function(line3, [0, Fraction(1, 2), 2])
+    assert (restrict(f, {2}).scale, restrict(f, {2}).ints) == (2, (0, 3))
+    assert (restrict(g, {2}).scale, restrict(g, {2}).ints) == (1, (0, 2))
+    assert (restrict(g, ()).domain, restrict(g, ()).ints) == ((0,), (0,))
+    with pytest.raises(UnknownLabel):
+        restrict(g, {3})
 
 
 def test_mcshane_rejects_expanding_data(line3):

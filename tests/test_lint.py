@@ -17,10 +17,15 @@ and asserts ``not result.passed``.  No module imports ``dataclasses``, and
 but the battery imports ``lp``: the library core solves no LP.  The body of
 the transport solver ``norms._transport_plan`` names neither ``Fraction``
 nor ``float``, nor a module constant built by either, and holds no float
-literal: the kernel computes on ints alone.  Elements and total functions
-store one integer form, so no kernel that reads them (the transport
-solver, its two checks, the norming face, the Lipschitz constant and the
-predual weighting) calls ``scale_to_integers``.
+literal: the kernel computes on ints alone.  Elements and functions,
+total and partial, store one integer form, so no kernel that reads them
+(the transport solver, its two checks, the norming face, the Lipschitz
+constant, the predual weighting, the McShane minima, the restriction, the
+distance to the base point, the normers and the almost-positive witness)
+rescales a Fraction view: none calls ``scale_to_integers``, nor a
+constructor that calls it on Fractions (``partial_function``,
+``lip_function``, ``weight_function``, ``LipFunction`` or
+``WeightFunction``; ``LipFunction._of`` takes integers).
 """
 
 import ast
@@ -270,6 +275,7 @@ def _calls(tree, function, callee):
         ("den, ints = scale_to_integers(x)\n    return f(*scale_to_integers(y))", 2),
         ("return scale_to_integers", 0),
         ("return x.scale, x.ints", 0),
+        ("return LipFunction._of(space, unit, row)", 0),
     ],
 )
 def test_the_call_finder(body, calls):
@@ -278,19 +284,35 @@ def test_the_call_finder(body, calls):
 
 
 KERNELS = {
-    "norms": ("_transport_plan", "_rebuilds", "_certified", "norming_face"),
-    "functions": ("lip_constant", "weight_element"),
+    "norms": ("_transport_plan", "_rebuilds", "_certified", "norming_face", "normers_of"),
+    "functions": (
+        "lip_constant",
+        "weight_element",
+        "_mcshane_minima",
+        "restrict",
+        "distance_to_base",
+    ),
+    "extremal": ("almost_positive_witness",),
 }
+RESCALERS = (
+    "scale_to_integers",
+    "partial_function",
+    "lip_function",
+    "weight_function",
+    "LipFunction",
+    "WeightFunction",
+)
 
 
 def test_the_kernels_read_the_stored_integers():
-    # elements and total functions hold one integer form; no kernel rescales a Fraction view
+    # elements and functions hold one integer form; no kernel rescales a Fraction view
     rescaled = []
     for module, functions in KERNELS.items():
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         for function in functions:
-            lines = _calls(tree, function, "scale_to_integers")
-            rescaled += [f"{module}.{function}:{line}" for line in lines]
+            for callee in RESCALERS:
+                lines = _calls(tree, function, callee)
+                rescaled += [f"{module}.{function}:{line}:{callee}" for line in lines]
     assert rescaled == []
 
 

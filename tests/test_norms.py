@@ -401,6 +401,25 @@ def test_a_lower_bound_one_unit_off_fails_the_positive_normers(monkeypatch, line
         normers_of(canonicalize(line3, {1: 1, 2: 1}))
 
 
+def test_a_value_fixed_one_unit_above_the_distance_fails_the_positive_normers(
+    monkeypatch, line3
+):
+    # both bounds on f(1) raised by one unit still meet, so f(1) is fixed,
+    # but at d(1, base) + 1; the witness, the McShane minimum of the base
+    # row, is capped at d(1, base) and still certifies the norm
+    real = norms._all_distances
+
+    def shifted(space, decomposition):
+        D = real(space, decomposition)
+        D[space.base][1] += 1
+        D[1][space.base] -= 1
+        return D
+
+    monkeypatch.setattr(norms, "_all_distances", shifted)
+    with pytest.raises(InternalVerificationFailure, match="may deviate from d"):
+        normers_of(canonicalize(line3, {1: 1, 2: 1}))
+
+
 def test_normers_of_rejects_zero(line3):
     with pytest.raises(ZeroElement):
         normers_of(zero(line3))
