@@ -66,7 +66,7 @@ from .norms import (
     norm_certificate,
     positive_norm,
 )
-from .rationals import row_echelon, scale_to_integers
+from .rationals import row_echelon
 from .records import record
 
 _ZERO = Fraction(0)
@@ -551,7 +551,8 @@ def check_molecule_function(corpus) -> CheckResult:
         for p, q in space.ordered_pairs():
 
             def attempt():
-                vscale, V = scale_to_integers(molecule_norming_function(space, p, q).values)
+                f = molecule_norming_function(space, p, q)
+                vscale, V = f.scale, f.ints
                 # (u, v) -> (unit * vscale * d(u,v) * pairing, unit * vscale * d(u,v))
                 lifted = {
                     (u, v): ((V[u] - V[v]) * unit, lengths[u][v] * vscale)

@@ -1,12 +1,13 @@
 """Exact free-norm computation by one min-cost flow.
 
-The norm of an element is the minimum cost of transporting its
-coefficient masses.  It is solved once, exactly, by successive shortest
-paths on the bipartite graph from the nodes of positive coefficient to
-those of negative coefficient (the base point balances the masses), and
-the optimal plan is returned as a molecule decomposition.  The solver
-keeps the graph in int lists indexed by position, sources then sinks in
-point order, and augments by one dense Dijkstra per path.  The same solve
+The norm of an element is the minimum cost of transporting its coefficient
+masses.  It is solved once, exactly, by successive shortest paths on the
+bipartite graph from the nodes of positive coefficient to those of
+negative coefficient (the base point balances the masses), and the optimal
+plan is returned as a molecule decomposition.  The solver keeps the graph
+in int lists indexed by position, sources then sinks in point order.  It
+starts from Kuhn's row and column reduction, fills the arcs of reduced
+cost zero, and augments by one dense Dijkstra per path.  The same solve
 gives the norming function: the solver's node potentials at exit are an
 optimal dual, since every source -> sink arc has nonnegative reduced cost
 and the arcs carrying flow have reduced cost zero (complementary
@@ -169,7 +170,13 @@ def _transport_plan(
     distances of `space.scaled`, so every step is exact; scaling every cost
     by one positive integer leaves the plan as it is.  Node v < k is source
     v and node k + j sink j, both numbered in point order; costs and flows are
-    k x l int matrices, potentials pi and masses left int lists.  Each
+    k x l int matrices, potentials pi and masses left int lists.  The start
+    potentials are Kuhn's row and column reduction: pi(t) = min over s of
+    c(s,t), and pi(s) = max over t of pi(t) - c(s,t), the least keeping the
+    reduced costs c(s,t) + pi(s) - pi(t) >= 0.  Before any search, flow then
+    fills every arc of reduced cost zero as far as both ends allow, sinks in
+    point order and, for each, sources in point order, which breaks ties;
+    the reverse of a filled arc has reduced cost zero too.  Each remaining
     augmentation is one dense Dijkstra, O((k + l)^2), on the reduced costs
     c(u,v) + pi(u) - pi(v), kept nonnegative on the residual graph by the
     potential update after it: a linear scan of the reached, unsettled
@@ -194,7 +201,14 @@ def _transport_plan(
     lengths = space.scaled[1]
     cost = [[lengths[s][t] for t in sinks] for s in sources]
     flow = [[0] * len(sinks) for _ in sources]
-    pi = [0] * k + [min(column) for column in zip(*cost)]
+    low = [min(column) for column in zip(*cost)]
+    pi = [max(map(sub, low, row)) for row in cost] + low
+    for j in range(len(sinks)):
+        for s, row in enumerate(cost):
+            if row[j] + pi[s] == low[j]:
+                flow[s][j] = amount = min(rest[s], rest[k + j])
+                rest[s] -= amount
+                rest[k + j] -= amount
 
     while any(rest[:k]):
         dist = [0 if r else None for r in rest[:k]] + [None] * len(sinks)

@@ -335,12 +335,39 @@ def test_flow_solver_matches_the_dense_simplex_and_networkx(kind):
         assert mu.pair(witness) == oracle_value
 
 
+def _assert_raw_plan_is_optimal(nx, mu):
+    """The kernel's own output, before `_solve` or `_certified` check it.
+
+    The sink duals, extended to the sources by their minimum, are tight on
+    every flow arc and pair with the supplies to the plan cost, which is
+    networkx's min-cost flow cost on the same integer supplies and costs.
+    Returns the sources, the nodes of positive supply.
+    """
+    space = mu.space
+    mass, flows, duals = norms._transport_plan(mu)
+    lengths = space.scaled[1]
+    scaled = {p: a * mass for p, a in mu.items}
+    assert all(m.denominator == 1 for m in scaled.values())
+    supply = {p: int(m) for p, m in scaled.items()}
+    supply[space.base] = -sum(supply.values())
+    sources = [p for p, m in supply.items() if m > 0]
+    sinks = [p for p, m in supply.items() if m < 0]
+    assert sorted(duals) == sorted(sinks)
+    f = {s: min(duals[t] + lengths[s][t] for t in sinks) for s in sources}
+    f.update(duals)
+    assert flows and all(f[s] - f[t] == lengths[s][t] for s, t, _ in flows)
+    cost = sum(x * lengths[s][t] for s, t, x in flows)
+    assert sum(m * f[p] for p, m in supply.items() if m) == cost
+    G = nx.DiGraph()
+    for p, m in supply.items():
+        G.add_node(p, demand=-m)
+    G.add_edges_from((s, t, {"weight": lengths[s][t]}) for s in sources for t in sinks)
+    assert cost == nx.min_cost_flow_cost(G)
+    return sources
+
+
 @pytest.mark.parametrize("kind", ["uniform", "line", "coprime", "ultrametric", "large"])
 def test_the_raw_transport_plan_is_optimal_on_integers(kind):
-    # the kernel's own output, before `_solve` or `_certified` check it: the
-    # sink duals, extended to the sources by their minimum, are tight on
-    # every flow arc and pair with the supplies to the plan cost, which is
-    # networkx's min-cost flow cost on the same integer supplies and costs;
     # the tie-heavy corpora stress the order in which the solver breaks ties
     nx = pytest.importorskip("networkx")
     rng = random.Random(61)
@@ -348,25 +375,65 @@ def test_the_raw_transport_plan_is_optimal_on_integers(kind):
         space, mu = _degenerate_case(rng, kind)
         if mu.is_zero():
             continue
-        mass, flows, duals = norms._transport_plan(mu)
-        lengths = space.scaled[1]
-        scaled = {p: a * mass for p, a in mu.items}
-        assert all(m.denominator == 1 for m in scaled.values())
-        supply = {p: int(m) for p, m in scaled.items()}
-        supply[space.base] = -sum(supply.values())
-        sources = [p for p, m in supply.items() if m > 0]
-        sinks = [p for p, m in supply.items() if m < 0]
-        assert sorted(duals) == sorted(sinks)
-        f = {s: min(duals[t] + lengths[s][t] for t in sinks) for s in sources}
-        f.update(duals)
-        assert flows and all(f[s] - f[t] == lengths[s][t] for s, t, _ in flows)
-        cost = sum(x * lengths[s][t] for s, t, x in flows)
-        assert sum(m * f[p] for p, m in supply.items() if m) == cost
-        G = nx.DiGraph()
-        for p, m in supply.items():
-            G.add_node(p, demand=-m)
-        G.add_edges_from((s, t, {"weight": lengths[s][t]}) for s in sources for t in sinks)
-        assert cost == nx.min_cost_flow_cost(G)
+        _assert_raw_plan_is_optimal(nx, mu)
+
+
+def _one_source_element(rng, space):
+    """A signed element with one node of positive supply.
+
+    Either every coefficient is negative and the base is the one source, or
+    one positive coefficient outweighs the negative ones.
+    """
+    points = rng.sample(list(space.nonbase_points()), rng.randint(1, space.n - 1))
+    coeffs = {p: -random_rational(rng) for p in points}
+    if len(points) > 1 and rng.random() < 0.5:
+        coeffs[points[0]] = -sum(coeffs.values()) - coeffs[points[0]] + random_rational(rng)
+    return canonicalize(space, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "line", "positive", "one-source"])
+def test_the_warm_start_leaves_an_optimal_plan(monkeypatch, kind):
+    # the start potentials make every column minimum a tight arc, and the
+    # fill pushes on the tight arcs before any search.  In a uniform space
+    # every source ties for every column minimum, a positive element has
+    # the base as its only sink, and an element with one source has it at
+    # every column minimum: in those three the fill finishes the plan and
+    # no search settles a node (a search picks each node to settle by
+    # `min` with a key).  A line subset usually needs searches after it.
+    nx = pytest.importorskip("networkx")
+    settled = []
+
+    def keyed_min(*args, **kwargs):
+        if "key" in kwargs:
+            settled.append(args)
+        return min(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "min", keyed_min, raising=False)
+    rng = random.Random(67)
+    searched = 0
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        if kind == "uniform":
+            space = uniform_space(n, random_rational(rng))
+            mu = random_element(rng, space, max_support=10)
+        elif kind == "line":
+            space = random_line_subset(rng, n)
+            mu = random_element(rng, space, max_support=10)
+        elif kind == "positive":
+            space = random_space(rng, n)
+            mu = random_positive_element(rng, space, max_support=10)
+        else:
+            space = random_space(rng, n)
+            mu = _one_source_element(rng, space)
+        if mu.is_zero():
+            continue
+        settled.clear()
+        sources = _assert_raw_plan_is_optimal(nx, mu)
+        if kind == "one-source":
+            assert len(sources) == 1
+        searched += bool(settled)
+        assert kind == "line" or not settled
+    assert kind != "line" or searched
 
 
 def test_normers_of_delta(line3):
