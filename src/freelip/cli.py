@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import fileio
 from .elements import support, zero
@@ -21,6 +21,7 @@ from .extremal import almost_positive_witness, classify_molecule, positive_ball_
 from .functions import mcshane_extend, molecule_norming_function, weight_element
 from .norms import norm_certificate
 from .rationals import as_fraction, format_fraction
+from .records import record
 
 DEFAULT_MAX_POINTS_ENV = "FREELIP_MAX_POINTS"
 MAX_SCALE = 100
@@ -158,7 +159,8 @@ def _witness(args, space):
     return fileio.witness_payload(space, witness), lines
 
 
-class Command(NamedTuple):
+@record
+class Command:
     """A command that reads a space file; `run` returns (payload, human lines)."""
 
     help: str

@@ -26,7 +26,6 @@ from .elements import (
     zero,
 )
 from .errors import (
-    DegeneratePair,
     InternalVerificationFailure,
     NotNormalized,
     NotPositive,
@@ -104,12 +103,12 @@ def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessV
     builds the midpoint decomposition through an interior segment point
     and verifies both halves have norm one.
     """
-    if p == q:
-        raise DegeneratePair(f"molecule endpoints coincide: {p}")
-    seg = space.segment(p, q)
     mol = Molecule(p, q)
-    face = _molecule_face(space, p, q)
-    f = face.norming_function
+    # the face's tight pairs come from the scan that certified the function
+    # (and rejected p == q), so no second pass; tightness does not depend on
+    # the integer scale, so they are those `norms.norming_face` would find
+    face = _face(*_molecule_function(space, p, q), mol)
+    seg = space.segment(p, q)
 
     if seg.is_trivial():
         if not face.is_unique_normer or face.tight_molecules != (mol,):
@@ -119,14 +118,13 @@ def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessV
         return ExposednessVerdict(
             molecule=mol,
             segment_trivial=True,
-            exposing_function=f,
+            exposing_function=face.norming_function,
             face=face,
             verdict=EXPOSED,
             counterexample_decomposition=None,
         )
 
-    interior = sorted(seg.members - {p, q}, key=lambda i: space.labels[i])
-    x = interior[0]
+    x = min(seg.members - {p, q}, key=lambda i: space.labels[i])
     t = space.d(p, x) / space.d(p, q)
     first = Molecule(p, x).as_element(space)
     second = Molecule(x, q).as_element(space)
@@ -160,23 +158,9 @@ def normers_support_check(space: PointedMetricSpace, p: int, q: int) -> bool:
     enough that every tight molecule has both endpoints inside the metric
     segment of (p, q).
     """
-    seg = space.segment(p, q)
-    face = _molecule_face(space, p, q)
-    return all(
-        mol.p in seg.members and mol.q in seg.members for mol in face.tight_molecules
-    )
-
-
-def _molecule_face(space: PointedMetricSpace, p: int, q: int) -> FaceReport:
-    """The norming face of the canonical function of the molecule (p, q).
-
-    The tight pairs come from the scan that certified the function
-    (:func:`functions._molecule_function`), so the face costs no second
-    pass; they are those :func:`norms.norming_face` would find, since
-    tightness does not depend on the integer scale of the values.
-    """
-    f, pairs = _molecule_function(space, p, q)
-    return _face(f, pairs, Molecule(p, q))
+    members = space.segment(p, q).members
+    _, pairs = _molecule_function(space, p, q)
+    return all(x in members and y in members for x, y in pairs)
 
 
 def positive_ball_extremes(space: PointedMetricSpace) -> list[FreeElement]:
@@ -323,8 +307,7 @@ def almost_positive_witness(
             candidates.append((len(K), sorted(space.labels[q] for q in K), K, hits))
     if not candidates:
         return None
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    _, _, K, hits = candidates[0]
+    _, _, K, hits = min(candidates, key=lambda item: (item[0], item[1]))
     points = tuple(hits[:3])
 
     # rows a_i and a_i f(i) times the positive lam.den and lam.den * extension.scale

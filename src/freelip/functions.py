@@ -31,24 +31,31 @@ from .errors import (
 )
 from .metric import PointedMetricSpace
 from .rationals import as_fraction, scale_to_integers
+from .records import record
 
 
+@record
 class _Function:
     """A rational-valued function on `domain`, f(domain[i]) = ints[i] / scale.
 
-    It behaves as a record of the fields `__match_args__` names: it equals
-    only a function of its own class with the same space and values,
-    hashes and reprs as such, and refuses assignment.
+    A record of its four fields: it equals only a function of its own
+    class with the same space and values, hashes as such, reprs the fields
+    `__match_args__` names, and refuses assignment.
     """
 
-    __match_args__ = ("space", "domain", "scale", "ints")
+    space: PointedMetricSpace
+    domain: Sequence[int]
+    scale: int
+    ints: tuple[int, ...]
 
-    def __init__(self, space: PointedMetricSpace, domain, scale: int, ints: Sequence[int]):
+    def __post_init__(self) -> None:
         """The function ints / scale on `domain`, for a positive scale, reduced by one gcd."""
+        scale, ints = self.scale, self.ints
         g = gcd(scale, *ints)
         if g != 1:
-            scale, ints = scale // g, [v // g for v in ints]
-        self.__dict__.update(space=space, domain=domain, scale=scale, ints=tuple(ints))
+            object.__setattr__(self, "scale", scale // g)
+            ints = [v // g for v in ints]
+        object.__setattr__(self, "ints", tuple(ints))
         self._check()
 
     @cached_property
@@ -58,25 +65,6 @@ class _Function:
 
     def _check(self) -> None:
         pass
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.domain, self.scale, self.ints) == (
-            other.space, other.domain, other.scale, other.ints
-        )
-
-    def __hash__(self):
-        return hash((self.space, self.domain, self.scale, self.ints))
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{self.__class__.__qualname__}({shown})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
 
 
 class _TotalFunction(_Function):

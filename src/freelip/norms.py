@@ -11,10 +11,10 @@ cost zero, and augments by one dense Dijkstra per path.  The same solve
 gives the norming function: the solver's node potentials at exit are an
 optimal dual, since every source -> sink arc has nonnegative reduced cost
 and the arcs carrying flow have reduced cost zero (complementary
-slackness).  A certificate McShane-extends minus the sink potentials to
-the whole space and shifts the result to vanish at the base point
-(`_certified` proves that this is a norming function).  No shortest-path
-pass runs after the solve.
+slackness).  `norm_certificate` McShane-extends minus the sink potentials
+to the whole space, shifted to vanish at the base point, and `_certified`
+proves that finished witness a norming function, as it does the base row
+of the shortest paths of `normers_of`.  No shortest-path pass runs after.
 
 The norming functions are the 1-Lipschitz functions tight on the optimal
 plan, a system of difference constraints; `normers_of`, which bounds every
@@ -36,9 +36,8 @@ InternalVerificationFailure is raised:
   `free_norm_primal` and `norm_certificate`, checks the plan's net flow at
   every point against the element's numerators;
 - the witness is 1-Lipschitz and pairs with the element to the
-  decomposition weight: `_certified` checks both on the integers it
-  builds the witness from, the potentials McShane-extended in the
-  distance unit, before any Fraction is made.
+  decomposition weight: `_certified` checks both on the integer witness
+  it is given, in the distance unit, before any Fraction is made.
 No LP is solved here; the dense simplex in `lp` is kept as an independent
 oracle for the battery and the tests.
 """
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .elements import FreeElement, Molecule, is_positive, support
 from .errors import (
@@ -309,30 +308,14 @@ def _solve(mu: FreeElement) -> tuple[PrimalCertificate, dict[int, int]]:
     return PrimalCertificate(Fraction(sum(costs), mass * unit), decomposition), duals
 
 
-def _certified(
-    mu: FreeElement, primal: PrimalCertificate, values: Mapping[int, int]
-) -> NormCertificate:
-    """Certificate of a nonzero element from its plan and a dual of that plan.
+def _certified(mu: FreeElement, primal: PrimalCertificate, E: Sequence[int]) -> NormCertificate:
+    """Certificate of a nonzero element from its plan and a finished dual witness.
 
-    `values` maps some points q to integers f(q) in units of 1 / `unit`,
-    like the distances s of `space.scaled`.  The witness is their McShane
-    minimum on the same integers, E[x] = min over q of f(q) + s[q][x],
-    shifted by E[base] to vanish at the base point.  Two duals are passed:
-    - from :func:`norm_certificate`, the sink duals f = -pi of
-      :func:`_transport_plan`.  With f = -pi on the sources too,
-      f(p) <= f(t) + s[p][t] for every source p and sink t, with equality
-      where flow runs from p to t.  E is 1-Lipschitz, as a minimum of the
-      functions f(t) + s[t][.]; E <= f on the sinks (take t = x) and
-      E >= f on the sources.  So the balanced pairing of E, where the base
-      carries minus the sum of the coefficients, is at least that of f,
-      which is the sum over the flows of mass times f(p) - f(t) = s[p][t]:
-      the plan cost.  By weak duality it is at most the norm, so the two
-      are equal.  The shift leaves the balanced pairing unchanged and makes
-      it the pairing with mu.  A positive element has the base as its only
-      sink, and its witness is d(., base).
-    - from :func:`normers_of`, the base row D[base] of its shortest paths
-      over every point, the largest normer tight on the flow.  E is the row
-      itself, since D[base][x] <= D[base][q] + s[q][x], and E[base] = 0.
+    `E` lists integer values in units of 1 / `unit`, like the distances s
+    of `space.scaled`, with E[base] = 0: the McShane-extended sink duals of
+    :func:`norm_certificate`, or the base row D[base] of the shortest paths
+    of :func:`normers_of`, the largest normer tight on the flow.  It is
+    checked as it is given, not repaired first.
     Both sides of weak duality are checked on E:
     - E is 1-Lipschitz, |E[x] - E[y]| <= s[x][y], read per x as max over
       y of E[y] - s[x][y] <= E[x];
@@ -341,20 +324,13 @@ def _certified(
       value's denominator equals its numerator times den * unit.
     A 1-Lipschitz function pairing with mu to the cost of a decomposition
     proves both optimal.  The Lipschitz check is a guard on the
-    construction: a minimum of the functions f(q) + s[q][.], each
-    1-Lipschitz on a validated metric, is 1-Lipschitz whatever the values.
+    construction: on a validated metric both callers' witnesses are
+    1-Lipschitz, a minimum of 1-Lipschitz rows and a shortest-path row.
     The witness is made from E over `unit`, and its Fraction values are
-    built only when something reads them.  The values are in
-    the distance unit already, so they need no lift: routing them through
-    the kernel `functions._mcshane_minima` made `norm_certificate` slower.
+    built only when something reads them.
     """
     space = mu.space
     unit, lengths = space.scaled
-    # one lifted row per point of `values`, then the minimum point by point
-    rows = [[v + d for d in lengths[q]] for q, v in values.items()]
-    E = [min(column) for column in zip(*rows)]
-    shift = E[space.base]
-    E = [e - shift for e in E]
     pairing = sum(n * E[p] for p, n in mu.nums)
     value = primal.value
     if (
@@ -362,8 +338,7 @@ def _certified(
         or pairing * value.denominator != value.numerator * mu.den * unit
     ):
         raise InternalVerificationFailure("dual witness failed verification")
-    witness = LipFunction._of(space, unit, E)
-    return NormCertificate(value, witness, primal.decomposition)
+    return NormCertificate(value, LipFunction._of(space, unit, E), primal.decomposition)
 
 
 def norm_certificate(mu: FreeElement) -> NormCertificate:
@@ -373,12 +348,24 @@ def norm_certificate(mu: FreeElement) -> NormCertificate:
     dual on the sinks, McShane-extended to the whole space and shifted to
     vanish at the base point, bounds it from below; equal bounds prove both
     optimal (:func:`_certified`).  No shortest-path pass runs after the
-    solve.
+    solve.  With f = -pi, f(p) <= f(t) + s[p][t] for every source p and
+    sink t, equal where flow runs, so the minimum of the 1-Lipschitz rows
+    f(t) + s[t][.] is at most f on the sinks and at least f on the sources,
+    and its balanced pairing, which the shift keeps, is at least that of f,
+    the plan cost.  A positive element has the base as its only sink: its
+    witness is d(., base).
     """
     space = mu.space
     if mu.is_zero():
         return NormCertificate(Fraction(0), LipFunction._of(space, 1, [0] * space.n), ())
-    return _certified(mu, *_solve(mu))
+    primal, duals = _solve(mu)
+    lengths = space.scaled[1]
+    # one row per sink, then the minimum point by point; the duals are in the
+    # distance unit already, and `functions._mcshane_minima` measured slower
+    rows = [[v + d for d in lengths[t]] for t, v in duals.items()]
+    E = [min(column) for column in zip(*rows)]
+    shift = E[space.base]
+    return _certified(mu, primal, [e - shift for e in E])
 
 
 def free_norm(mu: FreeElement) -> Fraction:
@@ -475,10 +462,7 @@ def _face(
     sample = None
     if not unique:
         fallback = nominal if nominal is not None else tight[0]
-        for mol in tight:
-            if (mol.p, mol.q) != (fallback.p, fallback.q):
-                sample = mol.as_element(space)
-                break
+        sample = next(mol for mol in tight if mol != fallback).as_element(space)
     return FaceReport(
         norming_function=f,
         tight_molecules=tuple(tight),
@@ -508,7 +492,7 @@ def normers_of(mu: FreeElement) -> NormersReport:
     base = space.base
     primal = free_norm_primal(mu)
     D = _all_distances(space, primal.decomposition)
-    cert = _certified(mu, primal, dict(enumerate(D[base])))
+    cert = _certified(mu, primal, D[base])
     unit, lengths = space.scaled
     fixed = {
         p: Fraction(D[base][p], unit)

@@ -13,10 +13,13 @@ def record(cls):
     """Make `cls` an immutable record of the fields its annotations name, in order.
 
     Instances are built positionally or by keyword, then `__post_init__`
-    runs if the class has one.  A record equals only a record of its own
-    class with equal fields, hashes as the tuple of its fields, and refuses
-    assignment and deletion.  A `cached_property` still works, outside
-    equality and hashing: it writes the instance dictionary directly.
+    runs if the class has one; `functions._Function` reduces and checks
+    its integers there, setting them with `object.__setattr__`.  A record
+    equals only a record of its own class with equal fields, hashes as the
+    tuple of its fields, and refuses assignment and deletion.  Its repr
+    shows `__match_args__`: the fields, unless a subclass names its own.  A
+    `cached_property` still works, outside equality and hashing: it writes
+    the instance dictionary directly.
     """
     fields = tuple(cls.__dict__.get("__annotations__", {}))
     names, key = frozenset(fields), attrgetter(*fields)
@@ -44,7 +47,7 @@ def record(cls):
         return key(self) == key(other)
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({shown})"
 
     def frozen(self, name, *value):

@@ -498,8 +498,10 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
     # certificates run on the integer rows of `space.scaled`, so a pair
     # question takes no Lipschitz constant at all; its face comes from the
     # one slope scan that certified the molecule function; and it builds a
-    # few molecule elements however many of the n(n - 1) pairs that scan sees
-    counts = dict.fromkeys(("lip_constant", "_tight_pairs", "as_element", "norm_certificate"), 0)
+    # few molecule elements however many of the n(n - 1) pairs that scan sees.
+    # The segment check reads the scan's tight pairs and builds no face
+    names = ("lip_constant", "_tight_pairs", "_face", "as_element", "norm_certificate")
+    counts = dict.fromkeys(names, 0)
 
     def spy(owner, name, real):
         def counted(*args, **kwargs):
@@ -514,6 +516,9 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
     real_scan = functions._tight_pairs
     for owner in (functions, norms):
         spy(owner, "_tight_pairs", real_scan)
+    real_face = norms._face
+    for owner in (norms, extremal):
+        spy(owner, "_face", real_face)
     spy(extremal, "norm_certificate", extremal.norm_certificate)
     spy(Molecule, "as_element", Molecule.as_element)
 
@@ -530,6 +535,7 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
             verdict, seen = measured(classify_molecule, space, p, q)
             verdicts.add(verdict.verdict)
             assert seen["lip_constant"] == 0 and seen["_tight_pairs"] == 1
+            assert seen["_face"] == 1
             # the face's distinct normer, and the two halves and the target
             # of a midpoint decomposition
             assert seen["as_element"] <= 4
@@ -538,7 +544,7 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
             ok, seen = measured(normers_support_check, space, p, q)
             assert ok
             assert seen["lip_constant"] == 0 and seen["_tight_pairs"] == 1
-            assert seen["as_element"] <= 1
+            assert seen["_face"] == 0 and seen["as_element"] == 0
         result, seen = measured(checks.check_molecule_function, [space])
         pairs = space.n * (space.n - 1)
         assert result.passed and result.cases == pairs

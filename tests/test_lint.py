@@ -13,7 +13,11 @@ package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
 ``match`` pattern finds its message.  Every ``check_*`` of the battery has
 one too: a test in ``tests/test_battery.py`` that binds the check's result
 and asserts ``not result.passed``.  No module imports ``dataclasses``, and
-``import freelip.cli`` loads neither ``inspect`` nor the battery.  No module
+``import freelip.cli`` loads neither ``inspect`` nor the battery.  Records
+are the one value mechanism: no class body outside ``records`` defines
+``__eq__``, ``__hash__``, ``__setattr__`` or ``__delattr__``, by ``def`` or
+by assignment, and no module imports or names ``NamedTuple`` or
+``namedtuple``.  No module
 but the battery imports ``lp``: the library core solves no LP.  The body of
 the transport solver ``norms._transport_plan`` names neither ``Fraction``
 nor ``float``, nor a module constant built by either, and holds no float
@@ -123,6 +127,56 @@ def test_no_module_imports_dataclasses():
         if "dataclasses" in _absolute_imports(ast.parse(path.read_text()))
     ]
     assert importers == []
+
+
+VALUE_METHODS = ("__eq__", "__hash__", "__setattr__", "__delattr__")
+
+
+def _value_mechanisms(tree):
+    """Hand-written value methods of class bodies, and tuple-class imports or names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    targets = [item.name]
+                elif isinstance(item, ast.Assign):
+                    targets = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                yield from (f"{node.name}.{t}" for t in targets if t in VALUE_METHODS)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names if a.name in ("NamedTuple", "namedtuple"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("NamedTuple", "namedtuple"):
+            yield node.attr
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("class A:\n    def __eq__(self, other): pass", ["A.__eq__"]),
+        ("class A:\n    def __hash__(self): pass", ["A.__hash__"]),
+        ("class A:\n    __delattr__ = __setattr__ = f", ["A.__delattr__", "A.__setattr__"]),
+        ("class A:\n    def __repr__(self): pass\n    def __call__(self): pass", []),
+        ("def __eq__(self, other): pass", []),
+        ("from typing import Callable, NamedTuple", ["NamedTuple"]),
+        ("from collections import namedtuple as nt", ["namedtuple"]),
+        ("import typing\nclass A(typing.NamedTuple): pass", ["NamedTuple"]),
+        ("from .records import record", []),
+    ],
+)
+def test_the_value_mechanism_finder(source, found):
+    assert list(_value_mechanisms(ast.parse(source))) == found
+
+
+def test_records_are_the_one_value_mechanism():
+    # equality, hashing and immutability are written once, in `records.record`
+    found = [
+        f"{path.stem}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "records.py"
+        for name in _value_mechanisms(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
 
 
 def test_a_command_loads_no_introspection_and_no_battery():

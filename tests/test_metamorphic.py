@@ -6,7 +6,11 @@ with the same coefficients at the moved points.  So the norms are equal,
 the norming function of either run, read back through the permutation, is
 1-Lipschitz and pairs with the other run's element to the norm, and the
 values and slopes fixed on every normer (`normers_of`) move with the
-points.  The transport solver numbers its sources and sinks by position,
+points.  So do the molecule verdicts, with their faces (dimension and
+tight molecules) and midpoint halves, whether `almost_positive_witness`
+finds a witness, and the extreme points of the positive unit ball; labels
+move with the points, so a choice made by label picks the moved point.
+The transport solver numbers its sources and sinks by position,
 so a relabelling reorders every one of its arrays: an index mixed up
 between point, source and sink survives a comparison with one oracle on
 one labelling far more easily than this relation.
@@ -32,8 +36,14 @@ import random
 
 import pytest
 
-from freelip.elements import canonicalize
-from freelip.extremal import EXPOSED, classify_molecule
+from freelip.elements import Molecule, canonicalize, zero
+from freelip.extremal import (
+    EXPOSED,
+    NOT_EXTREME,
+    almost_positive_witness,
+    classify_molecule,
+    positive_ball_extremes,
+)
 from freelip.functions import lip_constant, lip_function
 from freelip.generators import (
     random_element,
@@ -71,6 +81,11 @@ def relabel(space, perm):
     )
 
 
+def _moved(mu, moved, perm):
+    """The element with mu's coefficients at the moved points of `moved`."""
+    return canonicalize(moved, {perm[p]: a for p, a in mu.items})
+
+
 def _relabelled_cases(kind, count=40):
     rng = random.Random(sorted(SPACES).index(kind))
     for _ in range(count):
@@ -80,7 +95,17 @@ def _relabelled_cases(kind, count=40):
         perm = list(range(space.n))
         rng.shuffle(perm)
         moved = relabel(space, perm)
-        yield space, mu, perm, moved, canonicalize(moved, {perm[p]: a for p, a in mu.items})
+        yield space, mu, perm, moved, _moved(mu, moved, perm)
+
+
+def _relabelled_spaces(kind, count, smallest=2):
+    """(rng, space, perm, moved) for `count` spaces; the rng draws more after each."""
+    rng = random.Random(40 + sorted(SPACES).index(kind))
+    for _ in range(count):
+        space = SPACES[kind](rng, rng.randint(smallest, 8))
+        perm = list(range(space.n))
+        rng.shuffle(perm)
+        yield rng, space, perm, relabel(space, perm)
 
 
 def _read_back(f, space, perm):
@@ -114,6 +139,52 @@ def test_relabelling_moves_the_fixed_normer_values_and_slopes(kind):
         assert moved_report.shared_tight_pairs == {
             (perm[x], perm[y]) for x, y in report.shared_tight_pairs
         }
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_relabelling_moves_every_molecule_verdict_and_face(kind):
+    # the interior point of a midpoint decomposition is the first by label,
+    # and labels move with the points, so the halves move too
+    verdicts = set()
+    for _, space, perm, moved in _relabelled_spaces(kind, 4):
+        for p, q in space.ordered_pairs():
+            verdict = classify_molecule(space, p, q)
+            image = classify_molecule(moved, perm[p], perm[q])
+            verdicts.add(verdict.verdict)
+            assert image.verdict == verdict.verdict
+            assert image.face.face_dimension == verdict.face.face_dimension
+            assert set(image.face.tight_molecules) == {
+                Molecule(perm[m.p], perm[m.q]) for m in verdict.face.tight_molecules
+            }
+            halves = verdict.counterexample_decomposition
+            expected = halves and tuple(_moved(h, moved, perm) for h in halves)
+            assert image.counterexample_decomposition == expected
+    # every segment of a uniform or an ultrametric space is trivial
+    splits = kind not in ("uniform", "ultrametric")
+    assert verdicts == ({EXPOSED, NOT_EXTREME} if splits else {EXPOSED})
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_relabelling_keeps_whether_a_witness_exists(kind):
+    # lam has at least three support points, so a witness can exist; mu is
+    # zero (one attainment cell, a witness always) or a signed perturbation
+    found, cases = 0, 20
+    for rng, space, perm, moved in _relabelled_spaces(kind, cases, smallest=4):
+        lam = random_positive_element(rng, space, min_support=3)
+        mu = random_element(rng, space, max_support=3) if rng.random() < 0.5 else zero(space)
+        witness = almost_positive_witness(lam, mu)
+        image = almost_positive_witness(_moved(lam, moved, perm), _moved(mu, moved, perm))
+        assert (image is None) == (witness is None)
+        found += witness is not None
+    assert 0 < found < cases
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_relabelling_moves_the_positive_ball_extremes(kind):
+    for _, space, perm, moved in _relabelled_spaces(kind, 10):
+        extremes = positive_ball_extremes(space)
+        assert len(set(extremes)) == space.n
+        assert set(positive_ball_extremes(moved)) == {_moved(e, moved, perm) for e in extremes}
 
 
 def test_relabel_moves_points_labels_and_base():

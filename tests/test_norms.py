@@ -472,8 +472,10 @@ def test_a_value_fixed_one_unit_above_the_distance_fails_the_positive_normers(
     monkeypatch, line3
 ):
     # both bounds on f(1) raised by one unit still meet, so f(1) is fixed,
-    # but at d(1, base) + 1; the witness, the McShane minimum of the base
-    # row, is capped at d(1, base) and still certifies the norm
+    # but at d(1, base) + 1; the base row is the witness as it stands, with
+    # no McShane minimum to cap it at d(1, base), so it is steeper than 1
+    # between the base and 1 and pairs above the norm: `_certified` rejects
+    # it before the support check
     real = norms._all_distances
 
     def shifted(space, decomposition):
@@ -483,8 +485,29 @@ def test_a_value_fixed_one_unit_above_the_distance_fails_the_positive_normers(
         return D
 
     monkeypatch.setattr(norms, "_all_distances", shifted)
-    with pytest.raises(InternalVerificationFailure, match="may deviate from d"):
+    with pytest.raises(InternalVerificationFailure, match="dual witness failed verification"):
         normers_of(canonicalize(line3, {1: 1, 2: 1}))
+
+
+def test_the_normers_witness_is_the_base_row_of_the_shortest_paths():
+    # `_certified` checks the row it is given and repairs nothing, so the
+    # witness is that row over the distance unit, for signed and positive
+    # elements alike
+    rng = random.Random(68)
+    positives = 0
+    for _ in range(40):
+        space = random_space(rng, rng.randint(2, 9))
+        positive = rng.random() < 0.3
+        draw = random_positive_element if positive else random_element
+        mu = draw(rng, space, max_support=10)
+        if mu.is_zero():
+            continue
+        positives += positive
+        D = norms._all_distances(space, free_norm_primal(mu).decomposition)
+        unit = space.scaled[0]
+        expected = lip_function(space, [Fraction(v, unit) for v in D[space.base]])
+        assert normers_of(mu).witness == expected
+    assert positives > 0
 
 
 def test_normers_of_rejects_zero(line3):
