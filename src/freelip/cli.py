@@ -129,7 +129,7 @@ def _weight(args, space):
 def _classify(args, space):
     p, q = _pair(space, args.pair)
     verdict = classify_molecule(space, p, q)
-    segment = _labels(space, space.segment(p, q).members)
+    segment = _labels(space, verdict.segment.members)
     lines = [f"verdict: {verdict.verdict}", "segment: " + _braces(segment)]
     if verdict.counterexample_decomposition is not None:
         lines.append("midpoint decomposition halves:")

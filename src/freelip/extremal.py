@@ -42,7 +42,7 @@ from .functions import (
     restrict,
     weight_element,
 )
-from .metric import PointedMetricSpace
+from .metric import PointedMetricSpace, Segment
 from .norms import (
     FaceReport,
     _face,
@@ -66,7 +66,7 @@ class ExposednessVerdict:
     """
 
     molecule: Molecule
-    segment_trivial: bool
+    segment: Segment
     exposing_function: LipFunction | None
     face: FaceReport
     verdict: str
@@ -117,7 +117,7 @@ def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessV
             )
         return ExposednessVerdict(
             molecule=mol,
-            segment_trivial=True,
+            segment=seg,
             exposing_function=face.norming_function,
             face=face,
             verdict=EXPOSED,
@@ -125,7 +125,7 @@ def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessV
         )
 
     x = min(seg.members - {p, q}, key=lambda i: space.labels[i])
-    t = space.d(p, x) / space.d(p, q)
+    t = Fraction(space.scaled[1][p][x], space.scaled[1][p][q])
     first = Molecule(p, x).as_element(space)
     second = Molecule(x, q).as_element(space)
     # midpoint form of the convex combination t*first + (1-t)*second
@@ -143,7 +143,7 @@ def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessV
             raise InternalVerificationFailure("midpoint half does not have norm one")
     return ExposednessVerdict(
         molecule=mol,
-        segment_trivial=False,
+        segment=seg,
         exposing_function=None,
         face=face,
         verdict=NOT_EXTREME,

@@ -219,7 +219,7 @@ def verdict_payload(space: PointedMetricSpace, verdict: ExposednessVerdict) -> d
         "molecule_classification",
         molecule=_molecule_payload(space, verdict.molecule),
         verdict=verdict.verdict,
-        segment_trivial=verdict.segment_trivial,
+        segment_trivial=verdict.segment.is_trivial(),
         face=face_payload(space, verdict.face),
     )
     if verdict.exposing_function is not None:

@@ -23,6 +23,7 @@ from .functions import (
 )
 from .metric import (
     PointedMetricSpace,
+    _validated,
     floyd_warshall,
     line_space,
     space_from_points,
@@ -39,8 +40,8 @@ def random_space(rng: random.Random, n: int) -> PointedMetricSpace:
     """Random n-point space: metric closure of random positive weights.
 
     The closure (:func:`metric.floyd_warshall`) runs on the weights scaled
-    to integers by the lcm of their denominators and is divided back once,
-    so it gives the Fractions that the same closure over Fractions would.
+    to integers by the lcm of their denominators, so its rows are the closure
+    over Fractions times that unit; they go to the space's checker as is.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     unit, drawn = scale_to_integers(
@@ -50,7 +51,7 @@ def random_space(rng: random.Random, n: int) -> PointedMetricSpace:
     for (i, j), v in zip(pairs, drawn):
         w[i][j] = w[j][i] = v
     # the closure keeps symmetry, positivity and the zero diagonal
-    return validate_space([[Fraction(v, unit) for v in row] for row in floyd_warshall(w)])
+    return _validated(None, 0, unit, floyd_warshall(w))
 
 
 def random_line_subset(rng: random.Random, n: int) -> PointedMetricSpace:

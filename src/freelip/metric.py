@@ -2,13 +2,16 @@
 
 Distances are exact rationals throughout: segment membership is an exact
 equality test and the extremal dichotomies downstream are discontinuous in
-the data, so no floating point is allowed anywhere in this module.
+the data, so no floating point is allowed anywhere in this module.  A space
+stores its distances once, as integer rows over one unit, which every kernel
+reads; the Fraction matrix is a view built on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -33,11 +36,15 @@ class PointedMetricSpace:
     Instances are immutable and always satisfy the metric axioms; construct
     them through :func:`validate_space`, which checks symmetry, separation
     and the triangle inequality and reports the first violation found.
+
+    `scaled` = (unit, rows) is the one, canonical form of the distances:
+    d(i,j) = rows[i][j] / unit with gcd(unit, every entry) = 1, so equal
+    distances, however written, give equal spaces and equal hashes.
     """
 
     labels: tuple[str, ...]
     base: int
-    dist: tuple[tuple[Fraction, ...], ...]
+    scaled: tuple[int, tuple[tuple[int, ...], ...]]
 
     @property
     def n(self) -> int:
@@ -49,21 +56,14 @@ class PointedMetricSpace:
     def nonbase_points(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if i != self.base)
 
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as Fractions, rows / unit; built on first read, and read by no kernel."""
+        unit, rows = self.scaled
+        return tuple(tuple(Fraction(v, unit) for v in row) for row in rows)
+
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The distances as integers: (unit, rows) with rows[i][j] = d(i,j) * unit.
-
-        `unit` is the lcm of the denominators of all distances.  Computed
-        once per space, by :func:`validate_space`, which checks the triangle
-        inequality on these rows; it is not a field, so equality and hashing
-        ignore it.
-        """
-        n = self.n
-        unit, flat = scale_to_integers([v for row in self.dist for v in row])
-        return unit, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
 
     def index(self, label) -> int:
         """Resolve a point label to its index."""
@@ -86,10 +86,9 @@ class PointedMetricSpace:
 
     def radius(self, A: Iterable[int]) -> Fraction:
         """Maximum distance from the base point over A; 0 for empty A."""
-        members = list(A)
-        if not members:
-            return Fraction(0)
-        return max(self.dist[self.base][x] for x in members)
+        unit, rows = self.scaled
+        row = rows[self.base]
+        return Fraction(max((row[x] for x in A), default=0), unit)
 
     def segment(self, p: int, q: int, epsilon=Fraction(0)) -> "Segment":
         """Metric segment between p and q, optionally relaxed by epsilon.
@@ -157,58 +156,58 @@ def validate_space(
     the triangle inequality.  The first violated axiom is reported with the
     witnessing pair or triple.
 
-    The triangle inequality is checked on the integer rows of
-    `PointedMetricSpace.scaled`, which this fills: scaling by the positive
-    unit keeps every strict inequality, so the verdict is the one over the
-    Fractions.  For each ordered pair (i, j) some k has
+    The entries are scaled to integers once, by the lcm of their
+    denominators, and the metric axioms are checked on those rows: scaling
+    by the positive unit keeps every equality and strict inequality, so the
+    verdicts are those over the Fractions.
+    """
+    n = len(dist)
+    entries: list[Fraction] = []
+    for i, row in enumerate(dist):
+        parsed = [as_fraction(v) for v in row]
+        if len(parsed) != n:
+            raise ValueError(f"matrix is not square: row {i} has {len(parsed)} entries, expected {n}")
+        entries += parsed
+    unit, flat = scale_to_integers(entries)
+    return _validated(labels, base, unit, [flat[i * n : (i + 1) * n] for i in range(n)])
+
+
+def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMetricSpace:
+    """Check base, labels and the metric axioms on integer rows, and build the space.
+
+    The one checker behind :func:`validate_space` and
+    `generators.random_space`; the rows are the distances times the
+    positive `unit`.  For each ordered pair (i, j) some k has
     d(i,k) > d(i,j) + d(j,k) exactly when max_k (d(i,k) - d(j,k)) > d(i,j),
     one pass over the two rows; only then is the first such k sought, so
     the triple reported is the first in (i, j, k) order, as a scan of all
     triples would report it.  A negative entry d(i,j) makes (i, j, i) a
-    violation.
+    violation.  The rows and unit are then divided by their common gcd.
     """
-    n = len(dist)
-    rows = []
-    for i, row in enumerate(dist):
-        entries = [as_fraction(v) for v in row]
-        if len(entries) != n:
-            raise ValueError(f"matrix is not square: row {i} has {len(entries)} entries, expected {n}")
-        rows.append(tuple(entries))
-    matrix = tuple(rows)
-
-    if not (0 <= base < n) or n == 0:
+    n = len(rows)
+    if not (0 <= base < n):
         raise BadBaseIndex(base, n)
-
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(str(x) for x in (range(n) if labels is None else labels))
     if len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            raise DuplicateLabel(lab)
-        seen.add(lab)
+    if len(set(labels)) < n:
+        raise DuplicateLabel(next(lab for i, lab in enumerate(labels) if lab in labels[:i]))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
-                raise AsymmetricDistance(i, j)
-    for i in range(n):
-        if matrix[i][i] != 0:
-            raise ZeroDistanceDistinctPoints(i, i)
-        for j in range(i + 1, n):
-            if matrix[i][j] == 0:
-                raise ZeroDistanceDistinctPoints(i, j)
-    space = PointedMetricSpace(labels=labels, base=base, dist=matrix)
-    rows = space.scaled[1]
+    # a mismatch left of the diagonal would have failed an earlier row
+    for i, (row, column) in enumerate(zip(rows, zip(*rows))):
+        if tuple(row) != column:
+            raise AsymmetricDistance(i, next(j for j in range(n) if row[j] != column[j]))
+    for i, row in enumerate(rows):
+        if row[i] != 0 or row.count(0) > 1:
+            raise ZeroDistanceDistinctPoints(i, i if row[i] else row.index(0, i + 1))
     for i, row_i in enumerate(rows):
         for j, row_j in enumerate(rows):
             if max(map(sub, row_i, row_j)) > row_i[j]:
-                bound = row_i[j]
-                k = next(k for k in range(n) if row_i[k] > bound + row_j[k])
+                k = next(k for k in range(n) if row_i[k] > row_i[j] + row_j[k])
                 raise TriangleViolation(i, j, k)
-    return space
+    g = gcd(unit, *(v for row in rows for v in row))
+    scaled = tuple(tuple(v // g for v in row) for row in rows)
+    return PointedMetricSpace(labels=labels, base=base, scaled=(unit // g, scaled))
 
 
 def line_space(n: int, step=Fraction(1)) -> PointedMetricSpace:

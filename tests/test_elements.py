@@ -90,12 +90,13 @@ def test_records_refuse_assignment_and_a_wrong_field_list(line3):
         LipFunction(line3, (Fraction(1), Fraction(1), Fraction(2)))
 
 
-def test_a_cached_scaling_leaves_space_equality_and_hash_alone(line3):
-    fresh = PointedMetricSpace(line3.labels, line3.base, line3.dist)
+def test_a_cached_fraction_view_leaves_space_equality_and_hash_alone(line3):
+    fresh = PointedMetricSpace(line3.labels, line3.base, line3.scaled)
     before = hash(fresh)
-    assert "scaled" not in fresh.__dict__ and "scaled" in line3.__dict__
+    assert line3.d(0, 2) == 2
+    assert "dist" not in fresh.__dict__ and "dist" in line3.__dict__
     assert fresh == line3 and before == hash(line3)
-    assert fresh.scaled == line3.scaled
+    assert fresh.dist == line3.dist
     assert fresh == line3 and hash(fresh) == before
 
 

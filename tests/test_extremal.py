@@ -64,7 +64,7 @@ from spaces import coprime_space
 def test_classify_separated_pair_is_exposed(tri):
     verdict = classify_molecule(tri, 1, 2)
     assert verdict.verdict == EXPOSED
-    assert verdict.segment_trivial
+    assert verdict.segment == tri.segment(1, 2) and verdict.segment.is_trivial()
     assert verdict.exposing_function is not None
     assert verdict.face.is_unique_normer
     assert verdict.counterexample_decomposition is None
@@ -94,7 +94,7 @@ def test_classification_matches_brute_force():
         for p, q in space.ordered_pairs():
             verdict = classify_molecule(space, p, q)
             assert (verdict.verdict == EXPOSED) == ((p, q) in brute)
-            assert verdict.segment_trivial == space.segment(p, q).is_trivial()
+            assert verdict.segment == space.segment(p, q)
             if verdict.verdict == NOT_EXTREME:
                 # two distinct halves of norm one, by the dense transport LP,
                 # averaging back to the molecule

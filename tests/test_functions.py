@@ -85,9 +85,9 @@ def test_constructions_certify_without_assert(line3, monkeypatch):
 
 
 def _unvalidated(dist):
-    """A space built past `validate_space`, so its distances may break the axioms."""
+    """A space built past `validate_space` from integer distances, which may break the axioms."""
     labels = tuple(str(i) for i in range(len(dist)))
-    return PointedMetricSpace(labels, 0, tuple(tuple(map(Fraction, row)) for row in dist))
+    return PointedMetricSpace(labels, 0, (1, tuple(map(tuple, dist))))
 
 
 def test_the_slope_check_rejects_a_molecule_function_steeper_than_one():

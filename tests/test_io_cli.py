@@ -1,6 +1,7 @@
 import argparse
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from freelip.cli import main
 from freelip.elements import canonicalize
 from freelip.errors import InternalVerificationFailure, ParseError
 from freelip.functions import lip_function, partial_function, weight_function
+from freelip.metric import PointedMetricSpace
 from freelip.rationals import as_fraction, format_fraction
 
 
@@ -249,6 +251,21 @@ def test_cli_classify(tmp_path, capsys):
     )
     assert main(["classify-molecule", "--space", tri, "--pair", "a,b"]) == 0
     assert "Exposed" in capsys.readouterr().out
+
+
+def test_classify_molecule_computes_the_segment_once(monkeypatch, capsys):
+    # the verdict carries the segment that decided it, and the command prints it
+    calls, segment = [], PointedMetricSpace.segment
+
+    def spy(space, p, q, *args):
+        calls.append((p, q))
+        return segment(space, p, q, *args)
+
+    monkeypatch.setattr(PointedMetricSpace, "segment", spy)
+    space = Path(__file__).parent / "data" / "space4.json"
+    assert main(["classify-molecule", "--space", str(space), "--pair", "a,c"]) == 0
+    assert "segment: {a, c}" in capsys.readouterr().out
+    assert calls == [(1, 3)]
 
 
 def test_cli_support_and_extremes(tmp_path, line3_file, capsys):

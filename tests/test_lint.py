@@ -30,7 +30,10 @@ the battery's molecule-function check) rescales a Fraction view: none
 calls ``scale_to_integers``, nor a
 constructor that calls it on Fractions (``partial_function``,
 ``lip_function``, ``weight_function``, ``LipFunction`` or
-``WeightFunction``; ``LipFunction._of`` takes integers).
+``WeightFunction``; ``LipFunction._of`` takes integers).  Spaces store
+one integer form too, so none of those kernels, nor the molecule
+classifier ``extremal.classify_molecule``, reads the Fraction view of the
+distances: the attribute ``dist`` or the method ``d``.
 """
 
 import ast
@@ -370,6 +373,42 @@ def test_the_kernels_read_the_stored_integers():
                 lines = _calls(tree, function, callee)
                 rescaled += [f"{module}.{function}:{line}:{callee}" for line in lines]
     assert rescaled == []
+
+
+def _fraction_view_reads(tree, function):
+    """Lines of the body of the module-level `function` reading the attribute `dist` or `d`."""
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    for node in ast.walk(body):
+        if isinstance(node, ast.Attribute) and node.attr in ("dist", "d"):
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "body, reads",
+    [
+        ("return space.d(p, q)", 1),
+        ("return mu.space.dist[p][q]", 1),
+        ("return space.d(p, x) / space.d(p, q)", 2),
+        ("distance = space.d\n    return distance(p, q)", 1),
+        ("return d(p, q) + dist[p][q]", 0),
+        ("unit, rows = space.scaled\n    return Fraction(rows[p][x], rows[p][q])", 0),
+        ("return space.radius(points), space.distance", 0),
+    ],
+)
+def test_the_fraction_view_finder(body, reads):
+    module = f"def kernel(space, mu, p, q, x, points):\n    {body}\n"
+    assert len(list(_fraction_view_reads(ast.parse(module), "kernel"))) == reads
+
+
+def test_the_kernels_read_the_integer_distances():
+    # a space stores its distances as integer rows; `dist` and `d` are a Fraction view
+    kernels = {**KERNELS, "extremal": KERNELS["extremal"] + ("classify_molecule",)}
+    read = []
+    for module, functions in kernels.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for function in functions:
+            read += [f"{module}.{function}:{line}" for line in _fraction_view_reads(tree, function)]
+    assert read == []
 
 
 def _raised(tree):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelip import generators
 from freelip.errors import (
     AsymmetricDistance,
     BadBaseIndex,
@@ -15,7 +16,7 @@ from freelip.errors import (
     ZeroDistanceDistinctPoints,
 )
 from freelip.generators import random_line_subset, random_rational, random_space, uniform_space
-from freelip.metric import space_from_points, validate_space
+from freelip.metric import line_space, space_from_points, validate_space
 from oracles import fraction_closure_matrix, fraction_segment, fraction_triangle_violation
 from spaces import coprime_space, ultrametric_space
 
@@ -187,10 +188,67 @@ def test_scaled_distances_are_the_distances_times_the_unit():
     assert unit == 42
     assert all(isinstance(v, int) for row in rows for v in row)
     assert [[Fraction(v, unit) for v in row] for row in rows] == [list(r) for r in space.dist]
-    # cached, and not part of equality or hashing
-    assert space.scaled is space.scaled
+    # the stored field, so equality and hashing follow it
+    assert space.__match_args__ == ("labels", "base", "scaled")
+    assert space.scaled == twin.scaled
     assert space == twin and hash(space) == hash(twin)
     assert space_from_points([0, 2, 5]).scaled == (1, ((0, 2, 5), (2, 0, 3), (5, 3, 0)))
+
+
+# the line subset {0, 1/2, 3/2}, in half units
+_HALVES = [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
+_WRITTEN = {
+    "fractions": [[Fraction(v, 2) for v in row] for row in _HALVES],
+    "strings": [[f"{v}/2" for v in row] for row in _HALVES],
+    "decimals": [[f"{v // 2}.{5 * (v % 2)}" for v in row] for row in _HALVES],
+    "ints": [[v // 2 if v % 2 == 0 else Fraction(v, 2) for v in row] for row in _HALVES],
+    "unreduced": [[Fraction(2 * v, 4) for v in row] for row in _HALVES],
+}
+
+
+def test_spaces_from_the_same_distances_are_equal_and_hash_equal():
+    spaces = [validate_space(matrix) for matrix in _WRITTEN.values()]
+    assert {space.scaled for space in spaces} == {(2, tuple(map(tuple, _HALVES)))}
+    assert all(space == spaces[0] and hash(space) == hash(spaces[0]) for space in spaces)
+    # twice the distances is another space
+    assert validate_space(_HALVES) != spaces[0]
+    whole = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    for matrix in (
+        whole,
+        [["0", "1.0", "2"], ["1", "0", "1"], ["2/1", "1", "0"]],
+        [[Fraction(2 * v, 2) for v in row] for row in whole],
+    ):
+        space = validate_space(matrix)
+        assert space == line_space(3) and hash(space) == hash(line_space(3))
+
+
+def test_a_random_space_is_the_space_of_its_own_distances(monkeypatch):
+    # a closure may drop every weight that needed the whole unit of the
+    # drawn weights; the checker then divides rows and unit by their gcd
+    reduced, checker = [], generators._validated
+
+    def spy(labels, base, unit, rows):
+        space = checker(labels, base, unit, rows)
+        reduced.append(space.scaled[0] < unit)
+        return space
+
+    monkeypatch.setattr(generators, "_validated", spy)
+    rng = random.Random(26)
+    for _ in range(40):
+        space = random_space(rng, rng.randint(1, 10))
+        again = validate_space(space.dist)
+        assert space == again and hash(space) == hash(again)
+    assert 0 < sum(reduced) < len(reduced)
+
+
+def test_the_fraction_view_is_the_rows_over_the_unit_and_cached():
+    space = random_space(random.Random(7), 9)
+    assert "dist" not in space.__dict__
+    unit, rows = space.scaled
+    view = space.dist
+    assert all(type(v) is Fraction for row in view for v in row)
+    assert view == tuple(tuple(Fraction(v, unit) for v in row) for row in rows)
+    assert space.dist is view and space.d(2, 5) is view[2][5]
 
 
 def _primes(count):
@@ -274,21 +332,35 @@ RATIONAL_STRINGS = ["1", "6/5", "4/3", "3/2", "5/3", "7/4", "2", "5/2", "3", "4"
 
 
 @st.composite
-def symmetric_matrices(draw):
+def candidate_matrices(draw):
+    """Symmetric matrices with a zero diagonal, some with entries then overwritten.
+
+    An overwritten entry off the diagonal makes most of them asymmetric, one
+    on it a nonzero diagonal, so every axiom can be the first one broken.
+    """
     n = draw(st.integers(1, 5))
     entries = st.sampled_from(RATIONAL_STRINGS)
     matrix = [["0"] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             matrix[i][j] = matrix[j][i] = draw(entries)
+    index = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
+        matrix[i][j] = draw(entries)
     return matrix
 
 
 def _reference_outcome(matrix):
-    """What `validate_space` must give on a symmetric matrix with a zero diagonal."""
+    """What `validate_space` must give on a square matrix, by the axioms in its order."""
     n = len(matrix)
     fractions = [[Fraction(v) for v in row] for row in matrix]
     for i in range(n):
+        for j in range(i + 1, n):
+            if fractions[i][j] != fractions[j][i]:
+                return AsymmetricDistance, AsymmetricDistance(i, j).args
+    for i in range(n):
+        if fractions[i][i] != 0:
+            return ZeroDistanceDistinctPoints, ZeroDistanceDistinctPoints(i, i).args
         for j in range(i + 1, n):
             if fractions[i][j] == 0:
                 return ZeroDistanceDistinctPoints, ZeroDistanceDistinctPoints(i, j).args
@@ -298,19 +370,20 @@ def _reference_outcome(matrix):
     return tuple(map(tuple, fractions))
 
 
-@given(matrix=symmetric_matrices())
+@given(matrix=candidate_matrices())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_validation_matches_the_fraction_reference(matrix):
     try:
         outcome = validate_space(matrix).dist
-    except (ZeroDistanceDistinctPoints, TriangleViolation) as exc:
+    except (AsymmetricDistance, ZeroDistanceDistinctPoints, TriangleViolation) as exc:
         outcome = type(exc), exc.args
     assert outcome == _reference_outcome(matrix)
 
 
 def test_the_triangle_scan_runs_no_fraction_arithmetic(monkeypatch):
-    # pins the cost shape: the triangle inequality is checked on the integer
-    # rows of `space.scaled`, which validation leaves cached on the space
+    # pins the cost shape: symmetry, separation and the triangle inequality
+    # are checked on the integer rows of `space.scaled`, and validation
+    # builds no Fraction view
     good = [list(row) for row in random_space(random.Random(5), 12).dist]
     bad = [row[:] for row in good]
     bad[3][8] = bad[8][3] = good[3][8] + 100
@@ -323,14 +396,14 @@ def test_the_triangle_scan_runs_no_fraction_arithmetic(monkeypatch):
 
         monkeypatch.setattr(Fraction, name, called)
 
-    for name in ("__add__", "__gt__", "__lt__"):
+    for name in ("__add__", "__gt__", "__lt__", "__eq__"):
         forbid(name)
     space = validate_space(good)
     with pytest.raises(TriangleViolation) as err:
         validate_space(bad)
     monkeypatch.undo()
     assert calls == []
-    assert "scaled" in space.__dict__
+    assert "dist" not in space.__dict__
     assert (err.value.i, err.value.j, err.value.k) == fraction_triangle_violation(bad)
 
 

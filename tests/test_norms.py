@@ -722,9 +722,7 @@ def test_a_triangle_violation_fires_the_lipschitz_guard():
     # (0, 1, 1, 3): it pairs with delta(1) to its norm 1 and vanishes at
     # the base, but its slope on (2, 3) is 2, one distance unit too steep
     dist = [[0, 1, 1, 3], [1, 0, 1, 10], [1, 1, 0, 1], [3, 10, 1, 0]]
-    space = PointedMetricSpace(
-        tuple("abcd"), 0, tuple(tuple(map(Fraction, row)) for row in dist)
-    )
+    space = PointedMetricSpace(tuple("abcd"), 0, (1, tuple(map(tuple, dist))))
     mu = delta(space, 1)
     primal = free_norm_primal(mu)
     assert primal.value == 1
