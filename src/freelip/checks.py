@@ -1,9 +1,11 @@
 """Property battery certifying the toolkit's guarantees on generated corpora.
 
 Each check runs an exact certification (tolerance zero) over a seeded
-corpus and returns a CheckResult.  The battery doubles as the acceptance
-suite: the `check-suite` CLI command and the acceptance tests both run
-these functions, at the same default scale.
+corpus.  It is written as a generator of (message, case) pairs, a case
+being a thunk that returns True when it passes, and one runner makes it a
+function that returns a CheckResult; a check that yields no case fails.
+The battery doubles as the acceptance suite: the `check-suite` CLI command
+and the acceptance tests both run these functions, at the same default scale.
 
 Independent oracles live here too: the norm as a dense transport LP,
 brute-force vertex enumeration of the positive ball in coefficient
@@ -16,8 +18,10 @@ checked against.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import combinations
 
@@ -73,6 +77,8 @@ _ZERO = Fraction(0)
 _MAX_RECORDED_FAILURES = 12
 # segment tolerances at which molecule pairings are matched against segments
 _SEGMENT_EPSILONS = (Fraction(0), Fraction(1, 10), Fraction(1, 4))
+# what a check yields: a message naming the case, and the case's thunk
+Cases = Iterator[tuple[str, Callable[[], bool]]]
 
 
 @record
@@ -89,36 +95,36 @@ class CheckResult:
         return f"{mark} {self.name}: {self.cases} cases in {self.seconds:.2f}s{note}"
 
 
-class _Recorder:
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures: list[str] = []
-        self.t0 = time.perf_counter()
+def _battery_check(name: str):
+    """Make a check of a generator of (message, case) pairs.
 
-    def run(self, message: str, thunk):
-        """Count a case that passes when the thunk, run at once, returns True.
+    Each case runs before the generator draws the next, since the cases
+    close over its loop variables and seeded draws.  Every certifier call
+    of a case runs inside its thunk, so any exception is a failed case, not
+    the end of the battery.  A check with no case is not passed: it records
+    one failure that says why, so the battery never passes vacuously.
+    """
 
-        Every certifier call of a case runs inside its thunk, so any
-        exception is a failed case, not the end of the battery: a certifier
-        that raises, whatever the error, has failed its case.
-        """
-        try:
-            ok = thunk()
-        except Exception as exc:
-            ok, message = False, f"{message}: {type(exc).__name__}: {exc}"
-        self.cases += 1
-        if not ok and len(self.failures) < _MAX_RECORDED_FAILURES:
-            self.failures.append(message)
+    def decorate(cases):
+        @functools.wraps(cases)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            count, failures = 0, []
+            for message, case in cases(*args, **kwargs):
+                try:
+                    ok = case()
+                except Exception as exc:
+                    ok, message = False, f"{message}: {type(exc).__name__}: {exc}"
+                count += 1
+                if not ok and len(failures) < _MAX_RECORDED_FAILURES:
+                    failures.append(message)
+            if not count:
+                failures.append("no cases: no space of the corpus fits this check")
+            return CheckResult(name, not failures, count, failures, time.perf_counter() - t0)
 
-    def result(self) -> CheckResult:
-        return CheckResult(
-            name=self.name,
-            passed=not self.failures,
-            cases=self.cases,
-            failures=self.failures,
-            seconds=time.perf_counter() - self.t0,
-        )
+        return check
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +248,8 @@ def is_extreme_in_ball_bruteforce(
 # the battery
 
 
-def check_molecule_norms(corpus) -> CheckResult:
-    rec = _Recorder("molecule norms (dual = primal = 1)")
+@_battery_check("molecule norms (dual = primal = 1)")
+def check_molecule_norms(corpus) -> Cases:
     for space in corpus:
         for p, q in space.ordered_pairs():
             mol = Molecule(p, q).as_element(space)
@@ -254,12 +260,11 @@ def check_molecule_norms(corpus) -> CheckResult:
                 value = norm_certificate(mol).value
                 return value == 1 == transport_norm_bruteforce(mol)[0]
 
-            rec.run(f"|{space.labels[p]},{space.labels[q]}|", attempt)
-    return rec.result()
+            yield f"|{space.labels[p]},{space.labels[q]}|", attempt
 
 
-def check_exposedness(corpus) -> CheckResult:
-    rec = _Recorder("exposedness matches the segment criterion")
+@_battery_check("exposedness matches the segment criterion")
+def check_exposedness(corpus) -> Cases:
     for space in corpus:
         for p, q in space.ordered_pairs():
 
@@ -280,23 +285,21 @@ def check_exposedness(corpus) -> CheckResult:
                     ok = ok and verdict.face.face_dimension >= 1
                 return ok
 
-            rec.run(f"pair ({space.labels[p]},{space.labels[q]})", attempt)
-    return rec.result()
+            yield f"pair ({space.labels[p]},{space.labels[q]})", attempt
 
 
-def check_normer_support(corpus) -> CheckResult:
-    rec = _Recorder("norming faces live inside the metric segment")
+@_battery_check("norming faces live inside the metric segment")
+def check_normer_support(corpus) -> Cases:
     for space in corpus:
         for p, q in space.ordered_pairs():
-            rec.run(
+            yield (
                 f"pair ({space.labels[p]},{space.labels[q]})",
                 lambda: normers_support_check(space, p, q),
             )
-    return rec.result()
 
 
-def check_positive_ball(corpus, rng: random.Random, splits_per_space: int = 5) -> CheckResult:
-    rec = _Recorder("positive-ball extreme points and splits")
+@_battery_check("positive-ball extreme points and splits")
+def check_positive_ball(corpus, rng: random.Random, splits_per_space: int = 5) -> Cases:
     for space in corpus:
         points = space.nonbase_points()
 
@@ -307,7 +310,7 @@ def check_positive_ball(corpus, rng: random.Random, splits_per_space: int = 5) -
             }
             return claimed == positive_ball_vertices_bruteforce(space)
 
-        rec.run(f"vertices on {space.labels}", vertices)
+        yield f"vertices on {space.labels}", vertices
         if len(points) < 2:
             continue  # random_positive_element(min_support=2) needs two points
         for _ in range(splits_per_space):
@@ -322,12 +325,11 @@ def check_positive_ball(corpus, rng: random.Random, splits_per_space: int = 5) -
                     and positive_norm(m1) == 1 == positive_norm(m2)
                 )
 
-            rec.run(f"split on {space.labels}", attempt)
-    return rec.result()
+            yield f"split on {space.labels}", attempt
 
 
-def check_positive_facts(corpus, rng: random.Random, samples: int, families: int) -> CheckResult:
-    rec = _Recorder("positive elements: norm formula, additivity, vanishing")
+@_battery_check("positive elements: norm formula, additivity, vanishing")
+def check_positive_facts(corpus, rng: random.Random, samples: int, families: int) -> Cases:
     rho_cache = {id(s): distance_to_base(s) for s in corpus}
     usable = [s for s in corpus if s.n >= 2]
     for _ in range(samples):
@@ -347,7 +349,7 @@ def check_positive_facts(corpus, rng: random.Random, samples: int, families: int
                 and all(gap[p] == 0 for p in support(mu))
             )
 
-        rec.run(f"norm formula on {space.labels}", attempt)
+        yield f"norm formula on {space.labels}", attempt
     for _ in range(families):
         space = rng.choice(usable)
         members = [
@@ -361,20 +363,16 @@ def check_positive_facts(corpus, rng: random.Random, samples: int, families: int
                 total = total + m
             return free_norm(total) == sum((positive_norm(m) for m in members), _ZERO)
 
-        rec.run(f"additivity on {space.labels}", additivity)
+        yield f"additivity on {space.labels}", additivity
         # mu < lam strictly; supp(mu) <= supp(lam) follows from mu <= lam,
         # as lam's coefficients are at least mu's positive ones
         mu = random_positive_element(rng, space)
         lam = mu + random_positive_element(rng, space)
-        rec.run(
-            f"order on {space.labels}",
-            lambda: order_leq(mu, lam) and not order_leq(lam, mu),
-        )
-    return rec.result()
+        yield f"order on {space.labels}", lambda: order_leq(mu, lam) and not order_leq(lam, mu)
 
 
-def check_weighting(corpus, rng: random.Random, samples: int) -> CheckResult:
-    rec = _Recorder("weighting operator bound, duality and positivity")
+@_battery_check("weighting operator bound, duality and positivity")
+def check_weighting(corpus, rng: random.Random, samples: int) -> Cases:
     usable = [s for s in corpus if s.n >= 2]
     for i in range(samples):
         space = rng.choice(usable)
@@ -394,20 +392,18 @@ def check_weighting(corpus, rng: random.Random, samples: int) -> CheckResult:
             ok = ok and support(weighted) <= (support(mu) & h.support)
             return ok and (not nonneg or is_positive(weighted))
 
-        rec.run(f"triple on {space.labels}", attempt)
-    return rec.result()
+        yield f"triple on {space.labels}", attempt
 
 
-def check_intersection(rng: random.Random, samples: int, max_points: int = 8) -> CheckResult:
-    rec = _Recorder("coordinate-subspace intersection property")
+@_battery_check("coordinate-subspace intersection property")
+def check_intersection(rng: random.Random, samples: int, max_points: int = 8) -> Cases:
     for _ in range(samples):
         space = random_space(rng, rng.randint(1, max_points))
         family = [random_subset(rng, space) for _ in range(rng.randint(1, 4))]
-        rec.run(
+        yield (
             f"family of {len(family)} subsets on {space.labels}",
             lambda: intersection_property_check(space, family),
         )
-    return rec.result()
 
 
 def _random_partial(rng: random.Random, space: PointedMetricSpace, domain):
@@ -429,14 +425,14 @@ def _random_partial(rng: random.Random, space: PointedMetricSpace, domain):
     return pf
 
 
+@_battery_check("McShane extension, concavity, pairing maximization")
 def check_mcshane(
     corpus,
     rng: random.Random,
     extension_samples: int,
     concavity_samples: int,
     pairing_samples: int,
-) -> CheckResult:
-    rec = _Recorder("McShane extension, concavity, pairing maximization")
+) -> Cases:
     usable = [s for s in corpus if s.n >= 2]
     for _ in range(extension_samples):
         space = rng.choice(usable)
@@ -455,7 +451,7 @@ def check_mcshane(
                 for x, t in enumerate(top.values)
             )
 
-        rec.run(f"extension on {space.labels}", extension)
+        yield f"extension on {space.labels}", extension
     for _ in range(concavity_samples):
         space = rng.choice(usable)
         lam = random_positive_element(rng, space)
@@ -473,7 +469,7 @@ def check_mcshane(
             rhs = c * extended_pairing(lam, mu, f) + (1 - c) * extended_pairing(lam, mu, g)
             return lhs >= rhs
 
-        rec.run(f"concavity on {space.labels}", concavity)
+        yield f"concavity on {space.labels}", concavity
     for _ in range(pairing_samples):
         space = rng.choice(usable)
         lam = random_positive_element(rng, space)
@@ -483,12 +479,11 @@ def check_mcshane(
             _, _, value = maximize_extended_pairing(lam, mu)
             return value == transport_norm_bruteforce(lam + mu)[0]
 
-        rec.run(f"maximized pairing on {space.labels}", attempt)
-    return rec.result()
+        yield f"maximized pairing on {space.labels}", attempt
 
 
-def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> CheckResult:
-    rec = _Recorder("almost-positive extreme points are molecules; witnesses verify")
+@_battery_check("almost-positive extreme points are molecules; witnesses verify")
+def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> Cases:
     for space in corpus:
         if space.n < 2:
             continue
@@ -496,7 +491,7 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
         brute = extreme_molecules_bruteforce(vectors)
         # consistency with the segment criterion on the whole space
         for p, q in space.ordered_pairs():
-            rec.run(
+            yield (
                 f"brute vs segment on ({space.labels[p]},{space.labels[q]})",
                 lambda: ((p, q) in brute) == space.segment(p, q).is_trivial(),
             )
@@ -531,11 +526,11 @@ def check_almost_positive(corpus, rng: random.Random, pairs_per_space: int) -> C
                     and all(transport_norm_bruteforce(total + s * v)[0] == dense for s in (1, -1))
                 )
 
-            rec.run(f"pair on {space.labels}", attempt)
-    return rec.result()
+            yield f"pair on {space.labels}", attempt
 
 
-def check_molecule_function(corpus) -> CheckResult:
+@_battery_check("molecule norming function: slope, pairing, segments")
+def check_molecule_function(corpus) -> Cases:
     """The canonical norming function is 1-Lipschitz, norms its molecule, and
     every molecule it pairs with to at least 1 - eps lies in the eps-segment.
 
@@ -545,7 +540,6 @@ def check_molecule_function(corpus) -> CheckResult:
     1 - eps exactly when (V[u] - V[v]) * unit * den >= (den - num) * cap,
     where cap = scaled[u][v] * vscale; eps = 0 gives the slope test.
     """
-    rec = _Recorder("molecule norming function: slope, pairing, segments")
     for space in corpus:
         unit, lengths = space.scaled
         for p, q in space.ordered_pairs():
@@ -570,11 +564,11 @@ def check_molecule_function(corpus) -> CheckResult:
                             ok = ok and u in seg.members and v in seg.members
                 return ok
 
-            rec.run(f"pair ({space.labels[p]},{space.labels[q]})", attempt)
-    return rec.result()
+            yield f"pair ({space.labels[p]},{space.labels[q]})", attempt
 
 
-def check_support_routes(corpus, rng: random.Random, samples: int) -> CheckResult:
+@_battery_check("support agrees between basis and functional routes")
+def check_support_routes(corpus, rng: random.Random, samples: int) -> Cases:
     """The support as a key set against its definition, by annihilators.
 
     The support of mu is the intersection of the closed K with mu in F(K),
@@ -585,7 +579,6 @@ def check_support_routes(corpus, rng: random.Random, samples: int) -> CheckResul
     space from public functions.  The sum mu + nu is checked as well,
     because a sum can cancel a coefficient that `canonicalize` must drop.
     """
-    rec = _Recorder("support agrees between basis and functional routes")
     usable = [s for s in corpus if s.n >= 2]
     annihilators = {}
     for _ in range(samples):
@@ -606,8 +599,7 @@ def check_support_routes(corpus, rng: random.Random, samples: int) -> CheckResul
                 support(m) == {x for x, g in routes if m.pair(g) != 0} for m in (mu, mu + nu)
             )
 
-        rec.run(f"element on {space.labels}", attempt)
-    return rec.result()
+        yield f"element on {space.labels}", attempt
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +626,7 @@ def run_check_suite(
     small = lambda cap: [s for s in corpus if s.n <= cap]
     rng = random.Random(seed + 1)
 
-    results = [
+    return [
         check_molecule_norms(corpus),
         check_exposedness(small(10)),
         check_normer_support(corpus),
@@ -653,4 +645,3 @@ def run_check_suite(
         check_molecule_function(small(10)),
         check_support_routes(corpus, rng, samples=scaled(300)),
     ]
-    return results

@@ -49,6 +49,8 @@ def _read_json(path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}", path) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply", path) from exc
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object at the top level", path)
     return data

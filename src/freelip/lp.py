@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .rationals import primitive, scale_to_integers
+from .rationals import eliminate, primitive, scale_to_integers
 from .records import record
 
 LEQ = "<="
@@ -75,19 +75,6 @@ def minimize(
     return LPSolution(OPTIMAL, -sol.value, sol.x)
 
 
-def _eliminate(target: list[int], row: list[int], j: int) -> list[int]:
-    """target * row[j] - target[j] * row, divided by the gcd of its entries.
-
-    row[j] must be positive, so every positive scale in target stays
-    positive.  Entries of target beyond the end of row (the scale that the
-    reduced-cost row carries last) are multiplied by row[j].
-    """
-    piv, f = row[j], target[j]
-    out = [x * piv - f * y for x, y in zip(target, row)]
-    out.extend(x * piv for x in target[len(row) :])
-    return primitive(out)
-
-
 class _Simplex:
     """Dense two-phase simplex on a fraction-free integer tableau.
 
@@ -95,7 +82,8 @@ class _Simplex:
     The row's entry in its basic column is its positive scale: the rational
     tableau row is the integer row divided by it, so the basic variable
     equals rhs / scale.  Rows are kept divided by the gcd of their entries
-    (`rationals.primitive`), as in `rationals.row_echelon`.  The
+    (`rationals.primitive`), and a pivot eliminates with
+    `rationals.eliminate`, the step of `rationals.row_echelon` too.  The
     reduced-cost row is the same kind of integer row (its rhs column holds
     minus the objective value) followed by its own positive scale.
     """
@@ -197,9 +185,9 @@ class _Simplex:
             row = A[i] = [-v for v in row]
         for k, other in enumerate(A):
             if k != i and other[j] != 0:
-                A[k] = _eliminate(other, row, j)
+                A[k] = eliminate(other, row, j)
         if r is not None and r[j] != 0:
-            r[:] = _eliminate(r, row, j)
+            r[:] = eliminate(r, row, j)
         self.basis[i] = j
 
     def _reduced_costs(self, cost: list[int | Fraction]) -> list[int]:
@@ -212,7 +200,7 @@ class _Simplex:
         r += [0, den]
         for i, col in enumerate(self.basis):
             if r[col] != 0:
-                r = _eliminate(r, self.A[i], col)
+                r = eliminate(r, self.A[i], col)
         return r
 
     def _run(self, r: list[int], blocked: set[int]) -> str:

@@ -57,6 +57,19 @@ def primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
+def eliminate(target: list[int], row: list[int], j: int) -> list[int]:
+    """target * row[j] - target[j] * row, divided by the gcd of its entries.
+
+    The one fraction-free elimination step: entry j of the result is zero.
+    A positive row[j] keeps every positive scale in target positive.
+    Entries of target beyond the end of row are multiplied by row[j].
+    """
+    piv, f = row[j], target[j]
+    out = [x * piv - f * y for x, y in zip(target, row)]
+    out.extend(x * piv for x in target[len(row) :])
+    return primitive(out)
+
+
 def row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Row echelon form by exact, fraction-free Gaussian elimination.
 
@@ -75,11 +88,9 @@ def row_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], li
         if at is None:
             continue
         pivot_row = pending.pop(at)
-        lead = pivot_row[col]
         for i, r in enumerate(pending):
-            f = r[col]
-            if f != 0:
-                pending[i] = primitive([a * lead - f * b for a, b in zip(r, pivot_row)])
+            if r[col] != 0:
+                pending[i] = eliminate(r, pivot_row, col)
         echelon.append(pivot_row)
         pivots.append(col)
     return echelon, pivots

@@ -92,6 +92,40 @@ def test_certifier_raise_fails_its_check_and_the_battery_goes_on(monkeypatch):
     assert not _crashes(failed[0].failures), failed[0].failures
 
 
+def test_each_case_runs_with_its_own_inputs_in_draw_order(monkeypatch):
+    # the cases close over the loop's pair, so a runner that collected them
+    # before running any would call every one with the last pair
+    real, calls = checks.normers_support_check, []
+
+    def spy(space, p, q):
+        calls.append((id(space), p, q))
+        return real(space, p, q)
+
+    monkeypatch.setattr(checks, "normers_support_check", spy)
+    result = checks.check_normer_support(CORPUS)
+    expected = [(id(space), p, q) for space in CORPUS for p, q in space.ordered_pairs()]
+    assert result.passed and result.cases == len(expected)
+    assert calls == expected
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        checks.check_molecule_norms,
+        checks.check_exposedness,
+        checks.check_normer_support,
+        lambda corpus: checks.check_positive_ball(corpus, random.Random(1)),
+        lambda corpus: checks.check_almost_positive(corpus, random.Random(1), pairs_per_space=2),
+        checks.check_molecule_function,
+    ],
+)
+def test_a_check_with_no_case_fails(run):
+    # the checks that walk the corpus draw nothing from an empty one
+    result = run([])
+    assert (result.passed, result.cases) == (False, 0)
+    assert result.failures == ["no cases: no space of the corpus fits this check"]
+
+
 def test_a_mcshane_extension_that_ignores_its_domain_fails_the_intersection_check(
     monkeypatch,
 ):

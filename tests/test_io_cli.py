@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -410,6 +411,23 @@ def test_cli_check_suite_quick(capsys):
     assert main(["check-suite", "--seed", "3", "--max-points", "6", "--scale", "0.02"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_check_suite_fails_the_checks_with_no_case(capsys, monkeypatch):
+    # at this scale the corpus is one 11-point space, past the 10-, 8- and
+    # 6-point caps of four checks; each of them fails with no case
+    monkeypatch.delenv("FREELIP_MAX_POINTS", raising=False)
+    assert main(["check-suite", "--seed", "5", "--scale", "0.02"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    empty = re.compile(r"FAIL (.*): 0 cases in \S+s \(1 recorded failure\(s\)\)")
+    failed = [m.group(1) for m in map(empty.fullmatch, lines) if m]
+    assert failed == [
+        "exposedness matches the segment criterion",
+        "positive-ball extreme points and splits",
+        "almost-positive extreme points are molecules; witnesses verify",
+        "molecule norming function: slope, pairing, segments",
+    ]
+    assert len(lines) == 11 and sum(line.startswith("PASS ") for line in lines) == 7
 
 
 def test_cli_unknown_command_exits_2():

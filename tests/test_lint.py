@@ -225,6 +225,19 @@ def test_the_battery_uses_no_private_name_of_the_package():
     assert private == []
 
 
+def test_only_the_runner_constructs_a_check_result():
+    # the runner alone counts, times and caps the cases of every check
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    builders = [
+        getattr(top, "name", top.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"
+    ]
+    assert builders == ["_battery_check"]
+
+
 def _imports_lp(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -12,6 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,3 +102,23 @@ def test_fuzzed_function_file(value, command):
         _run(lambda path: ["extend", "--space", SPACE, "--function", path], value)
     else:
         _run(lambda path: ["weight", "--space", SPACE, "--element", ELEMENT, "--weight", path], value)
+
+
+@pytest.mark.parametrize(
+    "argv_for",
+    [
+        lambda path: ["positive-extremes", "--space", path],
+        lambda path: ["norm", "--space", SPACE, "--element", path],
+        lambda path: ["extend", "--space", SPACE, "--function", path],
+    ],
+    ids=["space", "element", "function"],
+)
+def test_json_nested_past_the_parser_is_an_input_error(argv_for, tmp_path, capsys):
+    # 200,000 levels, far past the parser's recursion limit; the strategies
+    # above stop at 10 leaves and never come near it
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(argv_for(str(path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
