@@ -332,6 +332,8 @@ def check_positive_ball(corpus, rng: random.Random, splits_per_space: int = 5) -
 def check_positive_facts(corpus, rng: random.Random, samples: int, families: int) -> Cases:
     rho_cache = {id(s): distance_to_base(s) for s in corpus}
     usable = [s for s in corpus if s.n >= 2]
+    if not usable:
+        return
     for _ in range(samples):
         space = rng.choice(usable)
         rho = rho_cache[id(space)]
@@ -374,6 +376,8 @@ def check_positive_facts(corpus, rng: random.Random, samples: int, families: int
 @_battery_check("weighting operator bound, duality and positivity")
 def check_weighting(corpus, rng: random.Random, samples: int) -> Cases:
     usable = [s for s in corpus if s.n >= 2]
+    if not usable:
+        return
     for i in range(samples):
         space = rng.choice(usable)
         nonneg = i % 2 == 0
@@ -434,6 +438,8 @@ def check_mcshane(
     pairing_samples: int,
 ) -> Cases:
     usable = [s for s in corpus if s.n >= 2]
+    if not usable:
+        return
     for _ in range(extension_samples):
         space = rng.choice(usable)
         pf = _random_partial(rng, space, sorted(random_subset(rng, space) | {space.base}))
@@ -580,6 +586,8 @@ def check_support_routes(corpus, rng: random.Random, samples: int) -> Cases:
     because a sum can cancel a coefficient that `canonicalize` must drop.
     """
     usable = [s for s in corpus if s.n >= 2]
+    if not usable:
+        return
     annihilators = {}
     for _ in range(samples):
         space = rng.choice(usable)

@@ -246,7 +246,9 @@ def _dispatch(args) -> int:
         from .checks import run_check_suite
 
         results = run_check_suite(seed=args.seed, max_points=args.max_points, scale=args.scale)
-        payload, lines = fileio.check_results_payload(results), [r.line() for r in results]
+        # a FAIL line is followed by its recorded messages, as the machine output lists them
+        lines = [text for r in results for text in (r.line(), *("  " + m for m in r.failures))]
+        payload = fileio.check_results_payload(results)
     else:
         payload, lines = COMMANDS[args.command].run(args, fileio.load_space(args.space))
     if args.format == "machine":

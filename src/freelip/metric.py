@@ -135,9 +135,13 @@ class Segment:
         return self.members == frozenset((self.p, self.q))
 
 
-def floyd_warshall(W: list[list[int]]) -> list[list[int]]:
-    """Close an integer arc-length matrix under shortest paths, in place (Floyd, CACM 1962)."""
-    for k, row_k in enumerate(W):
+def floyd_warshall(W: list[list[int]], pivots: Iterable[int] | None = None) -> list[list[int]]:
+    """Close an integer arc-length matrix under shortest paths, in place (Floyd, CACM 1962).
+
+    Paths pass through the `pivots` only, every point by default.
+    """
+    for k in range(len(W)) if pivots is None else pivots:
+        row_k = W[k]
         for row in W:
             through = row[k]
             for j, via in enumerate(row_k):

@@ -4,7 +4,8 @@ The norm of an element is the minimum cost of transporting its coefficient
 masses.  It is solved once, exactly, by successive shortest paths on the
 bipartite graph from the nodes of positive coefficient to those of
 negative coefficient (the base point balances the masses), and the optimal
-plan is returned as a molecule decomposition.  The solver keeps the graph
+plan is kept as integer (source, sink, flow) triples over one mass unit;
+its molecule decomposition is a view.  The solver keeps the graph
 in int lists indexed by position, sources then sinks in point order.  It
 starts from Kuhn's row and column reduction, fills the arcs of reduced
 cost zero, and augments by one dense Dijkstra per path.  The same solve
@@ -18,7 +19,8 @@ of the shortest paths of `normers_of`.  No shortest-path pass runs after.
 
 The norming functions are the 1-Lipschitz functions tight on the optimal
 plan, a system of difference constraints; `normers_of`, which bounds every
-value and slope over that set, runs one all-pairs Floyd-Warshall on it.
+value and slope over that set, runs one Floyd-Warshall on it that pivots
+on the flow's endpoints only.
 The solve and the Floyd-Warshall run on the integer distances of
 `space.scaled` and on the integer form an element and a function hold,
 numerators over one denominator and values over one scale, so no kernel
@@ -28,16 +30,15 @@ steeper than 1 and collects the tight pairs (the pass the canonical
 molecule function of `functions` is certified with, whose tight pairs
 `extremal` reuses for its face), and a union-find reads the face
 dimension off the tight pairs.  Fractions appear only in the values
-returned, and in a witness only once something reads its values.
+returned, and in a witness or a decomposition only once something reads it.
 
-Every certificate is checked by exact weak duality, or
-InternalVerificationFailure is raised:
-- the decomposition rebuilds the element: `_solve`, the one solve behind
-  `free_norm_primal` and `norm_certificate`, checks the plan's net flow at
-  every point against the element's numerators;
-- the witness is 1-Lipschitz and pairs with the element to the
-  decomposition weight: `_certified` checks both on the integer witness
-  it is given, in the distance unit, before any Fraction is made.
+Every certificate is checked by exact weak duality before it is returned,
+or InternalVerificationFailure is raised; no check waits for a view:
+- the plan rebuilds the element: `_check_rebuild` checks its net flow at
+  every point against the element's numerators, right after the solve;
+- the witness is 1-Lipschitz and pairs with the element to the plan's
+  cost: `_certified` checks both on the integer witness it is given, in
+  the distance unit, before any Fraction is made.
 No LP is solved here; the dense simplex in `lp` is kept as an independent
 oracle for the battery and the tests.
 """
@@ -45,6 +46,7 @@ oracle for the battery and the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 from typing import Sequence
 
@@ -60,6 +62,8 @@ from .functions import LipFunction, _tight_pairs
 from .metric import PointedMetricSpace, floyd_warshall
 from .records import record
 
+# the arcs of a transport plan, (source, sink, integer flow) in units of 1 / mass
+Flows = Sequence[tuple[int, int, int]]
 
 @record
 class DualCertificate:
@@ -82,12 +86,29 @@ class NormCertificate:
     """Both halves of a norm computation, certified against each other.
 
     `dual_witness` is one norming function; which optimal one is returned
-    is not part of the contract.
+    is not part of the contract.  `primal_witness`, one (m(s, t), weight)
+    per flow arc, is held as given, or built on first read from the plan
+    a certificate of :func:`norm_certificate` keeps (:meth:`_of`).
     """
 
     value: Fraction
     dual_witness: LipFunction
     primal_witness: tuple[tuple[Molecule, Fraction], ...]
+
+    @classmethod
+    def _of(cls, value, dual_witness, mass: int, flows: Flows):
+        """The certificate of a checked plan of integer flows in units of 1 / mass."""
+        self = cls.__new__(cls)
+        for name, v in ("value", value), ("dual_witness", dual_witness), ("_plan", (mass, flows)):
+            object.__setattr__(self, name, v)
+        return self
+
+    @cached_property
+    def primal_witness(self) -> tuple[tuple[Molecule, Fraction], ...]:
+        """Flow f on s -> t is the weight f * d(s, t) / mass on m(s, t)."""
+        mass, flows = self._plan
+        unit, rows = self.dual_witness.space.scaled
+        return tuple((Molecule(s, t), Fraction(f * rows[s][t], mass * unit)) for s, t, f in flows)
 
 
 @record
@@ -120,25 +141,29 @@ class NormersReport:
     shared_tight_pairs: frozenset[tuple[int, int]]
 
 
-def _all_distances(
-    space: PointedMetricSpace, decomposition: Sequence[tuple[Molecule, Fraction]]
-) -> list[list[int]]:
+def _all_distances(space: PointedMetricSpace, flows: Flows) -> list[list[int]]:
     """Shortest-path lengths between all points, as integers.
 
     The normers tight on a flow are {f : f(b) - f(a) <= d(a,b), and
-    f(p) - f(q) = d(p,q) on every molecule (p, q) carrying flow}, a system
+    f(s) - f(t) = d(s,t) on every arc (s, t, flow) of the plan}, a system
     of difference constraints (CLRS 24.4): arc a -> b weighs d(a,b), and a
-    flow molecule tightens p -> q to -d(p,q).  Lengths are the integer
-    distances of `space.scaled`, so Floyd-Warshall over the whole space
-    gives D[a][b] = `unit` times the largest f(b) - f(a) over the normers
-    tight on the flow.  A negative diagonal entry is a negative cycle,
-    which means the flow was not optimal.
+    flow arc tightens s -> t to -d(s,t).  Lengths are the integer
+    distances of `space.scaled`, so the closure gives D[a][b] = `unit`
+    times the largest f(b) - f(a) over the normers tight on the flow.
+    Pivoting on the flow's endpoints P alone gives that closure, in
+    O(n^2 |P|): every arc at a point v outside P weighs the distance, so
+    by the triangle inequality a -> v -> b is never shorter than a -> b,
+    and dropping v (or a whole detour a -> v -> a) leaves a path, or a
+    closed walk, through P that is no longer.  So a negative cycle, which
+    means the flow was not optimal, becomes a closed walk on P, and the
+    pivots close the arcs among P as fully as all n would: it shows on a
+    pivot's diagonal, and the check reads the diagonal at every point.
     """
     rows = space.scaled[1]
     W = [list(row) for row in rows]
-    for mol, _ in decomposition:
-        W[mol.p][mol.q] = -rows[mol.p][mol.q]
-    D = floyd_warshall(W)
+    for s, t, _ in flows:
+        W[s][t] = -rows[s][t]
+    D = floyd_warshall(W, sorted({p for s, t, _ in flows for p in (s, t)}))
     if any(D[i][i] < 0 for i in range(space.n)):
         raise InternalVerificationFailure("transport flow is not optimal: negative cycle")
     return D
@@ -251,65 +276,41 @@ def _transport_plan(
     return mu.den, plan, {t: -p for t, p in zip(sinks, pi[k:])}
 
 
-def _rebuilds(mu: FreeElement, mass: int, flows: Sequence[tuple[int, int, int]]) -> bool:
-    """Whether a plan in units of 1 / mass rebuilds mu, checked on integers.
+def _check_rebuild(mu: FreeElement, mass: int, flows: Flows) -> None:
+    """Check on integers that a plan in units of 1 / mass rebuilds mu, or raise.
 
-    Every flow must be positive and join two distinct points of the support
-    and the base, the nodes the solver and its dual run on.  At every such
-    node, the base included, flow out minus flow in must be `mass` times
-    the coefficient there (at the base, times minus their sum), read off
-    mu's numerators over its denominator.  Since m(s, t) = (delta_s -
-    delta_t) / d(s, t) and delta_base = 0, that is the identity sum of
-    w * m(s, t) = mu for the weights w = flow * d(s, t) / mass.
+    The mass unit and every flow must be positive, and each flow must join
+    two distinct points of the support and the base, the nodes the solver
+    and its dual run on.  At every such node, the base included, den times
+    flow out minus flow in must be `mass` times the numerator there (at the
+    base, minus their sum), den and the numerators being mu's.  Since
+    m(s, t) = (delta_s - delta_t) / d(s, t) and delta_base = 0, that is the
+    identity sum of w * m(s, t) = mu for the nonnegative weights
+    w = flow * d(s, t) / mass.
     """
-    base = mu.space.base
-    net = {p: 0 for p, _ in mu.nums}
-    net[base] = 0
+    den = mu.den
+    want = {p: n * mass for p, n in mu.nums}
+    want[mu.space.base] = -sum(want.values())
+    net = dict.fromkeys(want, 0)
     for s, t, f in flows:
         if f <= 0 or s == t or s not in net or t not in net:
-            return False
+            break
         net[s] += f
         net[t] -= f
-    total = 0
-    for p, n in mu.nums:
-        scaled, rest = divmod(n * mass, mu.den)
-        if rest or net[p] != scaled:
-            return False
-        total += scaled
-    return net[base] == -total
+    else:
+        if mass > 0 and {p: v * den for p, v in net.items()} == want:
+            return
+    raise InternalVerificationFailure("transport plan does not rebuild the element")
 
 
 def free_norm_primal(mu: FreeElement) -> PrimalCertificate:
-    """Norm as the minimum cost of transporting the coefficients.
-
-    The optimal plan of :func:`_transport_plan` is returned as a molecule
-    decomposition whose weights sum to the norm.  The plan is checked to
-    rebuild the element here, outside the solver, on its integer masses
-    (:func:`_rebuilds`).  The zero element has the empty plan: value 0.
-    """
-    return _solve(mu)[0]
+    """The primal half of :func:`norm_certificate`: value and molecule decomposition."""
+    cert = norm_certificate(mu)
+    return PrimalCertificate(cert.value, cert.primal_witness)
 
 
-def _solve(mu: FreeElement) -> tuple[PrimalCertificate, dict[int, int]]:
-    """The one transport solve behind both halves of a norm certificate.
-
-    Returns the checked plan as :func:`free_norm_primal` does, and the sink
-    duals of :func:`_transport_plan` for :func:`_certified`.
-    """
-    space = mu.space
-    mass, flows, duals = _transport_plan(mu)
-    if not _rebuilds(mu, mass, flows):
-        raise InternalVerificationFailure("transport plan does not rebuild the element")
-    unit, lengths = space.scaled
-    costs = [f * lengths[s][t] for s, t, f in flows]
-    decomposition = tuple(
-        (Molecule(s, t), Fraction(c, mass * unit)) for (s, t, _), c in zip(flows, costs)
-    )
-    return PrimalCertificate(Fraction(sum(costs), mass * unit), decomposition), duals
-
-
-def _certified(mu: FreeElement, primal: PrimalCertificate, E: Sequence[int]) -> NormCertificate:
-    """Certificate of a nonzero element from its plan and a finished dual witness.
+def _certified(mu: FreeElement, mass: int, flows: Flows, E: Sequence[int]) -> NormCertificate:
+    """Certificate of a nonzero element from its checked plan and a finished dual witness.
 
     `E` lists integer values in units of 1 / `unit`, like the distances s
     of `space.scaled`, with E[base] = 0: the McShane-extended sink duals of
@@ -319,32 +320,32 @@ def _certified(mu: FreeElement, primal: PrimalCertificate, E: Sequence[int]) -> 
     Both sides of weak duality are checked on E:
     - E is 1-Lipschitz, |E[x] - E[y]| <= s[x][y], read per x as max over
       y of E[y] - s[x][y] <= E[x];
-    - E pairs with mu to the cost of the decomposition: with den and n_p
-      the denominator and numerators of mu, sum of n_p * E[p] times the
-      value's denominator equals its numerator times den * unit.
-    A 1-Lipschitz function pairing with mu to the cost of a decomposition
-    proves both optimal.  The Lipschitz check is a guard on the
-    construction: on a validated metric both callers' witnesses are
+    - E pairs with mu to the plan's cost: with den and n_p the denominator
+      and numerators of mu, sum of n_p * E[p] over den * unit equals the
+      sum of flow * s[s][t] over mass * unit, checked cross-multiplied.
+    A 1-Lipschitz function pairing with mu to the cost of a plan that
+    rebuilds it proves both optimal.  The Lipschitz check is a guard on
+    the construction: on a validated metric both callers' witnesses are
     1-Lipschitz, a minimum of 1-Lipschitz rows and a shortest-path row.
-    The witness is made from E over `unit`, and its Fraction values are
-    built only when something reads them.
+    The witness is made from E over `unit`; its Fraction values, and the
+    decomposition of the plan kept, are built only when something reads them.
     """
     space = mu.space
     unit, lengths = space.scaled
-    pairing = sum(n * E[p] for p, n in mu.nums)
-    value = primal.value
+    cost = sum(f * lengths[s][t] for s, t, f in flows)
     if (
         any(max(map(sub, E, s)) > e for e, s in zip(E, lengths))
-        or pairing * value.denominator != value.numerator * mu.den * unit
+        or sum(n * E[p] for p, n in mu.nums) * mass != cost * mu.den
     ):
         raise InternalVerificationFailure("dual witness failed verification")
-    return NormCertificate(value, LipFunction._of(space, unit, E), primal.decomposition)
+    value = Fraction(cost, mass * unit)
+    return NormCertificate._of(value, LipFunction._of(space, unit, E), mass, flows)
 
 
 def norm_certificate(mu: FreeElement) -> NormCertificate:
     """Solve the transport problem once and certify it by exact weak duality.
 
-    The molecule decomposition bounds the norm from above.  The solver's
+    The plan, checked to rebuild mu, bounds the norm from above.  The solver's
     dual on the sinks, McShane-extended to the whole space and shifted to
     vanish at the base point, bounds it from below; equal bounds prove both
     optimal (:func:`_certified`).  No shortest-path pass runs after the
@@ -358,14 +359,15 @@ def norm_certificate(mu: FreeElement) -> NormCertificate:
     space = mu.space
     if mu.is_zero():
         return NormCertificate(Fraction(0), LipFunction._of(space, 1, [0] * space.n), ())
-    primal, duals = _solve(mu)
+    mass, flows, duals = _transport_plan(mu)
+    _check_rebuild(mu, mass, flows)
     lengths = space.scaled[1]
     # one row per sink, then the minimum point by point; the duals are in the
     # distance unit already, and `functions._mcshane_minima` measured slower
     rows = [[v + d for d in lengths[t]] for t, v in duals.items()]
     E = [min(column) for column in zip(*rows)]
     shift = E[space.base]
-    return _certified(mu, primal, [e - shift for e in E])
+    return _certified(mu, mass, flows, [e - shift for e in E])
 
 
 def free_norm(mu: FreeElement) -> Fraction:
@@ -477,41 +479,34 @@ def normers_of(mu: FreeElement) -> NormersReport:
 
     Works over the whole space.  The normers are the 1-Lipschitz functions
     tight on the flow of one optimal transport plan (complementary
-    slackness), so one integer Floyd-Warshall over all points
-    (:func:`_all_distances`, `unit` times the bounds) bounds every value
-    and slope on that set: f(p) is fixed when its upper bound D[base][p]
-    meets its lower bound -D[p][base], and the slope constraint on (x, y)
-    is shared when even the smallest f(x) - f(y), namely -D[x][y], is
-    d(x, y).  The same run certifies the norm: its base row is the
-    witness (see `_certified`).  For a positive element the values on the
-    support are checked to be the distances to the base point.
+    slackness), read off the solver's integer flows, so the shortest paths
+    between all points under those constraints (:func:`_all_distances`,
+    `unit` times the bounds, one Floyd-Warshall that pivots on the flow's
+    endpoints only) bound every value and slope on that set: f(p) is
+    fixed when its upper bound D[base][p] meets its lower bound
+    -D[p][base], and the slope constraint on (x, y) is shared when even
+    the smallest f(x) - f(y), namely -D[x][y], is d(x, y).  The same run
+    certifies the norm: its base row is the witness (see `_certified`).
+    For a positive element the values on the support are checked to be
+    the distances to the base point.
     """
     if mu.is_zero():
         raise ZeroElement("every function norms the zero element")
     space = mu.space
     base = space.base
-    primal = free_norm_primal(mu)
-    D = _all_distances(space, primal.decomposition)
-    cert = _certified(mu, primal, D[base])
+    mass, flows, _ = _transport_plan(mu)
+    _check_rebuild(mu, mass, flows)
+    D = _all_distances(space, flows)
+    top = D[base]
+    cert = _certified(mu, mass, flows, top)
     unit, lengths = space.scaled
-    fixed = {
-        p: Fraction(D[base][p], unit)
-        for p in space.nonbase_points()
-        if D[base][p] == -D[p][base]
-    }
-    shared = frozenset(
-        (x, y) for x, y in space.ordered_pairs() if D[x][y] == -lengths[x][y]
-    )
+    fixed = {p: Fraction(top[p], unit) for p in space.nonbase_points() if top[p] == -D[p][base]}
+    shared = frozenset((x, y) for x, y in space.ordered_pairs() if D[x][y] == -lengths[x][y])
 
     if is_positive(mu):
         for p in support(mu):
-            if not D[base][p] == -D[p][base] == lengths[base][p]:
+            if not top[p] == -D[p][base] == lengths[base][p]:
                 raise InternalVerificationFailure(
                     "a normer of a positive element may deviate from d(., base) on the support"
                 )
-    return NormersReport(
-        value=cert.value,
-        witness=cert.dual_witness,
-        fixed_values=fixed,
-        shared_tight_pairs=shared,
-    )
+    return NormersReport(cert.value, cert.dual_witness, fixed, shared)

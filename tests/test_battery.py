@@ -126,6 +126,24 @@ def test_a_check_with_no_case_fails(run):
     assert result.failures == ["no cases: no space of the corpus fits this check"]
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda corpus: checks.check_positive_facts(corpus, random.Random(1), 1, 1),
+        lambda corpus: checks.check_weighting(corpus, random.Random(1), 1),
+        lambda corpus: checks.check_mcshane(corpus, random.Random(1), 1, 1, 1),
+        lambda corpus: checks.check_support_routes(corpus, random.Random(1), 1),
+    ],
+)
+@pytest.mark.parametrize("corpus", [[], [validate_space([[0]])]], ids=["empty", "one-point"])
+def test_a_check_that_draws_from_no_usable_space_fails_with_no_case(run, corpus):
+    # these checks draw their spaces from those of two or more points; with
+    # none, they draw nothing and fail with no case instead of ending the battery
+    result = run(corpus)
+    assert (result.passed, result.cases) == (False, 0)
+    assert result.failures == ["no cases: no space of the corpus fits this check"]
+
+
 def test_a_mcshane_extension_that_ignores_its_domain_fails_the_intersection_check(
     monkeypatch,
 ):

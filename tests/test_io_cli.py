@@ -415,7 +415,8 @@ def test_cli_check_suite_quick(capsys):
 
 def test_cli_check_suite_fails_the_checks_with_no_case(capsys, monkeypatch):
     # at this scale the corpus is one 11-point space, past the 10-, 8- and
-    # 6-point caps of four checks; each of them fails with no case
+    # 6-point caps of four checks; each of them fails with no case, and its
+    # line is followed by its one recorded failure
     monkeypatch.delenv("FREELIP_MAX_POINTS", raising=False)
     assert main(["check-suite", "--seed", "5", "--scale", "0.02"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -427,7 +428,25 @@ def test_cli_check_suite_fails_the_checks_with_no_case(capsys, monkeypatch):
         "almost-positive extreme points are molecules; witnesses verify",
         "molecule norming function: slope, pairing, segments",
     ]
-    assert len(lines) == 11 and sum(line.startswith("PASS ") for line in lines) == 7
+    assert len(lines) == 15 and sum(line.startswith("PASS ") for line in lines) == 7
+
+
+def test_cli_check_suite_prints_why_a_check_failed(capsys, monkeypatch):
+    # the human report shows each FAIL line's recorded messages under it,
+    # indented, as many as the machine output lists; a PASS line has none
+    monkeypatch.delenv("FREELIP_MAX_POINTS", raising=False)
+    assert main(["check-suite", "--seed", "5", "--scale", "0.02"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["check-suite", "--seed", "5", "--scale", "0.02", "--format", "machine"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    shown = []
+    for line in lines:
+        if line.startswith("  "):
+            shown[-1].append(line[2:])
+        else:
+            shown.append([])
+    assert shown == [check["failures"] for check in report["checks"]]
+    assert sum(line.startswith("  no cases: ") for line in lines) == 4
 
 
 def test_cli_unknown_command_exits_2():

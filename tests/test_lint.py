@@ -355,7 +355,7 @@ def test_the_call_finder(body, calls):
 
 
 KERNELS = {
-    "norms": ("_transport_plan", "_rebuilds", "_certified", "norming_face", "normers_of"),
+    "norms": ("_transport_plan", "_check_rebuild", "_certified", "norming_face", "normers_of"),
     "functions": (
         "lip_constant",
         "weight_element",
@@ -422,6 +422,31 @@ def test_the_kernels_read_the_integer_distances():
         for function in functions:
             read += [f"{module}.{function}:{line}" for line in _fraction_view_reads(tree, function)]
     assert read == []
+
+
+def _molecule_builders(tree):
+    """Where a module calls `Molecule`: a function, a method as Class.method, a class or <module>."""
+    for top in tree.body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if not isinstance(node, ast.FunctionDef):
+                where = getattr(top, "name", "<module>")
+            else:
+                where = node.name if node is top else f"{top.name}.{node.name}"
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == "Molecule"
+                ):
+                    yield where
+
+
+def test_norms_builds_molecules_only_for_faces_and_the_decomposition_view():
+    # a norm certificate keeps the solver's integer flows; the (Molecule,
+    # Fraction) decomposition is built only when `primal_witness` is read
+    tree = ast.parse((PACKAGE / "norms.py").read_text())
+    assert sorted(set(_molecule_builders(tree))) == ["NormCertificate.primal_witness", "_face"]
+    probe = "M = Molecule(0, 1)\nclass A:\n    x = e.Molecule(1, 0)\n    def f(self): Molecule(2, 3)"
+    assert list(_molecule_builders(ast.parse(probe))) == ["<module>", "A", "A.f"]
 
 
 def _raised(tree):

@@ -25,6 +25,7 @@ from freelip.functions import (
     partial_function,
 )
 from freelip.generators import (
+    random_corpus,
     random_element,
     random_line_subset,
     random_positive_element,
@@ -34,6 +35,7 @@ from freelip.generators import (
 )
 from freelip.metric import PointedMetricSpace, space_from_points, validate_space
 from freelip.norms import (
+    NormCertificate,
     free_norm,
     free_norm_dual,
     free_norm_primal,
@@ -503,7 +505,7 @@ def test_the_normers_witness_is_the_base_row_of_the_shortest_paths():
         if mu.is_zero():
             continue
         positives += positive
-        D = norms._all_distances(space, free_norm_primal(mu).decomposition)
+        D = norms._all_distances(space, norms._transport_plan(mu)[1])
         unit = space.scaled[0]
         expected = lip_function(space, [Fraction(v, unit) for v in D[space.base]])
         assert normers_of(mu).witness == expected
@@ -550,13 +552,43 @@ def test_integer_shortest_paths_match_the_fraction_floyd_warshall(kind):
         if mu.is_zero():
             continue
         unit = space.scaled[0]
-        flow = free_norm_primal(mu).decomposition
-        full = norms._all_distances(space, flow)
+        full = norms._all_distances(space, norms._transport_plan(mu)[1])
         assert all(type(v) is int for row in full for v in row)
-        reference = tight_distances(space, range(space.n), flow)
+        reference = tight_distances(space, range(space.n), norm_certificate(mu).primal_witness)
         assert [[Fraction(v, unit) for v in r] for r in full] == [
             [reference[a][b] for b in space.points()] for a in space.points()
         ]
+
+
+def _pivot_corpus(rng):
+    """A signed and a positive element on each space of `random_corpus` and
+    on line subsets, uniform spaces and coprime spaces of 2 to 14 points."""
+    spaces = random_corpus(7, 60, 2, 14)
+    for n in range(2, 15):
+        spaces += [random_line_subset(rng, n), uniform_space(n, random_rational(rng))]
+        spaces.append(coprime_space(rng, n))
+    for space in spaces:
+        for draw in (random_element, random_positive_element):
+            mu = draw(rng, space, max_support=10)
+            if not mu.is_zero():
+                yield space, mu
+
+
+def test_shortest_paths_through_the_flow_endpoints_equal_the_full_floyd_warshall():
+    # `_all_distances` pivots on the endpoints of the flow only; the matrix
+    # must be `unit` times the Fraction Floyd-Warshall over every point,
+    # also where some point is no endpoint
+    rng = random.Random(69)
+    cases = partial = 0
+    for space, mu in _pivot_corpus(rng):
+        flows = norms._transport_plan(mu)[1]
+        unit, points = space.scaled[0], range(space.n)
+        full = tight_distances(space, points, norm_certificate(mu).primal_witness)
+        expected = [[full[a][b] * unit for b in points] for a in points]
+        assert norms._all_distances(space, flows) == expected
+        cases += 1
+        partial += len({p for s, t, _ in flows for p in (s, t)}) < space.n
+    assert cases >= 190 and partial >= 100
 
 
 def _crossed_flow():
@@ -578,16 +610,18 @@ def test_a_non_optimal_flow_makes_every_shortest_path_routine_raise(monkeypatch)
     space, mu, plan = _crossed_flow()
     flow = [(Molecule(s, t), f * space.d(s, t)) for s, t, f in plan[1]]
     with pytest.raises(InternalVerificationFailure, match="negative cycle"):
-        norms._all_distances(space, flow)
+        norms._all_distances(space, plan[1])
     with pytest.raises(InternalVerificationFailure, match="negative cycle"):
         tight_distances(space, range(space.n), flow)
-    # the crossed plan rebuilds mu, so only the dual side can catch it: no
-    # 1-Lipschitz function pairs with mu to its cost 18, and its tight
-    # constraints hold a negative cycle
+    # the crossed plan rebuilds mu at cost 18, so only the dual side can
+    # catch it: no 1-Lipschitz function pairs with mu to that cost, and its
+    # tight constraints hold a negative cycle
+    norms._check_rebuild(mu, *plan[:2])
+    assert sum(w for _, w in flow) == 18
     monkeypatch.setattr(norms, "_transport_plan", lambda _: plan)
-    assert free_norm_primal(mu).value == 18
-    with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
-        norm_certificate(mu)
+    for certify in (free_norm_primal, norm_certificate):
+        with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
+            certify(mu)
     with pytest.raises(InternalVerificationFailure, match="negative cycle"):
         normers_of(mu)
 
@@ -621,9 +655,9 @@ def test_certificates_run_one_integer_shortest_path_kernel(monkeypatch):
     kernels = []
     original = norms.floyd_warshall
 
-    def counted(W):
+    def counted(W, pivots=None):
         kernels.append("floyd_warshall")
-        return original(W)
+        return original(W, pivots)
 
     monkeypatch.setattr(norms, "floyd_warshall", counted)
     rng = random.Random(56)
@@ -634,12 +668,12 @@ def test_certificates_run_one_integer_shortest_path_kernel(monkeypatch):
             continue
         kernels.clear()
         assert _norms_calls(norm_certificate, mu) == [
-            "norm_certificate", "_solve", "_transport_plan", "_rebuilds", "_certified"
+            "norm_certificate", "_transport_plan", "_check_rebuild", "_certified", "_of"
         ]
         assert kernels == []
         assert _norms_calls(normers_of, mu) == [
-            "normers_of", "free_norm_primal", "_solve", "_transport_plan", "_rebuilds",
-            "_all_distances", "_certified",
+            "normers_of", "_transport_plan", "_check_rebuild", "_all_distances", "_certified",
+            "_of",
         ]
         assert kernels == ["floyd_warshall"]
 
@@ -657,7 +691,7 @@ def test_integer_witnesses_equal_the_fraction_certificate(kind):
         cert = norm_certificate(mu)
         assert cert == fraction_certified(mu, primal, duals)
         assert all(type(v) is Fraction for v in cert.dual_witness.values)
-        full = norms._all_distances(space, primal.decomposition)
+        full = norms._all_distances(space, norms._transport_plan(mu)[1])
         reference = fraction_certified(mu, primal, dict(enumerate(full[base])))
         report = normers_of(mu)
         assert (report.value, report.witness) == (reference.value, reference.dual_witness)
@@ -704,7 +738,7 @@ def test_a_row_one_unit_off_fails_verification(monkeypatch, kind):
                 accepted += 1
                 assert norm_certificate(mu) == expected
         monkeypatch.setattr(norms, "_transport_plan", transport_plan)
-        full = all_distances(space, primal.decomposition)
+        full = all_distances(space, flows)
         for off in _rows_one_unit_off(dict(enumerate(full[base])), support(mu)):
             if reference(mu, primal, off) is None:
                 rejected += 1
@@ -724,10 +758,9 @@ def test_a_triangle_violation_fires_the_lipschitz_guard():
     dist = [[0, 1, 1, 3], [1, 0, 1, 10], [1, 1, 0, 1], [3, 10, 1, 0]]
     space = PointedMetricSpace(tuple("abcd"), 0, (1, tuple(map(tuple, dist))))
     mu = delta(space, 1)
-    primal = free_norm_primal(mu)
-    assert primal.value == 1
-    duals = norms._transport_plan(mu)[2]
-    assert duals == {0: -1}
+    assert norms._transport_plan(mu) == (1, [(1, 0, 1)], {0: -1})
+    primal = norms.PrimalCertificate(Fraction(1), ((Molecule(1, 0), Fraction(1)),))
+    duals = {0: -1}
     with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
         norm_certificate(mu)
     with pytest.raises(InternalVerificationFailure, match="dual witness failed"):
@@ -864,12 +897,49 @@ def _rebuild_corpus(rng, kind):
 
 @pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime"])
 def test_every_decomposition_rebuilds_the_element_in_fraction_arithmetic(kind):
-    # the integer divergence check in free_norm_primal against the Fraction rebuild
+    # the integer rebuild check of the solve against the Fraction rebuild of
+    # the decomposition the certificate builds on first read
     rng = random.Random(59)
     for space, mu in _rebuild_corpus(rng, kind):
         assert fraction_rebuild(space, free_norm_primal(mu).decomposition) == mu
         assert fraction_rebuild(space, norm_certificate(mu).primal_witness) == mu
         assert fraction_rebuild(space, transport_norm_bruteforce(mu)[1]) == mu
+
+
+def test_norm_certificate_builds_the_decomposition_only_when_read(monkeypatch):
+    # the certificate keeps the integer plan it checked: the solve builds
+    # the value's Fraction and no Molecule, and the first read of
+    # `primal_witness` one Molecule and one weight Fraction per flow arc
+    built = []
+    for name in ("Molecule", "Fraction"):
+
+        def spy(*args, name=name, real=getattr(norms, name)):
+            built.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(norms, name, spy)
+    rng = random.Random(70)
+    for space, mu in _rebuild_corpus(rng, "random"):
+        built.clear()
+        cert = norm_certificate(mu)
+        assert built == ["Fraction"]
+        decomposition = cert.primal_witness
+        arcs = len(norms._transport_plan(mu)[1])
+        assert built == ["Fraction"] + ["Molecule", "Fraction"] * arcs
+        assert cert.primal_witness is decomposition and len(decomposition) == arcs
+
+
+@pytest.mark.parametrize("kind", ["random", "line", "uniform", "coprime"])
+def test_a_lazy_certificate_equals_the_one_built_positionally(kind):
+    rng = random.Random(71)
+    for space, mu in _rebuild_corpus(rng, kind):
+        read = norm_certificate(mu)
+        positional = NormCertificate(read.value, read.dual_witness, read.primal_witness)
+        lazy = norm_certificate(mu)
+        assert "primal_witness" not in vars(lazy)
+        assert hash(lazy) == hash(positional) and lazy == positional
+        assert repr(lazy) == repr(positional)
+        assert free_norm_primal(mu) == norms.PrimalCertificate(read.value, read.primal_witness)
 
 
 def _faulty_plans(mu, mass, flows, duals):
@@ -886,6 +956,8 @@ def _faulty_plans(mu, mass, flows, duals):
     # same divergence, but no decomposition into nonnegative weights
     yield "a negative flow", (mass, [(t, s, -f)] + flows[1:], duals)
     yield "another mass unit", (2 * mass, flows, duals)
+    # every weight negative: the reversed flows rebuild mu over minus the unit
+    yield "a negative mass unit", (-mass, [(t, s, f) for s, t, f in flows], duals)
     yield "no flow in a coarse unit", (1, [], duals)
     outside = [x for x in space.nonbase_points() if x not in support(mu)]
     if len(outside) >= 2:
@@ -909,7 +981,7 @@ def test_a_plan_that_does_not_rebuild_the_element_is_rejected(monkeypatch, kind)
                 with pytest.raises(InternalVerificationFailure, match="does not rebuild"):
                     certify(mu)
             monkeypatch.setattr(norms, "_transport_plan", original)
-    assert len(faults) == 6
+    assert len(faults) == 7
 
 
 def test_certificates_and_faces_build_no_fraction_elements(monkeypatch):
