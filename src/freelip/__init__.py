@@ -13,7 +13,6 @@ from .elements import (
     Molecule,
     canonicalize,
     delta,
-    intersection_property_check,
     is_positive,
     order_leq,
     subspace_membership,
@@ -39,6 +38,7 @@ from .functions import (
     PartialFunction,
     WeightFunction,
     distance_to_base,
+    intersection_property_check,
     lip_constant,
     lip_function,
     mcshane_extend,
@@ -74,21 +74,7 @@ from .norms import (
 
 __version__ = "0.1.0"
 
+# the names imported above, without the submodules the imports bound
 __all__ = [
-    "FreeElement", "Molecule", "canonicalize", "delta",
-    "intersection_property_check", "is_positive", "order_leq",
-    "subspace_membership", "support", "zero",
-    "EXPOSED", "NOT_EXTREME", "ExposednessVerdict", "PerturbationWitness",
-    "almost_positive_witness", "attainment_partition", "classify_molecule",
-    "extended_pairing", "maximize_extended_pairing", "normers_support_check",
-    "positive_ball_extremes", "split_positive", "LipFunction",
-    "PartialFunction", "WeightFunction", "distance_to_base", "lip_constant",
-    "lip_function", "mcshane_extend", "molecule_norming_function",
-    "multiply_by_weight", "partial_function", "restrict",
-    "weight_element", "weight_function", "weighting_bound",
-    "PointedMetricSpace", "Segment", "line_space", "space_from_points",
-    "validate_space", "DualCertificate", "FaceReport", "NormCertificate",
-    "NormersReport", "PrimalCertificate", "free_norm", "free_norm_dual",
-    "free_norm_primal", "norm_certificate", "norming_face", "normers_of",
-    "positive_norm",
+    n for n, v in list(globals().items()) if n[0] != "_" and type(v) is not type(elements)
 ]

@@ -29,7 +29,6 @@ from . import lp
 from .elements import (
     FreeElement,
     Molecule,
-    intersection_property_check,
     is_positive,
     order_leq,
     support,
@@ -37,6 +36,7 @@ from .elements import (
 )
 from .functions import (
     distance_to_base,
+    intersection_property_check,
     lip_constant,
     mcshane_extend,
     molecule_norming_function,

@@ -6,7 +6,10 @@ the zero functional.  On a finite space the evaluation functionals at the
 non-base points form a basis, so representations are unique.  The support,
 the intersection of all closed K with mu in F(K), is then the key set of the
 canonical coefficient mapping; the battery checks that against its
-definition, by annihilators (`checks.check_support_routes`).
+definition, by annihilators (`checks.check_support_routes`).  The
+intersection property of the subspaces F(K), decided by McShane
+annihilators, lives in `functions` (`intersection_property_check`), next
+to the McShane minima it reads: this module imports nothing from there.
 
 An element is stored in one integer form, the exact rational form with
 one denominator for all coefficients (Knuth, *TAOCP* vol. 2, 4.5.1): one
@@ -25,7 +28,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DegeneratePair, EmptyFamily, SpaceMismatch
+from .errors import DegeneratePair, SpaceMismatch
 from .metric import PointedMetricSpace
 from .rationals import as_fraction, scale_to_integers
 from .records import record
@@ -216,28 +219,3 @@ def subspace_membership(mu: FreeElement, K: Iterable[int]) -> bool:
     """
     allowed = set(K) | {mu.space.base}
     return support(mu) <= allowed
-
-
-def intersection_property_check(
-    space: PointedMetricSpace, Ks: Iterable[Iterable[int]]
-) -> bool:
-    """The intersection property for coordinate subspaces, decided by annihilators.
-
-    An element lies in F(K) exactly when it kills every Lipschitz function
-    vanishing on K and the base.  The McShane extension g_K of 0 from
-    K + {base} is the largest one, and bounds every other by its Lipschitz
-    constant times g_K, so delta(x) lies in F(K) iff g_K(x) = 0.  The
-    intersection of the F(K_i) is thus spanned by the delta(x) where every
-    g_i vanishes, and the property holds when those non-base points are
-    the intersection of the K_i.  An extension that does not vanish exactly
-    on its domain makes the comparison fail.
-    """
-    from .functions import _mcshane_minima
-
-    family = [frozenset(map(space.resolve, K)) | {space.base} for K in Ks]
-    if not family:
-        raise EmptyFamily("the subset family must be nonempty")
-    # the minima of 0 on each K, which holds the base, over the scale 1, are unit * g_K
-    annihilators = [_mcshane_minima(space, K, 1, [0] * len(K))[2] for K in family]
-    common_zeros = {x for x in space.nonbase_points() if all(g[x] == 0 for g in annihilators)}
-    return common_zeros == frozenset.intersection(*family) - {space.base}

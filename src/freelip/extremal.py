@@ -38,7 +38,6 @@ from .functions import (
     WeightFunction,
     _molecule_function,
     mcshane_extend,
-    pointwise_product,
     restrict,
     weight_element,
 )
@@ -79,7 +78,8 @@ class PerturbationWitness:
 
     `h` is the weight c_i at the i-th of `chosen_points` and 0 elsewhere,
     so it is supported on the three chosen points.  `v` is the weighted
-    copy of lam, nonzero, with lam +- v both positive, orthogonal to the
+    copy of lam, nonzero, of zero mass (its coefficients sum to 0, which
+    is <lam, h> = 0), with lam +- v both positive, orthogonal to the
     extension of the optimal partial function, and norm-preserving:
     ||lam +- v + mu|| = ||lam + mu|| exactly.
     """
@@ -323,7 +323,7 @@ def almost_positive_witness(
     h = WeightFunction._of(space, scale, [at.get(x, 0) for x in range(space.n)])
     v = weight_element(lam, h)
 
-    _verify_witness(lam, mu, norm, extension, h, v)
+    _verify_witness(lam, mu, norm, extension, v)
     return PerturbationWitness(
         lam=lam,
         mu=mu,
@@ -337,21 +337,17 @@ def almost_positive_witness(
 
 
 def _verify_witness(
-    lam: FreeElement,
-    mu: FreeElement,
-    norm: Fraction,
-    extension: LipFunction,
-    h: WeightFunction,
-    v: FreeElement,
+    lam: FreeElement, mu: FreeElement, norm: Fraction, extension: LipFunction, v: FreeElement
 ) -> None:
     """Check every identity of a witness; `norm` is the certified ||lam + mu||."""
     if v.is_zero():
         raise InternalVerificationFailure("witness perturbation is zero")
     if not (is_positive(lam + v) and is_positive(lam - v)):
         raise InternalVerificationFailure("witness breaks positivity of lam +- v")
-    if lam.pair(h) != 0:
+    # v weights lam by h: its mass is <lam, h>, its pairing <lam, h * extension>
+    if sum(n for _, n in v.nums) != 0:
         raise InternalVerificationFailure("weight carries nonzero mass against lam")
-    if lam.pair(pointwise_product(h, extension)) != 0:
+    if v.pair(extension) != 0:
         raise InternalVerificationFailure("weighted extension pairing is nonzero")
     plus = norm_certificate(lam + mu + v).value
     minus = norm_certificate(lam + mu - v).value

@@ -122,17 +122,16 @@ def space_payload(space: PointedMetricSpace) -> dict:
 def load_element(path, space: PointedMetricSpace) -> FreeElement:
     """Read an element file: a mapping from point label to rational string.
 
-    The mapping is the `coefficients` field of an element payload, or the
-    whole file; only in the bare form are the envelope keys skipped, since
-    inside `coefficients` every key is a label.
+    The mapping is the `coefficients` field of an element payload when that
+    field holds a mapping, inside which every key is a label; otherwise it
+    is the whole file, the bare form, which skips the envelope keys
+    `schema_version` and `kind` only where no point has that label.
     """
     data = _read_json(path)
-    if "coefficients" in data:
-        mapping = data["coefficients"]
-    else:
-        mapping = {k: v for k, v in data.items() if k not in ("schema_version", "kind")}
+    mapping = data.get("coefficients")
     if not isinstance(mapping, Mapping):
-        raise ParseError("expected a label -> rational mapping", path)
+        envelope_keys = {"schema_version", "kind"} - set(space.labels)
+        mapping = {k: v for k, v in data.items() if k not in envelope_keys}
     return canonicalize(
         space, {str(label): _parse_rational(raw, path) for label, raw in mapping.items()}
     )

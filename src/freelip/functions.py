@@ -4,7 +4,9 @@ Covers the function-side toolbox: Lipschitz constants, the distance-to-base
 function, the canonical norming function of a molecule, McShane extension
 of partial functions, multiplication by a weight and its predual action on
 elements.  A function vanishing off one point, the point bump of the
-paper's finite case, is `lip_function(space, {p: 1})`.
+paper's finite case, is `lip_function(space, {p: 1})`.  The intersection
+property of coordinate subspaces is decided here too, by the McShane
+annihilators of :func:`intersection_property_check`.
 
 Every function, Lipschitz, weight or partial, holds one integer form,
 f(domain[i]) = ints[i] / scale over one positive scale with no common
@@ -25,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from .elements import FreeElement, _reduced, _same_space
 from .errors import (
     DegeneratePair,
+    EmptyFamily,
     InternalVerificationFailure,
     NotOneLipschitzOnDomain,
     SpaceMismatch,
@@ -304,6 +307,29 @@ def mcshane_extend(pf: PartialFunction) -> LipFunction:
     return LipFunction._of(pf.space, common, E)
 
 
+def intersection_property_check(
+    space: PointedMetricSpace, Ks: Iterable[Iterable[int]]
+) -> bool:
+    """The intersection property for coordinate subspaces, decided by annihilators.
+
+    An element lies in F(K) exactly when it kills every Lipschitz function
+    vanishing on K and the base.  The McShane extension g_K of 0 from
+    K + {base} is the largest one, and bounds every other by its Lipschitz
+    constant times g_K, so delta(x) lies in F(K) iff g_K(x) = 0.  The
+    intersection of the F(K_i) is thus spanned by the delta(x) where every
+    g_i vanishes, and the property holds when those non-base points are
+    the intersection of the K_i.  An extension that does not vanish exactly
+    on its domain makes the comparison fail.
+    """
+    family = [frozenset(map(space.resolve, K)) | {space.base} for K in Ks]
+    if not family:
+        raise EmptyFamily("the subset family must be nonempty")
+    # the minima of 0 on each K, which holds the base, over the scale 1, are unit * g_K
+    annihilators = [_mcshane_minima(space, K, 1, [0] * len(K))[2] for K in family]
+    common_zeros = {x for x in space.nonbase_points() if all(g[x] == 0 for g in annihilators)}
+    return common_zeros == frozenset.intersection(*family) - {space.base}
+
+
 def weighting_bound(h: WeightFunction) -> Fraction:
     """Operator-norm bound of weighting by h: sup|h| + rad(supp h) * ||h||_L."""
     return sup_norm(h) + h.space.radius(h.support) * lip_constant(h)
@@ -340,11 +366,3 @@ def weight_element(mu: FreeElement, h: WeightFunction) -> FreeElement:
         raise SpaceMismatch("element and weight must live on the same space")
     ints = h.ints
     return _reduced(mu.space, mu.den * h.scale, [(p, n * ints[p]) for p, n in mu.nums])
-
-
-def pointwise_product(h: WeightFunction, f) -> WeightFunction:
-    """Pointwise product of a weight with any total function, as a weight."""
-    if not _same_space(h.space, f.space):
-        raise SpaceMismatch("product requires functions over the same space")
-    return WeightFunction._of(h.space, h.scale * f.scale, [a * b for a, b in zip(h.ints, f.ints)])
-

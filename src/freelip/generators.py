@@ -94,6 +94,17 @@ def random_subset(rng: random.Random, space: PointedMetricSpace) -> frozenset[in
     return frozenset(rng.sample(points, k))
 
 
+def _random_support(
+    rng: random.Random, space: PointedMetricSpace, max_support: int | None, min_support: int
+) -> list[int]:
+    """Non-base points, min_support to max_support as they fit; none, and no draw, if n = 1."""
+    candidates = list(space.nonbase_points())
+    if not candidates:
+        return []
+    cap = len(candidates) if max_support is None else min(max_support, len(candidates))
+    return rng.sample(candidates, rng.randint(min(min_support, cap), cap))
+
+
 def random_positive_element(
     rng: random.Random,
     space: PointedMetricSpace,
@@ -101,27 +112,16 @@ def random_positive_element(
     min_support: int = 1,
 ) -> FreeElement:
     """Positive element with random support; zero on a one-point space."""
-    candidates = list(space.nonbase_points())
-    if not candidates:
-        return canonicalize(space, {})
-    cap = len(candidates) if max_support is None else min(max_support, len(candidates))
-    lo = min(min_support, cap)
-    supp = rng.sample(candidates, rng.randint(lo, cap))
+    supp = _random_support(rng, space, max_support, min_support)
     return canonicalize(space, {p: random_rational(rng) for p in supp})
 
 
 def random_element(
     rng: random.Random, space: PointedMetricSpace, max_support: int | None = None
 ) -> FreeElement:
-    """Signed element with random support."""
-    candidates = list(space.nonbase_points())
-    if not candidates:
-        return canonicalize(space, {})
-    cap = len(candidates) if max_support is None else min(max_support, len(candidates))
-    supp = rng.sample(candidates, rng.randint(1, cap))
-    return canonicalize(
-        space, {p: rng.choice((1, -1)) * random_rational(rng) for p in supp}
-    )
+    """Signed element with random support; zero on a one-point space."""
+    supp = _random_support(rng, space, max_support, 1)
+    return canonicalize(space, {p: rng.choice((1, -1)) * random_rational(rng) for p in supp})
 
 
 def random_lip0(

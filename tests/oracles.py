@@ -59,7 +59,6 @@ from freelip.functions import (
     WeightFunction,
     lip_constant,
     lip_function,
-    pointwise_product,
     weight_element,
     weight_function,
 )
@@ -667,7 +666,10 @@ def bump_witness(lam, mu):
         raise InternalVerificationFailure("bump radius failed to isolate its point")
 
     u = tuple(lam.pair(hi) for hi in bumps)
-    w = tuple(lam.pair(pointwise_product(hi, extension)) for hi in bumps)
+    # <lam, hi * extension>, the pairing of lam with the weighted extension
+    w = tuple(
+        sum((a * hi.values[p] * extension(p) for p, a in lam.items), _ZERO) for hi in bumps
+    )
     if any(v <= 0 for v in u):
         raise InternalVerificationFailure("bump masses must be strictly positive")
     c_raw = _kernel_vector(u, w)

@@ -166,6 +166,23 @@ def test_a_one_point_space_adds_no_almost_positive_case():
     assert mixed.cases == alone.cases > 0
 
 
+def test_the_almost_positive_check_verifies_witnesses(monkeypatch):
+    # the check also passes when no witness is ever built, since then each
+    # pair is only asked to be extreme; on the small spaces of the CI
+    # corpus some witness must be built and pass its own verification
+    real, verified = extremal._verify_witness, []
+
+    def counted(*args):
+        real(*args)
+        verified.append(args)
+
+    monkeypatch.setattr(extremal, "_verify_witness", counted)
+    corpus = [s for s in random_corpus(20240521, count=50, min_n=2, max_n=12) if s.n <= 6]
+    result = checks.check_almost_positive(corpus, random.Random(7), pairs_per_space=6)
+    assert result.passed
+    assert len(verified) >= 1
+
+
 def test_injected_fault_fails_under_optimize():
     # under -O a bare assert vanishes; the battery must still see the fault
     script = textwrap.dedent(

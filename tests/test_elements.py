@@ -7,7 +7,6 @@ import pytest
 from freelip.elements import (
     Molecule,
     canonicalize,
-    intersection_property_check,
     is_positive,
     order_leq,
     subspace_membership,
@@ -15,7 +14,13 @@ from freelip.elements import (
     zero,
 )
 from freelip.errors import DegeneratePair, EmptyFamily, SpaceMismatch, UnknownLabel
-from freelip.functions import LipFunction, WeightFunction, lip_function, weight_element
+from freelip.functions import (
+    LipFunction,
+    WeightFunction,
+    intersection_property_check,
+    lip_function,
+    weight_element,
+)
 from freelip.generators import (
     random_element,
     random_rational,

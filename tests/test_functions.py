@@ -22,7 +22,6 @@ from freelip.functions import (
     molecule_norming_function,
     multiply_by_weight,
     partial_function,
-    pointwise_product,
     restrict,
     weight_element,
     weight_function,
@@ -69,8 +68,6 @@ def test_functions_and_elements_over_different_spaces_never_mix(line3, line4):
         multiply_by_weight(f, h)
     with pytest.raises(SpaceMismatch):
         weight_element(canonicalize(line3, {1: 1}), h)
-    with pytest.raises(SpaceMismatch):
-        pointwise_product(h, f)
 
 
 def test_constructions_certify_without_assert(line3, monkeypatch):

@@ -167,6 +167,22 @@ def test_element_accepts_bare_mapping(tmp_path, line3_file):
     assert fileio.load_element(path, space).coeffs == {1: Fraction(2, 3)}
 
 
+@pytest.mark.parametrize("label", ["kind", "coefficients"])
+def test_a_bare_element_keeps_a_point_named_like_an_envelope_key(tmp_path, capsys, label):
+    # `kind` is skipped only where no point has that label, and a
+    # `coefficients` that holds no mapping is a label too: the bare file
+    # {label: 1} is delta(label), of norm d(label, b) = 1
+    dist = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    labels = ["b", label, "x"]
+    space = _write(tmp_path, "space.json", {"labels": labels, "base": "b", "dist": dist})
+    mu = _write(tmp_path, "mu.json", {label: "1"})
+    capsys.readouterr()
+    assert main(["norm", "--space", space, "--element", mu]) == 0
+    assert main(["support", "--space", space, "--element", mu]) == 0
+    out = capsys.readouterr().out
+    assert "norm = 1\n" in out and f"support: {{{label}}}\n" in out
+
+
 def test_function_round_trips(tmp_path, line3_file):
     space = fileio.load_space(line3_file)
     cases = [

@@ -7,8 +7,11 @@ No module, ``__init__`` included, may hold an ``assert`` statement: a check
 must raise under every interpreter mode.  The battery in ``checks`` takes no
 private name from the rest of the package, so its checks stay independent
 of the kernels they check.  Every exception class in ``errors`` is raised
-somewhere in the package, or is the base of one that is, and every name in
-``freelip.__all__`` resolves.  Every ``InternalVerificationFailure`` the
+somewhere in the package, or is the base of one that is, and
+``freelip.__all__`` is the names ``__init__`` imports, in their order, each
+of which resolves.  The modules import each other in one declared order,
+so the package has no import cycle, and the one import inside a function
+body is the battery's, in ``cli._dispatch``.  Every ``InternalVerificationFailure`` the
 package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
 ``match`` pattern finds its message.  Every ``check_*`` of the battery has
 one too: a test in ``tests/test_battery.py`` that binds the check's result
@@ -196,6 +199,85 @@ def test_a_command_loads_no_introspection_and_no_battery():
     assert "freelip.cli" in loaded
     unwanted = {"dataclasses", "inspect", "freelip.checks", "freelip.lp", "freelip.generators"}
     assert sorted(loaded & unwanted) == []
+
+
+IMPORT_ORDER = (
+    "errors",
+    "rationals",
+    "records",
+    "metric",
+    "elements",
+    "functions",
+    "norms",
+    "extremal",
+    "generators",
+    "lp",
+    "checks",
+    "fileio",
+    "cli",
+)
+
+
+def _imports(tree, function=None):
+    """(innermost enclosing function or None, module) for each module an import names.
+
+    A module of the package is named `freelip.<module>`, however imported.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports(node, node.name)
+        elif isinstance(node, ast.Import):
+            yield from ((function, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("freelip." if node.level else "") + (node.module or "")
+            if module in ("freelip", "freelip."):
+                # `from . import lp` binds a module of the package
+                yield from ((function, "freelip." + alias.name) for alias in node.names)
+            else:
+                yield function, module
+        else:
+            yield from _imports(node, function)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .norms import norm_certificate", [(None, "freelip.norms")]),
+        ("from . import lp, norms as n", [(None, "freelip.lp"), (None, "freelip.norms")]),
+        ("import freelip.lp\nimport os.path", [(None, "freelip.lp"), (None, "os.path")]),
+        ("from freelip import cli", [(None, "freelip.cli")]),
+        ("from freelip.elements import zero", [(None, "freelip.elements")]),
+        ("from fractions import Fraction", [(None, "fractions")]),
+        (
+            "def f():\n    from .checks import run\n    import json",
+            [("f", "freelip.checks"), ("f", "json")],
+        ),
+        (
+            "class A:\n    def m(self):\n        if x:\n            from . import lp",
+            [("m", "freelip.lp")],
+        ),
+    ],
+)
+def test_the_import_finder(source, found):
+    assert list(_imports(ast.parse(source))) == found
+
+
+def test_the_modules_import_each_other_in_one_order():
+    # a module imports only modules before it, so the package has no import
+    # cycle; the one import in a function body keeps the battery out of commands
+    assert sorted(IMPORT_ORDER) == [path.stem for path in MODULES]
+    rank = {module: i for i, module in enumerate(IMPORT_ORDER)}
+    later, nested = [], []
+    for path in MODULES:
+        for function, module in _imports(ast.parse(path.read_text(), filename=str(path))):
+            if function is not None:
+                nested.append(f"{path.stem}.{function}:{module}")
+            if module.startswith("freelip."):
+                imported = module.split(".")[1]
+                if rank.get(imported, len(rank)) >= rank[path.stem]:
+                    later.append(f"{path.stem}:{imported}")
+    assert later == []
+    assert nested == ["cli._dispatch:freelip.checks"]
 
 
 def _from_the_package(node):
@@ -479,6 +561,15 @@ def test_every_error_class_is_raised_or_a_base_of_one_that_is():
 def test_every_exported_name_resolves():
     missing = [name for name in freelip.__all__ if not hasattr(freelip, name)]
     assert missing == []
+    # the export list is the names `__init__` imports from the modules, in order
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    ]
+    assert freelip.__all__ == imported
 
 
 def _leading_literal(node):

@@ -11,9 +11,14 @@ and value scales that neither divide nor equal each other.
 import random
 from fractions import Fraction
 
-from freelip.elements import canonicalize, intersection_property_check
+from freelip.elements import canonicalize
 from freelip.extremal import attainment_partition
-from freelip.functions import mcshane_extend, partial_function, restrict
+from freelip.functions import (
+    intersection_property_check,
+    mcshane_extend,
+    partial_function,
+    restrict,
+)
 from freelip.generators import random_element, random_lip0, random_space, random_subset
 from freelip.metric import validate_space
 from freelip.norms import norm_certificate, normers_of
