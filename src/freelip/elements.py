@@ -215,7 +215,7 @@ def subspace_membership(mu: FreeElement, K: Iterable[int]) -> bool:
 
     Equivalent formulations (checked as property tests): support(mu) is
     contained in K up to the base point, and mu cannot distinguish
-    functions that agree on K.
+    functions that agree on K, whose points are indices or labels.
     """
-    allowed = set(K) | {mu.space.base}
+    allowed = {*map(mu.space.resolve, K), mu.space.base}
     return support(mu) <= allowed

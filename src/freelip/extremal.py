@@ -19,7 +19,6 @@ from fractions import Fraction
 from .elements import (
     FreeElement,
     Molecule,
-    _same_space,
     delta,
     is_positive,
     support,
@@ -30,7 +29,6 @@ from .errors import (
     NotNormalized,
     NotPositive,
     SingletonSupport,
-    SpaceMismatch,
 )
 from .functions import (
     LipFunction,
@@ -97,57 +95,47 @@ class PerturbationWitness:
 def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessVerdict:
     """Classify the molecule (p, q) as exposed or not extreme.
 
-    The segment decides; both branches carry exact certification.  The
-    exposed branch checks that the canonical norming function has a
-    singleton norming face equal to the molecule itself; the other branch
-    builds the midpoint decomposition through an interior segment point
-    and verifies both halves have norm one.
+    The endpoints are resolved as :func:`canonicalize` resolves keys, and
+    the segment decides.  The exposed branch checks that the canonical
+    norming function has a singleton norming face equal to the molecule
+    itself.  Otherwise, with x the interior segment point first by label,
+    a = m(p, x), b = m(x, q) and t = d(p, x) / d(p, q), the molecule is
+    t a + (1 - t) b, and the halves m(p, q) +- min(t, 1 - t) (a - b)
+    average back to it by construction; that they differ and both have
+    norm one is checked.
     """
+    p, q = space.resolve(p), space.resolve(q)
     mol = Molecule(p, q)
     # the face's tight pairs come from the scan that certified the function
     # (and rejected p == q), so no second pass; tightness does not depend on
     # the integer scale, so they are those `norms.norming_face` would find
     face = _face(*_molecule_function(space, p, q), mol)
     seg = space.segment(p, q)
-
+    halves = None
     if seg.is_trivial():
         if not face.is_unique_normer or face.tight_molecules != (mol,):
             raise InternalVerificationFailure(
                 "trivial segment but the norming face is not the molecule alone"
             )
-        return ExposednessVerdict(
-            molecule=mol,
-            segment=seg,
-            exposing_function=face.norming_function,
-            face=face,
-            verdict=EXPOSED,
-            counterexample_decomposition=None,
-        )
-
-    x = min(seg.members - {p, q}, key=lambda i: space.labels[i])
-    t = Fraction(space.scaled[1][p][x], space.scaled[1][p][q])
-    first = Molecule(p, x).as_element(space)
-    second = Molecule(x, q).as_element(space)
-    # midpoint form of the convex combination t*first + (1-t)*second
-    if 2 * t <= 1:
-        u = first * (2 * t) + second * (1 - 2 * t)
-        w = second
     else:
-        u = first
-        w = first * (2 * t - 1) + second * (2 - 2 * t)
-    target = mol.as_element(space)
-    if u == w or (u + w) * Fraction(1, 2) != target:
-        raise InternalVerificationFailure("midpoint decomposition does not average back")
-    for half in (u, w):
-        if norm_certificate(half).value != 1:
-            raise InternalVerificationFailure("midpoint half does not have norm one")
+        x = min(seg.members - {p, q}, key=lambda i: space.labels[i])
+        t = Fraction(space.scaled[1][p][x], space.scaled[1][p][q])
+        a, b = Molecule(p, x).as_element(space), Molecule(x, q).as_element(space)
+        step = (a - b) * min(t, 1 - t)
+        if step.is_zero():
+            raise InternalVerificationFailure("midpoint halves coincide")
+        target = mol.as_element(space)
+        halves = (target + step, target - step)
+        for half in halves:
+            if norm_certificate(half).value != 1:
+                raise InternalVerificationFailure("midpoint half does not have norm one")
     return ExposednessVerdict(
         molecule=mol,
         segment=seg,
-        exposing_function=None,
+        exposing_function=face.norming_function if halves is None else None,
         face=face,
-        verdict=NOT_EXTREME,
-        counterexample_decomposition=(u, w),
+        verdict=EXPOSED if halves is None else NOT_EXTREME,
+        counterexample_decomposition=halves,
     )
 
 
@@ -241,21 +229,16 @@ def maximize_extended_pairing(
     return f_star, extension, cert.value
 
 
-def attainment_partition(
-    space: PointedMetricSpace, f: PartialFunction
-) -> dict[frozenset[int], frozenset[int]]:
-    """Partition points by where the McShane infimum is attained.
+def attainment_partition(f: PartialFunction) -> dict[frozenset[int], frozenset[int]]:
+    """Partition the points of f's space by where the McShane infimum is attained.
 
     Each x is assigned the set K(x) of domain points achieving
     min_q f(q) + d(q, x); the cells keyed by K(x) are disjoint and cover
     the space.  NotOneLipschitzOnDomain is raised unless f is 1-Lipschitz.
     The minimum is read off the integer rows of :func:`_mcshane_minima`,
     which f keeps once taken, so a witness partitioning by the f* it has
-    McShane-extended reuses them; SpaceMismatch is raised unless f is a
-    function on `space`.
+    McShane-extended reuses them.
     """
-    if not _same_space(space, f.space):
-        raise SpaceMismatch("the partial function must live on the partitioned space")
     _, rows, E = f._minima
     cells: dict[frozenset[int], set[int]] = {}
     for x, e in enumerate(E):
@@ -297,18 +280,16 @@ def almost_positive_witness(
     """
     space = lam.space
     f_star, extension, norm = maximize_extended_pairing(lam, mu)
-    cells = attainment_partition(space, f_star)
-
-    lam_support = support(lam)
-    candidates = []
-    for K, cell in cells.items():
-        hits = sorted(cell & lam_support, key=lambda i: space.labels[i])
-        if len(hits) >= 3:
-            candidates.append((len(K), sorted(space.labels[q] for q in K), K, hits))
-    if not candidates:
+    labels, lam_support = space.labels, support(lam)
+    hits = {K: cell & lam_support for K, cell in attainment_partition(f_star).items()}
+    K = min(
+        (K for K, hit in hits.items() if len(hit) >= 3),
+        key=lambda K: (len(K), sorted(labels[q] for q in K)),
+        default=None,
+    )
+    if K is None:
         return None
-    _, _, K, hits = min(candidates, key=lambda item: (item[0], item[1]))
-    points = tuple(hits[:3])
+    points = tuple(sorted(hits[K], key=lambda i: labels[i])[:3])
 
     # rows a_i and a_i f(i) times the positive lam.den and lam.den * extension.scale
     # (same kernel); lam is positive, so each mass a_i, and each u_i, is positive
@@ -328,7 +309,7 @@ def almost_positive_witness(
         lam=lam,
         mu=mu,
         f_star=f_star,
-        K=frozenset(K),
+        K=K,
         chosen_points=points,
         c=c,
         h=h,

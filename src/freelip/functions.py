@@ -255,8 +255,10 @@ def _molecule_function(
     """:func:`molecule_norming_function` and the tight pairs its slope check found.
 
     The pairs are those :func:`_tight_pairs` returns for the function, so a
-    caller after its norming face needs no second scan.
+    caller after its norming face needs no second scan.  The endpoints are
+    resolved as :func:`canonicalize` resolves keys.
     """
+    p, q = space.resolve(p), space.resolve(q)
     if p == q:
         raise DegeneratePair(f"molecule endpoints coincide: {p}")
     unit, lengths = space.scaled

@@ -85,10 +85,10 @@ class PointedMetricSpace:
         return [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
 
     def radius(self, A: Iterable[int]) -> Fraction:
-        """Maximum distance from the base point over A; 0 for empty A."""
+        """Maximum distance from the base point over A (indices or labels); 0 for empty A."""
         unit, rows = self.scaled
         row = rows[self.base]
-        return Fraction(max((row[x] for x in A), default=0), unit)
+        return Fraction(max((row[self.resolve(x)] for x in A), default=0), unit)
 
     def segment(self, p: int, q: int, epsilon=Fraction(0)) -> "Segment":
         """Metric segment between p and q, optionally relaxed by epsilon.
@@ -96,7 +96,8 @@ class PointedMetricSpace:
         A point x belongs to the relaxed segment when
         d(p,x) + d(x,q) <= d(p,q) / (1 - epsilon); epsilon = 0 gives the
         exact segment.  Values epsilon >= 1 are rejected rather than
-        interpreted (the membership bound would be meaningless).
+        interpreted (the membership bound would be meaningless).  The
+        endpoints are resolved as :meth:`resolve` resolves keys.
 
         Membership is decided on the integer rows s of `scaled`: with
         d = s / unit and epsilon = num / den, multiplying the bound by the
@@ -104,6 +105,7 @@ class PointedMetricSpace:
         (s[p][x] + s[x][q]) * (den - num) <= s[p][q] * den, with no
         division.
         """
+        p, q = self.resolve(p), self.resolve(q)
         if p == q:
             raise DegeneratePair(f"segment endpoints coincide: {p}")
         eps = as_fraction(epsilon)

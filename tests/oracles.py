@@ -506,6 +506,25 @@ def is_extreme_by_lp(unit):
     return True
 
 
+def midpoint_halves_by_cases(space, p, q):
+    """The midpoint halves of a non-extreme molecule, by the two-branch construction.
+
+    Through the interior segment point x first by label, found on the
+    Fraction distances, with a = m(p, x), b = m(x, q) and
+    t = d(p, x) / d(p, q): for t <= 1/2 the halves are 2t a + (1 - 2t) b
+    and b, and otherwise a and (2t - 1) a + (2 - 2t) b.  Either way they
+    average to t a + (1 - t) b = m(p, q).
+    """
+    d = space.d
+    inside = [x for x in space.points() if x not in (p, q) and d(p, x) + d(x, q) == d(p, q)]
+    x = min(inside, key=lambda i: space.labels[i])
+    t = d(p, x) / d(p, q)
+    a, b = Molecule(p, x).as_element(space), Molecule(x, q).as_element(space)
+    if 2 * t <= 1:
+        return a * (2 * t) + b * (1 - 2 * t), b
+    return a, a * (2 * t - 1) + b * (2 - 2 * t)
+
+
 def molecule_vectors_by_elements(space):
     """Coordinates of each molecule over the non-base points, read off its element."""
     points = space.nonbase_points()
@@ -584,9 +603,9 @@ def fraction_kernel_weights(lam, extension, points):
     return c, h, weight_element(lam, h)
 
 
-def fraction_attainment_partition(space, f):
+def fraction_attainment_partition(f):
     """`extremal.attainment_partition` with the McShane minimum taken over Fractions."""
-    vals = f.values
+    space, vals = f.space, f.values
     cells = {}
     for x in range(space.n):
         best = min(vals[q] + space.d(q, x) for q in f.domain)
@@ -631,7 +650,7 @@ def bump_witness(lam, mu):
     """
     space = lam.space
     f_star, extension, _ = maximize_extended_pairing(lam, mu)
-    cells = attainment_partition(space, f_star)
+    cells = attainment_partition(f_star)
     lam_support = support(lam)
     candidates = []
     for K, cell in cells.items():

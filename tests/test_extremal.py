@@ -19,7 +19,6 @@ from freelip.errors import (
     NotOneLipschitzOnDomain,
     NotPositive,
     SingletonSupport,
-    SpaceMismatch,
 )
 from freelip.extremal import (
     EXPOSED,
@@ -55,6 +54,7 @@ from oracles import (
     fraction_attainment_partition,
     fraction_kernel_weights,
     is_extreme_by_lp,
+    midpoint_halves_by_cases,
     molecule_vectors_by_elements,
     replace,
 )
@@ -102,6 +102,23 @@ def test_classification_matches_brute_force():
                 assert u != w
                 assert (u + w) * Fraction(1, 2) == Molecule(p, q).as_element(space)
                 assert transport_norm_bruteforce(u)[0] == 1 == transport_norm_bruteforce(w)[0]
+
+
+def test_the_symmetric_halves_are_the_two_branch_halves():
+    # m(p, q) +- min(t, 1 - t) (a - b) against the two-branch construction
+    rng = random.Random(49)
+    spaces = random_corpus(20240521, 200, 2, 12)
+    spaces += [line_space(n, random_rational(rng)) for n in range(3, 13)]
+    spaces += [uniform_space(n, random_rational(rng)) for n in range(2, 8)]
+    spaces += [coprime_space(rng, rng.randint(3, 9)) for _ in range(20)]
+    split = 0
+    for space in spaces:
+        for p, q in space.ordered_pairs():
+            halves = classify_molecule(space, p, q).counterexample_decomposition
+            if halves is not None:
+                assert halves == midpoint_halves_by_cases(space, p, q)
+                split += 1
+    assert split >= 5000
 
 
 def test_normers_support_check_examples(line3, line4, tri):
@@ -260,19 +277,13 @@ def test_extended_pairing_concavity():
 
 def test_attainment_partition_examples(line3):
     base_only = partial_function(line3, {0: 0})
-    cells = attainment_partition(line3, base_only)
+    cells = attainment_partition(base_only)
     assert cells == {frozenset({0}): frozenset({0, 1, 2})}
 
     pf = partial_function(line3, {0: 0, 2: 2})
-    cells = attainment_partition(line3, pf)
+    cells = attainment_partition(pf)
     assert cells[frozenset({0})] == frozenset({0, 1})
     assert cells[frozenset({0, 2})] == frozenset({2})
-
-
-def test_attainment_partition_rejects_a_function_on_another_space(line3):
-    pf = partial_function(line3, {0: 0, 2: 2})
-    with pytest.raises(SpaceMismatch):
-        attainment_partition(line_space(2), pf)
 
 
 def test_attainment_partition_covers_and_is_disjoint():
@@ -282,7 +293,7 @@ def test_attainment_partition_covers_and_is_disjoint():
         mu = random_element(rng, space)
         lam = random_positive_element(rng, space)
         f_star, _, _ = maximize_extended_pairing(lam, mu)
-        cells = attainment_partition(space, f_star)
+        cells = attainment_partition(f_star)
         seen = set()
         for K, cell in cells.items():
             assert K  # attainment sets are never empty
@@ -300,8 +311,8 @@ def test_attainment_cells_equal_the_fraction_minimum():
     for lam, mu in _witness_draws(83, 120):
         space = lam.space
         f_star, _, _ = maximize_extended_pairing(lam, mu)
-        cells = attainment_partition(space, f_star)
-        assert cells == fraction_attainment_partition(space, f_star)
+        cells = attainment_partition(f_star)
+        assert cells == fraction_attainment_partition(f_star)
         nontrivial += len(cells) > 1
     assert nontrivial > 0
 
@@ -316,8 +327,8 @@ def test_attainment_cells_on_coprime_denominators():
         space = coprime_space(rng, rng.randint(2, 8))
         domain = rng.sample(space.nonbase_points(), rng.randint(1, space.n - 1))
         pf = partial_function(space, {q: Fraction(rng.randint(0, 11), 30) for q in domain})
-        cells = attainment_partition(space, pf)
-        assert cells == fraction_attainment_partition(space, pf)
+        cells = attainment_partition(pf)
+        assert cells == fraction_attainment_partition(pf)
         nontrivial += len(cells) > 1
     assert nontrivial > 0
 
@@ -330,7 +341,7 @@ def test_pairing_and_partition_reject_a_two_lipschitz_partial_function(line3):
     with pytest.raises(NotOneLipschitzOnDomain):
         extended_pairing(lam, zero(line3), pf)
     with pytest.raises(NotOneLipschitzOnDomain):
-        attainment_partition(line3, pf)
+        attainment_partition(pf)
 
 
 def test_witness_on_line4_uniform_masses(line4):
@@ -577,18 +588,33 @@ def test_a_tight_scan_reporting_a_pair_twice_fails_the_exposed_branch(monkeypatc
         classify_molecule(tri, 1, 2)
 
 
-def test_a_segment_admitting_a_non_segment_point_fails_the_midpoint_check(monkeypatch, tri):
-    # relaxed by 1/4, the segment of (a, b) admits the base point, which
-    # is not between a and b: the two halves through it miss the molecule
+def _relax_segments(monkeypatch, epsilon):
     real = PointedMetricSpace.segment
 
-    def relaxed(space, p, q, epsilon=Fraction(0)):
-        return real(space, p, q, Fraction(1, 4))
+    def relaxed(space, p, q, _=Fraction(0)):
+        return real(space, p, q, epsilon)
 
     monkeypatch.setattr(PointedMetricSpace, "segment", relaxed)
+
+
+def test_a_segment_admitting_a_non_segment_point_fails_the_midpoint_check(monkeypatch, tri):
+    # relaxed by 1/4, the segment of (a, b) admits the base point, which
+    # is not between a and b: the halves through it average back to the
+    # molecule by construction, but leave the unit sphere
+    _relax_segments(monkeypatch, Fraction(1, 4))
     assert not tri.segment(1, 2).is_trivial()
-    with pytest.raises(InternalVerificationFailure, match="does not average back"):
+    with pytest.raises(InternalVerificationFailure, match="midpoint half does not have norm one"):
         classify_molecule(tri, 1, 2)
+
+
+def test_a_segment_point_at_an_endpoint_distance_fails_the_midpoint_check(monkeypatch):
+    # relaxed by 1/2, the segment of (1, 2) in the uniform space admits the
+    # base point, at distance 1 = d(1, 2) from 1: t = 1, so the step is zero
+    _relax_segments(monkeypatch, Fraction(1, 2))
+    space = uniform_space(3)
+    assert space.segment(1, 2).members == {0, 1, 2}
+    with pytest.raises(InternalVerificationFailure, match="midpoint halves coincide"):
+        classify_molecule(space, 1, 2)
 
 
 def test_a_norm_left_in_the_distance_unit_fails_the_midpoint_halves(monkeypatch):
@@ -656,8 +682,8 @@ def test_points_from_different_attainment_cells_change_the_norm(monkeypatch):
     mu = delta(space, 3) * -1
     assert almost_positive_witness(lam, mu) is None
 
-    def one_cell(space, f):
-        return {frozenset(f.domain): frozenset(range(space.n))}
+    def one_cell(f):
+        return {frozenset(f.domain): frozenset(range(f.space.n))}
 
     monkeypatch.setattr(extremal, "attainment_partition", one_cell)
     with pytest.raises(InternalVerificationFailure, match="perturbation changed the norm"):

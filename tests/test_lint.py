@@ -36,10 +36,15 @@ constructor that calls it on Fractions (``partial_function``,
 ``WeightFunction``; ``LipFunction._of`` takes integers).  Spaces store
 one integer form too, so none of those kernels, nor the molecule
 classifier ``extremal.classify_molecule``, reads the Fraction view of the
-distances: the attribute ``dist`` or the method ``d``.
+distances: the attribute ``dist`` or the method ``d``.  Every exported
+function with a point parameter (``p``, ``q``, ``K``, ``S`` or ``Ks``), and
+the space's ``segment`` and ``radius``, resolves its points as
+``PointedMetricSpace.resolve`` does: a label is its index, and -1 or n is an
+``UnknownLabel``.
 """
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -49,6 +54,8 @@ from pathlib import Path
 import pytest
 
 import freelip
+from freelip.errors import UnknownLabel
+from freelip.metric import validate_space
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "freelip"
@@ -669,3 +676,47 @@ def test_every_battery_check_has_a_fault_test():
     failed = set(_checks_asserted_to_fail(ast.parse((TESTS / "test_battery.py").read_text())))
     assert len(defined) == 11
     assert sorted(defined - failed) == []
+
+
+# each exported function with a point parameter, and the space's two point
+# methods, called with `x` in one point slot of the line a - b - c - d
+POINT_TAKERS = [
+    ("delta", freelip.delta),
+    ("subspace_membership", lambda s, x: freelip.subspace_membership(freelip.delta(s, 3), [x])),
+    ("classify_molecule", lambda s, x: freelip.classify_molecule(s, x, 1)),
+    ("classify_molecule", lambda s, x: freelip.classify_molecule(s, 1, x)),
+    ("normers_support_check", lambda s, x: freelip.normers_support_check(s, x, 1)),
+    ("normers_support_check", lambda s, x: freelip.normers_support_check(s, 1, x)),
+    ("molecule_norming_function", lambda s, x: freelip.molecule_norming_function(s, x, 1)),
+    ("molecule_norming_function", lambda s, x: freelip.molecule_norming_function(s, 1, x)),
+    ("intersection_property_check", lambda s, x: freelip.intersection_property_check(s, [[x]])),
+    ("restrict", lambda s, x: freelip.restrict(freelip.distance_to_base(s), [x])),
+    ("PointedMetricSpace.segment", lambda s, x: s.segment(x, 1)),
+    ("PointedMetricSpace.segment", lambda s, x: s.segment(1, x)),
+    ("PointedMetricSpace.radius", lambda s, x: s.radius([x])),
+]
+
+
+def test_the_point_table_holds_every_exported_function_taking_points():
+    functions = {name: getattr(freelip, name) for name in freelip.__all__}
+    takers = {
+        name
+        for name, f in functions.items()
+        if inspect.isfunction(f)
+        and {"p", "q", "K", "S", "Ks"} & set(inspect.signature(f).parameters)
+    }
+    methods = {"PointedMetricSpace.segment", "PointedMetricSpace.radius"}
+    assert {name for name, _ in POINT_TAKERS} == takers | methods
+
+
+@pytest.mark.parametrize(
+    "call",
+    [call for _, call in POINT_TAKERS],
+    ids=[f"{name}-{i}" for i, (name, _) in enumerate(POINT_TAKERS)],
+)
+def test_every_entry_point_resolves_its_points(call):
+    space = validate_space([[abs(i - j) for j in range(4)] for i in range(4)], labels="abcd")
+    assert call(space, "d") == call(space, 3)
+    for key in (-1, space.n):
+        with pytest.raises(UnknownLabel):
+            call(space, key)

@@ -30,6 +30,11 @@ the free space of the wedge, and the norm adds: ||mu1 + mu2|| = ||mu1|| +
 Restriction.  For a subset K holding the base and p, q, the segment [p, q]
 in K is the one in M cut down to K, so a trivial segment stays trivial and
 an EXPOSED molecule of M is EXPOSED in K.
+
+Reversal.  m(q, p) = -m(p, q), and x -> -x is an isometry of the unit
+ball, so the verdict of (q, p) is that of (p, q) reflected: the same
+verdict and segment members, the reversed tight molecules and the same
+face dimension, the exposing function -f, and the halves (-w, -u).
 """
 
 import random
@@ -46,6 +51,7 @@ from freelip.extremal import (
 )
 from freelip.functions import lip_constant, lip_function
 from freelip.generators import (
+    random_corpus,
     random_element,
     random_line_subset,
     random_positive_element,
@@ -295,6 +301,31 @@ def test_an_exposed_molecule_stays_exposed_in_a_subspace(kind):
             at = sorted(keep)
             assert classify_molecule(sub, at.index(p), at.index(q)).verdict == EXPOSED
     assert exposed > 0
+
+
+def test_reversing_a_molecule_reflects_its_verdict():
+    verdicts = set()
+    for space in random_corpus(11, 80, 2, 10):
+        for p, q in space.ordered_pairs():
+            if p > q:
+                continue
+            verdict, reverse = classify_molecule(space, p, q), classify_molecule(space, q, p)
+            verdicts.add(verdict.verdict)
+            assert reverse.verdict == verdict.verdict
+            assert reverse.segment.members == verdict.segment.members
+            assert set(reverse.face.tight_molecules) == {
+                Molecule(m.q, m.p) for m in verdict.face.tight_molecules
+            }
+            assert reverse.face.face_dimension == verdict.face.face_dimension
+            if verdict.verdict == EXPOSED:
+                f = verdict.exposing_function.values
+                assert reverse.exposing_function.values == tuple(-v for v in f)
+                assert reverse.counterexample_decomposition is None
+            else:
+                u, w = verdict.counterexample_decomposition
+                assert reverse.counterexample_decomposition == (-w, -u)
+                assert reverse.exposing_function is None
+    assert verdicts == {EXPOSED, NOT_EXTREME}
 
 
 def test_the_space_constructions():

@@ -47,8 +47,8 @@ def test_extensions_scale_and_their_cells_stay():
         pf = restrict(f, random_subset(rng, space))
         pf_c = partial_function(scaled, {q: c * v for q, v in pf.items})
         assert mcshane_extend(pf_c).values == tuple(c * v for v in mcshane_extend(pf).values)
-        cells = attainment_partition(space, pf)
-        assert attainment_partition(scaled, pf_c) == cells
+        cells = attainment_partition(pf)
+        assert attainment_partition(pf_c) == cells
         split += len(cells) > 1
         family = [random_subset(rng, space) for _ in range(rng.randint(1, 3))]
         assert intersection_property_check(scaled, family) == intersection_property_check(
