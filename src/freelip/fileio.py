@@ -107,11 +107,14 @@ def load_space(path) -> PointedMetricSpace:
 
 
 def space_payload(space: PointedMetricSpace) -> dict:
+    """The space file of `space`, each distinct distance formatted once from `scaled`."""
+    unit, rows = space.scaled
+    text = {v: format_fraction(Fraction(v, unit)) for v in set().union(*rows)}
     return envelope(
         "space",
         labels=list(space.labels),
         base=space.labels[space.base],
-        dist=[[format_fraction(v) for v in row] for row in space.dist],
+        dist=[[text[v] for v in row] for row in rows],
     )
 
 

@@ -27,7 +27,6 @@ from .metric import (
     floyd_warshall,
     line_space,
     space_from_points,
-    validate_space,
 )
 from .rationals import scale_to_integers
 
@@ -55,17 +54,22 @@ def random_space(rng: random.Random, n: int) -> PointedMetricSpace:
 
 
 def random_line_subset(rng: random.Random, n: int) -> PointedMetricSpace:
-    """n distinct rationals on the line; segments are usually nontrivial."""
-    coords: set[Fraction] = set()
-    while len(coords) < n:
-        coords.add(Fraction(rng.randint(0, 4 * n), rng.randint(1, 3)))
-    return space_from_points(sorted(coords))
+    """n distinct rationals on the line; segments are usually nontrivial.
+
+    A coordinate a/b with b in 1..3 is drawn as the integer 6a/b, in sixths,
+    so the draw compares no Fractions.
+    """
+    sixths: set[int] = set()
+    while len(sixths) < n:
+        sixths.add(rng.randint(0, 4 * n) * 6 // rng.randint(1, 3))
+    return space_from_points([Fraction(v, 6) for v in sorted(sixths)])
 
 
 def uniform_space(n: int, c=Fraction(1)) -> PointedMetricSpace:
     """All distances equal; every segment is trivial."""
-    d = [[Fraction(0) if i == j else Fraction(c) for j in range(n)] for i in range(n)]
-    return validate_space(d)
+    c = Fraction(c)
+    rows = [[0 if i == j else c.numerator for j in range(n)] for i in range(n)]
+    return _validated(None, 0, c.denominator, rows)
 
 
 def random_corpus(

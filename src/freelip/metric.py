@@ -5,6 +5,25 @@ equality test and the extremal dichotomies downstream are discontinuous in
 the data, so no floating point is allowed anywhere in this module.  A space
 stores its distances once, as integer rows over one unit, which every kernel
 reads; the Fraction matrix is a view built on first read.
+
+Every space is built on integer rows and checked by one function,
+`_validated`.  Its triangle check compares whole rows at once, on fields
+packed into one big integer (Lamport, "Multiple byte processing with
+full-word instructions", CACM 18(8), 1975):
+- row i is packed as P_i = sum_k d(i,k) * 2^(w k), with fields of w bits,
+  the least multiple of 8 above bit_length(3 M) for M the largest
+  |entry|, so 3 M < 2^(w-1); ONES is the packed row of ones;
+- for a pair i < j, with D = P_i - P_j and C = (d(i,j) + 2^(w-1)) * ONES,
+  the integers C - D and C + D are sum_k (2^(w-1) + t_k) * 2^(w k) with
+  t_k = d(i,j) -+ (d(i,k) - d(j,k)).  Each |t_k| <= 3 M < 2^(w-1), so each
+  coefficient lies in [0, 2^w): no carry or borrow crosses a field, and
+  the coefficients are the base-2^w digits of the two integers;
+- the top bit of a digit is set exactly when its t_k >= 0, so every k
+  satisfies |d(i,k) - d(j,k)| <= d(i,j) exactly when every top bit is set
+  in both, that is (C - D) & (C + D) & HIGH == HIGH for HIGH the top bits;
+- symmetry is checked first, so the one unordered pair settles the
+  triangles (i, j, k) and (j, i, k): O(n^2) big-integer operations where a
+  scan takes n^3 integer subtractions.
 """
 
 from __future__ import annotations
@@ -12,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import sub
+from operator import lshift, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -34,8 +53,9 @@ class PointedMetricSpace:
     """A finite metric space with a distinguished base point.
 
     Instances are immutable and always satisfy the metric axioms; construct
-    them through :func:`validate_space`, which checks symmetry, separation
-    and the triangle inequality and reports the first violation found.
+    them through :func:`validate_space` or another builder, each of which
+    checks symmetry, separation and the triangle inequality and reports the
+    first violation found.
 
     `scaled` = (unit, rows) is the one, canonical form of the distances:
     d(i,j) = rows[i][j] / unit with gcd(unit, every entry) = 1, so equal
@@ -181,14 +201,19 @@ def validate_space(
 def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMetricSpace:
     """Check base, labels and the metric axioms on integer rows, and build the space.
 
-    The one checker behind :func:`validate_space` and
-    `generators.random_space`; the rows are the distances times the
-    positive `unit`.  For each ordered pair (i, j) some k has
-    d(i,k) > d(i,j) + d(j,k) exactly when max_k (d(i,k) - d(j,k)) > d(i,j),
-    one pass over the two rows; only then is the first such k sought, so
-    the triple reported is the first in (i, j, k) order, as a scan of all
-    triples would report it.  A negative entry d(i,j) makes (i, j, i) a
-    violation.  The rows and unit are then divided by their common gcd.
+    The one checker, and the one constructor of a space: every builder
+    hands it the distances times the positive `unit`.  After symmetry and
+    separation, :func:`_first_loose_row` runs the packed check of the
+    module docstring and returns the row i of the first unordered pair
+    that fails, or n.  No ordered pair (i', j) with i' < i fails: its
+    unordered pair comes before (i, j) and passed.  So the ordered scan
+    starts at row i, and runs not at all on a metric.  Each ordered pair
+    (i, j) has some k with d(i,k) > d(i,j) + d(j,k) exactly when
+    max_k (d(i,k) - d(j,k)) > d(i,j), one pass over the two rows, and only
+    then is the first such k sought; so the triple reported is the first in
+    (i, j, k) order, as a scan of all triples would report it.  A negative
+    entry d(i,j) makes (i, j, i) a violation.  The rows and unit are then
+    divided by their common gcd.
     """
     n = len(rows)
     if not (0 <= base < n):
@@ -206,25 +231,52 @@ def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMe
     for i, row in enumerate(rows):
         if row[i] != 0 or row.count(0) > 1:
             raise ZeroDistanceDistinctPoints(i, i if row[i] else row.index(0, i + 1))
-    for i, row_i in enumerate(rows):
+    for i in range(_first_loose_row(rows), n):
+        row_i = rows[i]
         for j, row_j in enumerate(rows):
             if max(map(sub, row_i, row_j)) > row_i[j]:
                 k = next(k for k in range(n) if row_i[k] > row_i[j] + row_j[k])
                 raise TriangleViolation(i, j, k)
-    g = gcd(unit, *(v for row in rows for v in row))
-    scaled = tuple(tuple(v // g for v in row) for row in rows)
-    return PointedMetricSpace(labels=labels, base=base, scaled=(unit // g, scaled))
+    g = gcd(unit, *map(gcd, *rows))
+    if g > 1:
+        rows = [[v // g for v in row] for row in rows]
+    scaled = (unit // g, tuple(map(tuple, rows)))
+    return PointedMetricSpace(labels=labels, base=base, scaled=scaled)
+
+
+def _first_loose_row(rows: list[list[int]]) -> int:
+    """The least i with some j > i and k where |d(i,k) - d(j,k)| > d(i,j); n if none.
+
+    The packed check of the module docstring, on symmetric rows; `c` and
+    `e` are its C and D.  A field is `size` whole bytes, so C, one value in
+    every field, is that value's bytes repeated: one pass over the packed
+    row, where a product with ONES takes one pass per machine digit of the
+    value.
+    """
+    n = len(rows)
+    size = (3 * max(max(map(abs, row)) for row in rows)).bit_length() // 8 + 1
+    w = 8 * size
+    shifts = range(0, n * w, w)
+    packed = [sum(map(lshift, row, shifts)) for row in rows]
+    half = 1 << (w - 1)
+    high = int.from_bytes(half.to_bytes(size, "big") * n, "big")
+    for i, (row, p) in enumerate(zip(rows, packed)):
+        for d, q in zip(row[i + 1 :], packed[i + 1 :]):
+            c = int.from_bytes((d + half).to_bytes(size, "big") * n, "big")
+            e = p - q
+            if (c - e) & (c + e) & high != high:
+                return i
+    return n
 
 
 def line_space(n: int, step=Fraction(1)) -> PointedMetricSpace:
     """Equally spaced points on the real line with base at the left end."""
     step = as_fraction(step)
-    dist = [[abs(i - j) * step for j in range(n)] for i in range(n)]
-    return validate_space(dist, base=0)
+    rows = [[abs(i - j) * step.numerator for j in range(n)] for i in range(n)]
+    return _validated(None, 0, step.denominator, rows)
 
 
 def space_from_points(values: Sequence, base: int = 0) -> PointedMetricSpace:
     """Subspace of the rational line given by explicit coordinates."""
-    coords = [as_fraction(v) for v in values]
-    dist = [[abs(a - b) for b in coords] for a in coords]
-    return validate_space(dist, base=base)
+    unit, coords = scale_to_integers([as_fraction(v) for v in values])
+    return _validated(None, base, unit, [[abs(a - b) for b in coords] for a in coords])

@@ -31,7 +31,8 @@ sorted, without zeros or the base point, where `elements` keeps one
 integer numerator per point over one denominator.
 
 Spaces have references too: the triangle inequality scanned over every
-triple in Fraction arithmetic, and the random-space closure over Fractions.
+triple in Fraction arithmetic, the random-space closure over Fractions, and
+the Fraction distance matrices the other builders once validated.
 
 The almost-positive witness has its general form as a reference: plateau
 bumps of a radius kept inside the attainment cell by a margin, as in the
@@ -578,6 +579,20 @@ def fraction_closure_matrix(rng, n):
                 if i != j and through < w[i][j]:
                     w[i][j] = through
     return w
+
+
+def fraction_line_matrix(coords):
+    """|a - b| over Fractions: the matrix `metric.space_from_points(coords)` once validated."""
+    coords = [Fraction(v) for v in coords]
+    return [[abs(a - b) for b in coords] for a in coords]
+
+
+def fraction_line_subset_matrix(rng, n):
+    """The distances of `generators.random_line_subset(rng, n)`, drawn as Fractions."""
+    coords = set()
+    while len(coords) < n:
+        coords.add(Fraction(rng.randint(0, 4 * n), rng.randint(1, 3)))
+    return fraction_line_matrix(sorted(coords))
 
 
 def fraction_kernel_weights(lam, extension, points):

@@ -36,7 +36,9 @@ constructor that calls it on Fractions (``partial_function``,
 ``WeightFunction``; ``LipFunction._of`` takes integers).  Spaces store
 one integer form too, so none of those kernels, nor the molecule
 classifier ``extremal.classify_molecule``, reads the Fraction view of the
-distances: the attribute ``dist`` or the method ``d``.  Every exported
+distances: the attribute ``dist`` or the method ``d``.  Only the checker
+``metric._validated`` constructs a ``PointedMetricSpace``, so no builder
+skips the metric axioms.  Every exported
 function with a point parameter (``p``, ``q``, ``K``, ``S`` or ``Ks``), and
 the space's ``segment`` and ``radius``, resolves its points as
 ``PointedMetricSpace.resolve`` does: a label is its index, and -1 or n is an
@@ -513,8 +515,8 @@ def test_the_kernels_read_the_integer_distances():
     assert read == []
 
 
-def _molecule_builders(tree):
-    """Where a module calls `Molecule`: a function, a method as Class.method, a class or <module>."""
+def _builders(tree, cls):
+    """Where a module calls `cls`: a function, a method as Class.method, a class or <module>."""
     for top in tree.body:
         for node in top.body if isinstance(top, ast.ClassDef) else [top]:
             if not isinstance(node, ast.FunctionDef):
@@ -524,7 +526,7 @@ def _molecule_builders(tree):
             for call in ast.walk(node):
                 if (
                     isinstance(call, ast.Call)
-                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == "Molecule"
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == cls
                 ):
                     yield where
 
@@ -533,9 +535,22 @@ def test_norms_builds_molecules_only_for_faces_and_the_decomposition_view():
     # a norm certificate keeps the solver's integer flows; the (Molecule,
     # Fraction) decomposition is built only when `primal_witness` is read
     tree = ast.parse((PACKAGE / "norms.py").read_text())
-    assert sorted(set(_molecule_builders(tree))) == ["NormCertificate.primal_witness", "_face"]
+    assert sorted(set(_builders(tree, "Molecule"))) == ["NormCertificate.primal_witness", "_face"]
     probe = "M = Molecule(0, 1)\nclass A:\n    x = e.Molecule(1, 0)\n    def f(self): Molecule(2, 3)"
-    assert list(_molecule_builders(ast.parse(probe))) == ["<module>", "A", "A.f"]
+    assert list(_builders(ast.parse(probe), "Molecule")) == ["<module>", "A", "A.f"]
+
+
+def test_only_the_checker_constructs_a_space():
+    # every builder hands integer rows to `metric._validated`, so no faster
+    # builder can skip the metric axioms
+    built = [
+        f"{path.stem}.{where}"
+        for path in MODULES
+        for where in _builders(ast.parse(path.read_text()), "PointedMetricSpace")
+    ]
+    assert built == ["metric._validated"]
+    probe = "def f():\n    return metric.PointedMetricSpace(labels, 0, scaled)\nS = PointedMetricSpace"
+    assert list(_builders(ast.parse(probe), "PointedMetricSpace")) == ["f"]
 
 
 def _raised(tree):

@@ -12,12 +12,20 @@ from freelip.errors import (
     DegeneratePair,
     DuplicateLabel,
     EpsilonOutOfRange,
+    SpaceValidationError,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
+from freelip.fileio import load_space, machine_dumps, space_payload
 from freelip.generators import random_line_subset, random_rational, random_space, uniform_space
 from freelip.metric import line_space, space_from_points, validate_space
-from oracles import fraction_closure_matrix, fraction_segment, fraction_triangle_violation
+from oracles import (
+    fraction_closure_matrix,
+    fraction_line_matrix,
+    fraction_line_subset_matrix,
+    fraction_segment,
+    fraction_triangle_violation,
+)
 from spaces import coprime_space, ultrametric_space
 
 
@@ -287,6 +295,30 @@ def _late_violation(n):
     return d
 
 
+def _two_three(n):
+    """d(i,j) = 2 + (i + j) % 2 off the diagonal: a metric, since 3 <= 2 + 2."""
+    return [[0 if i == j else 2 + (i + j) % 2 for j in range(n)] for i in range(n)]
+
+
+def _planted(matrix, i, j, value):
+    """A copy of `matrix` with d(i,j) = d(j,i) = value."""
+    out = [list(row) for row in matrix]
+    out[i][j] = out[j][i] = value
+    return out
+
+
+def _coprime_line(n, extra=None):
+    """Points k + 1/p_k for the first n primes: the unit is their product, 87 digits at n = 48.
+
+    With `extra` = (a, b, q), d(a,b) grows by 1/q.
+    """
+    matrix = fraction_line_matrix([k + Fraction(1, p) for k, p in enumerate(_primes(n))])
+    if extra is not None:
+        a, b, q = extra
+        matrix = _planted(matrix, a, b, matrix[a][b] + Fraction(1, q))
+    return matrix
+
+
 TRIANGLE_CASES = {
     "negative": ([[0, -1], [-1, 0]], (0, 1, 0)),
     # the negative entry d(1,2) fails at (1,2,1), but (0,1,2) comes first
@@ -310,6 +342,14 @@ TRIANGLE_CASES = {
     "one-point": ([[0]], None),
     "two-points": ([[0, "3/7"], ["3/7", 0]], None),
     "two-points-negative": ([[0, "-3/7"], ["-3/7", 0]], (0, 1, 0)),
+    # n >= 48, where the packed rows span many machine words: a long last
+    # pair first fails at the unordered pair (0, 46), a long first pair at
+    # (0, 2), and a negative last pair at (0, 46) again
+    "large-last-pair": (_planted(_two_three(48), 46, 47, 6), (46, 0, 47)),
+    "large-first-pair": (_planted(_two_three(48), 0, 1, 6), (0, 2, 1)),
+    "large-negative": (_planted(_two_three(48), 46, 47, -1), (0, 46, 47)),
+    "large-coprime-line": (_coprime_line(48), None),
+    "large-coprime-line-violation": (_coprime_line(48, (3, 40, 1000003)), (3, 4, 40)),
 }
 
 
@@ -325,6 +365,30 @@ def test_triangle_violation_is_the_first_triple_over_fractions(name):
     with pytest.raises(TriangleViolation) as err:
         validate_space(matrix)
     assert (err.value.i, err.value.j, err.value.k) == triple
+
+
+def test_a_violation_planted_at_any_pair_is_reported_as_the_first_triple():
+    # each unordered pair of a 9-point space, made too long and then too short
+    rng = random.Random(31)
+    base = [list(row) for row in random_space(rng, 9).dist]
+    planted = 0
+    for i in range(9):
+        for j in range(i + 1, 9):
+            others = [k for k in range(9) if k not in (i, j)]
+            detour = min(base[i][k] + base[k][j] for k in others)
+            gap = max(abs(base[i][k] - base[j][k]) for k in others)
+            values = [detour + Fraction(1, rng.randint(1, 9))]
+            if gap > 0:
+                values.append(gap * Fraction(rng.randint(1, 8), 9))
+            for value in values:
+                matrix = _planted(base, i, j, value)
+                triple = fraction_triangle_violation(matrix)
+                assert triple is not None
+                with pytest.raises(TriangleViolation) as err:
+                    validate_space(matrix)
+                assert (err.value.i, err.value.j, err.value.k) == triple
+                planted += 1
+    assert planted > 36
 
 
 RATIONAL_STRINGS = ["1", "6/5", "4/3", "3/2", "5/3", "7/4", "2", "5/2", "3", "4",
@@ -380,13 +444,15 @@ def test_validation_matches_the_fraction_reference(matrix):
     assert outcome == _reference_outcome(matrix)
 
 
-def test_the_triangle_scan_runs_no_fraction_arithmetic(monkeypatch):
+def test_the_triangle_scan_runs_no_fraction_arithmetic(monkeypatch, tmp_path):
     # pins the cost shape: symmetry, separation and the triangle inequality
-    # are checked on the integer rows of `space.scaled`, and validation
-    # builds no Fraction view
+    # are checked on the integer rows of `space.scaled`, every builder hands
+    # integer rows to the checker, a space file is written from those rows,
+    # and none of it builds the Fraction view
     good = [list(row) for row in random_space(random.Random(5), 12).dist]
     bad = [row[:] for row in good]
     bad[3][8] = bad[8][3] = good[3][8] + 100
+    path = tmp_path / "space.json"
     calls = []
 
     def forbid(name):
@@ -398,12 +464,23 @@ def test_the_triangle_scan_runs_no_fraction_arithmetic(monkeypatch):
 
     for name in ("__add__", "__gt__", "__lt__", "__eq__"):
         forbid(name)
+    for name in ("__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__abs__"):
+        forbid(name)
     space = validate_space(good)
     with pytest.raises(TriangleViolation) as err:
         validate_space(bad)
+    built = [
+        space_from_points([Fraction(7, 3), 0, 5, "1/2"], base=1),
+        line_space(9, Fraction(2, 3)),
+        uniform_space(9, Fraction(5, 7)),
+        random_line_subset(random.Random(5), 12),
+    ]
+    path.write_text(machine_dumps(space_payload(space)))
+    loaded = load_space(path)
     monkeypatch.undo()
     assert calls == []
-    assert "dist" not in space.__dict__
+    assert all("dist" not in s.__dict__ for s in [space, loaded, *built])
+    assert loaded == space
     assert (err.value.i, err.value.j, err.value.k) == fraction_triangle_violation(bad)
 
 
@@ -417,3 +494,77 @@ def test_random_space_matches_the_fraction_closure():
             assert space.dist == tuple(map(tuple, expected))
             assert all(isinstance(v, Fraction) for row in space.dist for v in row)
             assert rng.getstate() == reference.getstate()
+
+
+def _points_reference(values, base=0):
+    return validate_space(fraction_line_matrix(values), base=base)
+
+
+def _line_reference(n, step=1):
+    step = Fraction(step)
+    return validate_space([[abs(i - j) * step for j in range(n)] for i in range(n)])
+
+
+def _uniform_reference(n, c=1):
+    c = Fraction(c)
+    return validate_space([[Fraction(0) if i == j else c for j in range(n)] for i in range(n)])
+
+
+# each builder, and `validate_space` of the Fraction matrix it once validated
+REFERENCES = {
+    space_from_points: _points_reference,
+    line_space: _line_reference,
+    uniform_space: _uniform_reference,
+}
+BUILDS = {
+    "points": (space_from_points, [Fraction(7, 3), 0, 5, "1/2", "-3/4"], 3),
+    "points-one": (space_from_points, ["2/3"]),
+    "points-common-factor": (space_from_points, [0, 4, 10, Fraction(22, 3)]),
+    "line": (line_space, 7, Fraction(5, 3)),
+    "line-default": (line_space, 5),
+    "line-one": (line_space, 1, "2/7"),
+    "uniform": (uniform_space, 6, Fraction(4, 9)),
+    "uniform-default": (uniform_space, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_a_builder_gives_the_space_of_its_fraction_matrix(name):
+    builder, *args = BUILDS[name]
+    space, expected = builder(*args), REFERENCES[builder](*args)
+    assert space == expected and hash(space) == hash(expected)
+    assert space.dist == expected.dist
+
+
+def test_a_random_line_subset_is_the_space_of_its_fraction_draw():
+    # the draw in integer sixths takes the same numbers from the generator
+    for seed in range(20):
+        for n in (1, 2, 5, 9, 16):
+            rng, reference = random.Random(seed), random.Random(seed)
+            space = random_line_subset(rng, n)
+            expected = validate_space(fraction_line_subset_matrix(reference, n))
+            assert space == expected and hash(space) == hash(expected)
+            assert rng.getstate() == reference.getstate()
+
+
+FAULTY_BUILDS = {
+    "duplicate-coordinates": (space_from_points, [0, "1/2", 3, Fraction(2, 4)]),
+    "no-points": (space_from_points, []),
+    "points-base": (space_from_points, [0, 1], 2),
+    "zero-step": (line_space, 4, 0),
+    "negative-step": (line_space, 4, "-1/3"),
+    "zero-c": (uniform_space, 4, 0),
+    "negative-c": (uniform_space, 4, Fraction(-2, 5)),
+    "no-uniform-points": (uniform_space, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTY_BUILDS))
+def test_a_builder_raises_what_its_fraction_matrix_raises(name):
+    builder, *args = FAULTY_BUILDS[name]
+    with pytest.raises(SpaceValidationError) as expected:
+        REFERENCES[builder](*args)
+    with pytest.raises(SpaceValidationError) as got:
+        builder(*args)
+    assert type(got.value) is type(expected.value)
+    assert got.value.args == expected.value.args
