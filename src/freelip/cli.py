@@ -9,7 +9,6 @@ reproduces reports byte for byte.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -23,7 +22,6 @@ from .norms import norm_certificate
 from .rationals import as_fraction, format_fraction
 from .records import record
 
-DEFAULT_MAX_POINTS_ENV = "FREELIP_MAX_POINTS"
 MAX_SCALE = 100
 
 
@@ -229,10 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--max-points",
         type=_max_points,
-        # a string default goes through `type` too, so the environment value is checked
-        default=os.environ.get(DEFAULT_MAX_POINTS_ENV, "12"),
-        help=f"size cap for generated spaces, at least 2"
-        f" (default: ${DEFAULT_MAX_POINTS_ENV} or 12)",
+        default=12,
+        help="size cap for generated spaces, >= 2 (default: 12)",
     )
     cmd.add_argument(
         "--scale", type=_scale, default="1", help="multiply sample counts (for quick smoke runs)"

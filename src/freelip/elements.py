@@ -67,11 +67,11 @@ class FreeElement:
         Works against any total function, Lipschitz or weight, on its
         integers f = ints / scale: one division, by den * scale.  For weight
         functions this is the same formula because delta(base) = 0 keeps
-        the base value out of the sum.
+        the base value out of the sum.  A partial function is a TypeError.
         """
         if not _same_space(self.space, f.space):
             raise SpaceMismatch("pairing requires a function over the same space")
-        ints = f.ints
+        ints = _by_point(f)
         return Fraction(sum(n * ints[p] for p, n in self.nums), self.den * f.scale)
 
     def _binop(self, other: "FreeElement", sign: int) -> "FreeElement":
@@ -134,6 +134,13 @@ class Molecule:
         unit, lengths = space.scaled
         nums = ((p, unit), (q, -unit)) if p < q else ((q, -unit), (p, unit))
         return _reduced(space, lengths[p][q], [item for item in nums if item[0] != space.base])
+
+
+def _by_point(f) -> tuple[int, ...]:
+    """The integers of f, one per point, or TypeError: a partial function's follow its domain."""
+    if len(f.ints) != f.space.n:
+        raise TypeError(f"expected a function on all {f.space.n} points, got {len(f.ints)} values")
+    return f.ints
 
 
 def _same_space(a: PointedMetricSpace, b: PointedMetricSpace) -> bool:

@@ -235,14 +235,14 @@ def attainment_partition(f: PartialFunction) -> dict[frozenset[int], frozenset[i
     Each x is assigned the set K(x) of domain points achieving
     min_q f(q) + d(q, x); the cells keyed by K(x) are disjoint and cover
     the space.  NotOneLipschitzOnDomain is raised unless f is 1-Lipschitz.
-    The minimum is read off the integer rows of :func:`_mcshane_minima`,
+    The minimum is read off the integers of `PartialFunction._minima`,
     which f keeps once taken, so a witness partitioning by the f* it has
     McShane-extended reuses them.
     """
-    _, rows, E = f._minima
+    _, values, rows, E = f._minima
     cells: dict[frozenset[int], set[int]] = {}
     for x, e in enumerate(E):
-        K = frozenset(q for q, row in rows.items() if row[x] == e)
+        K = frozenset(q for q, v, row in zip(f.domain, values, rows) if v + row[x] == e)
         cells.setdefault(K, set()).add(x)
     return {K: frozenset(xs) for K, xs in cells.items()}
 

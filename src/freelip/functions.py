@@ -24,7 +24,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .elements import FreeElement, _reduced, _same_space
+from .elements import FreeElement, _by_point, _reduced, _same_space
 from .errors import (
     DegeneratePair,
     EmptyFamily,
@@ -32,7 +32,7 @@ from .errors import (
     NotOneLipschitzOnDomain,
     SpaceMismatch,
 )
-from .metric import PointedMetricSpace
+from .metric import PointedMetricSpace, min_plus
 from .rationals import as_fraction, scale_to_integers
 from .records import record
 
@@ -127,9 +127,30 @@ class PartialFunction(_Function):
         return dict(self.items)
 
     @cached_property
-    def _minima(self) -> tuple[int, dict[int, list[int]], list[int]]:
-        """:func:`_mcshane_minima` of the function, taken once per instance."""
-        return _mcshane_minima(self.space, self.domain, self.scale, self.ints)
+    def _minima(self) -> tuple[int, list[int], list[list[int]], list[int]]:
+        """The McShane extension x -> min over q of f(q) + d(q, x), on integers, taken once.
+
+        The values and the distances of `space.scaled` lift to one scale,
+        `common`, the lcm of `scale` and the distance unit.  Returns
+        `common`, the lifted values, the lifted distance rows of the domain
+        points, and their :func:`metric.min_plus` E, which is 1-Lipschitz,
+        with E[q] <= f(q) + d(q, q) = f(q) on the domain.
+        NotOneLipschitzOnDomain is raised iff E[q] != f(q) at some domain
+        point q, which is iff f is steeper than 1 there: f(a) - f(b) >
+        d(a, b) gives E[a] <= f(b) + d(b, a) < f(a), and otherwise every
+        term f(b) + d(b, q) is at least f(q).
+        """
+        unit, lengths = self.space.scaled
+        common = lcm(self.scale, unit)
+        lift_v, lift_d = common // self.scale, common // unit
+        values = [v * lift_v for v in self.ints]
+        rows = [[s * lift_d for s in lengths[q]] for q in self.domain]
+        E = min_plus(values, rows)
+        if any(E[q] != v for q, v in zip(self.domain, values)):
+            raise NotOneLipschitzOnDomain(
+                "the partial function exceeds Lipschitz constant 1 on its domain"
+            )
+        return common, values, rows, E
 
 
 def lip_function(space: PointedMetricSpace, values) -> LipFunction:
@@ -167,9 +188,9 @@ def partial_function(space: PointedMetricSpace, values: Mapping) -> PartialFunct
 
 def restrict(f: LipFunction, S: Iterable[int]) -> PartialFunction:
     """Restriction f|_S as a partial function (the base always joins S), on f's integers."""
-    space = f.space
+    space, ints = f.space, _by_point(f)
     domain = tuple(sorted({*map(space.resolve, S), space.base}))
-    return PartialFunction(space, domain, f.scale, [f.ints[p] for p in domain])
+    return PartialFunction(space, domain, f.scale, [ints[p] for p in domain])
 
 
 def lip_constant(f) -> Fraction:
@@ -275,37 +296,9 @@ def _molecule_function(
     return LipFunction._of(space, vscale, V), tight
 
 
-def _mcshane_minima(
-    space: PointedMetricSpace, domain: Iterable[int], scale: int, ints: Sequence[int]
-) -> tuple[int, dict[int, list[int]], list[int]]:
-    """The McShane extension x -> min over q of f(q) + d(q, x), on integers.
-
-    f(domain[i]) = ints[i] / scale, a partial function's integer form, has
-    a domain that holds the base point.  The values and the distances of
-    `space.scaled` lift to one scale, `common`, the lcm of `scale` and the
-    distance unit.  Returns `common`, the lifted term row of each domain
-    point q, common * (f(q) + d(q, x)) for every x, and the minima E of
-    those rows, point by point.  E is a minimum of 1-Lipschitz functions,
-    so 1-Lipschitz, and E[q] <= f(q) + d(q, q) = f(q) on the domain.
-    NotOneLipschitzOnDomain is raised iff E[q] != f(q) at some domain point
-    q, which is iff f is steeper than 1 there: f(a) - f(b) > d(a, b) gives
-    E[a] <= f(b) + d(b, a) < f(a), and otherwise every term f(b) + d(b, q)
-    is at least f(q).
-    """
-    unit, lengths = space.scaled
-    common = lcm(scale, unit)
-    lift_v, lift_d = common // scale, common // unit
-    rows = {q: [v * lift_v + s * lift_d for s in lengths[q]] for q, v in zip(domain, ints)}
-    # min needs two rows to take them point by point; a one-point domain has one
-    E = list(map(min, *rows.values())) if len(rows) > 1 else next(iter(rows.values()))
-    if any(E[q] != row[q] for q, row in rows.items()):
-        raise NotOneLipschitzOnDomain("the partial function exceeds Lipschitz constant 1 on its domain")
-    return common, rows, E
-
-
 def mcshane_extend(pf: PartialFunction) -> LipFunction:
-    """Largest 1-Lipschitz extension: the minima of :func:`_mcshane_minima` over their scale."""
-    common, _, E = pf._minima
+    """Largest 1-Lipschitz extension: the minima of `PartialFunction._minima` over their scale."""
+    common, _, _, E = pf._minima
     return LipFunction._of(pf.space, common, E)
 
 
@@ -326,8 +319,9 @@ def intersection_property_check(
     family = [frozenset(map(space.resolve, K)) | {space.base} for K in Ks]
     if not family:
         raise EmptyFamily("the subset family must be nonempty")
-    # the minima of 0 on each K, which holds the base, over the scale 1, are unit * g_K
-    annihilators = [_mcshane_minima(space, K, 1, [0] * len(K))[2] for K in family]
+    # the minimum of 0 on each K, which holds the base, is g_K in the distance unit
+    lengths = space.scaled[1]
+    annihilators = [min_plus([0] * len(K), [lengths[q] for q in K]) for K in family]
     common_zeros = {x for x in space.nonbase_points() if all(g[x] == 0 for g in annihilators)}
     return common_zeros == frozenset.intersection(*family) - {space.base}
 
@@ -347,7 +341,8 @@ def multiply_by_weight(f: LipFunction, h: WeightFunction) -> LipFunction:
     space = f.space
     if not _same_space(space, h.space):
         raise SpaceMismatch("weight and function must live on the same space")
-    g = LipFunction._of(space, f.scale * h.scale, [a * b for a, b in zip(f.ints, h.ints)])
+    product = [a * b for a, b in zip(_by_point(f), _by_point(h))]
+    g = LipFunction._of(space, f.scale * h.scale, product)
     if lip_constant(g) > weighting_bound(h) * lip_constant(f):
         raise InternalVerificationFailure("product exceeds the weighting bound")
     return g
@@ -366,5 +361,5 @@ def weight_element(mu: FreeElement, h: WeightFunction) -> FreeElement:
     """
     if not _same_space(mu.space, h.space):
         raise SpaceMismatch("element and weight must live on the same space")
-    ints = h.ints
+    ints = _by_point(h)
     return _reduced(mu.space, mu.den * h.scale, [(p, n * ints[p]) for p, n in mu.nums])

@@ -28,7 +28,7 @@ from .metric import (
     line_space,
     space_from_points,
 )
-from .rationals import scale_to_integers
+from .rationals import as_fraction, scale_to_integers
 
 
 def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 3) -> Fraction:
@@ -67,7 +67,7 @@ def random_line_subset(rng: random.Random, n: int) -> PointedMetricSpace:
 
 def uniform_space(n: int, c=Fraction(1)) -> PointedMetricSpace:
     """All distances equal; every segment is trivial."""
-    c = Fraction(c)
+    c = as_fraction(c)
     rows = [[0 if i == j else c.numerator for j in range(n)] for i in range(n)]
     return _validated(None, 0, c.denominator, rows)
 

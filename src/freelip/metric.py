@@ -4,7 +4,9 @@ Distances are exact rationals throughout: segment membership is an exact
 equality test and the extremal dichotomies downstream are discontinuous in
 the data, so no floating point is allowed anywhere in this module.  A space
 stores its distances once, as integer rows over one unit, which every kernel
-reads; the Fraction matrix is a view built on first read.
+reads; the Fraction matrix is a view built on first read.  Two integer
+kernels on such rows serve every layer: `min_plus`, the McShane minimum,
+and `steep_pair`, the 1-Lipschitz test the triangle check runs on each row.
 
 Every space is built on integer rows and checked by one function,
 `_validated`.  Its triangle check compares whole rows at once, on fields
@@ -172,6 +174,27 @@ def floyd_warshall(W: list[list[int]], pivots: Iterable[int] | None = None) -> l
     return W
 
 
+def min_plus(values: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """x -> min over t of values[t] + rows[t][x], for at least one t, on integers of one scale.
+
+    With rows[t] = d(t, .) it is the McShane minimum (Bull. AMS 40, 1934),
+    a minimum of 1-Lipschitz functions, so 1-Lipschitz itself.
+    """
+    return [min(c) for c in zip(*[[v + d for d in row] for v, row in zip(values, rows)])]
+
+
+def steep_pair(values: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """The first (x, y) with values[y] - rows[x][y] > values[x], on integers of one scale.
+
+    With rows[x] = d(x, .), the first pair where values is steeper than 1;
+    None says it is 1-Lipschitz.  A row's first y is sought only if it fails.
+    """
+    for x, (v, row) in enumerate(zip(values, rows)):
+        if max(map(sub, values, row)) > v:
+            return x, next(y for y, (u, d) in enumerate(zip(values, row)) if u - d > v)
+    return None
+
+
 def validate_space(
     dist: Sequence[Sequence], base: int = 0, labels: Sequence | None = None
 ) -> PointedMetricSpace:
@@ -207,13 +230,11 @@ def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMe
     module docstring and returns the row i of the first unordered pair
     that fails, or n.  No ordered pair (i', j) with i' < i fails: its
     unordered pair comes before (i, j) and passed.  So the ordered scan
-    starts at row i, and runs not at all on a metric.  Each ordered pair
-    (i, j) has some k with d(i,k) > d(i,j) + d(j,k) exactly when
-    max_k (d(i,k) - d(j,k)) > d(i,j), one pass over the two rows, and only
-    then is the first such k sought; so the triple reported is the first in
-    (i, j, k) order, as a scan of all triples would report it.  A negative
-    entry d(i,j) makes (i, j, i) a violation.  The rows and unit are then
-    divided by their common gcd.
+    starts at row i, and runs not at all on a metric.  Row i breaks
+    d(i,k) <= d(i,j) + d(j,k) exactly where it is steeper than 1 at (j, k),
+    so :func:`steep_pair` of row i reports the first triple in (i, j, k)
+    order, as a scan of all triples would.  A negative entry d(i,j) makes
+    (i, j, i) a violation.  The rows and unit are then divided by their gcd.
     """
     n = len(rows)
     if not (0 <= base < n):
@@ -232,11 +253,9 @@ def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMe
         if row[i] != 0 or row.count(0) > 1:
             raise ZeroDistanceDistinctPoints(i, i if row[i] else row.index(0, i + 1))
     for i in range(_first_loose_row(rows), n):
-        row_i = rows[i]
-        for j, row_j in enumerate(rows):
-            if max(map(sub, row_i, row_j)) > row_i[j]:
-                k = next(k for k in range(n) if row_i[k] > row_i[j] + row_j[k])
-                raise TriangleViolation(i, j, k)
+        pair = steep_pair(rows[i], rows)
+        if pair is not None:
+            raise TriangleViolation(i, *pair)
     g = gcd(unit, *map(gcd, *rows))
     if g > 1:
         rows = [[v // g for v in row] for row in rows]

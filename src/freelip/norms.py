@@ -13,9 +13,10 @@ gives the norming function: the solver's node potentials at exit are an
 optimal dual, since every source -> sink arc has nonnegative reduced cost
 and the arcs carrying flow have reduced cost zero (complementary
 slackness).  `norm_certificate` McShane-extends minus the sink potentials
-to the whole space, shifted to vanish at the base point, and `_certified`
-proves that finished witness a norming function, as it does the base row
-of the shortest paths of `normers_of`.  No shortest-path pass runs after.
+to the whole space (`metric.min_plus`), shifted to vanish at the base
+point, and `_certified` proves that finished witness a norming function
+(`metric.steep_pair`), as it does the base row of the shortest paths of
+`normers_of`.  No shortest-path pass runs after.
 
 The norming functions are the 1-Lipschitz functions tight on the optimal
 plan, a system of difference constraints; `normers_of`, which bounds every
@@ -50,7 +51,7 @@ from functools import cached_property
 from operator import sub
 from typing import Sequence
 
-from .elements import FreeElement, Molecule, is_positive, support
+from .elements import FreeElement, Molecule, _by_point, is_positive, support
 from .errors import (
     EmptyFace,
     InternalVerificationFailure,
@@ -59,7 +60,7 @@ from .errors import (
     ZeroElement,
 )
 from .functions import LipFunction, _tight_pairs
-from .metric import PointedMetricSpace, floyd_warshall
+from .metric import PointedMetricSpace, floyd_warshall, min_plus, steep_pair
 from .records import record
 
 # the arcs of a transport plan, (source, sink, integer flow) in units of 1 / mass
@@ -318,8 +319,7 @@ def _certified(mu: FreeElement, mass: int, flows: Flows, E: Sequence[int]) -> No
     of :func:`normers_of`, the largest normer tight on the flow.  It is
     checked as it is given, not repaired first.
     Both sides of weak duality are checked on E:
-    - E is 1-Lipschitz, |E[x] - E[y]| <= s[x][y], read per x as max over
-      y of E[y] - s[x][y] <= E[x];
+    - E is 1-Lipschitz, |E[x] - E[y]| <= s[x][y] (:func:`metric.steep_pair`);
     - E pairs with mu to the plan's cost: with den and n_p the denominator
       and numerators of mu, sum of n_p * E[p] over den * unit equals the
       sum of flow * s[s][t] over mass * unit, checked cross-multiplied.
@@ -333,10 +333,7 @@ def _certified(mu: FreeElement, mass: int, flows: Flows, E: Sequence[int]) -> No
     space = mu.space
     unit, lengths = space.scaled
     cost = sum(f * lengths[s][t] for s, t, f in flows)
-    if (
-        any(max(map(sub, E, s)) > e for e, s in zip(E, lengths))
-        or sum(n * E[p] for p, n in mu.nums) * mass != cost * mu.den
-    ):
+    if steep_pair(E, lengths) or sum(n * E[p] for p, n in mu.nums) * mass != cost * mu.den:
         raise InternalVerificationFailure("dual witness failed verification")
     value = Fraction(cost, mass * unit)
     return NormCertificate._of(value, LipFunction._of(space, unit, E), mass, flows)
@@ -362,10 +359,8 @@ def norm_certificate(mu: FreeElement) -> NormCertificate:
     mass, flows, duals = _transport_plan(mu)
     _check_rebuild(mu, mass, flows)
     lengths = space.scaled[1]
-    # one row per sink, then the minimum point by point; the duals are in the
-    # distance unit already, and `functions._mcshane_minima` measured slower
-    rows = [[v + d for d in lengths[t]] for t, v in duals.items()]
-    E = [min(column) for column in zip(*rows)]
+    # the duals are in the distance unit already
+    E = min_plus(list(duals.values()), [lengths[t] for t in duals])
     shift = E[space.base]
     return _certified(mu, mass, flows, [e - shift for e in E])
 
@@ -418,7 +413,7 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     so the sample distinct normer (present iff the face is not a single
     point) can be chosen different from it.
     """
-    pairs = _tight_pairs(f.space, f.scale, f.ints)
+    pairs = _tight_pairs(f.space, f.scale, _by_point(f))
     if pairs is None:
         raise NotInUnitBall("norming_face requires Lipschitz constant at most 1")
     return _face(f, pairs, nominal)

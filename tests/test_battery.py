@@ -34,17 +34,14 @@ def _crashes(failures):
     return [f for f in failures if "TypeError" in f or "AttributeError" in f]
 
 
-def domain_blind(space, domain, scale, ints):
-    """A McShane kernel minimizing over every point, with 0 off the domain.
+def domain_blind(values, rows):
+    """A McShane kernel that puts every point at distance 0 from the domain.
 
     It makes the extension of 0 from any subset vanish everywhere.  Like
-    the kernel, it reads the function's integers over their scale and
-    returns integers over one scale.
+    `metric.min_plus`, it takes one value and one distance row per domain
+    point and returns one minimum per point.
     """
-    unit, lengths = space.scaled
-    values = {q: v * unit for q, v in zip(domain, ints)}
-    rows = {q: [values.get(q, 0) + s * scale for s in lengths[q]] for q in space.points()}
-    return unit * scale, rows, [min(column) for column in zip(*rows.values())]
+    return [min(values)] * len(rows[0])
 
 
 def _segment_of_endpoints(monkeypatch):
@@ -148,7 +145,7 @@ def test_a_mcshane_extension_that_ignores_its_domain_fails_the_intersection_chec
     monkeypatch,
 ):
     assert checks.check_intersection(random.Random(7), 50).passed
-    monkeypatch.setattr(functions, "_mcshane_minima", domain_blind)
+    monkeypatch.setattr(functions, "min_plus", domain_blind)
     result = checks.check_intersection(random.Random(7), 50)
     assert not result.passed and result.cases == 50
     assert not _crashes(result.failures), result.failures
@@ -220,7 +217,7 @@ def test_injected_fault_fails_under_optimize():
 
 def test_a_mcshane_extension_that_ignores_its_domain_fails_the_support_routes(monkeypatch):
     clean = checks.check_support_routes(CORPUS, random.Random(9), 30)
-    monkeypatch.setattr(functions, "_mcshane_minima", domain_blind)
+    monkeypatch.setattr(functions, "min_plus", domain_blind)
     result = checks.check_support_routes(CORPUS, random.Random(9), 30)
     assert clean.passed and not result.passed and result.cases == clean.cases == 30
     assert not _crashes(result.failures), result.failures

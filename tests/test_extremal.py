@@ -467,15 +467,15 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
     # its domain
     extended, minima, measured = [], [], []
     real_extend, real_lip = extremal.mcshane_extend, functions.lip_constant
-    real_minima = functions._mcshane_minima
+    real_minima = functions.min_plus
 
     def counted_extend(pf):
         extended.append(pf)
         return real_extend(pf)
 
-    def counted_minima(space, domain, scale, ints):
-        minima.append((domain, scale, ints))
-        return real_minima(space, domain, scale, ints)
+    def counted_minima(values, rows):
+        minima.append(values)
+        return real_minima(values, rows)
 
     def counted_lip(f):
         measured.append(f)
@@ -484,7 +484,7 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
     monkeypatch.setattr(extremal, "norm_certificate", counted)
     monkeypatch.setattr(extremal, "mcshane_extend", counted_extend)
     for owner in (functions, extremal):
-        monkeypatch.setattr(owner, "_mcshane_minima", counted_minima, raising=False)
+        monkeypatch.setattr(owner, "min_plus", counted_minima, raising=False)
         monkeypatch.setattr(owner, "lip_constant", counted_lip, raising=False)
     found = 0
     for lam, mu in _witness_draws(82, 60):
@@ -498,7 +498,8 @@ def test_witness_certifies_with_three_norm_certificates_and_no_bumps(monkeypatch
             assert len(calls) == 3
             assert extended == [witness.f_star]
             f_star = witness.f_star
-            assert minima == [(f_star.domain, f_star.scale, f_star.ints)]
+            # the lifted values of f*, which its McShane minimum keeps
+            assert minima == [f_star._minima[1]]
             assert sum(f is witness.f_star for f in measured) == 0
             found += 1
     assert found > 0

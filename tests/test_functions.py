@@ -35,7 +35,8 @@ from freelip.generators import (
     random_subset,
     random_weight,
 )
-from freelip.metric import PointedMetricSpace, space_from_points, validate_space
+from freelip.metric import PointedMetricSpace, line_space, space_from_points, validate_space
+from freelip.norms import norming_face
 from oracles import bump, fraction_molecule_norming_values
 from spaces import coprime_space
 
@@ -420,3 +421,24 @@ def test_lip_constant_of_one_point_domains():
     line = space_from_points([0, Fraction(1, 3), Fraction(5, 7)])
     assert lip_constant(partial_function(line, {})) == 0
     assert lip_constant(partial_function(line, {2: Fraction(2, 7)})) == Fraction(2, 5)
+
+
+# f = partial_function(line_space(4), {2: 1, 3: 2}) holds f(0), f(2), f(3) at
+# positions 0, 1, 2, so reading its integers by point would take f(2) = 2,
+# or run off the end
+PARTIAL_READS = {
+    "restrict": lambda s, f: restrict(f, [2]),
+    "pair": lambda s, f: canonicalize(s, {2: 1}).pair(f),
+    "weight_element": lambda s, f: weight_element(canonicalize(s, {3: 1}), f),
+    "multiply_by_weight-f": lambda s, f: multiply_by_weight(f, weight_function(s, [1] * 4)),
+    "multiply_by_weight-h": lambda s, f: multiply_by_weight(lip_function(s, [0, 1, 1, 1]), f),
+    "norming_face": lambda s, f: norming_face(f),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_READS))
+def test_a_function_read_by_point_must_have_a_value_at_every_point(name):
+    space = line_space(4)
+    pf = partial_function(space, {2: 1, 3: 2})
+    with pytest.raises(TypeError, match="expected a function on all 4 points, got 3 values"):
+        PARTIAL_READS[name](space, pf)

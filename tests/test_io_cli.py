@@ -429,11 +429,10 @@ def test_cli_check_suite_quick(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_cli_check_suite_fails_the_checks_with_no_case(capsys, monkeypatch):
+def test_cli_check_suite_fails_the_checks_with_no_case(capsys):
     # at this scale the corpus is one 11-point space, past the 10-, 8- and
     # 6-point caps of four checks; each of them fails with no case, and its
     # line is followed by its one recorded failure
-    monkeypatch.delenv("FREELIP_MAX_POINTS", raising=False)
     assert main(["check-suite", "--seed", "5", "--scale", "0.02"]) == 1
     lines = capsys.readouterr().out.splitlines()
     empty = re.compile(r"FAIL (.*): 0 cases in \S+s \(1 recorded failure\(s\)\)")
@@ -447,10 +446,9 @@ def test_cli_check_suite_fails_the_checks_with_no_case(capsys, monkeypatch):
     assert len(lines) == 15 and sum(line.startswith("PASS ") for line in lines) == 7
 
 
-def test_cli_check_suite_prints_why_a_check_failed(capsys, monkeypatch):
+def test_cli_check_suite_prints_why_a_check_failed(capsys):
     # the human report shows each FAIL line's recorded messages under it,
     # indented, as many as the machine output lists; a PASS line has none
-    monkeypatch.delenv("FREELIP_MAX_POINTS", raising=False)
     assert main(["check-suite", "--seed", "5", "--scale", "0.02"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert main(["check-suite", "--seed", "5", "--scale", "0.02", "--format", "machine"]) == 1
@@ -472,14 +470,9 @@ def test_cli_unknown_command_exits_2():
 
 
 @pytest.mark.parametrize("cap", ["1", "0", "-3", "two"])
-def test_cli_check_suite_rejects_bad_size_cap(cap, capsys, monkeypatch):
+def test_cli_check_suite_rejects_bad_size_cap(cap, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-suite", "--max-points", cap])
-    assert exc.value.code == 2
-    assert "argument --max-points" in capsys.readouterr().err
-    monkeypatch.setenv("FREELIP_MAX_POINTS", cap)
-    with pytest.raises(SystemExit) as exc:
-        main(["check-suite"])
     assert exc.value.code == 2
     assert "argument --max-points" in capsys.readouterr().err
 
@@ -534,12 +527,6 @@ def test_cli_check_suite_scales_sample_counts_exactly(capsys):
     assert main(argv + ["--format", "machine"]) == 0
     cases = {c["name"]: c["cases"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert cases["McShane extension, concavity, pairing maximization"] == 348
-
-
-def test_cli_check_suite_env_size_cap(capsys, monkeypatch):
-    monkeypatch.setenv("FREELIP_MAX_POINTS", "4")
-    assert main(["check-suite", "--seed", "5", "--scale", "0.02"]) == 0
-    capsys.readouterr()
 
 
 def test_cli_check_suite_machine_deterministic(capsys):

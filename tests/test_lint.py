@@ -38,7 +38,12 @@ one integer form too, so none of those kernels, nor the molecule
 classifier ``extremal.classify_molecule``, reads the Fraction view of the
 distances: the attribute ``dist`` or the method ``d``.  Only the checker
 ``metric._validated`` constructs a ``PointedMetricSpace``, so no builder
-skips the metric axioms.  Every exported
+skips the metric axioms.  Outside ``metric``, no function writes out a
+McShane minimum (``min`` of each column of ``zip(*rows)``, or
+``map(min, *rows)``) or a row slope test (a comparison with
+``max(map(sub, ...))``): ``metric.min_plus`` and ``metric.steep_pair`` are
+the one copy of each, and only the solver's Kuhn reduction keeps its
+column minima inline.  Every exported
 function with a point parameter (``p``, ``q``, ``K``, ``S`` or ``Ks``), and
 the space's ``segment`` and ``radius``, resolves its points as
 ``PointedMetricSpace.resolve`` does: a label is its index, and -1 or n is an
@@ -373,6 +378,15 @@ def test_only_the_battery_imports_the_simplex():
     assert importers == ["checks"]
 
 
+def _function(tree, name):
+    """The definition of the module-level function `name`, or of the method `Class.name`."""
+    *owner, name = name.split(".")
+    body = tree.body
+    if owner:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == owner[0]).body
+    return next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 def _inexact(tree, function):
     """Whatever in the body of the module-level `function` is not an int.
 
@@ -385,7 +399,7 @@ def _inexact(tree, function):
             called = node.value.func
             if getattr(called, "id", getattr(called, "attr", None)) in banned:
                 banned |= {t.id for t in node.targets if isinstance(t, ast.Name)}
-    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    body = _function(tree, function)
     for node in ast.walk(body):
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
         if name in banned:
@@ -420,13 +434,10 @@ def test_the_transport_kernel_stays_exact():
 
 
 def _calls(tree, function, callee):
-    """Lines of the body of the module-level `function` calling `callee`, by name or attribute."""
-    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
-    for node in ast.walk(body):
-        if isinstance(node, ast.Call):
-            called = node.func
-            if getattr(called, "id", getattr(called, "attr", None)) == callee:
-                yield node.lineno
+    """Lines of the body of `function` (see :func:`_function`) calling `callee`."""
+    for node in ast.walk(_function(tree, function)):
+        if _named(node, callee):
+            yield node.lineno
 
 
 @pytest.mark.parametrize(
@@ -450,7 +461,7 @@ KERNELS = {
     "functions": (
         "lip_constant",
         "weight_element",
-        "_mcshane_minima",
+        "PartialFunction._minima",
         "restrict",
         "distance_to_base",
     ),
@@ -480,8 +491,8 @@ def test_the_kernels_read_the_stored_integers():
 
 
 def _fraction_view_reads(tree, function):
-    """Lines of the body of the module-level `function` reading the attribute `dist` or `d`."""
-    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    """Lines of the body of `function` (see :func:`_function`) reading `dist` or `d`."""
+    body = _function(tree, function)
     for node in ast.walk(body):
         if isinstance(node, ast.Attribute) and node.attr in ("dist", "d"):
             yield node.lineno
@@ -515,20 +526,32 @@ def test_the_kernels_read_the_integer_distances():
     assert read == []
 
 
-def _builders(tree, cls):
-    """Where a module calls `cls`: a function, a method as Class.method, a class or <module>."""
+def _definitions(tree):
+    """(where, node) for each statement of a module and each of its methods.
+
+    `where` names a function, a method as Class.method, a class or <module>.
+    """
     for top in tree.body:
         for node in top.body if isinstance(top, ast.ClassDef) else [top]:
             if not isinstance(node, ast.FunctionDef):
-                where = getattr(top, "name", "<module>")
+                yield getattr(top, "name", "<module>"), node
             else:
-                where = node.name if node is top else f"{top.name}.{node.name}"
-            for call in ast.walk(node):
-                if (
-                    isinstance(call, ast.Call)
-                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == cls
-                ):
-                    yield where
+                yield (node.name if node is top else f"{top.name}.{node.name}"), node
+
+
+def _named(node, name):
+    """Whether `node` is a call of `name`, by name or attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    return getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def _builders(tree, cls):
+    """Where a module calls `cls`, as :func:`_definitions` names it."""
+    for where, node in _definitions(tree):
+        for call in ast.walk(node):
+            if _named(call, cls):
+                yield where
 
 
 def test_norms_builds_molecules_only_for_faces_and_the_decomposition_view():
@@ -551,6 +574,72 @@ def test_only_the_checker_constructs_a_space():
     assert built == ["metric._validated"]
     probe = "def f():\n    return metric.PointedMetricSpace(labels, 0, scaled)\nS = PointedMetricSpace"
     assert list(_builders(ast.parse(probe), "PointedMetricSpace")) == ["f"]
+
+
+def _first_arg(call):
+    return call.args[0] if call.args else None
+
+
+def _row_kernels(tree):
+    """Where a module writes out a McShane minimum or a row slope test, as (where, kind).
+
+    A minimum point by point is `min` of each column of a `zip(*rows)`, or
+    `map(min, *rows)`; a row slope test compares a `max(map(sub, ...))`.
+    """
+    for where, node in _definitions(tree):
+        for sub in ast.walk(node):
+            columns = isinstance(sub, (ast.ListComp, ast.GeneratorExp)) and any(
+                _named(g.iter, "zip") and any(isinstance(a, ast.Starred) for a in g.iter.args)
+                for g in sub.generators
+            )
+            if (columns and _named(sub.elt, "min")) or (
+                _named(sub, "map")
+                and getattr(_first_arg(sub), "id", None) == "min"
+                and any(isinstance(a, ast.Starred) for a in sub.args)
+            ):
+                yield where, "min-plus"
+            elif isinstance(sub, ast.Compare) and any(
+                _named(side, "max")
+                and _named(_first_arg(side), "map")
+                and getattr(_first_arg(_first_arg(side)), "id", None) == "sub"
+                for side in [sub.left, *sub.comparators]
+            ):
+                yield where, "slope"
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(rows):\n    return [min(c) for c in zip(*rows)]", [("f", "min-plus")]),
+        ("def f(rows):\n    return list(map(min, *rows))", [("f", "min-plus")]),
+        (
+            "class A:\n    def f(self, r):\n        return [min(c) for c in zip(*r)]",
+            [("A.f", "min-plus")],
+        ),
+        ("def f(rows):\n    return min(c for c in zip(*rows))", []),
+        ("def f(E, s, e):\n    return max(map(sub, E, s)) > e", [("f", "slope")]),
+        ("def f(E, s, e):\n    return e < max(map(sub, E, s))", [("f", "slope")]),
+        ("def f(rows):\n    return [max(c) for c in zip(*rows)]", []),
+        ("def f(a, b):\n    return [min(c) for c in zip(a, b)]", []),
+        ("def f(low, cost):\n    return [max(map(sub, low, row)) for row in cost]", []),
+        ("def f(rows):\n    return min_plus([0] * len(rows), rows)", []),
+    ],
+)
+def test_the_row_kernel_finder(source, found):
+    assert list(_row_kernels(ast.parse(source))) == found
+
+
+def test_only_metric_writes_out_a_mcshane_minimum_or_a_row_slope_test():
+    # `metric.min_plus` and `metric.steep_pair` are the one copy of each; the
+    # solver's Kuhn reduction keeps its column minima inline, since building
+    # the zero-plus-cost rows for `min_plus` measured slower there
+    found = [
+        f"{path.stem}.{where}:{kind}"
+        for path in MODULES
+        if path.stem != "metric"
+        for where, kind in _row_kernels(ast.parse(path.read_text()))
+    ]
+    assert found == ["norms._transport_plan:min-plus"]
 
 
 def _raised(tree):

@@ -18,7 +18,7 @@ from freelip.errors import (
 )
 from freelip.fileio import load_space, machine_dumps, space_payload
 from freelip.generators import random_line_subset, random_rational, random_space, uniform_space
-from freelip.metric import line_space, space_from_points, validate_space
+from freelip.metric import line_space, min_plus, space_from_points, steep_pair, validate_space
 from oracles import (
     fraction_closure_matrix,
     fraction_line_matrix,
@@ -568,3 +568,60 @@ def test_a_builder_raises_what_its_fraction_matrix_raises(name):
         builder(*args)
     assert type(got.value) is type(expected.value)
     assert got.value.args == expected.value.args
+
+
+# a float is not exact and a bool is not a number: each builder reads its
+# rational argument as `as_fraction` does, as a file loader would
+UNREAD_BUILDS = {
+    "float-step": (line_space, 4, 0.1),
+    "bool-step": (line_space, 4, True),
+    "float-c": (uniform_space, 3, 0.1),
+    "bool-c": (uniform_space, 3, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_BUILDS))
+def test_a_builder_rejects_a_float_or_a_bool(name):
+    builder, *args = UNREAD_BUILDS[name]
+    with pytest.raises(TypeError, match="expected int, Fraction or string"):
+        builder(*args)
+
+
+@pytest.mark.parametrize("builder", [line_space, uniform_space])
+def test_a_builder_rejects_a_huge_exponent_before_expanding_it(builder):
+    with pytest.raises(ValueError, match="decimal exponent"):
+        builder(3, "1e10000000")
+
+
+@st.composite
+def values_and_rows(draw, square):
+    """Small integer values and rows: arbitrary, negative entries included,
+    or a line metric with a function on it that is often 1-Lipschitz."""
+    k = draw(st.integers(1, 6))
+    if square and draw(st.booleans()):
+        coords = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+        rows = [[abs(a - b) for b in coords] for a in coords]
+        values = [c + draw(st.sampled_from((0, 0, 0, 1, -1))) for c in coords]
+        return values, rows
+    m = k if square else draw(st.integers(1, 6))
+    entries = st.integers(-5, 12)
+    values = draw(st.lists(entries, min_size=k, max_size=k))
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    return values, rows
+
+
+@given(data=values_and_rows(square=True))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_steep_pair_is_the_first_pair_of_the_double_loop(data):
+    values, rows = data
+    n = len(values)
+    pairs = [(x, y) for x in range(n) for y in range(n) if values[y] - rows[x][y] > values[x]]
+    assert steep_pair(values, rows) == (pairs[0] if pairs else None)
+
+
+@given(data=values_and_rows(square=False))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_min_plus_is_the_least_term_at_every_point(data):
+    values, rows = data
+    expected = [min(v + row[x] for v, row in zip(values, rows)) for x in range(len(rows[0]))]
+    assert min_plus(values, rows) == expected
