@@ -34,18 +34,13 @@ from .functions import (
     LipFunction,
     PartialFunction,
     WeightFunction,
-    _molecule_function,
     mcshane_extend,
+    molecule_norming_function,
     restrict,
     weight_element,
 )
 from .metric import PointedMetricSpace, Segment
-from .norms import (
-    FaceReport,
-    _face,
-    norm_certificate,
-    positive_norm,
-)
+from .norms import FaceReport, norm_certificate, norming_face, positive_norm
 from .records import record
 
 EXPOSED = "Exposed"
@@ -106,10 +101,9 @@ def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessV
     """
     p, q = space.resolve(p), space.resolve(q)
     mol = Molecule(p, q)
-    # the face's tight pairs come from the scan that certified the function
-    # (and rejected p == q), so no second pass; tightness does not depend on
-    # the integer scale, so they are those `norms.norming_face` would find
-    face = _face(*_molecule_function(space, p, q), mol)
+    # the face reads the tight pairs of the scan that certified the function
+    # (and rejected p == q), so no second pass
+    face = norming_face(molecule_norming_function(space, p, q), mol)
     seg = space.segment(p, q)
     halves = None
     if seg.is_trivial():
@@ -144,10 +138,11 @@ def normers_support_check(space: PointedMetricSpace, p: int, q: int) -> bool:
 
     The norming face is the convex hull of the tight molecules, so it is
     enough that every tight molecule has both endpoints inside the metric
-    segment of (p, q).
+    segment of (p, q).  The tight pairs are those of the scan that certified
+    the function, which it keeps; no face is built.
     """
     members = space.segment(p, q).members
-    _, pairs = _molecule_function(space, p, q)
+    pairs = molecule_norming_function(space, p, q)._tight
     return all(x in members and y in members for x, y in pairs)
 
 

@@ -9,6 +9,7 @@ reports byte-identical across runs for a fixed seed.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -51,6 +52,10 @@ def _read_json(path) -> dict:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}", path) from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply", path) from exc
+    except ValueError as exc:
+        # an integer past the interpreter's limit on digits converted from text
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"JSON integer has more than {limit} digits", path) from exc
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object at the top level", path)
     return data

@@ -74,7 +74,10 @@ class _TotalFunction(_Function):
     """A function on every point, `domain` = range(n), built from `(space, values)`.
 
     `values`, the tuple of Fractions, is kept as given, or built on first
-    read for a function made from integers (:meth:`_of`).
+    read for a function made from integers (:meth:`_of`).  `_tight`, the
+    tight pairs of one slope scan (:func:`_tight_pairs`; None for a
+    function steeper than 1), is kept from the scan that certified the
+    function, or taken on first read.
     """
 
     __match_args__ = ("space", "values")
@@ -95,6 +98,10 @@ class _TotalFunction(_Function):
     def values(self) -> tuple[Fraction, ...]:
         scale = self.scale
         return tuple(Fraction(v, scale) for v in self.ints)
+
+    @cached_property
+    def _tight(self) -> list[tuple[int, int]] | None:
+        return _tight_pairs(self.space, self.scale, self.ints)
 
 
 class LipFunction(_TotalFunction):
@@ -264,20 +271,12 @@ def molecule_norming_function(space: PointedMetricSpace, p: int, q: int) -> LipF
     Both certification checks run on those integers: slope at most one
     everywhere (:func:`_tight_pairs`), and the pairing with the molecule,
     (f(p) - f(q)) / d(p,q), equal to one, that is V[p] - V[q] equal to
-    d(p,q) times the scale, 2 * L * s[p][q].  Fractions appear only in the
-    returned function's view.
-    """
-    return _molecule_function(space, p, q)[0]
-
-
-def _molecule_function(
-    space: PointedMetricSpace, p: int, q: int
-) -> tuple[LipFunction, list[tuple[int, int]]]:
-    """:func:`molecule_norming_function` and the tight pairs its slope check found.
-
-    The pairs are those :func:`_tight_pairs` returns for the function, so a
-    caller after its norming face needs no second scan.  The endpoints are
-    resolved as :func:`canonicalize` resolves keys.
+    d(p,q) times the scale, 2 * L * s[p][q].  The function keeps the scan's
+    tight pairs as its `_tight`, so its norming face takes no second scan;
+    tightness does not depend on the integer scale, so they are the pairs
+    of the reduced function too.  Fractions appear only in the returned
+    function's view.  The endpoints are resolved as :func:`canonicalize`
+    resolves keys.
     """
     p, q = space.resolve(p), space.resolve(q)
     if p == q:
@@ -293,7 +292,9 @@ def _molecule_function(
     tight = _tight_pairs(space, vscale, V)
     if tight is None or V[p] - V[q] != 2 * common * dpq:
         raise InternalVerificationFailure("molecule function failed to norm its molecule")
-    return LipFunction._of(space, vscale, V), tight
+    f = LipFunction._of(space, vscale, V)
+    f.__dict__["_tight"] = tight
+    return f
 
 
 def mcshane_extend(pf: PartialFunction) -> LipFunction:

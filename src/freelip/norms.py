@@ -27,11 +27,11 @@ The solve and the Floyd-Warshall run on the integer distances of
 numerators over one denominator and values over one scale, so no kernel
 rescales Fractions.  A norming face runs on them too: one pass over the
 pairs of points, on the function's integer values, rejects a function
-steeper than 1 and collects the tight pairs (the pass the canonical
-molecule function of `functions` is certified with, whose tight pairs
-`extremal` reuses for its face), and a union-find reads the face
-dimension off the tight pairs.  Fractions appear only in the values
-returned, and in a witness or a decomposition only once something reads it.
+steeper than 1 and collects the tight pairs (the pass a total function
+keeps, and the canonical molecule function of `functions` is certified
+with), and a union-find reads the face dimension off the tight pairs.
+Fractions appear only in the values returned, and in a witness or a
+decomposition only once something reads it.
 
 Every certificate is checked by exact weak duality before it is returned,
 or InternalVerificationFailure is raised; no check waits for a view:
@@ -59,7 +59,7 @@ from .errors import (
     NotPositive,
     ZeroElement,
 )
-from .functions import LipFunction, _tight_pairs
+from .functions import LipFunction
 from .metric import PointedMetricSpace, floyd_warshall, min_plus, steep_pair
 from .records import record
 
@@ -393,15 +393,16 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     """Describe the unit-ball face {mu : <mu, f> = 1} for a 1-Lipschitz f.
 
     The unit-ball test and the tight scan are one pass over the pairs of
-    points on the integers f holds (:func:`functions._tight_pairs`): with
-    f = V / vscale and d = scaled / unit, |f(x) - f(y)| <= d(x, y) reads
+    points on the integers f holds (:func:`functions._tight_pairs`), which
+    f keeps as its `_tight`: with f = V / vscale and d = scaled / unit,
+    |f(x) - f(y)| <= d(x, y) reads
     |V[x] - V[y]| * unit <= scaled[x][y] * vscale, and the molecule from
     the higher value to the lower is tight on equality.  A pair steeper
     than 1 anywhere raises NotInUnitBall, even where no pair is tight, and
     the tight molecules come out in the order of `ordered_pairs`.  The face
     is their convex hull, and its affine dimension is the rank of the
-    homogenized rows [m(p, q), 1] minus one.  Every tight molecule lies on the
-    hyperplane <., f> = 1, so the homogenizing column is the sum of the
+    homogenized rows [m(p, q), 1] minus one.  Every tight molecule lies on
+    the hyperplane <., f> = 1, so the homogenizing column is the sum of the
     coordinate columns weighted by f and the rank is that of the rows
     m(p, q); scaling each by d(p, q) gives the rows e_p - e_q, with no
     coordinate at the base point (delta_base = 0).  Those are the incidence
@@ -409,32 +410,22 @@ def norming_face(f: LipFunction, nominal: Molecule | None = None) -> FaceReport:
     the sum of the other columns of its component, so their rank is
     n - (connected components), the number of edges of a spanning forest,
     which is the number of merges a union-find makes over the tight pairs.
-    `nominal` names the molecule a caller expects to be normed,
-    so the sample distinct normer (present iff the face is not a single
-    point) can be chosen different from it.
-    """
-    pairs = _tight_pairs(f.space, f.scale, _by_point(f))
-    if pairs is None:
-        raise NotInUnitBall("norming_face requires Lipschitz constant at most 1")
-    return _face(f, pairs, nominal)
-
-
-def _face(
-    f: LipFunction, pairs: Sequence[tuple[int, int]], nominal: Molecule | None
-) -> FaceReport:
-    """The face of a 1-Lipschitz f from its tight pairs; see :func:`norming_face`.
-
-    `pairs` are the tight pairs :func:`functions._tight_pairs` returned for
-    f, in the order of `ordered_pairs`.
+    `nominal` names the molecule a caller expects to be normed, so the
+    sample distinct normer (present iff the face is not a single point) can
+    be chosen different from it.
 
     The face is a point (a unique normer) exactly when its dimension is 0:
-    `_tight_pairs` yields each unordered pair at most once (d > 0 fixes the
+    the scan yields each unordered pair at most once (d > 0 fixes the
     direction), so one tight pair makes one merge, and a second pair has an
     endpoint outside the first, which makes a second merge.  The battery's
     exposedness clauses and the tests against the elimination reference
     `fraction_norming_face` check the count independently.
     """
     space = f.space
+    _by_point(f)  # a partial function's integers follow its domain, not the points
+    pairs = f._tight
+    if pairs is None:
+        raise NotInUnitBall("norming_face requires Lipschitz constant at most 1")
     tight = [Molecule(x, y) for x, y in pairs]
     if not tight:
         raise EmptyFace("no unit-ball element attains pairing 1 with this function")

@@ -512,7 +512,7 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
     # one slope scan that certified the molecule function; and it builds a
     # few molecule elements however many of the n(n - 1) pairs that scan sees.
     # The segment check reads the scan's tight pairs and builds no face
-    names = ("lip_constant", "_tight_pairs", "_face", "as_element", "norm_certificate")
+    names = ("lip_constant", "_tight_pairs", "norming_face", "as_element", "norm_certificate")
     counts = dict.fromkeys(names, 0)
 
     def spy(owner, name, real):
@@ -525,12 +525,10 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
     real_lip = functions.lip_constant
     for owner in (functions, checks):
         spy(owner, "lip_constant", real_lip)
-    real_scan = functions._tight_pairs
-    for owner in (functions, norms):
-        spy(owner, "_tight_pairs", real_scan)
-    real_face = norms._face
+    spy(functions, "_tight_pairs", functions._tight_pairs)
+    real_face = norms.norming_face
     for owner in (norms, extremal):
-        spy(owner, "_face", real_face)
+        spy(owner, "norming_face", real_face)
     spy(extremal, "norm_certificate", extremal.norm_certificate)
     spy(Molecule, "as_element", Molecule.as_element)
 
@@ -547,7 +545,7 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
             verdict, seen = measured(classify_molecule, space, p, q)
             verdicts.add(verdict.verdict)
             assert seen["lip_constant"] == 0 and seen["_tight_pairs"] == 1
-            assert seen["_face"] == 1
+            assert seen["norming_face"] == 1
             # the face's distinct normer, and the two halves and the target
             # of a midpoint decomposition
             assert seen["as_element"] <= 4
@@ -556,7 +554,7 @@ def test_pair_questions_take_no_lipschitz_constant_and_no_molecule_per_pair(monk
             ok, seen = measured(normers_support_check, space, p, q)
             assert ok
             assert seen["lip_constant"] == 0 and seen["_tight_pairs"] == 1
-            assert seen["_face"] == 0 and seen["as_element"] == 0
+            assert seen["norming_face"] == 0 and seen["as_element"] == 0
         result, seen = measured(checks.check_molecule_function, [space])
         pairs = space.n * (space.n - 1)
         assert result.passed and result.cases == pairs
@@ -576,15 +574,15 @@ def test_witness_with_a_pairing_blind_kernel_vector_fails_verification(monkeypat
 
 
 def test_a_tight_scan_reporting_a_pair_twice_fails_the_exposed_branch(monkeypatch, tri):
-    # (a, b) has a trivial segment; a scan that also reports the reversed
-    # pair puts a second molecule on the face
-    real = extremal._molecule_function
+    # (a, b) has a trivial segment; a scan that also reports each pair
+    # reversed puts a second molecule on the face
+    real = functions._tight_pairs
 
-    def both_directions(space, p, q):
-        f, pairs = real(space, p, q)
-        return f, sorted(pairs + [(q, p)])
+    def both_directions(space, vscale, values):
+        pairs = real(space, vscale, values)
+        return sorted(pairs + [(y, x) for x, y in pairs])
 
-    monkeypatch.setattr(extremal, "_molecule_function", both_directions)
+    monkeypatch.setattr(functions, "_tight_pairs", both_directions)
     with pytest.raises(InternalVerificationFailure, match="not the molecule alone"):
         classify_molecule(tri, 1, 2)
 

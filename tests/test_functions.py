@@ -15,6 +15,7 @@ from freelip.errors import (
     UnknownLabel,
 )
 from freelip.functions import (
+    _tight_pairs,
     distance_to_base,
     lip_constant,
     lip_function,
@@ -34,11 +35,12 @@ from freelip.generators import (
     random_space,
     random_subset,
     random_weight,
+    uniform_space,
 )
 from freelip.metric import PointedMetricSpace, line_space, space_from_points, validate_space
 from freelip.norms import norming_face
-from oracles import bump, fraction_molecule_norming_values
-from spaces import coprime_space
+from oracles import bump, fraction_molecule_norming_values, fraction_norming_face
+from spaces import coprime_space, ultrametric_space
 
 
 def test_lip_constant_examples(line3):
@@ -146,6 +148,31 @@ def test_molecule_norming_function_normalizes_its_molecule():
             assert Molecule(p, q).as_element(space).pair(f) == 1
     with pytest.raises(DegeneratePair):
         molecule_norming_function(space, 0, 0)
+
+
+SCAN_CORPORA = {
+    "random": lambda rng: [random_space(rng, n) for n in (3, 5, 7)],
+    "line": lambda rng: [line_space(n) for n in (3, 5, 7)],
+    "uniform": lambda rng: [uniform_space(n) for n in (3, 5, 7)],
+    "ultrametric": lambda rng: [ultrametric_space(rng, n) for n in (3, 5, 7)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCAN_CORPORA))
+def test_a_molecule_function_keeps_the_scan_that_certified_it(kind):
+    # the kept pairs are a fresh scan's, its face is the Fraction reference's,
+    # and a function with no scan kept equals and hashes as one with it
+    for space in SCAN_CORPORA[kind](random.Random(34)):
+        for p, q in space.ordered_pairs():
+            f = molecule_norming_function(space, p, q)
+            assert "_tight" in vars(f)
+            assert f._tight == _tight_pairs(space, f.scale, f.ints)
+            mol = Molecule(p, q)
+            assert norming_face(f, mol) == fraction_norming_face(f, mol)
+            twin = lip_function(space, f.values)
+            assert "_tight" not in vars(twin)
+            assert twin == f and hash(twin) == hash(f)
+            assert twin._tight == f._tight
 
 
 def test_molecule_function_segment_properties():

@@ -477,6 +477,21 @@ def test_cli_check_suite_rejects_bad_size_cap(cap, capsys):
     assert "argument --max-points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", [cli.MAX_POINTS + 1, 10_000_000])
+def test_the_size_cap_is_bounded_above(cap, capsys):
+    # parsed only: a cap past the bound would start a battery of huge spaces
+    parser = cli.build_parser()
+    for ok in (2, cli.MAX_POINTS):
+        assert parser.parse_args(["check-suite", "--max-points", str(ok)]).max_points == ok
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["check-suite", "--max-points", str(cap)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "freelip check-suite: error: argument --max-points: "
+        f"must be from 2 to {cli.MAX_POINTS}, got {cap}"
+    )
+
+
 @pytest.mark.parametrize("scale", ["inf", "1e400", "nan", "-1", "0", "1e30", "two"])
 def test_cli_check_suite_rejects_bad_scale(scale, capsys):
     with pytest.raises(SystemExit) as exc:

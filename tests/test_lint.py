@@ -6,8 +6,10 @@ it, and a private module-level function must be referenced somewhere in it.
 No module, ``__init__`` included, may hold an ``assert`` statement: a check
 must raise under every interpreter mode.  The battery in ``checks`` takes no
 private name from the rest of the package, so its checks stay independent
-of the kernels they check.  Every exception class in ``errors`` is raised
-somewhere in the package, or is the base of one that is, and
+of the kernels they check, and neither do the certifiers in ``extremal``,
+so they reach a norming face by the public path.  Every exception class
+in ``errors`` is raised somewhere in the package, or is the base of one
+that is, and
 ``freelip.__all__`` is the names ``__init__`` imports, in their order, each
 of which resolves.  The modules import each other in one declared order,
 so the package has no import cycle, and the one import inside a function
@@ -299,25 +301,28 @@ def _from_the_package(node):
 
 
 def test_the_battery_uses_no_private_name_of_the_package():
-    tree = ast.parse((PACKAGE / "checks.py").read_text())
-    modules, private = set(), []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and _from_the_package(node):
-            for alias in node.names:
-                if alias.name.startswith("_"):
-                    private.append(alias.name)
-                # `from . import lp` binds a module of the package
-                if node.module is None or node.module == "freelip":
-                    modules.add(alias.asname or alias.name)
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in modules
-            and node.attr.startswith("_")
-        ):
-            private.append(f"{node.value.id}.{node.attr}")
-    assert "lp" in modules
+    # the extremal certifiers reach a norming face by the public path too
+    private = []
+    for name in ("checks", "extremal"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _from_the_package(node):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        private.append(f"{name}: {alias.name}")
+                    # `from . import lp` binds a module of the package
+                    if node.module is None or node.module == "freelip":
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                private.append(f"{name}: {node.value.id}.{node.attr}")
+        assert name != "checks" or "lp" in modules
     assert private == []
 
 
@@ -558,7 +563,10 @@ def test_norms_builds_molecules_only_for_faces_and_the_decomposition_view():
     # a norm certificate keeps the solver's integer flows; the (Molecule,
     # Fraction) decomposition is built only when `primal_witness` is read
     tree = ast.parse((PACKAGE / "norms.py").read_text())
-    assert sorted(set(_builders(tree, "Molecule"))) == ["NormCertificate.primal_witness", "_face"]
+    assert sorted(set(_builders(tree, "Molecule"))) == [
+        "NormCertificate.primal_witness",
+        "norming_face",
+    ]
     probe = "M = Molecule(0, 1)\nclass A:\n    x = e.Molecule(1, 0)\n    def f(self): Molecule(2, 3)"
     assert list(_builders(ast.parse(probe), "Molecule")) == ["<module>", "A", "A.f"]
 

@@ -9,6 +9,7 @@ one-line `error:` message); exit 1 or an uncaught exception is a failure.
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -104,15 +105,14 @@ def test_fuzzed_function_file(value, command):
         _run(lambda path: ["weight", "--space", SPACE, "--element", ELEMENT, "--weight", path], value)
 
 
-@pytest.mark.parametrize(
-    "argv_for",
-    [
-        lambda path: ["positive-extremes", "--space", path],
-        lambda path: ["norm", "--space", SPACE, "--element", path],
-        lambda path: ["extend", "--space", SPACE, "--function", path],
-    ],
-    ids=["space", "element", "function"],
-)
+LOADERS = [
+    lambda path: ["positive-extremes", "--space", path],
+    lambda path: ["norm", "--space", SPACE, "--element", path],
+    lambda path: ["extend", "--space", SPACE, "--function", path],
+]
+
+
+@pytest.mark.parametrize("argv_for", LOADERS, ids=["space", "element", "function"])
 def test_json_nested_past_the_parser_is_an_input_error(argv_for, tmp_path, capsys):
     # 200,000 levels, far past the parser's recursion limit; the strategies
     # above stop at 10 leaves and never come near it
@@ -122,3 +122,15 @@ def test_json_nested_past_the_parser_is_an_input_error(argv_for, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv_for", LOADERS, ids=["space", "element", "function"])
+def test_json_integer_past_the_digit_limit_is_an_input_error(argv_for, tmp_path, capsys):
+    # json.loads raises a plain ValueError for it, whose message names no file
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "big.json"
+    path.write_text('{"coefficients": {"a": ' + "1" * (limit + 1) + "}}")
+    assert main(argv_for(str(path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON integer has more than {limit} digits\n"
