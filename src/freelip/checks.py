@@ -7,10 +7,10 @@ function that returns a CheckResult; a check that yields no case fails.
 The battery doubles as the acceptance suite: the `check-suite` CLI command
 and the acceptance tests both run these functions, at the same default scale.
 
-Independent oracles live here too: the norm as a dense transport LP,
-brute-force vertex enumeration of the positive ball in coefficient
-coordinates, and brute-force extremality of molecules via convex-hull
-membership LPs.  They use nothing but the generic simplex, exact
+Independent oracles live here too: the norm as a dense transport LP on
+the stored integers, brute-force vertex enumeration of the positive ball
+in coefficient coordinates, and brute-force extremality of molecules via
+convex-hull membership LPs.  They use nothing but the generic simplex, exact
 elimination and raw coefficient vectors, so they stay independent of the
 min-cost-flow solver and the segment-based classification routes they are
 checked against.
@@ -24,6 +24,7 @@ import time
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import lp
 from .elements import (
@@ -35,6 +36,7 @@ from .elements import (
     zero,
 )
 from .functions import (
+    PartialFunction,
     distance_to_base,
     intersection_property_check,
     lip_constant,
@@ -138,21 +140,28 @@ def transport_norm_bruteforce(mu: FreeElement) -> tuple[Fraction, tuple]:
     nodes; the net divergence at every non-base node must equal its
     coefficient (the base point absorbs the residual).  Returns the norm and
     the optimal flow as a molecule decomposition whose weights sum to it.
+
+    The LP is stated on integers: the costs are the distances times the
+    unit, s = unit * d of `space.scaled`, and the right-hand sides the
+    coefficients times the denominator, the numerators of `mu.nums`.  That
+    multiplies every flow by `mu.den` and every reduced cost by the unit,
+    so Bland's rule takes the pivots of the Fraction LP, and the value and
+    each weight flow * s are divided once by unit * den.
     """
     space = mu.space
+    unit, lengths = space.scaled
     nodes = sorted(support(mu) | {space.base})
     arcs = [(x, y) for x in nodes for y in nodes if x != y]
-    rows = []
-    for p in nodes:
-        if p == space.base:
-            continue
-        row = [(x == p) - (y == p) for x, y in arcs]
-        rows.append((row, lp.EQ, mu.coeffs.get(p, _ZERO)))
-    sol = lp.minimize([space.d(x, y) for x, y in arcs], rows).require_optimal()
+    # mu.nums holds the non-base nodes in the order of `nodes`
+    rows = [([(x == p) - (y == p) for x, y in arcs], lp.EQ, n) for p, n in mu.nums]
+    sol = lp.minimize([lengths[x][y] for x, y in arcs], rows).require_optimal()
+    scale = unit * mu.den
     decomposition = tuple(
-        (Molecule(x, y), flow * space.d(x, y)) for (x, y), flow in zip(arcs, sol.x) if flow
+        (Molecule(x, y), flow * lengths[x][y] / scale)
+        for (x, y), flow in zip(arcs, sol.x)
+        if flow
     )
-    return sol.value, decomposition
+    return sol.value / scale, decomposition
 
 
 def positive_ball_vertices_bruteforce(space: PointedMetricSpace) -> set:
@@ -413,19 +422,26 @@ def check_intersection(rng: random.Random, samples: int, max_points: int = 8) ->
 def _random_partial(rng: random.Random, space: PointedMetricSpace, domain):
     """Random partial function on `domain`, scaled into the 1-Lipschitz ball.
 
-    Values are drawn in the iteration order of `domain`, so the caller
-    fixes the order of the draws.
+    `domain` holds the base point.  Values are drawn in the iteration order of `domain`, so the caller
+    fixes the order of the draws.  Each is drawn as a sign and the integers
+    a and b of a / b, and the function is built on the numerators over the
+    lcm of the denominators.  A constant L = num / den above 1 divides it,
+    to ints * den over scale * num.
     """
-    values = {
-        p: Fraction(0)
+    drawn = {
+        p: (0, 1)
         if p == space.base
-        else rng.choice((1, -1)) * Fraction(rng.randint(0, 9), rng.randint(1, 3))
+        else (rng.choice((1, -1)) * rng.randint(0, 9), rng.randint(1, 3))
         for p in domain
     }
-    pf = partial_function(space, values)
+    points = tuple(sorted(drawn))
+    scale = lcm(*(b for _, b in drawn.values()))
+    ints = [a * (scale // b) for a, b in map(drawn.get, points)]
+    pf = PartialFunction(space, points, scale, ints)
     L = lip_constant(pf)
     if L > 1:
-        pf = partial_function(space, {p: v / L for p, v in pf.values.items()})
+        ints = [v * L.denominator for v in pf.ints]
+        pf = PartialFunction(space, points, pf.scale * L.numerator, ints)
     return pf
 
 

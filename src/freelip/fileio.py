@@ -25,9 +25,9 @@ from .functions import (
     partial_function,
     weight_function,
 )
-from .metric import PointedMetricSpace, validate_space
+from .metric import PointedMetricSpace, _validated, _square_row
 from .norms import FaceReport, NormCertificate
-from .rationals import as_fraction, format_fraction
+from .rationals import as_fraction, format_fraction, scale_to_integers
 
 SCHEMA_VERSION = "1"
 
@@ -77,7 +77,10 @@ def load_space(path) -> PointedMetricSpace:
 
     Each distinct distance string is parsed once (a matrix repeats few of
     them), and entries are read row by row, so the ParseError names the
-    first malformed one.
+    first malformed one.  The distinct values are then scaled to integers
+    once, by the lcm of their denominators; the rows are checked square,
+    as `validate_space` checks them, and go to the space's checker as
+    integer rows.
     """
     data = _read_json(path)
     try:
@@ -93,22 +96,28 @@ def load_space(path) -> PointedMetricSpace:
         raise ParseError(f"base label {base_label!r} not among the labels", path)
     if not isinstance(matrix, list):
         raise ParseError("dist must be a list of rows", path)
-    parsed: dict[str, Fraction] = {}
+    # an entry string, or the Fraction of an entry of another type, -> its value
+    parsed: dict = {}
 
-    def entry(raw) -> Fraction:
+    def entry(raw):
         if type(raw) is not str:
-            return _parse_rational(raw, path)
-        value = parsed.get(raw)
-        if value is None:
-            value = parsed[raw] = _parse_rational(raw, path)
-        return value
+            # keyed by its value: as a key, a JSON true would find the entry 1
+            raw = _parse_rational(raw, path)
+            parsed[raw] = raw
+        elif raw not in parsed:
+            parsed[raw] = _parse_rational(raw, path)
+        return raw
 
     rows = []
     for row in matrix:
         if not isinstance(row, list):
             raise ParseError("malformed matrix row", path)
         rows.append([entry(v) for v in row])
-    return validate_space(rows, base=labels.index(base_label), labels=labels)
+    unit, ints = scale_to_integers(list(parsed.values()))
+    scaled = dict(zip(parsed, ints))
+    n = len(rows)
+    rows = [[scaled[key] for key in _square_row(i, row, n)] for i, row in enumerate(rows)]
+    return _validated(labels, labels.index(base_label), unit, rows)
 
 
 def space_payload(space: PointedMetricSpace) -> dict:

@@ -6,21 +6,22 @@ bit.  Random spaces are built as shortest-path closures of random positive
 edge weights; the closure process creates plenty of tight triangles, which
 is what makes nontrivial metric segments (and hence non-extreme molecules)
 common in the corpus.
+
+The random elements, functions and weights draw each coefficient as a
+sign and the integers a and b of a / b, and build their integer form
+directly: the numerators over the lcm of the denominators, reduced by
+`elements._reduced` or the function's own gcd.  No Fraction is made, and
+the draws are those of :func:`random_rational`, in the same order.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from .elements import FreeElement, canonicalize
-from .functions import (
-    LipFunction,
-    WeightFunction,
-    lip_constant,
-    lip_function,
-    weight_function,
-)
+from .elements import FreeElement, _reduced
+from .functions import LipFunction, WeightFunction, lip_constant
 from .metric import (
     PointedMetricSpace,
     _validated,
@@ -109,6 +110,18 @@ def _random_support(
     return rng.sample(candidates, rng.randint(min(min_support, cap), cap))
 
 
+def _signed(rng: random.Random, signs: tuple[int, ...]) -> tuple[int, int]:
+    """rng.choice(signs) * random_rational(rng) as (numerator, denominator), by the same draws."""
+    sign = rng.choice(signs)
+    return sign * rng.randint(1, 9), rng.randint(1, 3)
+
+
+def _over_lcm(drawn: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """The lcm of the denominators b of the pairs (a, b), and each a / b times it."""
+    unit = lcm(*(b for _, b in drawn))
+    return unit, [a * (unit // b) for a, b in drawn]
+
+
 def random_positive_element(
     rng: random.Random,
     space: PointedMetricSpace,
@@ -117,7 +130,8 @@ def random_positive_element(
 ) -> FreeElement:
     """Positive element with random support; zero on a one-point space."""
     supp = _random_support(rng, space, max_support, min_support)
-    return canonicalize(space, {p: random_rational(rng) for p in supp})
+    den, nums = _over_lcm([(rng.randint(1, 9), rng.randint(1, 3)) for _ in supp])
+    return _reduced(space, den, sorted(zip(supp, nums)))
 
 
 def random_element(
@@ -125,24 +139,24 @@ def random_element(
 ) -> FreeElement:
     """Signed element with random support; zero on a one-point space."""
     supp = _random_support(rng, space, max_support, 1)
-    return canonicalize(space, {p: rng.choice((1, -1)) * random_rational(rng) for p in supp})
+    den, nums = _over_lcm([_signed(rng, (1, -1)) for _ in supp])
+    return _reduced(space, den, sorted(zip(supp, nums)))
 
 
 def random_lip0(
     rng: random.Random, space: PointedMetricSpace, unit_ball: bool = False
 ) -> LipFunction:
-    """Random function vanishing at the base, optionally scaled into the ball."""
-    values = [
-        Fraction(0)
-        if x == space.base
-        else rng.choice((1, -1, 1)) * random_rational(rng)
-        for x in range(space.n)
-    ]
-    f = lip_function(space, values)
+    """Random function vanishing at the base, optionally scaled into the ball.
+
+    A constant L = num / den above 1 divides the function ints / scale, to
+    ints * den / (scale * num).
+    """
+    drawn = [(0, 1) if x == space.base else _signed(rng, (1, -1, 1)) for x in range(space.n)]
+    f = LipFunction._of(space, *_over_lcm(drawn))
     if unit_ball:
         L = lip_constant(f)
         if L > 1:
-            f = lip_function(space, [v / L for v in f.values])
+            f = LipFunction._of(space, f.scale * L.numerator, [v * L.denominator for v in f.ints])
     return f
 
 
@@ -151,8 +165,5 @@ def random_weight(
 ) -> WeightFunction:
     """Random weight; roughly half the points get weight zero."""
     signs = (1,) if nonneg else (1, -1)
-    values = [
-        rng.choice(signs) * random_rational(rng) if rng.random() < 0.6 else Fraction(0)
-        for _ in range(space.n)
-    ]
-    return weight_function(space, values)
+    drawn = [_signed(rng, signs) if rng.random() < 0.6 else (0, 1) for _ in range(space.n)]
+    return WeightFunction._of(space, *_over_lcm(drawn))

@@ -213,12 +213,16 @@ def validate_space(
     n = len(dist)
     entries: list[Fraction] = []
     for i, row in enumerate(dist):
-        parsed = [as_fraction(v) for v in row]
-        if len(parsed) != n:
-            raise ValueError(f"matrix is not square: row {i} has {len(parsed)} entries, expected {n}")
-        entries += parsed
+        entries += _square_row(i, [as_fraction(v) for v in row], n)
     unit, flat = scale_to_integers(entries)
     return _validated(labels, base, unit, [flat[i * n : (i + 1) * n] for i in range(n)])
+
+
+def _square_row(i: int, row: list, n: int) -> list:
+    """Row i of an n-row matrix, or ValueError if it does not have n entries."""
+    if len(row) != n:
+        raise ValueError(f"matrix is not square: row {i} has {len(row)} entries, expected {n}")
+    return row
 
 
 def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMetricSpace:

@@ -34,6 +34,13 @@ Spaces have references too: the triangle inequality scanned over every
 triple in Fraction arithmetic, the random-space closure over Fractions, and
 the Fraction distance matrices the other builders once validated.
 
+The battery's random draws have their Fraction construction as a
+reference: the same draws made into Fractions and built through
+`canonicalize`, `lip_function`, `weight_function` and `partial_function`,
+where the generators build the integer form directly.  So does its dense
+transport oracle: the same LP stated on the Fraction distances and
+coefficients, where `checks` states it on the stored integers.
+
 The almost-positive witness has its general form as a reference: plateau
 bumps of a radius kept inside the attainment cell by a margin, as in the
 paper, where the library puts point weights.  The bump itself lives here,
@@ -48,7 +55,7 @@ numerators and those numerators times the extension's integers.
 from fractions import Fraction
 
 from freelip import lp
-from freelip.elements import Molecule, support, zero
+from freelip.elements import Molecule, canonicalize, support, zero
 from freelip.errors import EmptyFace, InternalVerificationFailure, NotInUnitBall
 from freelip.extremal import (
     PerturbationWitness,
@@ -60,10 +67,11 @@ from freelip.functions import (
     WeightFunction,
     lip_constant,
     lip_function,
+    partial_function,
     weight_element,
     weight_function,
 )
-from freelip.generators import random_rational
+from freelip.generators import _random_support, random_rational
 from freelip.norms import FaceReport, NormCertificate
 from freelip.rationals import row_echelon
 
@@ -593,6 +601,77 @@ def fraction_line_subset_matrix(rng, n):
     while len(coords) < n:
         coords.add(Fraction(rng.randint(0, 4 * n), rng.randint(1, 3)))
     return fraction_line_matrix(sorted(coords))
+
+
+def fraction_random_positive_element(rng, space, max_support=None, min_support=1):
+    """`generators.random_positive_element` as it was once built, through `canonicalize`."""
+    supp = _random_support(rng, space, max_support, min_support)
+    return canonicalize(space, {p: random_rational(rng) for p in supp})
+
+
+def fraction_random_element(rng, space, max_support=None):
+    """`generators.random_element` as it was once built, through `canonicalize`."""
+    supp = _random_support(rng, space, max_support, 1)
+    return canonicalize(space, {p: rng.choice((1, -1)) * random_rational(rng) for p in supp})
+
+
+def fraction_random_lip0(rng, space, unit_ball=False):
+    """`generators.random_lip0` as it was once built, from Fraction values."""
+    values = [
+        Fraction(0)
+        if x == space.base
+        else rng.choice((1, -1, 1)) * random_rational(rng)
+        for x in range(space.n)
+    ]
+    f = lip_function(space, values)
+    if unit_ball:
+        L = lip_constant(f)
+        if L > 1:
+            f = lip_function(space, [v / L for v in f.values])
+    return f
+
+
+def fraction_random_weight(rng, space, nonneg=False):
+    """`generators.random_weight` as it was once built, from Fraction values."""
+    signs = (1,) if nonneg else (1, -1)
+    values = [
+        rng.choice(signs) * random_rational(rng) if rng.random() < 0.6 else Fraction(0)
+        for _ in range(space.n)
+    ]
+    return weight_function(space, values)
+
+
+def fraction_random_partial(rng, space, domain):
+    """`checks._random_partial` as it was once built, from Fraction values."""
+    values = {
+        p: Fraction(0)
+        if p == space.base
+        else rng.choice((1, -1)) * Fraction(rng.randint(0, 9), rng.randint(1, 3))
+        for p in domain
+    }
+    pf = partial_function(space, values)
+    L = lip_constant(pf)
+    if L > 1:
+        pf = partial_function(space, {p: v / L for p, v in pf.values.items()})
+    return pf
+
+
+def fraction_transport_bruteforce(mu):
+    """`checks.transport_norm_bruteforce` stated on the Fraction views of mu and its space."""
+    space = mu.space
+    nodes = sorted(support(mu) | {space.base})
+    arcs = [(x, y) for x in nodes for y in nodes if x != y]
+    rows = []
+    for p in nodes:
+        if p == space.base:
+            continue
+        row = [(x == p) - (y == p) for x, y in arcs]
+        rows.append((row, lp.EQ, mu.coeffs.get(p, _ZERO)))
+    sol = lp.minimize([space.d(x, y) for x, y in arcs], rows).require_optimal()
+    decomposition = tuple(
+        (Molecule(x, y), flow * space.d(x, y)) for (x, y), flow in zip(arcs, sol.x) if flow
+    )
+    return sol.value, decomposition
 
 
 def fraction_kernel_weights(lam, extension, points):

@@ -30,9 +30,10 @@ literal: the kernel computes on ints alone.  Elements and functions,
 total and partial, store one integer form, so no kernel that reads them
 (the transport solver, its two checks, the norming face, the Lipschitz
 constant, the predual weighting, the McShane minima, the restriction, the
-distance to the base point, the normers, the almost-positive witness and
-the battery's molecule-function check) rescales a Fraction view: none
-calls ``scale_to_integers``, nor a
+distance to the base point, the normers, the almost-positive witness,
+the battery's molecule-function check, its dense transport oracle and its
+five random draws of elements, functions and weights) rescales a Fraction
+view: none calls ``scale_to_integers``, nor a
 constructor that calls it on Fractions (``partial_function``,
 ``lip_function``, ``weight_function``, ``LipFunction`` or
 ``WeightFunction``; ``LipFunction._of`` takes integers).  Spaces store
@@ -471,7 +472,8 @@ KERNELS = {
         "distance_to_base",
     ),
     "extremal": ("almost_positive_witness",),
-    "checks": ("check_molecule_function",),
+    "checks": ("check_molecule_function", "transport_norm_bruteforce", "_random_partial"),
+    "generators": ("random_positive_element", "random_element", "random_lip0", "random_weight"),
 }
 RESCALERS = (
     "scale_to_integers",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from freelip import elements, extremal, functions, lp, norms, rationals
+from freelip import checks, elements, extremal, functions, generators, lp, norms, rationals
 from freelip.checks import transport_norm_bruteforce
 from freelip.elements import FreeElement, Molecule, canonicalize, delta, support, zero
 from freelip.errors import (
@@ -28,9 +28,11 @@ from freelip.generators import (
     random_corpus,
     random_element,
     random_line_subset,
+    random_lip0,
     random_positive_element,
     random_rational,
     random_space,
+    random_weight,
     uniform_space,
 )
 from freelip.metric import PointedMetricSpace, space_from_points, validate_space
@@ -51,6 +53,7 @@ from oracles import (
     fraction_molecule_norming_values,
     fraction_norming_face,
     fraction_rebuild,
+    fraction_transport_bruteforce,
     normers_by_probes,
     pairing_objective,
     tight_distances,
@@ -906,6 +909,28 @@ def test_every_decomposition_rebuilds_the_element_in_fraction_arithmetic(kind):
         assert fraction_rebuild(space, transport_norm_bruteforce(mu)[1]) == mu
 
 
+def test_the_integer_transport_oracle_is_the_fraction_lp():
+    # the same LP with costs times the unit and masses times the denominator:
+    # Bland's rule takes the same pivots, so value and flow come out equal
+    corpus = random_corpus(20240521, 50, 2, 12)
+    for space in corpus:
+        for p, q in space.ordered_pairs():
+            mol = Molecule(p, q).as_element(space)
+            assert transport_norm_bruteforce(mol) == fraction_transport_bruteforce(mol)
+    rng = random.Random(63)
+    split = 0
+    for space in corpus:
+        base_only = canonicalize(space, {space.base: 3})
+        lam = random_positive_element(rng, space)
+        for mu in (random_element(rng, space), zero(space), base_only, delta(space, space.n - 1)):
+            for total in (lam + mu, mu):
+                value, plan = transport_norm_bruteforce(total)
+                assert (value, plan) == fraction_transport_bruteforce(total)
+                split += len(plan) >= 3
+    # flows over three or more arcs, not only molecules
+    assert split > 100
+
+
 def test_norm_certificate_builds_the_decomposition_only_when_read(monkeypatch):
     # the certificate keeps the integer plan it checked: the solve builds
     # the value's Fraction and no Molecule, and the first read of
@@ -988,7 +1013,8 @@ def test_certificates_and_faces_build_no_fraction_elements(monkeypatch):
     # pins the cost shape: a norm certificate checks its plan on integers and
     # builds no element through canonicalize or element arithmetic, and a
     # face and a positive-ball vertex test take their rank without exact
-    # elimination
+    # elimination; the battery's draws build no element through canonicalize
+    # and no function from Fractions, which functions scales to integers
     calls = []
 
     def forbid(owner, name):
@@ -998,12 +1024,13 @@ def test_certificates_and_faces_build_no_fraction_elements(monkeypatch):
 
         monkeypatch.setattr(owner, name, called, raising=False)
 
-    for module in (elements, functions, norms):
+    for module in (elements, functions, norms, generators, checks):
         forbid(module, "canonicalize")
+    forbid(functions, "scale_to_integers")
     forbid(FreeElement, "_binop")
     for module in (rationals, norms, extremal):
         forbid(module, "row_echelon")
-    rng = random.Random(61)
+    rng, draws = random.Random(61), random.Random(64)
     for _ in range(10):
         space = random_space(rng, rng.randint(2, 8))
         mu = random_element(rng, space)
@@ -1012,6 +1039,10 @@ def test_certificates_and_faces_build_no_fraction_elements(monkeypatch):
         cert = norm_certificate(mu)
         norming_face(cert.dual_witness, nominal=cert.primal_witness[0][0])
         norming_face(distance_to_base(space))
+        random_positive_element(draws, space, min_support=2)
+        random_lip0(draws, space, unit_ball=True)
+        random_weight(draws, space, nonneg=draws.random() < 0.5)
+        checks._random_partial(draws, space, space.points())
     monkeypatch.undo()
     # delta(x) goes through canonicalize; only the rank is pinned here
     for module in (rationals, extremal):
