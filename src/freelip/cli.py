@@ -64,7 +64,7 @@ def _pair(space, raw: str) -> tuple[int, int]:
     parts = raw.split(",")
     if len(parts) != 2:
         raise ParseError(f"expected a pair 'P,Q', got {raw!r}")
-    return space.index(parts[0].strip()), space.index(parts[1].strip())
+    return space.pair(parts[0].strip(), parts[1].strip())
 
 
 def _braces(pieces) -> str:

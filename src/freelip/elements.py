@@ -28,7 +28,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DegeneratePair, SpaceMismatch
+from .errors import SpaceMismatch
 from .metric import PointedMetricSpace
 from .rationals import as_fraction, scale_to_integers
 from .records import record
@@ -122,15 +122,12 @@ class Molecule:
     def as_element(self, space: PointedMetricSpace) -> FreeElement:
         """The element (delta(p) - delta(q)) / d(p, q).
 
-        Both endpoints are resolved as :func:`canonicalize` resolves keys,
-        so the same keys are rejected, and equal endpoints raise
-        DegeneratePair, as `segment` does; the two numerators, the distance
-        unit over the integer distance, are then built directly, in point
-        order, without the base point.
+        Both endpoints are resolved by `space.pair`, as a segment's are, so
+        the same keys are rejected, equal endpoints among them; the two
+        numerators, the distance unit over the integer distance, are then
+        built directly, in point order, without the base point.
         """
-        p, q = space.resolve(self.p), space.resolve(self.q)
-        if p == q:
-            raise DegeneratePair(f"molecule endpoints coincide: {p}")
+        p, q = space.pair(self.p, self.q)
         unit, lengths = space.scaled
         nums = ((p, unit), (q, -unit)) if p < q else ((q, -unit), (p, unit))
         return _reduced(space, lengths[p][q], [item for item in nums if item[0] != space.base])

@@ -90,19 +90,18 @@ class PerturbationWitness:
 def classify_molecule(space: PointedMetricSpace, p: int, q: int) -> ExposednessVerdict:
     """Classify the molecule (p, q) as exposed or not extreme.
 
-    The endpoints are resolved as :func:`canonicalize` resolves keys, and
-    the segment decides.  The exposed branch checks that the canonical
-    norming function has a singleton norming face equal to the molecule
-    itself.  Otherwise, with x the interior segment point first by label,
-    a = m(p, x), b = m(x, q) and t = d(p, x) / d(p, q), the molecule is
-    t a + (1 - t) b, and the halves m(p, q) +- min(t, 1 - t) (a - b)
-    average back to it by construction; that they differ and both have
-    norm one is checked.
+    The endpoints are resolved by `space.pair`, and the segment decides.
+    The exposed branch checks that the canonical norming function has a
+    singleton norming face equal to the molecule itself.  Otherwise, with
+    x the interior segment point first by label, a = m(p, x), b = m(x, q)
+    and t = d(p, x) / d(p, q), the molecule is t a + (1 - t) b, and the
+    halves m(p, q) +- min(t, 1 - t) (a - b) average back to it by
+    construction; that they differ and both have norm one is checked.
     """
-    p, q = space.resolve(p), space.resolve(q)
+    p, q = space.pair(p, q)
     mol = Molecule(p, q)
-    # the face reads the tight pairs of the scan that certified the function
-    # (and rejected p == q), so no second pass
+    # the face reads the tight pairs of the scan that certified the function,
+    # so no second pass
     face = norming_face(molecule_norming_function(space, p, q), mol)
     seg = space.segment(p, q)
     halves = None

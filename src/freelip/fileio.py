@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -25,9 +26,9 @@ from .functions import (
     partial_function,
     weight_function,
 )
-from .metric import PointedMetricSpace, _validated, _square_row
+from .metric import PointedMetricSpace, _integer_rows, _validated
 from .norms import FaceReport, NormCertificate
-from .rationals import as_fraction, format_fraction, scale_to_integers
+from .rationals import as_fraction, format_fraction
 
 SCHEMA_VERSION = "1"
 
@@ -75,12 +76,11 @@ def _parse_rational(raw, path) -> Fraction:
 def load_space(path) -> PointedMetricSpace:
     """Read and validate a space file: labels, base label, distance matrix.
 
-    Each distinct distance string is parsed once (a matrix repeats few of
-    them), and entries are read row by row, so the ParseError names the
-    first malformed one.  The distinct values are then scaled to integers
-    once, by the lcm of their denominators; the rows are checked square,
-    as `validate_space` checks them, and go to the space's checker as
-    integer rows.
+    The matrix goes through `metric`'s one matrix reader, as a
+    `validate_space` argument does, with entries parsed by
+    :func:`_parse_rational`, so a ParseError names the first malformed
+    entry, and a row that is not a list is a ParseError too.  The integer
+    rows go to the space's checker.
     """
     data = _read_json(path)
     try:
@@ -96,27 +96,10 @@ def load_space(path) -> PointedMetricSpace:
         raise ParseError(f"base label {base_label!r} not among the labels", path)
     if not isinstance(matrix, list):
         raise ParseError("dist must be a list of rows", path)
-    # an entry string, or the Fraction of an entry of another type, -> its value
-    parsed: dict = {}
-
-    def entry(raw):
-        if type(raw) is not str:
-            # keyed by its value: as a key, a JSON true would find the entry 1
-            raw = _parse_rational(raw, path)
-            parsed[raw] = raw
-        elif raw not in parsed:
-            parsed[raw] = _parse_rational(raw, path)
-        return raw
-
-    rows = []
-    for row in matrix:
-        if not isinstance(row, list):
-            raise ParseError("malformed matrix row", path)
-        rows.append([entry(v) for v in row])
-    unit, ints = scale_to_integers(list(parsed.values()))
-    scaled = dict(zip(parsed, ints))
-    n = len(rows)
-    rows = [[scaled[key] for key in _square_row(i, row, n)] for i, row in enumerate(rows)]
+    try:
+        unit, rows = _integer_rows(matrix, partial(_parse_rational, path=path))
+    except TypeError as exc:
+        raise ParseError(str(exc), path) from exc
     return _validated(labels, labels.index(base_label), unit, rows)
 
 

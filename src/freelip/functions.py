@@ -22,11 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Mapping, Sequence
 
 from .elements import FreeElement, _by_point, _reduced, _same_space
 from .errors import (
-    DegeneratePair,
     EmptyFamily,
     InternalVerificationFailure,
     NotOneLipschitzOnDomain,
@@ -52,8 +52,17 @@ class _Function:
     ints: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """The function ints / scale on `domain`, for a positive scale, reduced by one gcd."""
+        """The function ints / scale on `domain`, reduced by one gcd, or ValueError.
+
+        The form is checked where every function is built: a positive
+        scale and one value per domain point, then the class's `_check`.
+        A total function's domain is range(n), so its length check is O(1).
+        """
         scale, ints = self.scale, self.ints
+        if scale <= 0:
+            raise ValueError(f"the scale must be positive, got {scale}")
+        if len(ints) != len(self.domain):
+            raise ValueError(f"expected {len(self.domain)} values, got {len(ints)}")
         g = gcd(scale, *ints)
         if g != 1:
             object.__setattr__(self, "scale", scale // g)
@@ -126,8 +135,19 @@ class WeightFunction(_TotalFunction):
 class PartialFunction(_Function):
     """Function on a sorted `domain` that holds the base point once.
 
-    Build it with :func:`partial_function` or :func:`restrict`.
+    Build it with :func:`partial_function` or :func:`restrict`, or from
+    integers, on a strictly increasing tuple of points holding the base
+    with value 0: each function then has one form.
     """
+
+    def _check(self) -> None:
+        domain, points = self.domain, range(self.space.n)
+        increasing = isinstance(domain, tuple) and all(map(lt, domain, domain[1:]))
+        if not (increasing and all(p in points for p in domain)):
+            raise ValueError(f"the domain must be a tuple of increasing points, got {domain!r}")
+        base = self.space.base
+        if base not in domain or self.ints[domain.index(base)] != 0:
+            raise ValueError("a partial Lip_0 function must vanish at the base point")
 
     @property
     def values(self) -> dict[int, Fraction]:
@@ -178,17 +198,13 @@ def _total_values(space: PointedMetricSpace, values) -> tuple[Fraction, ...]:
         for key, v in values.items():
             out[space.resolve(key)] = as_fraction(v)
         return tuple(out)
-    out = [as_fraction(v) for v in values]
-    if len(out) != space.n:
-        raise ValueError(f"expected {space.n} values, got {len(out)}")
-    return tuple(out)
+    return tuple(as_fraction(v) for v in values)
 
 
 def partial_function(space: PointedMetricSpace, values: Mapping) -> PartialFunction:
     """Build a PartialFunction; the base point joins the domain with value 0."""
     acc = {space.resolve(key): as_fraction(v) for key, v in values.items()}
-    if acc.setdefault(space.base, Fraction(0)) != 0:
-        raise ValueError("a partial Lip_0 function must vanish at the base point")
+    acc.setdefault(space.base, Fraction(0))
     domain = tuple(sorted(acc))
     return PartialFunction(space, domain, *scale_to_integers([acc[p] for p in domain]))
 
@@ -275,12 +291,9 @@ def molecule_norming_function(space: PointedMetricSpace, p: int, q: int) -> LipF
     tight pairs as its `_tight`, so its norming face takes no second scan;
     tightness does not depend on the integer scale, so they are the pairs
     of the reduced function too.  Fractions appear only in the returned
-    function's view.  The endpoints are resolved as :func:`canonicalize`
-    resolves keys.
+    function's view.  The endpoints are resolved by `space.pair`.
     """
-    p, q = space.resolve(p), space.resolve(q)
-    if p == q:
-        raise DegeneratePair(f"molecule endpoints coincide: {p}")
+    p, q = space.pair(p, q)
     unit, lengths = space.scaled
     dpq = lengths[p][q]
     sums = [row[q] + row[p] for row in lengths]

@@ -8,6 +8,10 @@ reads; the Fraction matrix is a view built on first read.  Two integer
 kernels on such rows serve every layer: `min_plus`, the McShane minimum,
 and `steep_pair`, the 1-Lipschitz test the triangle check runs on each row.
 
+Each outside input has one reader: `_integer_rows` reads every matrix of
+rational entries, a `validate_space` argument or a space file's, and
+`PointedMetricSpace.pair` resolves every pair of endpoints.
+
 Every space is built on integer rows and checked by one function,
 `_validated`.  Its triangle check compares whole rows at once, on fields
 packed into one big integer (Lamport, "Multiple byte processing with
@@ -102,6 +106,13 @@ class PointedMetricSpace:
             return key
         return self.index(key)
 
+    def pair(self, p, q) -> tuple[int, int]:
+        """Two endpoints, resolved as :meth:`resolve` does; equal ones raise DegeneratePair."""
+        p, q = self.resolve(p), self.resolve(q)
+        if p == q:
+            raise DegeneratePair(f"endpoints coincide: {self.labels[p]!r}")
+        return p, q
+
     def ordered_pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs of distinct point indices."""
         return [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
@@ -119,7 +130,7 @@ class PointedMetricSpace:
         d(p,x) + d(x,q) <= d(p,q) / (1 - epsilon); epsilon = 0 gives the
         exact segment.  Values epsilon >= 1 are rejected rather than
         interpreted (the membership bound would be meaningless).  The
-        endpoints are resolved as :meth:`resolve` resolves keys.
+        endpoints are resolved by :meth:`pair`.
 
         Membership is decided on the integer rows s of `scaled`: with
         d = s / unit and epsilon = num / den, multiplying the bound by the
@@ -127,9 +138,7 @@ class PointedMetricSpace:
         (s[p][x] + s[x][q]) * (den - num) <= s[p][q] * den, with no
         division.
         """
-        p, q = self.resolve(p), self.resolve(q)
-        if p == q:
-            raise DegeneratePair(f"segment endpoints coincide: {p}")
+        p, q = self.pair(p, q)
         eps = as_fraction(epsilon)
         if eps < 0 or eps >= 1:
             raise EpsilonOutOfRange(f"epsilon must satisfy 0 <= eps < 1, got {eps}")
@@ -200,29 +209,47 @@ def validate_space(
 ) -> PointedMetricSpace:
     """Validate a candidate distance matrix and build a space.
 
-    Checks, in order: shape and rational entries, base index, label
-    distinctness, symmetry, separation (zero distance iff equal points) and
-    the triangle inequality.  The first violated axiom is reported with the
-    witnessing pair or triple.
-
-    The entries are scaled to integers once, by the lcm of their
-    denominators, and the metric axioms are checked on those rows: scaling
-    by the positive unit keeps every equality and strict inequality, so the
-    verdicts are those over the Fractions.
+    Checks, in order: shape and rational entries (:func:`_integer_rows`),
+    base index, label distinctness, symmetry, separation (zero distance iff
+    equal points) and the triangle inequality.  The first violated axiom is
+    reported with the witnessing pair or triple.
     """
-    n = len(dist)
-    entries: list[Fraction] = []
-    for i, row in enumerate(dist):
-        entries += _square_row(i, [as_fraction(v) for v in row], n)
-    unit, flat = scale_to_integers(entries)
-    return _validated(labels, base, unit, [flat[i * n : (i + 1) * n] for i in range(n)])
+    return _validated(labels, base, *_integer_rows(dist, as_fraction))
 
 
-def _square_row(i: int, row: list, n: int) -> list:
-    """Row i of an n-row matrix, or ValueError if it does not have n entries."""
-    if len(row) != n:
-        raise ValueError(f"matrix is not square: row {i} has {len(row)} entries, expected {n}")
-    return row
+def _integer_rows(dist, parse) -> tuple[int, list[list[int]]]:
+    """The unit and integer rows of a matrix of rationals, each distinct entry parsed once.
+
+    Rows are read in order, so the first bad entry is the one `parse`
+    reports.  A string is keyed by itself, any other entry by its parsed
+    (numerator, denominator): a bool would find the key 1, and a Fraction
+    key compares Fractions.  A row that is not a list or tuple is a
+    TypeError; then a row without n entries is a ValueError.  The distinct
+    values are scaled once, by the lcm of their denominators, which keeps
+    every equality and strict inequality of the metric axioms.
+    """
+    parsed: dict = {}
+    keyed = []
+    for row in dist:
+        if not isinstance(row, (list, tuple)):
+            raise TypeError("malformed matrix row")
+        keys = []
+        for raw in row:
+            if type(raw) is not str:
+                value = parse(raw)
+                raw = (value.numerator, value.denominator)
+                parsed[raw] = value
+            elif raw not in parsed:
+                parsed[raw] = parse(raw)
+            keys.append(raw)
+        keyed.append(keys)
+    n = len(keyed)
+    for i, keys in enumerate(keyed):
+        if len(keys) != n:
+            raise ValueError(f"matrix is not square: row {i} has {len(keys)} entries, expected {n}")
+    unit, ints = scale_to_integers(list(parsed.values()))
+    scaled = dict(zip(parsed, ints))
+    return unit, [[scaled[key] for key in keys] for keys in keyed]
 
 
 def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMetricSpace:
@@ -239,8 +266,11 @@ def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMe
     so :func:`steep_pair` of row i reports the first triple in (i, j, k)
     order, as a scan of all triples would.  A negative entry d(i,j) makes
     (i, j, i) a violation.  The rows and unit are then divided by their gcd.
+    The base is an index, an int but not a bool, as :meth:`resolve` reads one.
     """
     n = len(rows)
+    if not isinstance(base, int) or isinstance(base, bool):
+        raise TypeError(f"expected an int base index, got {type(base).__name__}")
     if not (0 <= base < n):
         raise BadBaseIndex(base, n)
     labels = tuple(str(x) for x in (range(n) if labels is None else labels))

@@ -15,6 +15,9 @@ from freelip.errors import (
     UnknownLabel,
 )
 from freelip.functions import (
+    LipFunction,
+    PartialFunction,
+    WeightFunction,
     _tight_pairs,
     distance_to_base,
     lip_constant,
@@ -63,6 +66,31 @@ def test_lip_function_requires_zero_at_base(line3):
 def test_a_value_sequence_must_cover_the_space(line3, build):
     with pytest.raises(ValueError, match="expected 3 values, got 2"):
         build(line3, [0, 1])
+
+
+# integer forms that the public constructors reject on line3, with the message
+MALFORMED_FORMS = {
+    "negative-scale": (lambda s: PartialFunction(s, (0, 1), -1, [0, 1]), "scale must be positive"),
+    "zero-scale": (lambda s: LipFunction._of(s, 0, [0, 1, 2]), "scale must be positive"),
+    "unsorted-domain": (lambda s: PartialFunction(s, (0, 2, 1), 1, [0, 2, 1]), "increasing points"),
+    "repeated-point": (lambda s: PartialFunction(s, (0, 1, 1), 1, [0, 1, 1]), "increasing points"),
+    "point-outside": (lambda s: PartialFunction(s, (0, 3), 1, [0, 1]), "increasing points"),
+    "list-domain": (lambda s: PartialFunction(s, [0, 1], 1, [0, 1]), "a tuple of increasing"),
+    "no-base": (lambda s: PartialFunction(s, (1, 2), 1, [1, 2]), "must vanish at the base"),
+    "base-value": (lambda s: PartialFunction(s, (0, 1), 1, [1, 2]), "must vanish at the base"),
+    "partial-length": (lambda s: PartialFunction(s, (0, 1), 1, [0, 1, 2]), "expected 2 values"),
+    "total-length": (lambda s: LipFunction(s, [0, 1]), "expected 3 values, got 2"),
+    "total-length-ints": (lambda s: WeightFunction._of(s, 1, [0, 1]), "expected 3 values, got 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FORMS))
+def test_a_malformed_integer_form_is_rejected_where_it_is_built(line3, name):
+    # a malformed form that built would compare unequal to its well-formed
+    # twin, or fail later, in `mcshane_extend` or `lip_constant`
+    build, message = MALFORMED_FORMS[name]
+    with pytest.raises(ValueError, match=message):
+        build(line3)
 
 
 def test_functions_and_elements_over_different_spaces_never_mix(line3, line4):

@@ -9,9 +9,9 @@ import pytest
 from freelip import checks, cli, fileio
 from freelip.cli import main
 from freelip.elements import canonicalize
-from freelip.errors import InternalVerificationFailure, ParseError
+from freelip.errors import FreeLipError, InternalVerificationFailure, ParseError
 from freelip.functions import lip_function, partial_function, weight_function
-from freelip.metric import PointedMetricSpace
+from freelip.metric import PointedMetricSpace, validate_space
 from freelip.rationals import as_fraction, format_fraction
 
 
@@ -123,6 +123,74 @@ def test_space_loader_parses_repeated_strings_to_the_same_values(tmp_path):
     space = fileio.load_space(path)
     assert space.dist == tuple(tuple(as_fraction(v) for v in row) for row in dist)
     assert all(type(v) is Fraction for row in space.dist for v in row)
+
+
+# matrices for both readers; a file holds a Fraction entry as its string
+READER_CORPUS = {
+    "repeated-strings": [["0", "1/3", "2/3"], ["1/3", "0", "1/3"], ["2/3", "1/3", "0"]],
+    "ints": [[0, 2, 3], [2, 0, 1], [3, 1, 0]],
+    "fractions": [[0, Fraction(1, 2), 1], [Fraction(2, 4), 0, Fraction(1, 2)], [1, "1/2", 0]],
+    "mixed": [["0", 1, "1.5"], [1, 0, Fraction(5, 2)], [Fraction(3, 2), "5/2", "0"]],
+    "one-point": [["0"]],
+    "asymmetric": [[0, 1, 2], [1, 0, 1], [3, 1, 0]],
+    "triangle": [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]],
+    "bool": [["0", 1, "1"], [1, "0", True], ["1", "1", "0"]],
+    "float": [["0", 1, "1"], [1, "0", 0.5], ["1", "0.5", "0"]],
+    "list": [["0", "2", "1"], ["2", "0", ["1"]], ["1", "1", "0"]],
+    "zero-denominator": [["0", "1/0", "1"], ["1/0", "0", "1"], ["1", "1", "0"]],
+    "short-row": [["0", "1", "1"], ["1", "0"], ["1", "1", "0"]],
+    "short-row-then-bad-entry": [["0", "1", "1"], ["1", "0"], ["x", "1", "0"]],
+    "string-row": [["0", "1", "1"], "1 0 1", ["1", "1", "0"]],
+    "string-rows": ["01", "10"],
+}
+# the loader reports these as a ParseError naming its file; a bad entry
+# after a short row too, as every entry is read before the row lengths
+PARSE_FAILURES = {
+    "bool",
+    "float",
+    "list",
+    "zero-denominator",
+    "short-row-then-bad-entry",
+    "string-row",
+    "string-rows",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_CORPUS))
+def test_the_loader_reads_a_matrix_as_validate_space_does(tmp_path, name):
+    # one matrix reader: equal spaces, or the same error, prefixed by the
+    # loader's file where it is a ParseError
+    matrix = READER_CORPUS[name]
+    labels = [chr(ord("a") + i) for i in range(len(matrix))]
+    written = [
+        [format_fraction(v) if isinstance(v, Fraction) else v for v in row]
+        if isinstance(row, list)
+        else row
+        for row in matrix
+    ]
+    path = _write(tmp_path, "space.json", {"labels": labels, "base": "a", "dist": written})
+    try:
+        expected = validate_space(matrix, labels=labels)
+    except (FreeLipError, ValueError, TypeError) as exc:
+        with pytest.raises((FreeLipError, ValueError)) as got:
+            fileio.load_space(path)
+        assert isinstance(got.value, ParseError) == (name in PARSE_FAILURES)
+        if name in PARSE_FAILURES:
+            assert isinstance(exc, (ValueError, TypeError))
+            assert str(got.value) == f"{path}: {exc}"
+        else:
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert name not in PARSE_FAILURES
+        assert fileio.load_space(path) == expected
+
+
+@pytest.mark.parametrize("command", ["fpq", "segment", "classify-molecule"])
+def test_a_pair_of_one_point_is_named_by_its_label(tmp_path, capsys, command):
+    dist = [[abs(i - j) for j in range(3)] for i in range(3)]
+    path = _write(tmp_path, "space.json", {"labels": list("abc"), "base": "a", "dist": dist})
+    assert main([command, "--space", path, "--pair", "b, b"]) == 2
+    assert capsys.readouterr().err == "error: endpoints coincide: 'b'\n"
 
 
 def test_element_round_trip(tmp_path, line3_file):

@@ -50,7 +50,10 @@ column minima inline.  Every exported
 function with a point parameter (``p``, ``q``, ``K``, ``S`` or ``Ks``), and
 the space's ``segment`` and ``radius``, resolves its points as
 ``PointedMetricSpace.resolve`` does: a label is its index, and -1 or n is an
-``UnknownLabel``.
+``UnknownLabel``.  Each outside input has one reader in ``metric``:
+``DegeneratePair`` is raised only by ``PointedMetricSpace.pair``, and
+``fileio`` scales no entries itself, as ``metric._integer_rows`` reads
+every matrix.
 """
 
 import ast
@@ -677,6 +680,25 @@ def test_every_error_class_is_raised_or_a_base_of_one_that_is():
                 live.add(base)
                 frontier.append(base)
     assert sorted(set(bases) - live) == []
+
+
+def test_one_method_checks_an_endpoint_pair():
+    # segments, molecules, their functions, their verdicts and the CLI take
+    # their pairs from `PointedMetricSpace.pair`
+    sites = [
+        f"{path.stem}.{where}"
+        for path in MODULES
+        for where, node in _definitions(ast.parse(path.read_text()))
+        for name in _raised(node)
+        if name == "DegeneratePair"
+    ]
+    assert sites == ["metric.PointedMetricSpace.pair"]
+
+
+def test_the_loader_reads_its_matrix_through_metric():
+    # `metric._integer_rows` parses and scales the entries of every matrix
+    tree = ast.parse((PACKAGE / "fileio.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if _named(node, "scale_to_integers")] == []
 
 
 def test_every_exported_name_resolves():

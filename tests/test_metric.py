@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freelip import generators
+from freelip.elements import Molecule
 from freelip.errors import (
     AsymmetricDistance,
     BadBaseIndex,
@@ -16,7 +17,9 @@ from freelip.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
+from freelip.extremal import classify_molecule, normers_support_check
 from freelip.fileio import load_space, machine_dumps, space_payload
+from freelip.functions import molecule_norming_function
 from freelip.generators import random_line_subset, random_rational, random_space, uniform_space
 from freelip.metric import line_space, min_plus, space_from_points, steep_pair, validate_space
 from oracles import (
@@ -69,6 +72,14 @@ def test_bad_base_index():
         validate_space([[0, 1], [1, 0]], base=5)
 
 
+@pytest.mark.parametrize("base, kind", [(0.0, "float"), (True, "bool"), ("0", "str")])
+def test_a_base_that_is_not_an_int_is_a_type_error(base, kind):
+    # the base is an index, as `resolve` reads one; `labels[space.base]`
+    # and every integer row take an int
+    with pytest.raises(TypeError, match=f"^expected an int base index, got {kind}$"):
+        validate_space([[0, 1], [1, 0]], base=base)
+
+
 def test_negative_distance_is_a_triangle_violation():
     with pytest.raises(TriangleViolation):
         validate_space([[0, -1], [-1, 0]])
@@ -101,6 +112,23 @@ def test_segment_errors(line3):
         line3.segment(0, 1, 1)
     with pytest.raises(EpsilonOutOfRange):
         line3.segment(0, 1, Fraction(-1, 2))
+
+
+# every entry point taking an endpoint pair, called with `b` as a label and an index
+PAIR_TAKERS = {
+    "segment": lambda s: s.segment("b", 1),
+    "Molecule.as_element": lambda s: Molecule(1, "b").as_element(s),
+    "molecule_norming_function": lambda s: molecule_norming_function(s, "b", 1),
+    "classify_molecule": lambda s: classify_molecule(s, 1, "b"),
+    "normers_support_check": lambda s: normers_support_check(s, "b", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_TAKERS))
+def test_a_pair_of_one_point_is_named_by_its_label(name):
+    space = validate_space([[abs(i - j) for j in range(3)] for i in range(3)], labels="abc")
+    with pytest.raises(DegeneratePair, match="^endpoints coincide: 'b'$"):
+        PAIR_TAKERS[name](space)
 
 
 @given(coords=st.lists(st.integers(0, 30), min_size=2, max_size=6, unique=True))

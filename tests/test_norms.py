@@ -341,7 +341,7 @@ def test_flow_solver_matches_the_dense_simplex_and_networkx(kind):
 
 
 def _assert_raw_plan_is_optimal(nx, mu):
-    """The kernel's own output, before `_solve` or `_certified` check it.
+    """The kernel's own output, before `_check_rebuild` and `_certified` check it.
 
     The sink duals, extended to the sources by their minimum, are tight on
     every flow arc and pair with the supplies to the plan cost, which is

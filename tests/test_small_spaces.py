@@ -1,0 +1,61 @@
+"""Every small space, checked exhaustively against the oracles.
+
+The small-scope hypothesis (Jackson, *Software Abstractions*, 2006): most
+bugs show on some small input, and checking every small input reaches
+every pattern of ties, which is where segments and faces turn.  The scope
+is every symmetric matrix on 2 to 4 points with off-diagonal entries in
+1..3 that is a metric, one per class under the relabellings that fix the
+base point 0.
+"""
+
+from itertools import permutations, product
+
+import pytest
+
+from freelip import checks
+from freelip.errors import TriangleViolation
+from freelip.extremal import EXPOSED, classify_molecule
+from freelip.functions import molecule_norming_function
+from freelip.metric import validate_space
+from oracles import fraction_norming_face
+
+ENTRIES = (1, 2, 3)
+CLASSES = {2: 3, 3: 16, 4: 113}
+
+
+def _canonical(rows):
+    """The least relabelling of `rows` that keeps point 0 in place."""
+    n = len(rows)
+    return min(
+        tuple(tuple(rows[i][j] for j in order) for i in order)
+        for order in ((0, *rest) for rest in permutations(range(1, n)))
+    )
+
+
+def small_spaces(n):
+    """One space per class of metrics on n points with entries in ENTRIES."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    classes = set()
+    for values in product(ENTRIES, repeat=len(pairs)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(pairs, values):
+            rows[i][j] = rows[j][i] = v
+        try:
+            validate_space(rows)
+        except TriangleViolation:
+            continue
+        classes.add(_canonical(rows))
+    return [validate_space(rows) for rows in sorted(classes)]
+
+
+@pytest.mark.parametrize("n", sorted(CLASSES))
+def test_every_small_molecule_is_classified_as_the_oracles_say(n):
+    spaces = small_spaces(n)
+    assert len(spaces) == CLASSES[n]
+    for space in spaces:
+        extreme = checks.extreme_molecules_bruteforce(checks.molecule_vectors(space))
+        for p, q in space.ordered_pairs():
+            verdict = classify_molecule(space, p, q)
+            assert (verdict.verdict == EXPOSED) == ((p, q) in extreme), (space, p, q)
+            reference = fraction_norming_face(molecule_norming_function(space, p, q))
+            assert verdict.face.face_dimension == reference.face_dimension, (space, p, q)
