@@ -171,9 +171,9 @@ def canonicalize(space: PointedMetricSpace, raw: Mapping) -> FreeElement:
     """
     acc: dict[int, Fraction] = {}
     for key, value in raw.items():
-        idx = space.resolve(key)
-        acc[idx] = acc.get(idx, 0) + as_fraction(value)
-    kept = sorted((p, a) for p, a in acc.items() if a != 0 and p != space.base)
+        idx, value = space.resolve(key), as_fraction(value)
+        acc[idx] = acc[idx] + value if idx in acc else value
+    kept = sorted((p, a) for p, a in acc.items() if a and p != space.base)
     # the lcm of reduced denominators shares no factor with every numerator
     den, nums = scale_to_integers([a for _, a in kept])
     return FreeElement(space, den, tuple((p, n) for (p, _), n in zip(kept, nums)))

@@ -79,8 +79,9 @@ def load_space(path) -> PointedMetricSpace:
     The matrix goes through `metric`'s one matrix reader, as a
     `validate_space` argument does, with entries parsed by
     :func:`_parse_rational`, so a ParseError names the first malformed
-    entry, and a row that is not a list is a ParseError too.  The integer
-    rows go to the space's checker.
+    entry; a row that is not a list, a matrix that is not square and a
+    label count that is not its size are ParseErrors too.  The integer
+    rows go to the space's checker; its metric-axiom errors keep their type.
     """
     data = _read_json(path)
     try:
@@ -98,9 +99,9 @@ def load_space(path) -> PointedMetricSpace:
         raise ParseError("dist must be a list of rows", path)
     try:
         unit, rows = _integer_rows(matrix, partial(_parse_rational, path=path))
-    except TypeError as exc:
+        return _validated(labels, labels.index(base_label), unit, rows)
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc), path) from exc
-    return _validated(labels, labels.index(base_label), unit, rows)
 
 
 def space_payload(space: PointedMetricSpace) -> dict:

@@ -7,11 +7,12 @@ edge weights; the closure process creates plenty of tight triangles, which
 is what makes nontrivial metric segments (and hence non-extreme molecules)
 common in the corpus.
 
-The random elements, functions and weights draw each coefficient as a
-sign and the integers a and b of a / b, and build their integer form
-directly: the numerators over the lcm of the denominators, reduced by
-`elements._reduced` or the function's own gcd.  No Fraction is made, and
-the draws are those of :func:`random_rational`, in the same order.
+The random spaces, elements, functions and weights draw each value as
+the integers a and b of a / b (and a sign, for a coefficient), and build
+their integer form directly: the numerators over the lcm of the
+denominators, reduced by `metric._validated`, `elements._reduced` or the
+function's own gcd.  No Fraction is made, and the draws are those of
+:func:`random_rational`, in the same order.
 """
 
 from __future__ import annotations
@@ -22,14 +23,8 @@ from math import lcm
 
 from .elements import FreeElement, _reduced
 from .functions import LipFunction, WeightFunction, lip_constant
-from .metric import (
-    PointedMetricSpace,
-    _validated,
-    floyd_warshall,
-    line_space,
-    space_from_points,
-)
-from .rationals import as_fraction, scale_to_integers
+from .metric import PointedMetricSpace, _validated, floyd_warshall, line_space
+from .rationals import as_fraction
 
 
 def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 3) -> Fraction:
@@ -39,14 +34,14 @@ def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 3) -> F
 def random_space(rng: random.Random, n: int) -> PointedMetricSpace:
     """Random n-point space: metric closure of random positive weights.
 
-    The closure (:func:`metric.floyd_warshall`) runs on the weights scaled
-    to integers by the lcm of their denominators, so its rows are the closure
-    over Fractions times that unit; they go to the space's checker as is.
+    Each weight a / b is drawn as the integers a and b, by the draws of
+    :func:`random_rational`, and the closure (:func:`metric.floyd_warshall`)
+    runs on the weights taken over the lcm of the drawn denominators, so its
+    rows are the closure over Fractions times that unit; they go to the
+    space's checker as is, which divides out any common factor.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    unit, drawn = scale_to_integers(
-        [random_rational(rng, max_num=12, max_den=3) for _ in pairs]
-    )
+    unit, drawn = _over_lcm([(rng.randint(1, 12), rng.randint(1, 3)) for _ in pairs])
     w = [[0] * n for _ in range(n)]
     for (i, j), v in zip(pairs, drawn):
         w[i][j] = w[j][i] = v
@@ -58,12 +53,14 @@ def random_line_subset(rng: random.Random, n: int) -> PointedMetricSpace:
     """n distinct rationals on the line; segments are usually nontrivial.
 
     A coordinate a/b with b in 1..3 is drawn as the integer 6a/b, in sixths,
-    so the draw compares no Fractions.
+    so the draw compares no Fractions, and the distances |a - b| of the
+    sixths go to the space's checker over the unit 6.
     """
     sixths: set[int] = set()
     while len(sixths) < n:
         sixths.add(rng.randint(0, 4 * n) * 6 // rng.randint(1, 3))
-    return space_from_points([Fraction(v, 6) for v in sorted(sixths)])
+    coords = sorted(sixths)
+    return _validated(None, 0, 6, [[abs(a - b) for b in coords] for a in coords])
 
 
 def uniform_space(n: int, c=Fraction(1)) -> PointedMetricSpace:

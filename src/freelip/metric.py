@@ -221,35 +221,37 @@ def _integer_rows(dist, parse) -> tuple[int, list[list[int]]]:
     """The unit and integer rows of a matrix of rationals, each distinct entry parsed once.
 
     Rows are read in order, so the first bad entry is the one `parse`
-    reports.  A string is keyed by itself, any other entry by its parsed
-    (numerator, denominator): a bool would find the key 1, and a Fraction
-    key compares Fractions.  A row that is not a list or tuple is a
-    TypeError; then a row without n entries is a ValueError.  The distinct
-    values are scaled once, by the lcm of their denominators, which keeps
-    every equality and strict inequality of the metric axioms.
+    reports.  A string or an int (not a bool) is keyed by itself, any other
+    entry by its parsed (numerator, denominator): a bool would find the key
+    1, and a Fraction key compares Fractions.  Each entry is read as the
+    index of its key's distinct value.  A row that is not a list or tuple
+    is a TypeError; then a row without n entries is a ValueError.  The
+    distinct values are scaled once, by the lcm of their denominators,
+    which keeps every equality and strict inequality of the metric axioms.
     """
-    parsed: dict = {}
-    keyed = []
+    index, values, indexed = {}, [], []
     for row in dist:
         if not isinstance(row, (list, tuple)):
             raise TypeError("malformed matrix row")
-        keys = []
+        at = []
         for raw in row:
-            if type(raw) is not str:
+            if type(raw) is str or type(raw) is int:
+                key = raw
+            else:
                 value = parse(raw)
-                raw = (value.numerator, value.denominator)
-                parsed[raw] = value
-            elif raw not in parsed:
-                parsed[raw] = parse(raw)
-            keys.append(raw)
-        keyed.append(keys)
-    n = len(keyed)
-    for i, keys in enumerate(keyed):
-        if len(keys) != n:
-            raise ValueError(f"matrix is not square: row {i} has {len(keys)} entries, expected {n}")
-    unit, ints = scale_to_integers(list(parsed.values()))
-    scaled = dict(zip(parsed, ints))
-    return unit, [[scaled[key] for key in keys] for keys in keyed]
+                key = (value.numerator, value.denominator)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(values)
+                values.append(parse(raw) if key is raw else value)
+            at.append(i)
+        indexed.append(at)
+    n = len(indexed)
+    for i, at in enumerate(indexed):
+        if len(at) != n:
+            raise ValueError(f"matrix is not square: row {i} has {len(at)} entries, expected {n}")
+    unit, ints = scale_to_integers(values)
+    return unit, [list(map(ints.__getitem__, at)) for at in indexed]
 
 
 def _validated(labels, base: int, unit: int, rows: list[list[int]]) -> PointedMetricSpace:

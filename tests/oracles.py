@@ -28,7 +28,9 @@ unordered pair.
 
 Elements have a reference too: coefficients summed over Fractions,
 sorted, without zeros or the base point, where `elements` keeps one
-integer numerator per point over one denominator.
+integer numerator per point over one denominator.  So does
+`canonicalize`: its earlier body, which adds every value to a running
+sum that starts at 0.
 
 Spaces have references too: the triangle inequality scanned over every
 triple in Fraction arithmetic, the random-space closure over Fractions, and
@@ -55,7 +57,7 @@ numerators and those numerators times the extension's integers.
 from fractions import Fraction
 
 from freelip import lp
-from freelip.elements import Molecule, canonicalize, support, zero
+from freelip.elements import FreeElement, Molecule, canonicalize, support, zero
 from freelip.errors import EmptyFace, InternalVerificationFailure, NotInUnitBall
 from freelip.extremal import (
     PerturbationWitness,
@@ -73,7 +75,7 @@ from freelip.functions import (
 )
 from freelip.generators import _random_support, random_rational
 from freelip.norms import FaceReport, NormCertificate
-from freelip.rationals import row_echelon
+from freelip.rationals import as_fraction, row_echelon, scale_to_integers
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -458,6 +460,17 @@ def fraction_items(space, terms):
     for p, a in terms:
         acc[p] = acc.get(p, _ZERO) + Fraction(a)
     return tuple(sorted((p, a) for p, a in acc.items() if a != 0 and p != space.base))
+
+
+def fraction_canonicalize(space, raw):
+    """`elements.canonicalize` as it once summed: every value added to 0 or its point's sum."""
+    acc = {}
+    for key, value in raw.items():
+        idx = space.resolve(key)
+        acc[idx] = acc.get(idx, 0) + as_fraction(value)
+    kept = sorted((p, a) for p, a in acc.items() if a != 0 and p != space.base)
+    den, nums = scale_to_integers([a for _, a in kept])
+    return FreeElement(space, den, tuple((p, n) for (p, _), n in zip(kept, nums)))
 
 
 def fraction_segment(space, p, q, epsilon):

@@ -31,7 +31,8 @@ from freelip.generators import (
 from freelip.metric import PointedMetricSpace, validate_space
 from freelip import lp
 from freelip.norms import free_norm_dual
-from oracles import fraction_items
+from freelip.rationals import as_fraction
+from oracles import fraction_canonicalize, fraction_items
 from spaces import coprime_space
 
 
@@ -55,6 +56,47 @@ def test_canonicalize_accepts_labels(line3):
         canonicalize(line3, {"x": 1})
     with pytest.raises(UnknownLabel):
         canonicalize(line3, {7: 1})
+
+
+CANONICALIZE_CASES = {
+    # an index and a label naming one point: the values add
+    "index-and-label": ({1: Fraction(1, 2), "1": "1/3", 2: 1}, {1: Fraction(5, 6), 2: Fraction(1)}),
+    # the same point cancelling to zero is dropped
+    "cancelling": ({1: "1/2", "1": Fraction(-1, 2), 3: -2}, {3: Fraction(-2)}),
+    # the base named by its label is dropped too
+    "base-by-label": ({"0": 5, 2: "-3/4"}, {2: Fraction(-3, 4)}),
+    "mixed-values": (
+        {1: 2, 2: "3/4", 3: Fraction(-5, 6)},
+        {1: 2, 2: Fraction(3, 4), 3: Fraction(-5, 6)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICALIZE_CASES))
+def test_canonicalize_sums_as_the_fraction_sum_did(line4, name):
+    raw, coeffs = CANONICALIZE_CASES[name]
+    mu = canonicalize(line4, raw)
+    assert mu == fraction_canonicalize(line4, raw)
+    assert mu.coeffs == coeffs
+
+
+def test_canonicalize_agrees_with_the_fraction_sum_on_a_seeded_corpus():
+    # keys are indices or labels, repeating a point or naming the base;
+    # values are ints, strings or Fractions, zeros and cancelling pairs among them
+    rng = random.Random(37)
+    for _ in range(200):
+        space = random_space(rng, rng.randint(1, 9))
+        raw = {}
+        for _ in range(rng.randint(0, 12)):
+            p = rng.randrange(space.n)
+            key = space.labels[p] if rng.random() < 0.5 else p
+            a = rng.choice((-1, 0, 1)) * random_rational(rng, max_num=6, max_den=4)
+            raw[key] = rng.choice((a, str(a), a.numerator if a.denominator == 1 else a))
+        if raw and rng.random() < 0.3:
+            key, value = next(iter(raw.items()))
+            other = space.labels[key] if isinstance(key, int) else space.index(key)
+            raw[other] = -as_fraction(value)
+        assert canonicalize(space, raw) == fraction_canonicalize(space, raw)
 
 
 def test_arithmetic(line3):

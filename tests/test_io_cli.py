@@ -103,6 +103,8 @@ _NOT_A_TYPE = "expected int, Fraction or string, got"
          "decimal exponent beyond 4300: '1e10000000'"),
         ("0 1 2", "dist must be a list of rows"),
         ([["0", "1", "1"], "1 0 1", ["1", "1", "0"]], "malformed matrix row"),
+        ([["0", "1", "2"], ["1", "0"], ["2", "1", "0"]],
+         "matrix is not square: row 1 has 2 entries, expected 3"),
     ],
 )
 def test_space_loader_reports_the_first_bad_entry(tmp_path, dist, message):
@@ -150,6 +152,7 @@ PARSE_FAILURES = {
     "float",
     "list",
     "zero-denominator",
+    "short-row",
     "short-row-then-bad-entry",
     "string-row",
     "string-rows",
@@ -458,16 +461,18 @@ def test_cli_input_errors_exit_2(tmp_path, line3_file, capsys):
     "labels, message",
     [
         (["0", "1", "1"], "label '1' appears more than once"),
-        (["0", "1"], "expected 3 labels, got 2"),
+        (["0", "1"], "labels.json: expected 3 labels, got 2"),
     ],
 )
-def test_cli_bad_label_lists_exit_2(tmp_path, labels, message, capsys):
-    space = _write(
+def test_cli_bad_label_lists_exit_2(tmp_path, monkeypatch, labels, message, capsys):
+    # a label count that is not the matrix's size is malformed input, named by its file
+    monkeypatch.chdir(tmp_path)
+    _write(
         tmp_path,
         "labels.json",
         {"labels": labels, "base": "0", "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]},
     )
-    assert main(["positive-extremes", "--space", space]) == 2
+    assert main(["positive-extremes", "--space", "labels.json"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

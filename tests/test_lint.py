@@ -25,18 +25,22 @@ by assignment, and no module imports or names ``NamedTuple`` or
 ``namedtuple``.  No module
 but the battery imports ``lp``: the library core solves no LP.  The body of
 the transport solver ``norms._transport_plan`` names neither ``Fraction``
-nor ``float``, nor a module constant built by either, and holds no float
-literal: the kernel computes on ints alone.  Elements and functions,
-total and partial, store one integer form, so no kernel that reads them
+nor ``float``, nor a module constant built by either, nor a function of
+its module declared to return a ``Fraction``, and holds no float
+literal: the kernel computes on ints alone; so do the random spaces
+``generators.random_space`` and ``generators.random_line_subset``.
+Elements and functions, total and partial, store one integer form, so no
+kernel that reads them
 (the transport solver, its two checks, the norming face, the Lipschitz
 constant, the predual weighting, the McShane minima, the restriction, the
 distance to the base point, the normers, the almost-positive witness,
 the battery's molecule-function check, its dense transport oracle and its
-five random draws of elements, functions and weights) rescales a Fraction
-view: none calls ``scale_to_integers``, nor a
+five random draws of elements, functions and weights, and the two random
+spaces) rescales a Fraction view: none calls ``scale_to_integers``, nor a
 constructor that calls it on Fractions (``partial_function``,
-``lip_function``, ``weight_function``, ``LipFunction`` or
-``WeightFunction``; ``LipFunction._of`` takes integers).  Spaces store
+``lip_function``, ``weight_function``, ``LipFunction``,
+``WeightFunction`` or ``space_from_points``; ``LipFunction._of`` takes
+integers).  Spaces store
 one integer form too, so none of those kernels, nor the molecule
 classifier ``extremal.classify_molecule``, reads the Fraction view of the
 distances: the attribute ``dist`` or the method ``d``.  Only the checker
@@ -400,7 +404,8 @@ def _inexact(tree, function):
     """Whatever in the body of the module-level `function` is not an int.
 
     That is the names `Fraction` and `float`, as attributes too, the module
-    constants bound to a call of either, and float literals.
+    constants bound to a call of either, the module's functions declared to
+    return a `Fraction`, and float literals.
     """
     banned = {"Fraction", "float"}
     for node in tree.body:
@@ -408,6 +413,8 @@ def _inexact(tree, function):
             called = node.value.func
             if getattr(called, "id", getattr(called, "attr", None)) in banned:
                 banned |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.FunctionDef) and getattr(node.returns, "id", None) == "Fraction":
+            banned.add(node.name)
     body = _function(tree, function)
     for node in ast.walk(body):
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
@@ -428,10 +435,17 @@ def _inexact(tree, function):
         ("return fractions.Fraction(x)", ["Fraction"]),
         ("return sum(x, _ZERO)", ["_ZERO"]),
         ("return sum(x, _ONE)", ["_ONE"]),
+        ("return halve(x)", ["halve"]),
+        ("return double(x)", []),
     ],
 )
 def test_the_inexact_value_finder(body, found):
-    module = f"_ZERO = Fraction(0)\n_ONE = fractions.Fraction(1)\ndef kernel(x):\n    {body}\n"
+    module = (
+        "_ZERO = Fraction(0)\n_ONE = fractions.Fraction(1)\n"
+        "def halve(x) -> Fraction:\n    return Fraction(x, 2)\n"
+        "def double(x) -> int:\n    return 2 * x\n"
+        f"def kernel(x):\n    {body}\n"
+    )
     assert list(_inexact(ast.parse(module), "kernel")) == found
 
 
@@ -440,6 +454,13 @@ def test_the_transport_kernel_stays_exact():
     # and distances, with None for a node not reached yet
     tree = ast.parse((PACKAGE / "norms.py").read_text())
     assert list(_inexact(tree, "_transport_plan")) == []
+
+
+def test_the_random_spaces_are_drawn_to_integers():
+    # weights and coordinates are drawn as ints and closed or differenced as ints
+    tree = ast.parse((PACKAGE / "generators.py").read_text())
+    drawn = ("random_space", "random_line_subset")
+    assert {f: list(_inexact(tree, f)) for f in drawn} == {f: [] for f in drawn}
 
 
 def _calls(tree, function, callee):
@@ -476,7 +497,14 @@ KERNELS = {
     ),
     "extremal": ("almost_positive_witness",),
     "checks": ("check_molecule_function", "transport_norm_bruteforce", "_random_partial"),
-    "generators": ("random_positive_element", "random_element", "random_lip0", "random_weight"),
+    "generators": (
+        "random_positive_element",
+        "random_element",
+        "random_lip0",
+        "random_weight",
+        "random_space",
+        "random_line_subset",
+    ),
 }
 RESCALERS = (
     "scale_to_integers",
@@ -485,6 +513,7 @@ RESCALERS = (
     "weight_function",
     "LipFunction",
     "WeightFunction",
+    "space_from_points",
 )
 
 

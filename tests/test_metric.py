@@ -513,15 +513,17 @@ def test_the_triangle_scan_runs_no_fraction_arithmetic(monkeypatch, tmp_path):
 
 
 def test_random_space_matches_the_fraction_closure():
-    # the integer closure draws the same weights and gives the same Fractions
-    for seed in range(5):
-        for n in (1, 2, 3, 5, 8, 13, 24):
-            rng, reference = random.Random(seed), random.Random(seed)
-            space = random_space(rng, n)
-            expected = fraction_closure_matrix(reference, n)
-            assert space.dist == tuple(map(tuple, expected))
-            assert all(isinstance(v, Fraction) for row in space.dist for v in row)
-            assert rng.getstate() == reference.getstate()
+    # the integer closure draws the same weights and gives the same Fractions,
+    # and the same integer form, record and hash as the Fraction matrix
+    for seed, n in [(s, n) for s in range(5) for n in (1, 2, 3, 5, 8, 13, 24)] + [(5, 48)]:
+        rng, reference = random.Random(seed), random.Random(seed)
+        space = random_space(rng, n)
+        expected = fraction_closure_matrix(reference, n)
+        assert space.dist == tuple(map(tuple, expected))
+        assert all(isinstance(v, Fraction) for row in space.dist for v in row)
+        reference_space = validate_space(expected)
+        assert space == reference_space and hash(space) == hash(reference_space)
+        assert rng.getstate() == reference.getstate()
 
 
 def _points_reference(values, base=0):
