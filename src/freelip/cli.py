@@ -4,6 +4,12 @@ Exit status: 0 on success, 1 on a failed certification (a violated
 invariant or failing check battery), 2 on input errors.  Machine-format
 output is deterministic JSON; the check battery is seeded, so a fixed seed
 reproduces reports byte for byte.
+
+A command loads and builds only what it runs.  The handlers that run a
+solver import it in their body (`norms` in `_norm`, `extremal` in
+`_classify`, `_extremes` and `_witness`), `_dispatch` imports the battery
+for `check-suite` alone, and `build_parser` builds only the subparser of
+the command it is given.
 """
 
 from __future__ import annotations
@@ -11,14 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import fileio
 from .elements import support, zero
 from .errors import FreeLipError, InternalVerificationFailure, ParseError
-from .extremal import almost_positive_witness, classify_molecule, positive_ball_extremes
 from .functions import mcshane_extend, molecule_norming_function, weight_element
-from .norms import norm_certificate
 from .rationals import as_fraction, format_fraction
 from .records import record
 
@@ -86,6 +90,7 @@ def _values(f, sep: str = " -> ") -> list[str]:
 
 
 def _norm(args, space):
+    from .norms import norm_certificate
     cert = norm_certificate(fileio.load_element(args.element, space))
     terms = " + ".join(
         f"{format_fraction(w)} * m({space.labels[m.p]},{space.labels[m.q]})"
@@ -132,6 +137,7 @@ def _weight(args, space):
 
 
 def _classify(args, space):
+    from .extremal import classify_molecule
     p, q = _pair(space, args.pair)
     verdict = classify_molecule(space, p, q)
     segment = _labels(space, verdict.segment.members)
@@ -143,6 +149,7 @@ def _classify(args, space):
 
 
 def _extremes(args, space):
+    from .extremal import positive_ball_extremes
     extremes = positive_ball_extremes(space)
     coefficients = [fileio.element_payload(e)["coefficients"] for e in extremes]
     payload = fileio.envelope("positive_extremes", extremes=coefficients)
@@ -150,6 +157,7 @@ def _extremes(args, space):
 
 
 def _witness(args, space):
+    from .extremal import almost_positive_witness
     lam = fileio.load_element(args.lam, space)
     mu = fileio.load_element(args.mu, space) if args.mu else zero(space)
     witness = almost_positive_witness(lam, mu)
@@ -215,18 +223,29 @@ _FORMAT = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of every command, or of `argv[0]` alone when it names one of `COMMANDS`.
+
+    A command's own arguments are parsed by its subparser alone, so the
+    others are not built.  The one place the main parser still names the
+    commands, the usage line of an error such as an unrecognized argument,
+    lists them all from `metavar`, as the parser of every command does.
+    """
     parser = argparse.ArgumentParser(
         prog="freelip",
         description="Exact computations in free spaces over finite pointed metric spaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    one = argv[0] if argv and argv[0] in COMMANDS else None
+    every = "{" + ",".join([*COMMANDS, "check-suite"]) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every if one else None)
+    for name, command in ({one: COMMANDS[one]} if one else COMMANDS).items():
         cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--space", required=True, help="space file (JSON)")
         cmd.add_argument("--format", **_FORMAT)
         for flag, options in command.arguments.items():
             cmd.add_argument(flag, **options)
+    if one is not None:
+        return parser
 
     cmd = sub.add_parser("check-suite", help="run the full certification battery")
     cmd.add_argument("--format", **_FORMAT)
@@ -263,7 +282,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return _dispatch(args)
     except InternalVerificationFailure as exc:

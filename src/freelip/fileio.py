@@ -13,11 +13,10 @@ import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .elements import FreeElement, Molecule, canonicalize
 from .errors import ParseError
-from .extremal import ExposednessVerdict, PerturbationWitness
 from .functions import (
     LipFunction,
     PartialFunction,
@@ -27,8 +26,11 @@ from .functions import (
     weight_function,
 )
 from .metric import PointedMetricSpace, _integer_rows, _validated
-from .norms import FaceReport, NormCertificate
 from .rationals import as_fraction, format_fraction
+
+if TYPE_CHECKING:  # annotations only: a loader compiles no solver
+    from .extremal import ExposednessVerdict, PerturbationWitness
+    from .norms import FaceReport, NormCertificate
 
 SCHEMA_VERSION = "1"
 
@@ -44,8 +46,8 @@ def envelope(kind: str, **fields) -> dict:
 
 def _read_json(path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), path) from exc
     try:
         data = json.loads(text)

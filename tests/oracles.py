@@ -4,7 +4,9 @@ The library computes norms from one min-cost flow and reads the norming
 functions off that flow by shortest paths.  These are the formulations it
 used before: the dense dual LP over the 1-Lipschitz ball, and one probe LP
 per value and per slope over the optimal face of that dual LP.  They share
-nothing with the library but the generic simplex.
+nothing with the library but the generic simplex.  The norm has an outside
+reference as well, which shares nothing with the library: networkx's
+network simplex on the integer-scaled transport problem.
 
 The generic simplex has a reference here too: the same two-phase
 Bland's-rule simplex on a Fraction tableau.  `lp` runs it on a
@@ -54,7 +56,10 @@ masses times the extension's values, where the library puts lam's
 numerators and those numerators times the extension's integers.
 """
 
+import math
 from fractions import Fraction
+
+import pytest
 
 from freelip import lp
 from freelip.elements import FreeElement, Molecule, canonicalize, support, zero
@@ -356,6 +361,31 @@ def normers_by_probes(mu):
         if lo.value == space.d(x, y):
             shared.add((x, y))
     return sol.value, fixed, frozenset(shared)
+
+
+def networkx_transport_norm(mu) -> Fraction:
+    """Independent oracle: integer-scaled min-cost flow via networkx."""
+    nx = pytest.importorskip("networkx")
+    space = mu.space
+    coeffs = mu.coeffs
+    dist_scale = math.lcm(
+        *(space.d(x, y).denominator for x, y in space.ordered_pairs()), 1
+    )
+    mass_scale = math.lcm(*(a.denominator for a in coeffs.values()), 1)
+    G = nx.DiGraph()
+    residual = 0
+    for p in space.points():
+        a = coeffs.get(p, Fraction(0))
+        scaled = int(a * mass_scale)
+        if p != space.base:
+            # network demand is inflow minus outflow
+            G.add_node(p, demand=-scaled)
+            residual += scaled
+    G.add_node(space.base, demand=residual)
+    for x, y in space.ordered_pairs():
+        G.add_edge(x, y, weight=int(space.d(x, y) * dist_scale))
+    value, _ = nx.network_simplex(G)
+    return Fraction(value, mass_scale * dist_scale)
 
 
 def tight_distances(space, nodes, decomposition):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from freelip import checks, cli, fileio
+from freelip import checks, cli, fileio, norms
 from freelip.cli import main
 from freelip.elements import canonicalize
 from freelip.errors import FreeLipError, InternalVerificationFailure, ParseError
@@ -457,6 +457,23 @@ def test_cli_input_errors_exit_2(tmp_path, line3_file, capsys):
         rejected(["positive-extremes", "--space", bad_labels], "labels must be a list")
 
 
+@pytest.mark.parametrize("flag", ["--space", "--element", "--function"])
+def test_an_input_that_is_not_utf8_is_named_by_its_file(tmp_path, line3_file, capsys, flag):
+    # JSON is UTF-8 (RFC 8259), so a file that does not decode is malformed input
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    space, mu = str(line3_file), _write(tmp_path, "mu.json", {"1": "1"})
+    argv = {
+        "--space": ["norm", "--space", str(bad), "--element", mu],
+        "--element": ["norm", "--space", space, "--element", str(bad)],
+        "--function": ["extend", "--space", space, "--function", str(bad)],
+    }[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "labels, message",
     [
@@ -586,7 +603,7 @@ def test_a_failed_certification_exits_1(tmp_path, line3_file, capsys, monkeypatc
     def failing(mu):
         raise InternalVerificationFailure("dual witness failed verification")
 
-    monkeypatch.setattr(cli, "norm_certificate", failing)
+    monkeypatch.setattr(norms, "norm_certificate", failing)
     mu = _write(tmp_path, "mu.json", {"1": "1"})
     assert main(["norm", "--space", str(line3_file), "--element", mu]) == 1
     captured = capsys.readouterr()

@@ -1,6 +1,6 @@
 """Leftovers after a deletion, and certifications that ``python -O`` would drop.
 
-Each module of the package except ``__init__`` (which imports to re-export)
+Each module of the package except ``__init__`` (which only re-exports)
 is parsed with ``ast``.  A name a module imports must be used somewhere in
 it, and a private module-level function must be referenced somewhere in it.
 No module, ``__init__`` included, may hold an ``assert`` statement: a check
@@ -10,15 +10,22 @@ of the kernels they check, and neither do the certifiers in ``extremal``,
 so they reach a norming face by the public path.  Every exception class
 in ``errors`` is raised somewhere in the package, or is the base of one
 that is, and
-``freelip.__all__`` is the names ``__init__`` imports, in their order, each
-of which resolves.  The modules import each other in one declared order,
-so the package has no import cycle, and the one import inside a function
-body is the battery's, in ``cli._dispatch``.  Every ``InternalVerificationFailure`` the
+``freelip.__all__`` is the names of ``__init__``'s export table, in its
+order, each of which resolves to its module's own object.  The modules
+import each other in one declared order, so the package has no import
+cycle.  The imports inside function bodies are the solver each command
+handler runs (``norms`` in ``cli._norm``, ``extremal`` in
+``cli._classify``, ``cli._extremes`` and ``cli._witness``) and the
+battery's, in ``cli._dispatch``.  Every ``InternalVerificationFailure`` the
 package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
 ``match`` pattern finds its message.  Every ``check_*`` of the battery has
 one too: a test in ``tests/test_battery.py`` that binds the check's result
 and asserts ``not result.passed``.  No module imports ``dataclasses``, and
-``import freelip.cli`` loads neither ``inspect`` nor the battery.  Records
+``import freelip.cli`` loads neither ``inspect``, nor the battery, nor a
+solver.  In one child interpreter each, ``import freelip`` loads none of
+the package's modules, and each command loads only the solvers it runs:
+``norm`` loads ``norms``, the three extremal commands load ``norms`` and
+``extremal``, and the others load neither.  Records
 are the one value mechanism: no class body outside ``records`` defines
 ``__eq__``, ``__hash__``, ``__setattr__`` or ``__delattr__``, by ``def`` or
 by assignment, and no module imports or names ``NamedTuple`` or
@@ -61,6 +68,7 @@ every matrix.
 """
 
 import ast
+import importlib
 import inspect
 import os
 import re
@@ -71,8 +79,10 @@ from pathlib import Path
 import pytest
 
 import freelip
+from freelip import cli
 from freelip.errors import UnknownLabel
 from freelip.metric import validate_space
+from test_cli_golden import CASES, argv_for
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "freelip"
@@ -209,20 +219,73 @@ def test_records_are_the_one_value_mechanism():
     assert found == []
 
 
-def test_a_command_loads_no_introspection_and_no_battery():
-    # `cli._dispatch` imports the battery only for `check-suite`
+def _modules_at_exit(script, *args):
+    """The modules a child interpreter has loaded once `script` ran with `args`.
+
+    The script prints them as the last line of its standard output.
+    """
     env = dict(os.environ)
     extra = os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     env["PYTHONPATH"] = str(PACKAGE.parent) + extra
-    script = "import sys, freelip.cli; print(*sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_a_command_loads_no_introspection_and_no_battery():
+    # `cli._dispatch` imports the battery only for `check-suite`, and each
+    # handler imports the solver it runs
+    loaded = _modules_at_exit("import sys, freelip.cli; print(*sys.modules)")
     assert "freelip.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "freelip.checks", "freelip.lp", "freelip.generators"}
+    unwanted = {
+        "dataclasses",
+        "inspect",
+        "freelip.checks",
+        "freelip.lp",
+        "freelip.generators",
+        "freelip.extremal",
+        "freelip.norms",
+    }
     assert sorted(loaded & unwanted) == []
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # each exported name imports its module on first access
+    loaded = _modules_at_exit("import sys, freelip; print(*sys.modules)")
+    assert "freelip" in loaded
+    assert sorted(m for m in loaded if m.startswith("freelip.")) == []
+
+
+SOLVERS = {"freelip.norms", "freelip.extremal"}
+# a golden case of each command -> the solver modules the command loads
+SOLVERS_LOADED = {
+    "norm": {"freelip.norms"},
+    "support": set(),
+    "segment": set(),
+    "fpq": set(),
+    "extend": set(),
+    "weight": set(),
+    "classify-exposed": SOLVERS,
+    "positive-extremes": SOLVERS,
+    "witness": SOLVERS,
+}
+
+
+def test_the_load_table_holds_every_command():
+    assert [CASES[case][0] for case in SOLVERS_LOADED] == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("case", SOLVERS_LOADED)
+def test_a_command_loads_only_the_solvers_it_runs(case):
+    script = (
+        "import sys\nfrom freelip.cli import main\n"
+        "code = main(sys.argv[1:])\nprint(*sys.modules)\nsys.exit(code)"
+    )
+    loaded = _modules_at_exit(script, *argv_for(case, "machine"))
+    assert "freelip.cli" in loaded
+    assert loaded & SOLVERS == SOLVERS_LOADED[case]
 
 
 IMPORT_ORDER = (
@@ -288,7 +351,8 @@ def test_the_import_finder(source, found):
 
 def test_the_modules_import_each_other_in_one_order():
     # a module imports only modules before it, so the package has no import
-    # cycle; the one import in a function body keeps the battery out of commands
+    # cycle; the imports in function bodies keep the solvers out of the
+    # commands that do not run them, and the battery out of every command
     assert sorted(IMPORT_ORDER) == [path.stem for path in MODULES]
     rank = {module: i for i, module in enumerate(IMPORT_ORDER)}
     later, nested = [], []
@@ -301,7 +365,13 @@ def test_the_modules_import_each_other_in_one_order():
                 if rank.get(imported, len(rank)) >= rank[path.stem]:
                     later.append(f"{path.stem}:{imported}")
     assert later == []
-    assert nested == ["cli._dispatch:freelip.checks"]
+    assert nested == [
+        "cli._norm:freelip.norms",
+        "cli._classify:freelip.extremal",
+        "cli._extremes:freelip.extremal",
+        "cli._witness:freelip.extremal",
+        "cli._dispatch:freelip.checks",
+    ]
 
 
 def _from_the_package(node):
@@ -733,15 +803,21 @@ def test_the_loader_reads_its_matrix_through_metric():
 def test_every_exported_name_resolves():
     missing = [name for name in freelip.__all__ if not hasattr(freelip, name)]
     assert missing == []
-    # the export list is the names `__init__` imports from the modules, in order
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-        for alias in node.names
+    # the export list is the names of `__init__`'s export table, in order,
+    # and each resolves to its module's own object
+    table = [(module, name) for module, names in freelip._EXPORTS.items() for name in names]
+    assert freelip.__all__ == [name for _, name in table]
+    foreign = [
+        f"{module}.{name}"
+        for module, name in table
+        if getattr(freelip, name) is not getattr(importlib.import_module(f"freelip.{module}"), name)
     ]
-    assert freelip.__all__ == imported
+    assert foreign == []
+    star = {}
+    exec("from freelip import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == sorted(freelip.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        freelip.no_such_name
 
 
 def _leading_literal(node):

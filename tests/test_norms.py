@@ -54,36 +54,12 @@ from oracles import (
     fraction_norming_face,
     fraction_rebuild,
     fraction_transport_bruteforce,
+    networkx_transport_norm,
     normers_by_probes,
     pairing_objective,
     tight_distances,
 )
 from spaces import coprime_space, ultrametric_space
-
-
-def networkx_transport_norm(mu) -> Fraction:
-    """Independent oracle: integer-scaled min-cost flow via networkx."""
-    nx = pytest.importorskip("networkx")
-    space = mu.space
-    coeffs = mu.coeffs
-    dist_scale = math.lcm(
-        *(space.d(x, y).denominator for x, y in space.ordered_pairs()), 1
-    )
-    mass_scale = math.lcm(*(a.denominator for a in coeffs.values()), 1)
-    G = nx.DiGraph()
-    residual = 0
-    for p in space.points():
-        a = coeffs.get(p, Fraction(0))
-        scaled = int(a * mass_scale)
-        if p != space.base:
-            # network demand is inflow minus outflow
-            G.add_node(p, demand=-scaled)
-            residual += scaled
-    G.add_node(space.base, demand=residual)
-    for x, y in space.ordered_pairs():
-        G.add_edge(x, y, weight=int(space.d(x, y) * dist_scale))
-    value, _ = nx.network_simplex(G)
-    return Fraction(value, mass_scale * dist_scale)
 
 
 def test_molecule_norm_is_one(line3, tri):

@@ -5,19 +5,25 @@ bugs show on some small input, and checking every small input reaches
 every pattern of ties, which is where segments and faces turn.  The scope
 is every symmetric matrix on 2 to 4 points with off-diagonal entries in
 1..3 that is a metric, one per class under the relabellings that fix the
-base point 0.
+base point 0.  Each molecule's verdict and face are checked there, and so
+is the norm of every element with coefficients +-1 on the non-base points;
+the normers of those elements are checked on 2 and 3 points, where the
+probe LPs stay quick.
 """
 
+from functools import cache
 from itertools import permutations, product
 
 import pytest
 
 from freelip import checks
+from freelip.elements import canonicalize
 from freelip.errors import TriangleViolation
 from freelip.extremal import EXPOSED, classify_molecule
 from freelip.functions import molecule_norming_function
 from freelip.metric import validate_space
-from oracles import fraction_norming_face
+from freelip.norms import norm_certificate, normers_of
+from oracles import fraction_norming_face, networkx_transport_norm, normers_by_probes
 
 ENTRIES = (1, 2, 3)
 CLASSES = {2: 3, 3: 16, 4: 113}
@@ -32,6 +38,7 @@ def _canonical(rows):
     )
 
 
+@cache
 def small_spaces(n):
     """One space per class of metrics on n points with entries in ENTRIES."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -45,7 +52,7 @@ def small_spaces(n):
         except TriangleViolation:
             continue
         classes.add(_canonical(rows))
-    return [validate_space(rows) for rows in sorted(classes)]
+    return tuple(validate_space(rows) for rows in sorted(classes))
 
 
 @pytest.mark.parametrize("n", sorted(CLASSES))
@@ -59,3 +66,17 @@ def test_every_small_molecule_is_classified_as_the_oracles_say(n):
             assert (verdict.verdict == EXPOSED) == ((p, q) in extreme), (space, p, q)
             reference = fraction_norming_face(molecule_norming_function(space, p, q))
             assert verdict.face.face_dimension == reference.face_dimension, (space, p, q)
+
+
+@pytest.mark.parametrize("n", sorted(CLASSES))
+def test_every_small_sign_element_has_the_oracles_norm_and_normers(n):
+    for space in small_spaces(n):
+        for signs in product((1, -1), repeat=n - 1):
+            mu = canonicalize(space, dict(zip(range(1, n), signs)))
+            value = norm_certificate(mu).value
+            assert value == networkx_transport_norm(mu), (space, signs)
+            if n <= 3:
+                report = normers_of(mu)
+                assert (report.value, report.fixed_values, report.shared_tight_pairs) == (
+                    normers_by_probes(mu)
+                ), (space, signs)
