@@ -7,9 +7,11 @@ reproduces reports byte for byte.
 
 A command loads and builds only what it runs.  The handlers that run a
 solver import it in their body (`norms` in `_norm`, `extremal` in
-`_classify`, `_extremes` and `_witness`), `_dispatch` imports the battery
-for `check-suite` alone, and `build_parser` builds only the subparser of
-the command it is given.
+`_classify`, `_extremes` and `_witness`), and so do the handlers that run a
+function kernel (`functions` in `_fpq`, `_extend` and `_weight`), so
+`support` and `segment` load neither; `_dispatch` imports the battery for
+`check-suite` alone, and `build_parser` builds only the subparser of the
+command it is given.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Callable, Sequence
 from . import fileio
 from .elements import support, zero
 from .errors import FreeLipError, InternalVerificationFailure, ParseError
-from .functions import mcshane_extend, molecule_norming_function, weight_element
 from .rationals import as_fraction, format_fraction
 from .records import record
 
@@ -121,16 +122,19 @@ def _segment(args, space):
 
 
 def _fpq(args, space):
+    from .functions import molecule_norming_function
     f = molecule_norming_function(space, *_pair(space, args.pair))
     return fileio.function_payload(f), _values(f)
 
 
 def _extend(args, space):
+    from .functions import mcshane_extend
     f = mcshane_extend(fileio.load_function(args.function, space, "partial"))
     return fileio.function_payload(f), _values(f)
 
 
 def _weight(args, space):
+    from .functions import weight_element
     mu = fileio.load_element(args.element, space)
     out = weight_element(mu, fileio.load_function(args.weight, space, "weight"))
     return fileio.element_payload(out), ["weighted element: " + _items(space, out.items)]

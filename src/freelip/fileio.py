@@ -17,14 +17,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from .elements import FreeElement, Molecule, canonicalize
 from .errors import ParseError
-from .functions import (
-    LipFunction,
-    PartialFunction,
-    WeightFunction,
-    lip_function,
-    partial_function,
-    weight_function,
-)
 from .metric import PointedMetricSpace, _integer_rows, _validated
 from .rationals import as_fraction, format_fraction
 
@@ -148,11 +140,8 @@ def element_payload(mu: FreeElement) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# functions
-
-
-_BUILDERS = {"lip0": lip_function, "weight": weight_function, "partial": partial_function}
-_KINDS = {LipFunction: "lip0", WeightFunction: "weight", PartialFunction: "partial"}
+# functions: `functions` is imported by the two calls that read or write one,
+# so a command that handles no function does not compile it
 
 
 def load_function(path, space: PointedMetricSpace, expected: str | None = None):
@@ -160,6 +149,9 @@ def load_function(path, space: PointedMetricSpace, expected: str | None = None):
 
     When `expected` names a kind, a file of any other kind is rejected.
     """
+    from .functions import lip_function, partial_function, weight_function
+
+    builders = {"lip0": lip_function, "weight": weight_function, "partial": partial_function}
     data = _read_json(path)
     kind = data.get("kind", "lip0")
     values = data.get("values")
@@ -168,16 +160,19 @@ def load_function(path, space: PointedMetricSpace, expected: str | None = None):
     parsed = {str(label): _parse_rational(v, path) for label, v in values.items()}
     if expected is not None and kind != expected:
         raise ParseError(f"expected a function of kind {expected!r}, got {kind!r}", path)
-    if not isinstance(kind, str) or kind not in _BUILDERS:
+    if not isinstance(kind, str) or kind not in builders:
         raise ParseError(f"unknown function kind {kind!r}", path)
     try:
-        return _BUILDERS[kind](space, parsed)
+        return builders[kind](space, parsed)
     except ValueError as exc:
         raise ParseError(str(exc), path) from exc
 
 
 def function_payload(f) -> dict:
-    kind = _KINDS.get(type(f))
+    from .functions import LipFunction, PartialFunction, WeightFunction
+
+    kinds = {LipFunction: "lip0", WeightFunction: "weight", PartialFunction: "partial"}
+    kind = kinds.get(type(f))
     if kind is None:
         raise TypeError(f"not a function value: {type(f).__name__}")
     return envelope(kind, values={f.space.labels[p]: format_fraction(v) for p, v in f.items})

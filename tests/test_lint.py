@@ -15,17 +15,24 @@ order, each of which resolves to its module's own object.  The modules
 import each other in one declared order, so the package has no import
 cycle.  The imports inside function bodies are the solver each command
 handler runs (``norms`` in ``cli._norm``, ``extremal`` in
-``cli._classify``, ``cli._extremes`` and ``cli._witness``) and the
+``cli._classify``, ``cli._extremes`` and ``cli._witness``), ``functions``
+where a handler or a file reader or writer reads or writes a function
+(``cli._fpq``, ``cli._extend``, ``cli._weight``,
+``fileio.load_function`` and ``fileio.function_payload``), and the
 battery's, in ``cli._dispatch``.  Every ``InternalVerificationFailure`` the
 package raises has a fault test: a ``pytest.raises`` under ``tests/`` whose
 ``match`` pattern finds its message.  Every ``check_*`` of the battery has
 one too: a test in ``tests/test_battery.py`` that binds the check's result
 and asserts ``not result.passed``.  No module imports ``dataclasses``, and
 ``import freelip.cli`` loads neither ``inspect``, nor the battery, nor a
-solver.  In one child interpreter each, ``import freelip`` loads none of
-the package's modules, and each command loads only the solvers it runs:
-``norm`` loads ``norms``, the three extremal commands load ``norms`` and
-``extremal``, and the others load neither.  Records
+solver, nor ``functions``.  In one child interpreter each, ``import
+freelip`` loads none of the package's modules, and each command loads only
+the solvers it runs: ``norm`` loads ``norms`` and ``functions``, the
+three extremal commands load ``norms``, ``extremal`` and ``functions``,
+``fpq``, ``extend`` and ``weight`` load ``functions`` alone, and
+``support`` and ``segment`` load none of them.  Every ``to_bytes`` and
+``from_bytes`` call in the package names its byteorder, which has no
+default before Python 3.11.  Records
 are the one value mechanism: no class body outside ``records`` defines
 ``__eq__``, ``__hash__``, ``__setattr__`` or ``__delattr__``, by ``def`` or
 by assignment, and no module imports or names ``NamedTuple`` or
@@ -247,6 +254,7 @@ def test_a_command_loads_no_introspection_and_no_battery():
         "freelip.generators",
         "freelip.extremal",
         "freelip.norms",
+        "freelip.functions",
     }
     assert sorted(loaded & unwanted) == []
 
@@ -258,15 +266,17 @@ def test_importing_the_package_loads_none_of_its_modules():
     assert sorted(m for m in loaded if m.startswith("freelip.")) == []
 
 
-SOLVERS = {"freelip.norms", "freelip.extremal"}
-# a golden case of each command -> the solver modules the command loads
+# the solvers, and the functions module that only the commands reading or
+# writing a function load, whether by a solver or by a handler's own import
+SOLVERS = {"freelip.norms", "freelip.extremal", "freelip.functions"}
+# a golden case of each command -> the modules of SOLVERS the command loads
 SOLVERS_LOADED = {
-    "norm": {"freelip.norms"},
+    "norm": {"freelip.norms", "freelip.functions"},
     "support": set(),
     "segment": set(),
-    "fpq": set(),
-    "extend": set(),
-    "weight": set(),
+    "fpq": {"freelip.functions"},
+    "extend": {"freelip.functions"},
+    "weight": {"freelip.functions"},
     "classify-exposed": SOLVERS,
     "positive-extremes": SOLVERS,
     "witness": SOLVERS,
@@ -367,11 +377,61 @@ def test_the_modules_import_each_other_in_one_order():
     assert later == []
     assert nested == [
         "cli._norm:freelip.norms",
+        "cli._fpq:freelip.functions",
+        "cli._extend:freelip.functions",
+        "cli._weight:freelip.functions",
         "cli._classify:freelip.extremal",
         "cli._extremes:freelip.extremal",
         "cli._witness:freelip.extremal",
         "cli._dispatch:freelip.checks",
+        "fileio.load_function:freelip.functions",
+        "fileio.function_payload:freelip.functions",
     ]
+
+
+def _bytes_calls_without_byteorder(tree):
+    """The line of each `to_bytes` or `from_bytes` call that passes no byteorder.
+
+    The byteorder is the second argument, by position or keyword, of both.
+    """
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("to_bytes", "from_bytes")
+            and len(node.args) < 2
+            and "byteorder" not in {k.arg for k in node.keywords}
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ('x.to_bytes(2, "big")', []),
+        ('int.from_bytes(b, "little")', []),
+        ('x.to_bytes(2, byteorder="big")', []),
+        ('int.from_bytes(b, byteorder="little", signed=True)', []),
+        ("x.to_bytes(2)", [1]),
+        ("x.to_bytes()", [1]),
+        ("int.from_bytes(b)\nint.from_bytes(b, signed=True)", [1, 2]),
+        ("to_bytes(2)", []),
+    ],
+)
+def test_the_byteorder_finder(source, found):
+    assert list(_bytes_calls_without_byteorder(ast.parse(source))) == found
+
+
+def test_every_bytes_conversion_names_its_byteorder():
+    # the byteorder of `int.to_bytes` and `int.from_bytes` has a default
+    # only from Python 3.11, and the package supports 3.10
+    assert 'requires-python = ">=3.10"' in (TESTS.parent / "pyproject.toml").read_text()
+    missing = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _bytes_calls_without_byteorder(ast.parse(path.read_text()))
+    ]
+    assert missing == []
 
 
 def _from_the_package(node):

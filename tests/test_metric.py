@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelip import generators
+from freelip import generators, metric
 from freelip.elements import Molecule
 from freelip.errors import (
     AsymmetricDistance,
@@ -280,11 +280,15 @@ def test_a_random_space_is_the_space_of_its_own_distances(monkeypatch):
 def test_the_fraction_view_is_the_rows_over_the_unit_and_cached():
     space = random_space(random.Random(7), 9)
     assert "dist" not in space.__dict__
+    # `d` reads one entry of `scaled` and leaves the view unbuilt
+    assert type(space.d(2, 5)) is Fraction
+    assert "dist" not in space.__dict__
     unit, rows = space.scaled
     view = space.dist
     assert all(type(v) is Fraction for row in view for v in row)
     assert view == tuple(tuple(Fraction(v, unit) for v in row) for row in rows)
-    assert space.dist is view and space.d(2, 5) is view[2][5]
+    assert space.dist is view and "dist" in space.__dict__
+    assert all(space.d(i, j) == view[i][j] for i in space.points() for j in space.points())
 
 
 def _primes(count):
@@ -524,6 +528,72 @@ def test_random_space_matches_the_fraction_closure():
         reference_space = validate_space(expected)
         assert space == reference_space and hash(space) == hash(reference_space)
         assert rng.getstate() == reference.getstate()
+
+
+CUTOFF = metric.PACKED_CLOSURE_FROM
+CLOSURE_SIZES = [CUTOFF - 1, CUTOFF, CUTOFF + 1, 48, 96]
+
+
+def _weights(rng, n, draw):
+    """A symmetric matrix with a zero diagonal and `draw(rng)` on each pair."""
+    W = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            W[i][j] = W[j][i] = draw(rng)
+    return W
+
+
+# the weights random_space draws, over the unit 6, with many tight
+# triangles; one weight everywhere, where no path through a third point is
+# shorter, so no field changes; and multiples of 10**40 plus a small
+# offset, whose fields are 18 bytes, so a field spans machine words
+WEIGHT_DRAWS = {
+    "random-space": lambda rng: rng.randint(1, 12) * 6 // rng.randint(1, 3),
+    "all-equal": lambda rng: 7,
+    "near-1e40": lambda rng: rng.randint(1, 12) * 10**40 + rng.randint(0, 10**12),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHT_DRAWS))
+@pytest.mark.parametrize("n", CLOSURE_SIZES)
+def test_the_packed_closure_equals_the_scalar_loop(monkeypatch, kind, n):
+    # from the cutoff on, the full closure runs packed; pivots given as
+    # every point run the scalar loop on the same matrix
+    packed_runs, packed = [], metric._packed_closure
+    spy = lambda W: packed_runs.append(len(W)) or packed(W)
+    monkeypatch.setattr(metric, "_packed_closure", spy)
+    W = _weights(random.Random(n), n, WEIGHT_DRAWS[kind])
+    rows, drawn = list(W), [row[:] for row in W]
+    expected = metric.floyd_warshall([row[:] for row in W], range(n))
+    assert packed_runs == []
+    assert metric.floyd_warshall(W) is W
+    assert packed_runs == ([n] if n >= CUTOFF else [])
+    assert W == expected and all(a is b for a, b in zip(W, rows))
+    assert (W != drawn) == (kind != "all-equal")
+    # W's own row lists come back closed: no path through a third point is shorter
+    for row in W:
+        for via, row_k in zip(row, W):
+            assert all(via + d >= e for d, e in zip(row_k, row))
+
+
+def test_a_closure_with_a_negative_arc_runs_the_scalar_loop(monkeypatch):
+    # packed fields hold no negative value; the one negative arc 0 -> 1 closes no cycle
+    monkeypatch.setattr(metric, "_packed_closure", None)
+    W = _weights(random.Random(3), CUTOFF + 1, WEIGHT_DRAWS["random-space"])
+    W[0][1] = -1
+    closed = metric.floyd_warshall([row[:] for row in W])
+    assert closed == metric.floyd_warshall([row[:] for row in W], range(len(W)))
+    assert closed[0][1] == -1
+
+
+@pytest.mark.parametrize("n", [CUTOFF - 1, CUTOFF, CUTOFF + 1, 48])
+def test_a_random_space_is_the_same_on_either_loop(monkeypatch, n):
+    for seed in range(3):
+        packed = random_space(random.Random(seed), n)
+        with monkeypatch.context() as scalar:
+            scalar.setattr(metric, "PACKED_CLOSURE_FROM", n + 1)
+            reference = random_space(random.Random(seed), n)
+        assert packed.scaled == reference.scaled and hash(packed) == hash(reference)
 
 
 def _points_reference(values, base=0):

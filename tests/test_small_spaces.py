@@ -8,18 +8,20 @@ is every symmetric matrix on 2 to 4 points with off-diagonal entries in
 base point 0.  Each molecule's verdict and face are checked there, and so
 is the norm of every element with coefficients +-1 on the non-base points;
 the normers of those elements are checked on 2 and 3 points, where the
-probe LPs stay quick.
+probe LPs stay quick.  Every almost-positive witness for a positive lam
+with coefficients 1 or 2 and a mu of -1 on at most two points is verified:
+lam +- v is positive and lam + mu +- v keeps the norm of lam + mu.
 """
 
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from freelip import checks
 from freelip.elements import canonicalize
 from freelip.errors import TriangleViolation
-from freelip.extremal import EXPOSED, classify_molecule
+from freelip.extremal import EXPOSED, almost_positive_witness, classify_molecule
 from freelip.functions import molecule_norming_function
 from freelip.metric import validate_space
 from freelip.norms import norm_certificate, normers_of
@@ -80,3 +82,34 @@ def test_every_small_sign_element_has_the_oracles_norm_and_normers(n):
                 assert (report.value, report.fixed_values, report.shared_tight_pairs) == (
                     normers_by_probes(mu)
                 ), (space, signs)
+
+
+def test_every_small_almost_positive_witness_is_verified():
+    # lam + mu for every positive lam with coefficients 1 or 2 on every
+    # non-base point and mu = -1 on at most two of them; a witness needs
+    # three points of supp(lam) in one cell, so only n = 4 can have one
+    witnesses = 0
+    for n in sorted(CLASSES):
+        points = range(1, n)
+        for space in small_spaces(n):
+            mus = [
+                canonicalize(space, dict.fromkeys(S, -1))
+                for k in (0, 1, 2)
+                for S in combinations(points, k)
+            ]
+            for coefficients in product((1, 2), repeat=n - 1):
+                lam = canonicalize(space, dict(zip(points, coefficients)))
+                for mu in mus:
+                    witness = almost_positive_witness(lam, mu)
+                    if witness is None:
+                        continue
+                    assert n == 4, (space, lam, mu)
+                    v, total = witness.v, lam + mu
+                    assert not v.is_zero(), (space, lam, mu)
+                    assert all(a >= 0 for side in (lam + v, lam - v) for _, a in side.items)
+                    value = norm_certificate(total).value
+                    assert norm_certificate(total + v).value == value, (space, lam, mu)
+                    assert norm_certificate(total - v).value == value, (space, lam, mu)
+                    witnesses += 1
+    # 984 of the 6,328 pairs at n = 4 have one
+    assert witnesses >= 1
